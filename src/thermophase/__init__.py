@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-- ``grid``: cell-centered grid, zero-flux Laplacian, inner products, CG.
+- ``grid``: cell-centered grid, zero-flux Laplacian, inner products, cosine solve, CG.
 - ``nonlinearity``: convex potentials and Lipschitz couplings.
 - ``state``: semi-implicit forward solver and runtime diagnostics.
 - ``sensitivity``: tangent map, exact transpose, continuous adjoint.
@@ -12,7 +12,8 @@ Subpackage map:
 """
 
 from . import errors
-from .grid import GridSpec, build_grid, cg_solve, inner, laplacian_neumann, norm, riesz_v
+from .grid import (GridSpec, build_grid, cg_solve, cosine_solve, inner, laplacian_neumann, norm,
+                   riesz_v)
 from .nonlinearity import Coupling, Potential, eval_gamma, eval_pi, make_coupling, make_potential
 from .state import (InitialData, PhysParams, Problem, SolverOptions, StateTrajectory,
                     TimeGrid, phi_step, run_diagnostics, solve_state, thermal_step)

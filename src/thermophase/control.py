@@ -233,8 +233,7 @@ class ReducedProblem:
         traj = self.state(control)
         seeds, _ = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
         g_u = seeds.u + self.cost_spec.nu1 * control.u
-        g_v = self.cost_spec.nu2 * control.v0 + riesz_v(
-            self.problem.grid, seeds.v0, tol=self.opts.cg_tol, maxit=self.opts.cg_maxit)
+        g_v = self.cost_spec.nu2 * control.v0 + riesz_v(self.problem.grid, seeds.v0)
         return GradientPair(g_u=g_u, g_v=g_v)
 
 

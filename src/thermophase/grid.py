@@ -1,4 +1,4 @@
-"""Cell-centered rectangular grid, zero-flux Laplacian, inner products, CG solver.
+"""Cell-centered grid, zero-flux Laplacian, inner products, cosine solve and CG.
 
 Fields live at the cell centers of a uniform nx-by-ny grid over
 [0, lx] x [0, ly] and are stored as numpy arrays of shape (ny, nx), row-major
@@ -15,7 +15,9 @@ cells in 2-D the h factors cancel, so each interior face contributes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,16 +95,56 @@ def build_grid(lx: float, ly: float, nx: int, ny: int) -> GridSpec:
 
 def laplacian_neumann(grid: GridSpec, f: Field) -> Field:
     """Five-point cell-centered Laplacian with zero flux through boundary faces."""
-    f = grid.check_field(f)
-    out = np.zeros_like(f)
+    return _stencil(grid, grid.check_field(f))
+
+
+def _stencil(grid: GridSpec, f: Field) -> Field:
+    """``laplacian_neumann`` without the shape check, for solver inner loops."""
     dx = f[:, 1:] - f[:, :-1]
-    out[:, :-1] += dx
+    out = np.empty_like(f)
+    out[:, :-1] = dx
+    out[:, -1] = 0.0
     out[:, 1:] -= dx
     dy = f[1:, :] - f[:-1, :]
     out[:-1, :] += dy
     out[1:, :] -= dy
     out /= grid.hx * grid.hy
     return out
+
+
+@lru_cache(maxsize=16)
+def _cosine_eigenbasis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only orthonormal DCT-II bases along y and x (row k is mode k), eigenvalues of -lap.
+
+    Per axis 4 sin^2(pi k / 2n) / h^2: unlike (2 - 2 cos) / h^2 it does not cancel at small k.
+    """
+    bases, eigs = [], []
+    for n, h in ((grid.ny, grid.hy), (grid.nx, grid.hx)):
+        k = np.arange(n)
+        bases.append(math.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n))
+        bases[-1][0] = 1.0 / math.sqrt(n)
+        eigs.append((2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2)
+    out = (*bases, eigs[0][:, None] + eigs[1][None, :])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def cosine_solve(grid: GridSpec, rhs: Field, shift: float, coef: float = 1.0) -> Field:
+    """Exact solution x of (shift I + coef (-lap)) x = rhs in the stencil's cosine eigenbasis.
+
+    Needs shift > 0, coef >= 0.  The mean (k = 0 mode), formed as first value
+    plus mean deviation, is taken out, divided by shift and added back, so the
+    cell sums of shift x and rhs agree to rounding and a constant c gives c/shift exactly.
+    """
+    rhs = grid.check_field(rhs, "rhs")
+    cy, cx, eig = _cosine_eigenbasis(grid)
+    dev = rhs - rhs.flat[0]
+    dev_mean = float(dev.sum()) / dev.size
+    dev -= dev_mean
+    coeffs = cy @ dev @ cx.T / (shift + coef * eig)
+    coeffs[0, 0] = 0.0
+    return cy.T @ coeffs @ cx + (rhs.flat[0] + dev_mean) / shift
 
 
 def _stiffness(a: Field, b: Field) -> float:
@@ -140,7 +182,7 @@ class CGResult:
         return self.residuals[-1] if self.residuals else 0.0
 
 
-def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, x0=None, precond=None) -> CGResult:
+def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult:
     """Matrix-free conjugate gradients for an SPD operator.
 
     `apply` must be symmetric positive definite with respect to the L2 inner
@@ -149,12 +191,10 @@ def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, x0=None, precond=None) ->
     `precond`, if given, applies an SPD approximation of the inverse.
     """
     rhs = grid.check_field(rhs, "rhs")
-    x = grid.zeros() if x0 is None else grid.check_field(x0, "x0").copy()
-    r = rhs - apply(x) if x0 is not None else rhs.copy()
     bnorm = float(np.sqrt(np.dot(rhs.ravel(), rhs.ravel())))
-    residuals = [float(np.sqrt(np.dot(r.ravel(), r.ravel())))]
     if bnorm == 0.0:
         return CGResult(x=np.zeros_like(rhs), iterations=0, residuals=[0.0])
+    x, r, residuals = grid.zeros(), rhs, [bnorm]
     target = tol * bnorm
     z = precond(r) if precond is not None else r
     p = z.copy()
@@ -186,15 +226,10 @@ def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, x0=None, precond=None) ->
     )
 
 
-def riesz_v(grid: GridSpec, f: Field, tol: float = 1e-12, maxit: int = 50000) -> Field:
+def riesz_v(grid: GridSpec, f: Field) -> Field:
     """V-Riesz representative: solve z - lap(z) = f with the zero-flux stencil.
 
     The solution satisfies <z, h>_V = <f, h>_L2 for every discrete field h,
-    up to the solver tolerance.
+    up to rounding.
     """
-    f = grid.check_field(f)
-
-    def apply(z):
-        return z - laplacian_neumann(grid, z)
-
-    return cg_solve(grid, apply, f, tol=tol, maxit=maxit).x
+    return cosine_solve(grid, f, 1.0)

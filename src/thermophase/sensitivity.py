@@ -12,8 +12,8 @@ Two routes to the same gradient, on purpose:
   (scientific fidelity).  Its gradient agrees with the discrete one only up
   to discretization error, which shrinks under refinement.
 
-Both sweeps reuse the forward SPD operators, so conjugate gradients serves
-every solve.  The accumulator ``circledast_accumulate`` realises the backward
+Both sweeps reuse the forward solvers of the thermal operator and the phase
+Jacobian.  The accumulator ``circledast_accumulate`` realises the backward
 time integral (1 (*) g)(t_n) = integral of g from t_n to T by the backward
 rectangle rule out[n] = out[n+1] + tau * g[n+1], with out[nt] = 0.
 """
@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridSpec, cg_solve, laplacian_neumann
-from .state import Problem, SolverOptions, StateTrajectory
+from .grid import GridSpec, laplacian_neumann
+from .state import Problem, SolverOptions, StateTrajectory, _phi_solver, _thermal_solve
 
 if TYPE_CHECKING:
     from .control import CostSpec
@@ -83,8 +83,7 @@ def circledast_accumulate(series, tau: float) -> np.ndarray:
     if series.shape[0] == 0:
         raise ValueError("series must be nonempty")
     out = np.zeros_like(series)
-    for n in range(series.shape[0] - 2, -1, -1):
-        out[n] = out[n + 1] + tau * series[n + 1]
+    out[:-1] = np.cumsum((tau * series[1:])[::-1], axis=0)[::-1]
     return out
 
 
@@ -96,43 +95,17 @@ def trapezoid_weights(nt: int, tau: float) -> np.ndarray:
     return w
 
 
-def _phi_solver(grid, tau, potential, phi_node, opts):
-    """Inverse of the phase-step operator I/tau - lap + diag(gamma'(phi_node))."""
-    gp = potential.dgamma(phi_node)
-
-    def solve(rhs):
-        def apply(z):
-            return z / tau - laplacian_neumann(grid, z) + gp * z
-
-        return cg_solve(grid, apply, rhs, tol=opts.cg_tol, maxit=opts.cg_maxit).x
-
-    return solve
-
-
-def _thermal_solver(grid, tau, params, opts):
-    """Inverse of the thermal-step operator I/tau + (alpha + tau beta)(-lap)."""
-    coef = params.alpha + tau * params.beta
-
-    def solve(rhs):
-        def apply(z):
-            return z / tau - coef * laplacian_neumann(grid, z)
-
-        return cg_solve(grid, apply, rhs, tol=opts.cg_tol, maxit=opts.cg_maxit).x
-
-    return solve
-
-
-def _explicit_coeffs(problem, phi_n, v_n):
+def _explicit_coeffs(problem, phi_n, v_n, pi_n):
     """Diagonal coefficients of the explicit terms in the linearized phase step.
 
     c1 multiplies xi_n, c2 multiplies eta_t_n on the right-hand side:
       c1 = -(2/theta_c) pi'(phi_n) + (1/theta_c^2) v_n pi'(phi_n)
-      c2 = (1/theta_c^2) pi(phi_n)
+      c2 = (1/theta_c^2) pi(phi_n), with pi_n = pi(phi_n) carried along by the sweep
     """
     thc = problem.params.theta_c
     dpi = problem.coupling.dpi(phi_n)
     c1 = -(2.0 / thc) * dpi + (v_n * dpi) / thc**2
-    c2 = problem.coupling.pi(phi_n) / thc**2
+    c2 = pi_n / thc**2
     return c1, c2
 
 
@@ -158,23 +131,23 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
     if h.shape != (nt, grid.ny, grid.nx):
         raise ValueError(f"h has shape {h.shape}, expected {(nt, grid.ny, grid.nx)}")
     beta = problem.params.beta
-    solve_v = _thermal_solver(grid, tau, problem.params, opts)
 
     xi = np.zeros((nt + 1, grid.ny, grid.nx))
     eta = np.zeros_like(xi)
     eta_t = np.zeros_like(xi)
     eta_t[0] = h0
     pi_of = problem.coupling.pi
+    pi_n = pi_of(base.phi[0])
     for n in range(nt):
-        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n])
+        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         rhs_phi = xi[n] / tau + c1 * xi[n] + c2 * eta_t[n]
-        solve_phi = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], opts)
-        xi[n + 1] = solve_phi(rhs_phi)
+        xi[n + 1] = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], rhs_phi, opts).x
+        pi_np1 = pi_of(base.phi[n + 1])
         rhs_v = (eta_t[n] / tau + beta * laplacian_neumann(grid, eta[n])
-                 - (pi_of(base.phi[n + 1]) * xi[n + 1] - pi_of(base.phi[n]) * xi[n]) / tau
-                 + h[n])
-        eta_t[n + 1] = solve_v(rhs_v)
+                 - (pi_np1 * xi[n + 1] - pi_n * xi[n]) / tau + h[n])
+        eta_t[n + 1] = _thermal_solve(grid, problem.params, tau, rhs_v)
         eta[n + 1] = eta[n] + tau * eta_t[n + 1]
+        pi_n = pi_np1
     return LinearizedPair(xi=xi, eta=eta, eta_t=eta_t)
 
 
@@ -204,14 +177,13 @@ def tangent_transpose(base: StateTrajectory, problem: Problem,
       sum_n <xi_bar[n], xi[n]> + <eta_bar[n], eta[n]> + <eta_t_bar[n], eta_t[n]>
         = sum_n <h_bar[n-1], h[n-1-th entry]> + <h0_bar, h0>
 
-    exactly (up to CG tolerance) for every perturbation, because every linear
-    map in the forward sweep is L2-self-adjoint and is reapplied here in
-    reverse order.
+    exactly (up to the phase CG tolerance) for every perturbation, because
+    every linear map in the forward sweep is L2-self-adjoint and is reapplied
+    here in reverse order.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
     beta = problem.params.beta
-    solve_v = _thermal_solver(grid, tau, problem.params, opts)
     pi_of = problem.coupling.pi
 
     X = np.array(xi_bar, dtype=float, copy=True)
@@ -224,25 +196,27 @@ def tangent_transpose(base: StateTrajectory, problem: Problem,
     h_bar = np.zeros((nt, grid.ny, grid.nx))
     p_like = np.zeros((nt + 1, grid.ny, grid.nx))
     q_like = np.zeros((nt + 1, grid.ny, grid.nx))
+    pi_np1 = pi_of(base.phi[nt])
     for n in range(nt - 1, -1, -1):
         # transpose of eta_{n+1} = eta_n + tau eta_t_{n+1}
         Th[n + 1] += tau * E[n + 1]
         E[n] += E[n + 1]
         # transpose of the thermal solve
-        rv_bar = solve_v(Th[n + 1])
+        rv_bar = _thermal_solve(grid, problem.params, tau, Th[n + 1])
         q_like[n + 1] = rv_bar / tau
         Th[n] += rv_bar / tau
         E[n] += beta * laplacian_neumann(grid, rv_bar)
-        X[n + 1] -= pi_of(base.phi[n + 1]) * rv_bar / tau
-        X[n] += pi_of(base.phi[n]) * rv_bar / tau
+        pi_n = pi_of(base.phi[n])
+        X[n + 1] -= pi_np1 * rv_bar / tau
+        X[n] += pi_n * rv_bar / tau
         h_bar[n] = rv_bar
         # transpose of the phase solve (after X[n+1] is complete)
-        solve_phi = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], opts)
-        rphi_bar = solve_phi(X[n + 1])
+        rphi_bar = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], X[n + 1], opts).x
         p_like[n + 1] = rphi_bar / tau
-        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n])
+        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         X[n] += rphi_bar / tau + c1 * rphi_bar
         Th[n] += c2 * rphi_bar
+        pi_np1 = pi_n
     p_like[0] = p_like[1]
     q_like[0] = Th[0]
     return TransposeResult(h_bar=h_bar, h0_bar=Th[0], p_like=p_like, q_like=q_like)
@@ -321,7 +295,6 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
     thc = problem.params.theta_c
-    alpha = problem.params.alpha
     beta = problem.params.beta
     pi_of = problem.coupling.pi
     dpi_of = problem.coupling.dpi
@@ -341,26 +314,17 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     p[nt] = cost.k2 * (base.phi[nt] - cost.phi_omega) - cost.k6 * pi_of(base.phi[nt]) * vT_err
     q[nt] = cost.k6 * vT_err
 
-    coef = alpha + tau * beta
-
-    def solve_q(rhs):
-        def apply(z):
-            return z / tau - coef * laplacian_neumann(grid, z)
-
-        return cg_solve(grid, apply, rhs, tol=opts.cg_tol, maxit=opts.cg_maxit).x
-
     for n in range(nt - 1, -1, -1):
         q_conv[n] = q_conv[n + 1] + tau * q[n + 1]
         pi_n = pi_of(base.phi[n])
         rhs_q = (q[n + 1] / tau + beta * laplacian_neumann(grid, q_conv[n])
                  + (pi_n * p[n + 1]) / thc**2 + f_q[n])
-        q[n] = solve_q(rhs_q)
+        q[n] = _thermal_solve(grid, problem.params, tau, rhs_q)
         dpi_n = dpi_of(base.phi[n])
         rhs_p = (p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau
                  - (2.0 / thc) * dpi_n * p[n + 1]
                  + (base.v[n] * dpi_n * p[n + 1]) / thc**2)
         if cost.k1 > 0.0:
             rhs_p = rhs_p + cost.k1 * (base.phi[n] - cost.phi_q[n])
-        solve_p = _phi_solver(grid, tau, problem.potential, base.phi[n], opts)
-        p[n] = solve_p(rhs_p)
+        p[n] = _phi_solver(grid, tau, problem.potential, base.phi[n], rhs_p, opts).x
     return AdjointPair(p=p, q=q, q_conv=q_conv, f_q=f_q)

@@ -2,7 +2,7 @@
 
 One step from t_n to t_{n+1} performs, in order:
 
-  1. phase step, implicit in the monotone nonlinearity (Newton + CG):
+  1. phase step, implicit in the monotone nonlinearity (Newton + preconditioned CG):
        (phi' - phi_n)/tau - lap(phi') + gamma(phi')
          + (2/theta_c) pi(phi_n) - (1/theta_c^2) v_n pi(phi_n) = 0
   2. thermal step, one SPD solve for v' (the time derivative of w):
@@ -10,17 +10,17 @@ One step from t_n to t_{n+1} performs, in order:
          + (pi_hat(phi') - pi_hat(phi_n))/tau = u_{n+1}
      followed by the exact update w' = w_n + tau v'.
 
-The Newton operator I/tau - lap + diag(gamma') and the thermal operator
-I/tau + alpha (-lap) + tau beta (-lap) are both symmetric positive definite,
-so every linear solve goes through conjugate gradients.
+The thermal operator I/tau + (alpha + tau beta)(-lap) is inverted exactly by
+``grid.cosine_solve``; the SPD Newton operator I/tau - lap + diag(gamma') goes
+through CG preconditioned by it.  The sensitivity sweeps reuse both solvers.
 
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
 
     sum(v' - v_n) + sum(pi_hat(phi') - pi_hat(phi_n)) = tau * sum(u_{n+1})
 
-into a per-step identity up to the linear-solver tolerance: the zero-flux
-Laplacians drop out of the cell sum exactly.
+into a per-step identity up to rounding: the zero-flux Laplacians drop out of
+the cell sum exactly, and the cosine solve keeps the cell sum of its rhs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParameter, DomainViolation, NewtonDivergence, StepError, ThermophaseError
-from .grid import Field, GridSpec, cg_solve, laplacian_neumann, norm
+from .grid import Field, GridSpec, _stencil, cg_solve, cosine_solve, laplacian_neumann, norm
 from .nonlinearity import Coupling, Potential
 
 if TYPE_CHECKING:
@@ -114,7 +114,6 @@ class PhiStepInfo:
 
 @dataclass
 class ThermalStepInfo:
-    cg_iters: int = 0
     balance_residual: float = 0.0
     balance_scale: float = 1.0
 
@@ -133,7 +132,7 @@ class StepRecord:
     v_v: float
     linf_v: float
     newton_iters: int
-    cg_iters: int
+    cg_iters: int  # phase (Newton) CG iterations; the thermal solve is direct
     energy_residual: float
     cumulative_balance_residual: float
     balance_scale: float = 1.0
@@ -184,6 +183,23 @@ class Diagnostics:
     phi0_prime_l2: float
 
 
+def _phi_solver(grid, tau, potential, phi_node, rhs, opts):
+    """CGResult of (I/tau - lap + diag(gamma'(phi_node))) x = rhs, to ``opts.cg_tol``.
+
+    Preconditioned by the cosine solve with gamma' replaced by its mean.
+    """
+    gp = potential.dgamma(phi_node)
+    shift = 1.0 / tau + float(np.mean(gp))
+    return cg_solve(grid, lambda z: z / tau - _stencil(grid, z) + gp * z, rhs,
+                    tol=opts.cg_tol, maxit=opts.cg_maxit,
+                    precond=lambda r: cosine_solve(grid, r, shift))
+
+
+def _thermal_solve(grid, params, tau, rhs):
+    """Exact inverse of the thermal operator I/tau + (alpha + tau beta)(-lap)."""
+    return cosine_solve(grid, rhs, 1.0 / tau, params.alpha + tau * params.beta)
+
+
 def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOptions()):
     """Implicit phase update; returns (phi_{n+1}, PhiStepInfo).
 
@@ -203,7 +219,7 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
         raise DomainViolation("phi_n is not interior to the potential domain")
 
     def residual(p):
-        return p / tau - laplacian_neumann(grid, p) + potential.gamma(p) - b
+        return p / tau - _stencil(grid, p) + potential.gamma(p) - b
 
     phi = phi_n.copy()
     r = residual(phi)
@@ -215,12 +231,7 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
                 residual=rnorm,
                 iterations=info.newton_iters,
             )
-        gp = potential.dgamma(phi)
-
-        def apply(z, gp=gp):
-            return z / tau - laplacian_neumann(grid, z) + gp * z
-
-        res = cg_solve(grid, apply, -r, tol=opts.cg_tol, maxit=opts.cg_maxit)
+        res = _phi_solver(grid, tau, potential, phi, -r, opts)
         info.cg_iters += res.iterations
         delta = res.x
 
@@ -259,10 +270,10 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     return phi, info
 
 
-def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau, opts=SolverOptions()):
+def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
     """Thermal update; returns (w_{n+1}, v_{n+1}, ThermalStepInfo).
 
-    Solves the SPD system
+    Solves, exactly in the cosine eigenbasis,
       (I/tau + alpha (-lap) + tau beta (-lap)) v' = v_n/tau + beta lap(w_n)
           - (pi_hat(phi_{n+1}) - pi_hat(phi_n))/tau + u_{n+1}
     and sets w_{n+1} = w_n + tau v' with that exact expression.
@@ -270,15 +281,9 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau, o
     w_n = grid.check_field(w_n, "w_n")
     v_n = grid.check_field(v_n, "v_n")
     u_np1 = grid.check_field(u_np1, "u_np1")
-    alpha, beta = params.alpha, params.beta
     pi_hat_diff = coupling.pi_hat(phi_np1) - coupling.pi_hat(phi_n)
-    rhs = v_n / tau + beta * laplacian_neumann(grid, w_n) - pi_hat_diff / tau + u_np1
-
-    def apply(z):
-        return z / tau - (alpha + tau * beta) * laplacian_neumann(grid, z)
-
-    res = cg_solve(grid, apply, rhs, tol=opts.cg_tol, maxit=opts.cg_maxit)
-    v_np1 = res.x
+    rhs = v_n / tau + params.beta * laplacian_neumann(grid, w_n) - pi_hat_diff / tau + u_np1
+    v_np1 = _thermal_solve(grid, params, tau, rhs)
     w_np1 = w_n + tau * v_np1
 
     vol = grid.cell_volume
@@ -287,7 +292,7 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau, o
     int_u = vol * float(np.sum(u_np1))
     residual = int_dv + int_dpi - tau * int_u
     scale = 1.0 + abs(int_dv) + abs(int_dpi) + tau * abs(int_u) + vol * float(np.sum(np.abs(v_np1)))
-    info = ThermalStepInfo(cg_iters=res.iterations, balance_residual=residual, balance_scale=scale)
+    info = ThermalStepInfo(balance_residual=residual, balance_scale=scale)
     return w_np1, v_np1, info
 
 
@@ -350,7 +355,7 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
             )
             w_next, v_next, tinfo = thermal_step(
                 grid, problem.coupling, problem.params,
-                w[n], v[n], phi[n], phi_next, u[n], tau, opts,
+                w[n], v[n], phi[n], phi_next, u[n], tau,
             )
         except ThermophaseError as exc:
             raise StepError(n + 1, exc) from exc
@@ -358,7 +363,7 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
         cumulative += tinfo.balance_residual
         steps.append(_node_record(
             grid, n + 1, (n + 1) * tau, phi_next, v_next,
-            pinfo.newton_iters, pinfo.cg_iters + tinfo.cg_iters,
+            pinfo.newton_iters, pinfo.cg_iters,
             tinfo.balance_residual, cumulative, tinfo.balance_scale,
             pinfo.domain_guard_hits,
         ))

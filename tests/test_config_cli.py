@@ -126,11 +126,12 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
-    snap = tmp_path / "v0.cgw"
-    write_field(str(snap), rng.standard_normal((8, 8)))  # multi-mode: CG needs iterations
+    snap = tmp_path / "phi0.cgw"
+    # rough phi0: the phase Jacobian varies from cell to cell, so its CG needs iterations
+    write_field(str(snap), 0.5 * rng.standard_normal((8, 8)))
     cfg = {**MINIMAL,
            "solver": {"cg_maxit": 3},
-           "control": {"u": 0.0, "v0": {"snapshot": str(snap)}}}
+           "initial": {"phi0": {"snapshot": str(snap)}}}
     path = _write(tmp_path, cfg, "hard.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o3")]) == 3
     capsys.readouterr()

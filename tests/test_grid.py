@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermophase.errors import AnisotropicCells, DegenerateGrid, NoConvergence, ShapeMismatch
-from thermophase.grid import build_grid, cg_solve, inner, laplacian_neumann, norm, riesz_v
+from thermophase.grid import (build_grid, cg_solve, cosine_solve, inner, laplacian_neumann, norm,
+                              riesz_v)
 
 
 def test_build_grid_arithmetic():
@@ -176,6 +177,35 @@ def test_cg_diagonal_preconditioner_matches_plain(rng):
     assert norm(g, plain.x - jacobi.x) <= 1e-10 * norm(g, plain.x)
 
 
+@pytest.mark.parametrize("shift,coef", [(1.0, 1.0), (1e4, 1.3), (3.0, 1e-3), (1e8, 2.0)])
+def test_cosine_solve_residual_non_square(rng, shift, coef):
+    # nx != ny and lx != ly: a swapped axis would leave an O(1) residual
+    g = build_grid(2, 1, 24, 12)
+    rhs = rng.standard_normal(g.shape) + 3.0
+    x = cosine_solve(g, rhs, shift, coef)
+    res = shift * x - coef * laplacian_neumann(g, x) - rhs
+    assert norm(g, res) <= 1e-13 * norm(g, rhs)
+
+
+def test_cosine_solve_symmetric(rng):
+    g = build_grid(2, 1, 24, 12)
+    a = rng.standard_normal(g.shape)
+    b = rng.standard_normal(g.shape)
+    s1 = inner(g, cosine_solve(g, a, 2.0, 0.7), b)
+    s2 = inner(g, a, cosine_solve(g, b, 2.0, 0.7))
+    assert abs(s1 - s2) <= 1e-14 * norm(g, a) * norm(g, b)
+
+
+def test_cosine_solve_preserves_mean_and_constants(rng):
+    g = build_grid(2, 1, 24, 12)
+    shift = 7.0
+    rhs = rng.standard_normal(g.shape) + 0.4
+    x = cosine_solve(g, rhs, shift, 1.5)
+    assert abs(math.fsum((shift * x).ravel()) - math.fsum(rhs.ravel())) <= 1e-13 * g.cell_count
+    for c in (0.1, 1.7, -3.3e5):
+        assert np.all(cosine_solve(g, g.full(c), shift, 1.5) == c / shift)
+
+
 def test_riesz_constant_and_eigenfunction():
     g = build_grid(1, 1, 128, 128)
     c = g.full(1.7)
@@ -190,7 +220,7 @@ def test_riesz_defining_identity(rng):
     g = build_grid(1, 1, 24, 24)
     f = rng.standard_normal(g.shape)
     h = rng.standard_normal(g.shape)
-    z = riesz_v(g, f, tol=1e-12)
+    z = riesz_v(g, f)
     lhs = inner(g, z, h, "v")
     rhs = inner(g, f, h)
     assert abs(lhs - rhs) <= 1e-10 * norm(g, f) * norm(g, h)

@@ -26,6 +26,16 @@ def test_circledast_constant_series():
     assert np.all(out[-1] == 0.0)
 
 
+def test_circledast_matches_loop_definition_bitwise(rng):
+    tau = 0.037
+    for nt in (0, 1, 10):
+        series = rng.standard_normal((nt + 1, 4, 5))
+        expect = np.zeros_like(series)
+        for n in range(nt - 1, -1, -1):
+            expect[n] = expect[n + 1] + tau * series[n + 1]
+        assert np.array_equal(circledast_accumulate(series, tau), expect)
+
+
 def test_circledast_linear_series_first_order():
     for nt in (64, 128):
         tau = 1.0 / nt

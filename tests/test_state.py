@@ -10,10 +10,11 @@ from oracles import bisect, scalar_forward, scalar_phi_step
 
 from thermophase.control import ControlPair
 from thermophase.errors import DomainViolation
-from thermophase.grid import build_grid, norm
+from thermophase.grid import build_grid, cg_solve, laplacian_neumann, norm
 from thermophase.nonlinearity import make_coupling, make_potential
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
-                               phi_step, run_diagnostics, solve_state, thermal_step)
+                               _phi_solver, phi_step, run_diagnostics, solve_state,
+                               thermal_step)
 
 PARAMS = PhysParams()
 REGULAR = make_potential("regular")
@@ -44,6 +45,25 @@ def test_phi_step_requires_interior_start():
     log_pot = make_potential("logarithmic", kappa=1.0)
     with pytest.raises(DomainViolation):
         phi_step(g, log_pot, PI_NEG, PARAMS, g.full(1.0), g.zeros(), tau=0.1)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 1e-6])
+def test_phase_preconditioner_near_separation_small_tau(rng, tau):
+    # logarithmic potential close to its singularities: gamma' spans 1..95
+    g = build_grid(1, 1, 24, 24)
+    x, y = g.cell_centers()
+    log_pot = make_potential("logarithmic", kappa=1.0)
+    phi = 0.999 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    opts = SolverOptions()
+    gp = log_pot.dgamma(phi)
+    rhs = rng.standard_normal(g.shape)
+    plain = cg_solve(g, lambda z: z / tau - laplacian_neumann(g, z) + gp * z, rhs,
+                     tol=opts.cg_tol)
+    pre = _phi_solver(g, tau, log_pot, phi, rhs, opts)
+    assert pre.iterations < plain.iterations
+    assert norm(g, pre.x - plain.x) <= 1e-10 * norm(g, plain.x)
+    phi_next, info = phi_step(g, log_pot, PI_NEG, PARAMS, phi, g.zeros(), tau, opts)
+    assert log_pot.contains(phi_next) and info.newton_iters >= 1
 
 
 def test_thermal_step_zero_inputs():
