@@ -14,7 +14,7 @@ Subpackage map:
 from . import errors
 from .grid import (GridSpec, build_grid, cg_solve, cosine_solve, inner, laplacian_neumann, norm,
                    riesz_v)
-from .nonlinearity import Coupling, Potential, eval_gamma, eval_pi, make_coupling, make_potential
+from .nonlinearity import Coupling, Potential
 from .state import (InitialData, PhysParams, Problem, SolverOptions, StateTrajectory,
                     TimeGrid, phi_step, run_diagnostics, solve_state, thermal_step)
 from .sensitivity import (AdjointPair, GradientSeeds, LinearizedPair, Perturbation,
@@ -22,8 +22,7 @@ from .sensitivity import (AdjointPair, GradientSeeds, LinearizedPair, Perturbati
                           circledast_accumulate, tangent_solve, tangent_transpose)
 from .control import (AdmissibleSet, ControlPair, CostSpec, GradientPair, OptimizeOptions,
                       OptimizeReport, ReducedProblem, check_vi, clamp_formula_residual,
-                      cost_eval, optimize, project_admissible, reduced_cost,
-                      reduced_gradient, stationarity_residual, u_inner, u_norm,
-                      v0_inner, v0_norm)
+                      cost_eval, optimize, project_admissible, stationarity_residual,
+                      u_inner, u_norm, v0_inner, v0_norm)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

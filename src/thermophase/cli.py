@@ -76,6 +76,11 @@ class CriterionResult:
         raise ValueError(f"unknown op {self.op!r}")
 
 
+# what a subcommand driver returns: its criteria, and notes for summary.txt
+# (lines without a pass/fail status, e.g. why the optimizer stopped)
+Outcome = tuple[list[CriterionResult], list[str]]
+
+
 @dataclass
 class ExitReport:
     code: int
@@ -83,13 +88,15 @@ class ExitReport:
     out_dir: str
 
 
-def _write_summary(path: str, criteria: list[CriterionResult]) -> None:
+def _write_summary(path: str, criteria: list[CriterionResult], notes: list[str]) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         for c in criteria:
             status = "PASS" if c.passed else "FAIL"
             fh.write(f"{c.name} value={_fmt(c.value)} threshold={c.op}{_fmt(c.threshold)} "
                      f"status={status}\n")
+        for note in notes:
+            fh.write(f"{note}\n")
         overall = "PASS" if all(c.passed for c in criteria) else "FAIL"
         fh.write(f"overall {overall}\n")
     os.replace(tmp, path)
@@ -110,17 +117,17 @@ def _unit_direction(rng, grid, tg):
     return h / scale, h0 / scale
 
 
-def _traj_sup_diff(grid, a, b):
-    """sup over nodes of (L2 of delta-phi + L2 of delta-w + L2 of delta-v)."""
-    return max(norm(grid, a.phi[n] - b.phi[n]) + norm(grid, a.w[n] - b.w[n])
-               + norm(grid, a.v[n] - b.v[n]) for n in range(a.phi.shape[0]))
+def _sup_node_norm(grid, phi, w, v) -> float:
+    """sup over nodes of (L2 of phi + L2 of w + L2 of v) for node-stacked fields."""
+    return max(norm(grid, phi[n]) + norm(grid, w[n]) + norm(grid, v[n])
+               for n in range(phi.shape[0]))
 
 
 # ---------------------------------------------------------------------------
 # subcommand drivers
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionResult]:
+def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
     control = cfg.control()
     opts = cfg.solver_options()
@@ -140,10 +147,10 @@ def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionR
                                         ">=", 0.01))
         criteria.append(CriterionResult("domain_guard_quiet",
                                         0.0 if diag.domain_guard_fired else 1.0, ">=", 1.0))
-    return criteria
+    return criteria, []
 
 
-def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionResult]:
+def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
     control = cfg.control()
     opts = cfg.solver_options()
@@ -156,22 +163,20 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> list[Criterio
     base = solve_state(problem, control, opts)
     h, h0 = _unit_direction(rng, grid, tg)
     lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
-    tangent_norm = max(norm(grid, lin.xi[n]) + norm(grid, lin.eta[n])
-                       + norm(grid, lin.eta_t[n]) for n in range(tg.nt + 1))
+    tangent_norm = _sup_node_norm(grid, lin.xi, lin.eta, lin.eta_t)
     eps_list = [float(e) for e in blk["epsilons"]]
     remainders = []
     rows = []
     for i, eps in enumerate(eps_list):
         pert_ctrl = ControlPair(control.u + eps * h, control.v0 + eps * h0)
         traj_eps = solve_state(problem, pert_ctrl, opts)
-        diff = max(norm(grid, traj_eps.phi[n] - base.phi[n] - eps * lin.xi[n])
-                   + norm(grid, traj_eps.w[n] - base.w[n] - eps * lin.eta[n])
-                   + norm(grid, traj_eps.v[n] - base.v[n] - eps * lin.eta_t[n])
-                   for n in range(tg.nt + 1))
+        dphi, dw, dv = traj_eps.phi - base.phi, traj_eps.w - base.w, traj_eps.v - base.v
+        diff = _sup_node_norm(grid, dphi - eps * lin.xi, dw - eps * lin.eta,
+                              dv - eps * lin.eta_t)
         remainders.append(diff)
         pair_slope = (math.log(remainders[i - 1] / diff) / math.log(eps_list[i - 1] / eps)
                       if i > 0 else math.nan)
-        rows.append((eps, _traj_sup_diff(grid, traj_eps, base), eps * tangent_norm,
+        rows.append((eps, _sup_node_norm(grid, dphi, dw, dv), eps * tangent_norm,
                      diff, pair_slope))
     slope = _loglog_slope(eps_list, remainders)
     write_csv(os.path.join(out_dir, "taylor.csv"),
@@ -205,7 +210,7 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> list[Criterio
     return [
         CriterionResult("taylor_slope", slope, ">=", float(blk["taylor_slope_min"])),
         CriterionResult("fd_vs_adjoint", worst, "<=", float(blk["fd_rel_tol"])),
-    ]
+    ], []
 
 
 def _level_config(cfg: ProblemConfig, nx: int, nt: int) -> ProblemConfig:
@@ -216,7 +221,7 @@ def _level_config(cfg: ProblemConfig, nx: int, nt: int) -> ProblemConfig:
     return parse_config_dict(raw)
 
 
-def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionResult]:
+def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
     control = cfg.control()
     opts = cfg.solver_options()
@@ -283,10 +288,10 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> list[Criter
             order_fit = _loglog_slope(taus, gaps)
             criteria.append(CriterionResult("adjoint_gap_order", order_fit, ">=",
                                             float(blk["order_min"])))
-    return criteria
+    return criteria, []
 
 
-def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionResult]:
+def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
     init = cfg.control()
     opts = cfg.optimize_options(seed)
@@ -324,10 +329,10 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionR
     if float(blk["recovery_factor"]) > 0.0:
         criteria.append(CriterionResult("j_reduction", js[-1], "<=",
                                         js[0] / float(blk["recovery_factor"])))
-    return criteria
+    return criteria, [f"optimizer converged={_fmt(report.converged)} reason={report.reason}"]
 
 
-def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionResult]:
+def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     blk = cfg.raw["convergence"]
     rows = []
     criteria = []
@@ -404,10 +409,10 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> list[Criteri
 
     write_csv(os.path.join(out_dir, "convergence.csv"),
               ["study", "level", "error", "order"], rows)
-    return criteria
+    return criteria, []
 
 
-def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> list[CriterionResult]:
+def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
     control = cfg.control()
     opts = cfg.solver_options()
@@ -440,7 +445,7 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> list[Cri
     return [
         CriterionResult("cd_slope_low", slope, ">=", float(blk["slope_min"])),
         CriterionResult("cd_slope_high", slope, "<=", float(blk["slope_max"])),
-    ]
+    ], []
 
 
 _COMMANDS = {
@@ -462,8 +467,8 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
     seed = int(cfg.raw["solver"]["seed"] if seed is None else seed)
     os.makedirs(out_dir, exist_ok=True)
     echo_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
-    criteria = _COMMANDS[cmd](cfg, out_dir, seed)
-    _write_summary(os.path.join(out_dir, "summary.txt"), criteria)
+    criteria, notes = _COMMANDS[cmd](cfg, out_dir, seed)
+    _write_summary(os.path.join(out_dir, "summary.txt"), criteria, notes)
     code = 0 if all(c.passed for c in criteria) else 1
     return ExitReport(code=code, criteria=criteria, out_dir=out_dir)
 

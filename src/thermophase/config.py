@@ -1,8 +1,17 @@
 """Configuration ingestion: JSON schema, defaults, validation, field presets.
 
 A config file is a JSON object with the blocks below; only ``grid`` and
-``time`` are required.  Unknown keys are rejected at every level, and value
-errors name the violated assumption (e.g. "A1: alpha must be > 0").
+``time`` are required.  Validation has one owner per decision:
+
+- this module owns the JSON shape: unknown keys are rejected at every level,
+  field specs and cost targets must be well formed, and every value must have
+  its default's JSON type (an int default takes integers only, a float
+  default finite numbers, a list default a list of numbers or of number
+  pairs; a bool is never a number);
+- the domain types own value ranges.  ``ProblemConfig`` builds the problem,
+  control, admissible set, options and cost once, at parse time, and a
+  failed range check there (it names the violated assumption, e.g.
+  "A1: alpha must be > 0") or a bad snapshot file becomes a ValidationError.
 
 Field specs (initial data, controls, targets, bounds) are either a number
 (constant field), a preset object, or a snapshot reference:
@@ -30,7 +39,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -38,7 +47,7 @@ import numpy as np
 from .control import AdmissibleSet, ControlPair, CostSpec, OptimizeOptions
 from .errors import ParseError, ThermophaseError, ValidationError
 from .grid import GridSpec, build_grid
-from .nonlinearity import COUPLING_KINDS, POTENTIAL_KINDS, Coupling, Potential
+from .nonlinearity import Coupling, Potential
 from .snapshots import read_field
 from .state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
                     solve_state)
@@ -85,6 +94,10 @@ _DEFAULTS: dict[str, Any] = {
 _COST_KEYS = ("k1", "k2", "k3", "k4", "k5", "k6", "nu1", "nu2")
 _TARGET_KEYS = ("phi_q", "w_q", "wprime_q", "phi_omega", "w_omega", "wprime_omega")
 _COSINE_KEYS = ("amplitude", "kx", "ky", "offset", "ramp")
+# field-spec entries of the blocks, and whether each is a space-time field
+_FIELD_SPECS = {"initial": {"phi0": False, "w0": False},
+                "control": {"u": True, "v0": False},
+                "admissible": {"u_lo": False, "u_hi": False, "v_lo": False, "v_hi": False}}
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -93,8 +106,33 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {unknown}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+def _check_type(value, default, where: str) -> None:
+    """A value must have its default's JSON type; a bool is never a number."""
+    if isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, want = _is_finite(value), "a finite number"
+    else:
+        ok = isinstance(value, list) and all(
+            _is_finite(x) or (isinstance(x, list) and len(x) == 2 and all(map(_is_finite, x)))
+            for x in value)
+        want = "a list of numbers or of number pairs"
+    if not ok:
+        raise ValidationError(f"{where} must be {want}, got {value!r}")
+
+
 def _is_field_spec(value) -> bool:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return True
     if isinstance(value, dict) and len(value) == 1:
         return next(iter(value)) in ("const", "cosine", "snapshot", "snapshot_dir")
@@ -107,11 +145,11 @@ def _check_field_spec(value, where: str, space_time: bool) -> None:
     if isinstance(value, dict):
         key = next(iter(value))
         body = value[key]
-        if key == "const" and not isinstance(body, (int, float)):
+        if key == "const" and not _is_number(body):
             raise ValidationError(f"{where}: const must be a number")
         if key == "cosine":
-            if not isinstance(body, dict):
-                raise ValidationError(f"{where}: cosine takes an object")
+            if not (isinstance(body, dict) and all(map(_is_number, body.values()))):
+                raise ValidationError(f"{where}: cosine takes an object of numbers")
             _reject_unknown(body, _COSINE_KEYS, where)
         if key == "snapshot" and not isinstance(body, str):
             raise ValidationError(f"{where}: snapshot takes a path string")
@@ -164,7 +202,11 @@ def build_space_time(spec, grid: GridSpec, nodes, tau: float) -> np.ndarray:
 
 
 def _validated(raw: dict) -> dict:
-    """Defaults applied, every key checked; returns the normalized dict."""
+    """Defaults applied, every key and type checked; returns the normalized dict.
+
+    Only the JSON shape is checked here; value ranges are checked by the
+    objects ProblemConfig builds from the result.
+    """
     if not isinstance(raw, dict):
         raise ValidationError("top-level config must be an object")
     _reject_unknown(raw, list(_DEFAULTS) + ["cost"], "config")
@@ -179,60 +221,23 @@ def _validated(raw: dict) -> dict:
             raise ValidationError(f"{name}: must be an object")
         _reject_unknown(block, cfg[name], name)
         cfg[name].update(copy.deepcopy(block))
-
-    g = cfg["grid"]
-    for k in ("lx", "ly"):
-        if not (isinstance(g[k], (int, float)) and g[k] > 0):
-            raise ValidationError(f"grid.{k} must be > 0")
-    for k in ("nx", "ny"):
-        if not (isinstance(g[k], int) and g[k] >= 3):
-            raise ValidationError(f"grid.{k} must be an integer >= 3")
-    t = cfg["time"]
-    if not (isinstance(t["t_final"], (int, float)) and t["t_final"] > 0):
-        raise ValidationError("time.t_final must be > 0")
-    if not (isinstance(t["nt"], int) and t["nt"] >= 1):
-        raise ValidationError("time.nt must be an integer >= 1")
-    for k in ("alpha", "beta", "theta_c"):
-        v = cfg["params"][k]
-        if not (isinstance(v, (int, float)) and v > 0):
-            raise ValidationError(f"A1: {k} must be > 0, got {v}")
-    pot = cfg["potential"]
-    if pot["kind"] not in POTENTIAL_KINDS:
-        raise ValidationError(f"A2: unknown potential kind {pot['kind']!r}")
-    if pot["kind"] == "logarithmic" and not pot["kappa"] > 0:
-        raise ValidationError("A2: kappa must be > 0 for the logarithmic potential")
-    if pot["kind"] == "obstacle_penalized" and not pot["eps_pen"] > 0:
-        raise ValidationError("A2: eps_pen must be > 0 for the penalized obstacle")
-    cpl = cfg["coupling"]
-    if cpl["kind"] not in COUPLING_KINDS:
-        raise ValidationError(f"A3: unknown coupling kind {cpl['kind']!r}")
-    for k in ("a", "b", "c"):
-        if not (isinstance(cpl[k], (int, float)) and math.isfinite(cpl[k])):
-            raise ValidationError(f"A3: coupling.{k} must be finite")
-    for k in ("phi0", "w0"):
-        _check_field_spec(cfg["initial"][k], f"initial.{k}", space_time=False)
-    _check_field_spec(cfg["control"]["u"], "control.u", space_time=True)
-    _check_field_spec(cfg["control"]["v0"], "control.v0", space_time=False)
-    adm = cfg["admissible"]
-    for k in ("u_lo", "u_hi", "v_lo", "v_hi"):
-        _check_field_spec(adm[k], f"admissible.{k}", space_time=False)
-    if not (isinstance(adm["ball_radius"], (int, float)) and adm["ball_radius"] > 0):
-        raise ValidationError("C4: admissible.ball_radius must be > 0")
+    for name, block in cfg.items():
+        specs = _FIELD_SPECS.get(name, {})
+        for key, value in block.items():
+            if key in specs:
+                _check_field_spec(value, f"{name}.{key}", space_time=specs[key])
+            else:
+                _check_type(value, _DEFAULTS[name][key], f"{name}.{key}")
 
     if "cost" in raw:
         cost_raw = raw["cost"]
         if not isinstance(cost_raw, dict):
             raise ValidationError("cost: must be an object")
         _reject_unknown(cost_raw, list(_COST_KEYS) + ["targets"], "cost")
-        cost = {k: 0.0 for k in _COST_KEYS}
-        cost["targets"] = {}
+        cost = {}
         for k in _COST_KEYS:
-            v = cost_raw.get(k, 0.0)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ValidationError(f"C2: cost.{k} must be a nonnegative number")
-            cost[k] = float(v)
-        if not any(cost[k] > 0 for k in _COST_KEYS):
-            raise ValidationError("C2: cost weights must not all be zero")
+            _check_type(cost_raw.get(k, 0.0), 0.0, f"cost.{k}")
+            cost[k] = float(cost_raw.get(k, 0.0))
         targets = cost_raw.get("targets", {})
         if not isinstance(targets, dict):
             raise ValidationError("cost.targets: must be an object")
@@ -249,141 +254,126 @@ def _validated(raw: dict) -> dict:
                 _check_field_spec(v, f"cost.targets.{k}", space_time=k.endswith("_q"))
         cost["targets"] = copy.deepcopy(targets)
         cfg["cost"] = cost
-
-    s = cfg["solver"]
-    for k in ("cg_tol", "newton_tol", "armijo_c", "armijo_shrink", "stationarity_tol",
-              "stationarity_step"):
-        if not (isinstance(s[k], (int, float)) and s[k] > 0):
-            raise ValidationError(f"solver.{k} must be > 0")
-    for k in ("cg_maxit", "newton_maxit", "newton_max_damping", "armijo_max_backtracks",
-              "max_iters", "vi_samples", "seed"):
-        if not (isinstance(s[k], int) and s[k] >= 0):
-            raise ValidationError(f"solver.{k} must be a nonnegative integer")
-    out = cfg["output"]
-    if not isinstance(out["directory"], str):
-        raise ValidationError("output.directory must be a string")
-    if not (isinstance(out["snapshot_stride"], int) and out["snapshot_stride"] >= 0):
-        raise ValidationError("output.snapshot_stride must be a nonnegative integer")
     return cfg
+
+
+def _readonly(*values) -> None:
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
 
 
 @dataclass
 class ProblemConfig:
-    """Validated configuration plus lazily built solver objects."""
+    """Validated configuration plus the solver objects, built once from it.
+
+    Construction builds the problem, control, admissible set, solver and
+    optimizer options and the cost, so their range checks run at parse time;
+    the accessors return these objects, whose arrays are read-only.  Targets
+    generated ``from_run`` are solved for on each ``cost_spec`` call.
+    """
 
     raw: dict
     grid: GridSpec = field(init=False, repr=False)
     timegrid: TimeGrid = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.grid = build_grid(**self.raw["grid"])
-        self.timegrid = TimeGrid(t_final=float(self.raw["time"]["t_final"]),
-                                 nt=int(self.raw["time"]["nt"]))
+        raw = self.raw
+        self.grid = build_grid(**raw["grid"])
+        self.timegrid = TimeGrid(t_final=float(raw["time"]["t_final"]), nt=raw["time"]["nt"])
+        pot, cpl, init = raw["potential"], raw["coupling"], raw["initial"]
+        self._problem = Problem(
+            grid=self.grid, time=self.timegrid,
+            params=PhysParams(**{k: float(v) for k, v in raw["params"].items()}),
+            potential=Potential(kind=pot["kind"], kappa=float(pot["kappa"]),
+                                eps_pen=float(pot["eps_pen"]),
+                                interior_margin=float(pot["interior_margin"])),
+            coupling=Coupling(kind=cpl["kind"], a=float(cpl["a"]), b=float(cpl["b"]),
+                              c=float(cpl["c"])),
+            initial=InitialData(phi0=build_field(init["phi0"], self.grid),
+                                w0=build_field(init["w0"], self.grid)))
+        self._problem.check_initial()
+        self._control = self._control_pair(raw["control"])
+        adm = raw["admissible"]
+        bounds = {k: self._bound(adm[k]) for k in _FIELD_SPECS["admissible"]}
+        self._admissible = AdmissibleSet(**bounds, ball_radius=float(adm["ball_radius"]))
+        s = raw["solver"]
+        self._solver = SolverOptions(**{f.name: s[f.name] for f in fields(SolverOptions)})
+        self._optimize = OptimizeOptions(
+            **{f.name: s[f.name] for f in fields(OptimizeOptions) if f.name != "solver"},
+            solver=self._solver)
+        if raw["output"]["snapshot_stride"] < 0:
+            raise ValidationError("output.snapshot_stride must be >= 0")
+        self._cost = self._from_run = None
+        if "cost" in raw:
+            self._build_cost(raw["cost"])
+        _readonly(self._problem.initial.phi0, self._problem.initial.w0, *bounds.values())
 
-    # -- constructed pieces -------------------------------------------------
-    def params(self) -> PhysParams:
-        p = self.raw["params"]
-        return PhysParams(alpha=float(p["alpha"]), beta=float(p["beta"]),
-                          theta_c=float(p["theta_c"]))
-
-    def potential(self) -> Potential:
-        p = self.raw["potential"]
-        return Potential(kind=p["kind"], kappa=float(p["kappa"]),
-                         eps_pen=float(p["eps_pen"]),
-                         interior_margin=float(p["interior_margin"]))
-
-    def coupling(self) -> Coupling:
-        c = self.raw["coupling"]
-        return Coupling(kind=c["kind"], a=float(c["a"]), b=float(c["b"]), c=float(c["c"]))
-
-    def initial_data(self) -> InitialData:
-        blk = self.raw["initial"]
-        phi0 = build_field(blk["phi0"], self.grid)
-        w0 = build_field(blk["w0"], self.grid)
-        pot = self.potential()
-        if pot.bounded_domain and not pot.contains(phi0):
-            raise ValidationError("initial.phi0 must be strictly interior to the "
-                                  "potential domain (strong-solution initial condition)")
-        return InitialData(phi0=phi0, w0=w0)
-
-    def problem(self) -> Problem:
-        return Problem(grid=self.grid, time=self.timegrid, params=self.params(),
-                       potential=self.potential(), coupling=self.coupling(),
-                       initial=self.initial_data())
-
-    def _space_time(self, spec) -> np.ndarray:
+    def _control_pair(self, blk: dict) -> ControlPair:
         nodes = range(1, self.timegrid.nt + 1)
-        return build_space_time(spec, self.grid, nodes, self.timegrid.tau)
+        pair = ControlPair(u=build_space_time(blk.get("u", 0.0), self.grid, nodes,
+                                              self.timegrid.tau),
+                           v0=build_field(blk.get("v0", 0.0), self.grid))
+        _readonly(pair.u, pair.v0)
+        return pair
+
+    def _bound(self, spec) -> float | np.ndarray:
+        return float(spec) if isinstance(spec, (int, float)) else build_field(spec, self.grid)
+
+    def _build_cost(self, blk: dict) -> None:
+        weights = {k: blk[k] for k in _COST_KEYS}
+        if "from_run" in blk["targets"]:
+            self._cost = CostSpec(**weights)
+            self._from_run = self._control_pair(blk["targets"]["from_run"])
+            return
+        nt, tau = self.timegrid.nt, self.timegrid.tau
+        self._cost = CostSpec.with_zero_targets(self.grid, nt, **weights)
+        for key, spec in blk["targets"].items():
+            setattr(self._cost, key,
+                    build_space_time(spec, self.grid, range(nt + 1), tau)
+                    if key.endswith("_q") else build_field(spec, self.grid))
+        _readonly(*(getattr(self._cost, key) for key in _TARGET_KEYS))
+
+    # -- built pieces -------------------------------------------------------
+    def problem(self) -> Problem:
+        return self._problem
 
     def control(self) -> ControlPair:
-        blk = self.raw["control"]
-        return ControlPair(u=self._space_time(blk["u"]),
-                           v0=build_field(blk["v0"], self.grid))
+        return self._control
 
     def admissible_set(self) -> AdmissibleSet:
-        blk = self.raw["admissible"]
-
-        def bound(spec):
-            if isinstance(spec, (int, float)):
-                return float(spec)
-            return build_field(spec, self.grid)
-
-        return AdmissibleSet(u_lo=bound(blk["u_lo"]), u_hi=bound(blk["u_hi"]),
-                             v_lo=bound(blk["v_lo"]), v_hi=bound(blk["v_hi"]),
-                             ball_radius=float(blk["ball_radius"]))
+        return self._admissible
 
     def solver_options(self) -> SolverOptions:
-        s = self.raw["solver"]
-        return SolverOptions(cg_tol=float(s["cg_tol"]), cg_maxit=int(s["cg_maxit"]),
-                             newton_tol=float(s["newton_tol"]),
-                             newton_maxit=int(s["newton_maxit"]),
-                             newton_max_damping=int(s["newton_max_damping"]))
+        return self._solver
 
     def optimize_options(self, seed: int | None = None) -> OptimizeOptions:
-        s = self.raw["solver"]
-        return OptimizeOptions(
-            armijo_c=float(s["armijo_c"]), armijo_shrink=float(s["armijo_shrink"]),
-            armijo_max_backtracks=int(s["armijo_max_backtracks"]),
-            stationarity_tol=float(s["stationarity_tol"]),
-            stationarity_step=float(s["stationarity_step"]),
-            max_iters=int(s["max_iters"]), vi_samples=int(s["vi_samples"]),
-            seed=int(s["seed"] if seed is None else seed),
-            solver=self.solver_options(),
-        )
+        return self._optimize if seed is None else replace(self._optimize, seed=int(seed))
 
     def has_cost(self) -> bool:
-        return "cost" in self.raw
+        return self._cost is not None
 
     def cost_spec(self, problem: Problem | None = None) -> CostSpec:
-        """Materialize the cost; runs the generating solve for from_run targets."""
-        if "cost" not in self.raw:
+        """The cost; runs the generating solve for from_run targets on every call."""
+        if self._cost is None:
             raise ValidationError("C2: this command needs a cost block")
-        blk = self.raw["cost"]
-        weights = {k: blk[k] for k in _COST_KEYS}
+        if self._from_run is None:
+            return self._cost
+        traj = solve_state(problem if problem is not None else self._problem, self._from_run,
+                           self._solver)
         nt = self.timegrid.nt
-        spec = CostSpec.with_zero_targets(self.grid, nt, **weights)
-        targets = blk["targets"]
-        if "from_run" in targets:
-            problem = problem if problem is not None else self.problem()
-            gen = targets["from_run"]
-            gen_ctrl = ControlPair(u=self._space_time(gen.get("u", 0.0)),
-                                   v0=build_field(gen.get("v0", 0.0), self.grid))
-            traj = solve_state(problem, gen_ctrl, self.solver_options())
-            spec.phi_q = traj.phi.copy()
-            spec.w_q = traj.w.copy()
-            spec.wprime_q = traj.v.copy()
-            spec.phi_omega = traj.phi[nt].copy()
-            spec.w_omega = traj.w[nt].copy()
-            spec.wprime_omega = traj.v[nt].copy()
-            return spec
-        all_nodes = range(0, nt + 1)
-        for key, value in targets.items():
-            if key.endswith("_q"):
-                setattr(spec, key, build_space_time(value, self.grid, all_nodes,
-                                                    self.timegrid.tau))
-            else:
-                setattr(spec, key, build_field(value, self.grid))
-        return spec
+        return replace(self._cost, phi_q=traj.phi, w_q=traj.w, wprime_q=traj.v,
+                       phi_omega=traj.phi[nt], w_omega=traj.w[nt], wprime_omega=traj.v[nt])
+
+
+def _build(raw, source: str) -> ProblemConfig:
+    """The one parse path; a failed range check of a built object is a config error."""
+    try:
+        return ProblemConfig(raw=_validated(raw))
+    except ValidationError:
+        raise
+    except (ThermophaseError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{source}: {type(exc).__name__}: {exc}") from exc
 
 
 def parse_config(path: str) -> ProblemConfig:
@@ -391,27 +381,14 @@ def parse_config(path: str) -> ProblemConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise ParseError(f"{path}: {exc}") from exc
-    try:
-        cfg = ProblemConfig(raw=_validated(raw))
-        cfg.initial_data()  # validates interiority and snapshot shapes eagerly
-        cfg.control()
-        cfg.admissible_set()
-    except ThermophaseError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed config ({exc})") from exc
-    return cfg
+    return _build(raw, path)
 
 
 def parse_config_dict(raw: dict) -> ProblemConfig:
     """Validate an in-memory config object (same contract as parse_config)."""
-    cfg = ProblemConfig(raw=_validated(raw))
-    cfg.initial_data()
-    cfg.control()
-    cfg.admissible_set()
-    return cfg
+    return _build(raw, "config")
 
 
 def echo_effective_config(cfg: ProblemConfig, path: str) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BadParameter, BallProjectionStall, LineSearchFailure, ShapeMismatch
 from .grid import Field, GridSpec, inner, riesz_v
 from .sensitivity import adjoint_solve_discrete, trapezoid_weights
-from .state import Problem, SolverOptions, StateTrajectory, TimeGrid, solve_state
+from .state import Problem, SolverOptions, StateTrajectory, TimeGrid, _check_ranges, solve_state
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -237,16 +237,6 @@ class ReducedProblem:
         return GradientPair(g_u=g_u, g_v=g_v)
 
 
-def reduced_cost(control: ControlPair, problem: Problem, cost: CostSpec,
-                 opts: SolverOptions = SolverOptions()) -> float:
-    return ReducedProblem(problem, cost, opts).cost(control)
-
-
-def reduced_gradient(control: ControlPair, problem: Problem, cost: CostSpec,
-                     opts: SolverOptions = SolverOptions()) -> GradientPair:
-    return ReducedProblem(problem, cost, opts).gradient(control)
-
-
 def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec,
                        max_ball_iters: int = 50) -> ControlPair:
     """Clamp u to its box; clamp v0 and, if needed, pull it inside the V-ball.
@@ -325,12 +315,14 @@ def _vi_samples(aset, grid, nt, rng, n_samples, u_scale, v_scale):
         yield project_admissible(ControlPair(u, v), aset, grid)
 
 
-def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet,
-             grid: GridSpec, timegrid: TimeGrid, n_samples: int = 100, seed: int = 0) -> float:
-    """Minimum of <g_u, u - u_bar>_L2(Q) + <g_v, v0 - v0_bar>_V over feasible samples.
+def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid: GridSpec,
+             timegrid: TimeGrid, n_samples: int = 100, seed: int = 0) -> tuple[float, float]:
+    """Sampled variational inequality: (vi_min, vi_scale) from one pass over feasible samples.
 
-    At a constrained minimizer with an accurate gradient the return value is
-    nonnegative up to gradient error times the sample distance.
+    vi_min is the minimum of <g_u, u - u_bar>_L2(Q) + <g_v, v0 - v0_bar>_V;
+    at a constrained minimizer with an accurate gradient it is nonnegative up
+    to gradient error times the sample distance.  vi_scale is the largest
+    sample distance (at least 1), the natural scale for vi_min.
     """
     if n_samples < 1:
         raise BadParameter("n_samples must be >= 1")
@@ -338,26 +330,12 @@ def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet,
     tau = timegrid.tau
     u_scale = 1.0 + float(np.max(np.abs(control.u), initial=0.0))
     v_scale = 1.0 + float(np.max(np.abs(control.v0), initial=0.0))
-    best = math.inf
+    best, dist = math.inf, 1.0
     for sample in _vi_samples(aset, grid, timegrid.nt, rng, n_samples, u_scale, v_scale):
-        value = (u_inner(grid, tau, grad.g_u, sample.u - control.u)
-                 + v0_inner(grid, grad.g_v, sample.v0 - control.v0))
-        best = min(best, value)
-    return best
-
-
-def vi_scale(control: ControlPair, aset: AdmissibleSet, grid: GridSpec,
-             timegrid: TimeGrid, n_samples: int = 100, seed: int = 0) -> float:
-    """Largest sample distance used by check_vi; the natural scale for its minimum."""
-    rng = np.random.default_rng(seed)
-    tau = timegrid.tau
-    u_scale = 1.0 + float(np.max(np.abs(control.u), initial=0.0))
-    v_scale = 1.0 + float(np.max(np.abs(control.v0), initial=0.0))
-    dist = 1.0
-    for sample in _vi_samples(aset, grid, timegrid.nt, rng, n_samples, u_scale, v_scale):
-        dist = max(dist, u_norm(grid, tau, sample.u - control.u)
-                   + v0_norm(grid, sample.v0 - control.v0))
-    return dist
+        du, dv = sample.u - control.u, sample.v0 - control.v0
+        best = min(best, u_inner(grid, tau, grad.g_u, du) + v0_inner(grid, grad.g_v, dv))
+        dist = max(dist, u_norm(grid, tau, du) + v0_norm(grid, dv))
+    return best, dist
 
 
 @dataclass
@@ -371,6 +349,11 @@ class OptimizeOptions:
     vi_samples: int = 16
     seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
+
+    def __post_init__(self):
+        _check_ranges(self, positive=("armijo_c", "armijo_shrink", "stationarity_tol",
+                                      "stationarity_step"),
+                      nonnegative=("armijo_max_backtracks", "max_iters", "vi_samples", "seed"))
 
 
 @dataclass
@@ -441,7 +424,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     for it in range(opts.max_iters + 1):
         stat = stationarity_residual(x, g, aset, grid, tg, s=opts.stationarity_step)
         vi = check_vi(x, g, aset, grid, tg, n_samples=opts.vi_samples,
-                      seed=opts.seed + 7919 * it) if opts.vi_samples > 0 else math.nan
+                      seed=opts.seed + 7919 * it)[0] if opts.vi_samples > 0 else math.nan
         cfr = clamp_formula_residual(x, g, aset, grid, tg, cost.nu1)
         box_ok, ball_ok = _feasible_flags(x, aset, grid)
         records.append(IterateRecord(iter=it, j=j, stationarity=stat, step=last_step,
@@ -485,10 +468,8 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         step = s * 2.0
         last_step, last_bt = s, backtracks
 
-    final_vi = check_vi(x, g, aset, grid, tg, n_samples=max(opts.vi_samples, 100),
-                        seed=opts.seed)
-    final_vi_scale = vi_scale(x, aset, grid, tg, n_samples=max(opts.vi_samples, 100),
-                              seed=opts.seed)
+    final_vi, final_vi_scale = check_vi(x, g, aset, grid, tg,
+                                        n_samples=max(opts.vi_samples, 100), seed=opts.seed)
     certs = Certificates(
         stationarity=stationarity_residual(x, g, aset, grid, tg, s=opts.stationarity_step),
         clamp_formula_residual=clamp_formula_residual(x, g, aset, grid, tg, cost.nu1),

@@ -38,8 +38,6 @@ AFFINE = "affine"
 BOUNDED_SMOOTH = "bounded_smooth"
 COUPLING_KINDS = (AFFINE, BOUNDED_SMOOTH)
 
-_ORDERS = ("hat", "d0", "d1", "d2")
-
 
 @dataclass(frozen=True)
 class Potential:
@@ -52,13 +50,14 @@ class Potential:
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
-            raise BadParameter(f"unknown potential kind {self.kind!r}")
+            raise BadParameter(f"A2: unknown potential kind {self.kind!r}")
         if self.kind == LOGARITHMIC and not self.kappa > 0.0:
-            raise BadParameter(f"logarithmic potential needs kappa > 0, got {self.kappa}")
+            raise BadParameter(f"A2: logarithmic potential needs kappa > 0, got {self.kappa}")
         if self.kind == OBSTACLE_PENALIZED and not self.eps_pen > 0.0:
-            raise BadParameter(f"penalized obstacle needs eps_pen > 0, got {self.eps_pen}")
+            raise BadParameter(f"A2: penalized obstacle needs eps_pen > 0, got {self.eps_pen}")
         if not 0.0 < self.interior_margin < 1.0:
-            raise BadParameter(f"interior_margin must be in (0, 1), got {self.interior_margin}")
+            raise BadParameter(
+                f"A2: interior_margin must be in (0, 1), got {self.interior_margin}")
 
     @property
     def r_minus(self) -> float:
@@ -130,23 +129,6 @@ class Potential:
         return np.zeros_like(r)
 
 
-def make_potential(kind: str, **params) -> Potential:
-    return Potential(kind=kind, **params)
-
-
-def eval_gamma(potential: Potential, order: str, r):
-    """Evaluate gamma_hat ("hat"), gamma ("d0"), gamma' ("d1") or gamma'' ("d2")."""
-    if order not in _ORDERS:
-        raise BadParameter(f"order must be one of {_ORDERS}, got {order!r}")
-    fn = {
-        "hat": potential.gamma_hat,
-        "d0": potential.gamma,
-        "d1": potential.dgamma,
-        "d2": potential.d2gamma,
-    }[order]
-    return fn(r)
-
-
 def _log_cosh(r):
     # |r| + log((1 + exp(-2|r|)) / 2), stable for large arguments
     a = np.abs(r)
@@ -168,10 +150,10 @@ class Coupling:
 
     def __post_init__(self):
         if self.kind not in COUPLING_KINDS:
-            raise BadParameter(f"unknown coupling kind {self.kind!r}")
+            raise BadParameter(f"A3: unknown coupling kind {self.kind!r}")
         for name in ("a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
-                raise BadParameter(f"coupling parameter {name} must be finite")
+                raise BadParameter(f"A3: coupling parameter {name} must be finite")
 
     @property
     def lipschitz(self) -> float:
@@ -201,20 +183,3 @@ class Coupling:
             return np.zeros_like(r)
         t = np.tanh(r)
         return -2.0 * self.c * t * (1.0 - t**2)
-
-
-def make_coupling(kind: str, **params) -> Coupling:
-    return Coupling(kind=kind, **params)
-
-
-def eval_pi(coupling: Coupling, order: str, r):
-    """Evaluate pi_hat ("hat"), pi ("d0"), pi' ("d1") or pi'' ("d2")."""
-    if order not in _ORDERS:
-        raise BadParameter(f"order must be one of {_ORDERS}, got {order!r}")
-    fn = {
-        "hat": coupling.pi_hat,
-        "d0": coupling.pi,
-        "d1": coupling.dpi,
-        "d2": coupling.d2pi,
-    }[order]
-    return fn(r)

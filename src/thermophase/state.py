@@ -84,6 +84,16 @@ class InitialData:
     v0: Field | None = None
 
 
+def _check_ranges(opts, positive=(), nonnegative=()) -> None:
+    """Range checks of the solver and optimizer options."""
+    for name in positive:
+        if not getattr(opts, name) > 0:
+            raise BadParameter(f"solver option {name} must be > 0, got {getattr(opts, name)!r}")
+    for name in nonnegative:
+        if not getattr(opts, name) >= 0:
+            raise BadParameter(f"solver option {name} must be >= 0, got {getattr(opts, name)!r}")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     cg_tol: float = 1e-12
@@ -91,6 +101,10 @@ class SolverOptions:
     newton_tol: float = 1e-11
     newton_maxit: int = 30
     newton_max_damping: int = 40
+
+    def __post_init__(self):
+        _check_ranges(self, positive=("cg_tol", "newton_tol"),
+                      nonnegative=("cg_maxit", "newton_maxit", "newton_max_damping"))
 
 
 @dataclass
@@ -103,6 +117,11 @@ class Problem:
     potential: Potential
     coupling: Coupling
     initial: InitialData
+
+    def check_initial(self) -> None:
+        """phi0 must lie strictly inside the potential's domain (strong-solution data)."""
+        if self.potential.bounded_domain and not self.potential.contains(self.initial.phi0):
+            raise DomainViolation("phi0 must be strictly interior to the potential domain")
 
 
 @dataclass
@@ -336,8 +355,7 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
     if u.shape != (nt, grid.ny, grid.nx):
         raise StepError(0, f"u has shape {u.shape}, expected {(nt, grid.ny, grid.nx)}")
 
-    if problem.potential.bounded_domain and not problem.potential.contains(phi0):
-        raise DomainViolation("phi0 must be strictly interior to the potential domain")
+    problem.check_initial()
 
     phi = np.empty((nt + 1, grid.ny, grid.nx))
     w = np.empty_like(phi)

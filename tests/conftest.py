@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from thermophase.control import ControlPair
 from thermophase.grid import build_grid
-from thermophase.nonlinearity import make_coupling, make_potential
+from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import InitialData, PhysParams, Problem, TimeGrid
 
 
@@ -18,9 +18,9 @@ def small_problem(nx=16, nt=12, t_final=0.15, potential_kind="regular",
     grid = build_grid(1.0, 1.0, nx, nx)
     tg = TimeGrid(t_final=t_final, nt=nt)
     params = PhysParams()
-    potential = make_potential(potential_kind)
-    coupling = (make_coupling("affine", a=-1.0, b=0.0) if coupling_kind == "affine"
-                else make_coupling("bounded_smooth", c=1.0))
+    potential = Potential(potential_kind)
+    coupling = (Coupling("affine", a=-1.0, b=0.0) if coupling_kind == "affine"
+                else Coupling("bounded_smooth", c=1.0))
     x, y = grid.cell_centers()
     phi0 = phi_amp * np.cos(np.pi * x) * np.cos(np.pi * y)
     w0 = 0.1 * np.cos(np.pi * x)

@@ -18,7 +18,7 @@ from thermophase.config import parse_config_dict
 from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, OptimizeOptions,
                                  optimize, u_norm)
 from thermophase.grid import build_grid, laplacian_neumann, norm
-from thermophase.nonlinearity import make_coupling, make_potential
+from thermophase.nonlinearity import Coupling, Potential
 from thermophase.sensitivity import Perturbation, tangent_solve, tangent_transpose
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
                                run_diagnostics, solve_state)
@@ -88,8 +88,8 @@ def test_criterion_02_energy_balance(potential):
 def test_criterion_03_homogeneous_oracle():
     g = build_grid(1, 1, 16, 16)
     tg = TimeGrid(t_final=0.3, nt=30)
-    pot = make_potential("regular")
-    cpl = make_coupling("affine", a=-1.0, b=0.0)
+    pot = Potential("regular")
+    cpl = Coupling("affine", a=-1.0, b=0.0)
     problem = Problem(g, tg, PhysParams(), pot, cpl, InitialData(g.full(0.4), g.full(-0.2)))
     u_vals = [0.5 * math.sin(1.0 + 0.37 * k) for k in range(1, tg.nt + 1)]
     ctrl = ControlPair(np.stack([g.full(v) for v in u_vals]), g.full(0.25))
@@ -168,9 +168,9 @@ def test_criterion_06_dot_test_matrix():
         for cpl_kind in ("affine", "bounded_smooth"):
             g = build_grid(1, 1, 16, 16)
             tg = TimeGrid(t_final=0.15, nt=12)
-            pot = make_potential(pot_kind)
-            cpl = (make_coupling("affine", a=-1.0, b=0.0) if cpl_kind == "affine"
-                   else make_coupling("bounded_smooth", c=1.0))
+            pot = Potential(pot_kind)
+            cpl = (Coupling("affine", a=-1.0, b=0.0) if cpl_kind == "affine"
+                   else Coupling("bounded_smooth", c=1.0))
             x, y = g.cell_centers()
             phi0 = 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
             problem = Problem(g, tg, PhysParams(), pot, cpl,
@@ -258,8 +258,8 @@ def test_criterion_10_target_recovery():
     grid = build_grid(1.0, 1.0, 16, 16)
     tg = TimeGrid(t_final=0.2, nt=20)
     x, y = grid.cell_centers()
-    problem = Problem(grid, tg, PhysParams(), make_potential("regular"),
-                      make_coupling("affine", a=-1.0, b=0.0),
+    problem = Problem(grid, tg, PhysParams(), Potential("regular"),
+                      Coupling("affine", a=-1.0, b=0.0),
                       InitialData(0.3 * np.cos(np.pi * x) * np.cos(np.pi * y), grid.zeros()))
     t = np.arange(1, tg.nt + 1) * tg.tau
     u_true = 0.5 * (np.cos(np.pi * x) * np.cos(np.pi * y))[None] * (1 + t)[:, None, None]

@@ -22,10 +22,10 @@ MINIMAL = {"grid": {"lx": 1.0, "ly": 1.0, "nx": 8, "ny": 8},
 
 def test_minimal_config_defaults(tmp_path):
     cfg = parse_config(_write(tmp_path, MINIMAL))
-    assert cfg.params().alpha == 1.0 and cfg.params().beta == 1.0
-    assert cfg.params().theta_c == 1.0
-    assert cfg.potential().kind == "regular"
-    cpl = cfg.coupling()
+    assert cfg.problem().params.alpha == 1.0 and cfg.problem().params.beta == 1.0
+    assert cfg.problem().params.theta_c == 1.0
+    assert cfg.problem().potential.kind == "regular"
+    cpl = cfg.problem().coupling
     assert cpl.kind == "affine" and cpl.a == -1.0 and cpl.b == 0.0
 
 
@@ -76,7 +76,7 @@ def test_snapshot_field_spec(tmp_path, rng):
     cfg = dict(MINIMAL)
     cfg["initial"] = {"phi0": {"snapshot": str(snap)}, "w0": 0.0}
     parsed = parse_config(_write(tmp_path, cfg))
-    assert np.array_equal(parsed.initial_data().phi0, f)
+    assert np.array_equal(parsed.problem().initial.phi0, f)
 
 
 def test_echo_roundtrip_fixpoint(tmp_path):
@@ -123,6 +123,31 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = _write(tmp_path, {**MINIMAL, "params": {"alpha": -1.0}}, "bad.json")
     assert main(["simulate", "--config", bad]) == 2
     capsys.readouterr()
+
+
+def _truncated_phi0(tmp_path):
+    snap = tmp_path / "phi0.cgw"
+    write_field(str(snap), np.zeros((8, 8)))
+    snap.write_bytes(snap.read_bytes()[:100])
+    return {"initial": {"phi0": {"snapshot": str(snap)}}}
+
+
+@pytest.mark.parametrize("blocks,cause", [
+    (lambda p: {"potential": {"interior_margin": 2.0}}, "interior_margin"),
+    (lambda p: {"admissible": {"u_lo": 1.0, "u_hi": -1.0}}, "u_lo"),
+    (lambda p: {"grid": {"lx": 1.0, "ly": 2.0, "nx": 8, "ny": 8}}, "square"),
+    (_truncated_phi0, "phi0.cgw"),
+    (lambda p: {"grad_check": {"n_directions": "five"}}, "grad_check.n_directions"),
+    (lambda p: {"solver": {"cg_tol": True}}, "solver.cg_tol"),
+    (lambda p: {"params": {"alpha": True}}, "params.alpha"),
+    (lambda p: {"grid": {"lx": 1.0, "ly": 1.0, "nx": 8.0, "ny": 8}}, "grid.nx"),
+], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
+        "n_directions_string", "cg_tol_bool", "alpha_bool", "nx_float"])
+def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
+    path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and cause in err
 
 
 def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):

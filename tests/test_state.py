@@ -11,15 +11,15 @@ from oracles import bisect, scalar_forward, scalar_phi_step
 from thermophase.control import ControlPair
 from thermophase.errors import DomainViolation
 from thermophase.grid import build_grid, cg_solve, laplacian_neumann, norm
-from thermophase.nonlinearity import make_coupling, make_potential
+from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
                                _phi_solver, phi_step, run_diagnostics, solve_state,
                                thermal_step)
 
 PARAMS = PhysParams()
-REGULAR = make_potential("regular")
-PI_ZERO = make_coupling("affine", a=0.0, b=0.0)
-PI_NEG = make_coupling("affine", a=-1.0, b=0.0)
+REGULAR = Potential("regular")
+PI_ZERO = Coupling("affine", a=0.0, b=0.0)
+PI_NEG = Coupling("affine", a=-1.0, b=0.0)
 
 
 def test_phi_step_zero_fixed_point():
@@ -42,7 +42,7 @@ def test_phi_step_constant_matches_bisection_root():
 
 def test_phi_step_requires_interior_start():
     g = build_grid(1, 1, 8, 8)
-    log_pot = make_potential("logarithmic", kappa=1.0)
+    log_pot = Potential("logarithmic", kappa=1.0)
     with pytest.raises(DomainViolation):
         phi_step(g, log_pot, PI_NEG, PARAMS, g.full(1.0), g.zeros(), tau=0.1)
 
@@ -52,7 +52,7 @@ def test_phase_preconditioner_near_separation_small_tau(rng, tau):
     # logarithmic potential close to its singularities: gamma' spans 1..95
     g = build_grid(1, 1, 24, 24)
     x, y = g.cell_centers()
-    log_pot = make_potential("logarithmic", kappa=1.0)
+    log_pot = Potential("logarithmic", kappa=1.0)
     phi = 0.999 * np.cos(np.pi * x) * np.cos(np.pi * y)
     opts = SolverOptions()
     gp = log_pot.dgamma(phi)
@@ -119,8 +119,8 @@ def test_solve_state_stationary_at_coupled_root():
 def test_solve_state_matches_scalar_oracle(potential_kind, coupling_kind):
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.3, nt=12)
-    pot = make_potential(potential_kind)
-    cpl = (PI_NEG if coupling_kind == "affine" else make_coupling("bounded_smooth", c=1.0))
+    pot = Potential(potential_kind)
+    cpl = (PI_NEG if coupling_kind == "affine" else Coupling("bounded_smooth", c=1.0))
     problem = Problem(g, tg, PARAMS, pot, cpl, InitialData(g.full(0.4), g.full(-0.2)))
     u_vals = [0.5 * math.sin(1.0 + 0.3 * k) for k in range(1, tg.nt + 1)]
     u = np.stack([g.full(val) for val in u_vals])
@@ -199,7 +199,7 @@ def test_separation_shrinks_with_smaller_source():
 def test_solve_state_rejects_exterior_phi0():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.1, nt=2)
-    log_pot = make_potential("logarithmic", kappa=1.0)
+    log_pot = Potential("logarithmic", kappa=1.0)
     problem = Problem(g, tg, PARAMS, log_pot, PI_NEG, InitialData(g.full(1.2), g.zeros()))
     with pytest.raises(DomainViolation):
         solve_state(problem, ControlPair.zeros(g, tg.nt))
@@ -221,7 +221,7 @@ def test_single_step_run_allowed():
 def test_obstacle_penalized_run_keeps_balance():
     # experimental potential: the solver and the balance identity still hold
     problem = small_problem(nx=10, nt=8, potential_kind="regular")
-    problem.potential = make_potential("obstacle_penalized", eps_pen=0.05)
+    problem.potential = Potential("obstacle_penalized", eps_pen=0.05)
     ctrl = smooth_control(problem, u_amp=1.5)
     traj = solve_state(problem, ctrl)
     assert float(np.max(np.abs(traj.phi))) < 1.5
