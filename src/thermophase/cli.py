@@ -329,7 +329,9 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     if float(blk["recovery_factor"]) > 0.0:
         criteria.append(CriterionResult("j_reduction", js[-1], "<=",
                                         js[0] / float(blk["recovery_factor"])))
-    return criteria, [f"optimizer converged={_fmt(report.converged)} reason={report.reason}"]
+    return criteria, [f"optimizer converged={_fmt(report.converged)} reason={report.reason} "
+                      f"iters={len(report.iterates) - 1} "
+                      f"forward_solves={report.forward_solves} gradients={report.gradients}"]
 
 
 def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
@@ -465,6 +467,8 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
         raise ValidationError(f"unknown command {cmd!r}")
     out_dir = out_dir if out_dir is not None else cfg.raw["output"]["directory"]
     seed = int(cfg.raw["solver"]["seed"] if seed is None else seed)
+    if seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     echo_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
     criteria, notes = _COMMANDS[cmd](cfg, out_dir, seed)

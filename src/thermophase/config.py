@@ -6,8 +6,8 @@ A config file is a JSON object with the blocks below; only ``grid`` and
 - this module owns the JSON shape: unknown keys are rejected at every level,
   field specs and cost targets must be well formed, and every value must have
   its default's JSON type (an int default takes integers only, a float
-  default finite numbers, a list default a list of numbers or of number
-  pairs; a bool is never a number);
+  default finite numbers, a list default a list of numbers, or of number
+  pairs for ``adjoint_test.levels``; a bool is never a number);
 - the domain types own value ranges.  ``ProblemConfig`` builds the problem,
   control, admissible set, options and cost once, at parse time, and a
   failed range check there (it names the violated assumption, e.g.
@@ -91,6 +91,8 @@ _DEFAULTS: dict[str, Any] = {
     },
 }
 
+# list keys whose elements are number pairs; every other list holds numbers
+_PAIR_LISTS = ("adjoint_test.levels",)
 _COST_KEYS = ("k1", "k2", "k3", "k4", "k5", "k6", "nu1", "nu2")
 _TARGET_KEYS = ("phi_q", "w_q", "wprime_q", "phi_omega", "w_omega", "wprime_omega")
 _COSINE_KEYS = ("amplitude", "kx", "ky", "offset", "ramp")
@@ -122,11 +124,12 @@ def _check_type(value, default, where: str) -> None:
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
         ok, want = _is_finite(value), "a finite number"
-    else:
+    elif where in _PAIR_LISTS:
         ok = isinstance(value, list) and all(
-            _is_finite(x) or (isinstance(x, list) and len(x) == 2 and all(map(_is_finite, x)))
-            for x in value)
-        want = "a list of numbers or of number pairs"
+            isinstance(x, list) and len(x) == 2 and all(map(_is_finite, x)) for x in value)
+        want = "a list of number pairs"
+    else:
+        ok, want = isinstance(value, list) and all(map(_is_finite, value)), "a list of numbers"
     if not ok:
         raise ValidationError(f"{where} must be {want}, got {value!r}")
 

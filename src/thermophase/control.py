@@ -206,7 +206,10 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
 
 
 class ReducedProblem:
-    """Reduced cost and gradient with a one-deep trajectory cache."""
+    """Reduced cost and gradient with a one-deep trajectory cache.
+
+    Counts its forward solves (cache misses) and its gradients.
+    """
 
     def __init__(self, problem: Problem, cost: CostSpec, opts: SolverOptions = SolverOptions()):
         self.problem = problem
@@ -214,6 +217,8 @@ class ReducedProblem:
         self.opts = opts
         self._cache_key = None
         self._cache_traj = None
+        self.forward_solves = 0
+        self.gradients = 0
 
     def _key(self, control: ControlPair):
         return (control.u.tobytes(), control.v0.tobytes())
@@ -223,6 +228,7 @@ class ReducedProblem:
         if key != self._cache_key:
             self._cache_traj = solve_state(self.problem, control, self.opts)
             self._cache_key = key
+            self.forward_solves += 1
         return self._cache_traj
 
     def cost(self, control: ControlPair) -> float:
@@ -231,6 +237,7 @@ class ReducedProblem:
 
     def gradient(self, control: ControlPair) -> GradientPair:
         traj = self.state(control)
+        self.gradients += 1
         seeds, _ = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
         g_u = seeds.u + self.cost_spec.nu1 * control.u
         g_v = self.cost_spec.nu2 * control.v0 + riesz_v(self.problem.grid, seeds.v0)
@@ -385,6 +392,8 @@ class OptimizeReport:
     certificates: Certificates
     converged: bool
     reason: str
+    forward_solves: int
+    gradients: int
 
     @property
     def j_history(self) -> list[float]:
@@ -400,13 +409,32 @@ def _feasible_flags(control, aset, grid):
     return box, ball
 
 
+def _bb_step(grid: GridSpec, tau: float, x: ControlPair, x_new: ControlPair,
+             g: GradientPair, g_new: GradientPair, accepted: float) -> float:
+    """First trial step after an accepted one: the short Barzilai-Borwein quotient.
+
+    With s = x_new - x and y = g_new - g, returns <s,y>/<y,y> in the control
+    metric (L2(Q) for u, V for v0), or twice the accepted step when <s,y> <= 0
+    or the quotient is not finite.
+    """
+    su, sv = x_new.u - x.u, x_new.v0 - x.v0
+    yu, yv = g_new.g_u - g.g_u, g_new.g_v - g.g_v
+    sy = u_inner(grid, tau, su, yu) + v0_inner(grid, sv, yv)
+    yy = u_inner(grid, tau, yu, yu) + v0_inner(grid, yv, yv)
+    if sy > 0.0 and yy > 0.0 and math.isfinite(sy / yy):
+        return sy / yy
+    return 2.0 * accepted
+
+
 def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: ControlPair,
              opts: OptimizeOptions = OptimizeOptions()) -> OptimizeReport:
     """Projected gradient with Armijo backtracking; every iterate feasible.
 
-    Stops when the stationarity residual falls below the tolerance or after
-    max_iters.  Emits per-iterate certificates (stationarity, projection
-    formula defect where nu1 > 0, sampled variational inequality).
+    The first trial step is 1/||g0||; after each accepted step it is the
+    Barzilai-Borwein quotient of that step (_bb_step).  Stops when the
+    stationarity residual falls below the tolerance or after max_iters.
+    Emits per-iterate certificates (stationarity, projection formula defect
+    where nu1 > 0, sampled variational inequality).
     """
     grid, tg = problem.grid, problem.time
     tau = tg.tau
@@ -463,9 +491,9 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
             raise LineSearchFailure(
                 f"no Armijo decrease after {opts.armijo_max_backtracks} backtracks "
                 f"(iteration {it}, stationarity {stat:.3e})")
-        x, j = trial, j_trial
-        g = rp.gradient(x)
-        step = s * 2.0
+        g_new = rp.gradient(trial)
+        step = _bb_step(grid, tau, x, trial, g, g_new, s)
+        x, j, g = trial, j_trial, g_new
         last_step, last_bt = s, backtracks
 
     final_vi, final_vi_scale = check_vi(x, g, aset, grid, tg,
@@ -478,4 +506,5 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         vi_scale=final_vi_scale,
     )
     return OptimizeReport(iterates=records, final=x, certificates=certs,
-                          converged=converged, reason=reason)
+                          converged=converged, reason=reason,
+                          forward_solves=rp.forward_solves, gradients=rp.gradients)

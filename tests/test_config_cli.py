@@ -16,6 +16,8 @@ def _write(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
 MINIMAL = {"grid": {"lx": 1.0, "ly": 1.0, "nx": 8, "ny": 8},
            "time": {"t_final": 0.1, "nt": 4}}
 
@@ -141,13 +143,47 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"solver": {"cg_tol": True}}, "solver.cg_tol"),
     (lambda p: {"params": {"alpha": True}}, "params.alpha"),
     (lambda p: {"grid": {"lx": 1.0, "ly": 1.0, "nx": 8.0, "ny": 8}}, "grid.nx"),
+    (lambda p: {"adjoint_test": {"levels": [8, 4]}}, "adjoint_test.levels"),
+    (lambda p: {"grad_check": {"epsilons": [[0.1, 0.2]]}}, "grad_check.epsilons"),
+    (lambda p: {"cont_dependence": {"deltas": [[0.1, 0.01]]}}, "cont_dependence.deltas"),
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
-        "n_directions_string", "cg_tol_bool", "alpha_bool", "nx_float"])
+        "n_directions_string", "cg_tol_bool", "alpha_bool", "nx_float", "levels_flat",
+        "epsilons_pairs", "deltas_pairs"])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and cause in err
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "grad_check", "optimize"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, cmd):
+    path = _write(tmp_path, {**MINIMAL, "cost": {"k1": 1.0}})
+    out = tmp_path / "o"
+    assert main([cmd, "--config", path, "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="--seed"):
+        run_command(cmd, parse_config(path), out_dir=str(out), seed=-1)
+    assert not out.exists()
+
+
+def test_optimize_recovery_converges_within_iteration_budget(tmp_path):
+    cfg = parse_config(os.path.join(CONFIGS, "optimize_recovery.json"))
+    out = tmp_path / "o"
+    assert run_command("optimize", cfg, out_dir=str(out)).code == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[-1] == "overall PASS"
+    assert not [ln for ln in summary if ln.endswith("FAIL")]
+    rows = (out / "history.csv").read_text().splitlines()[1:]
+    assert len(rows) <= 21
+    optimizer = next(ln for ln in summary if ln.startswith("optimizer "))
+    work = dict(item.split("=") for item in optimizer.split() if "=" in item)
+    assert work["converged"] == "true"
+    iters = int(work["iters"])
+    assert iters == len(rows) - 1
+    assert int(work["gradients"]) == iters + 1
+    backtracks = sum(int(row.split(",")[4]) for row in rows)
+    assert int(work["forward_solves"]) <= 1 + iters + backtracks
 
 
 def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):

@@ -6,9 +6,9 @@ import pytest
 from conftest import small_problem, smooth_control
 
 from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, GradientPair,
-                                 OptimizeOptions, ReducedProblem, check_vi, clamp_formula_residual,
-                                 cost_eval, optimize, project_admissible, stationarity_residual,
-                                 u_norm, v0_norm)
+                                 OptimizeOptions, ReducedProblem, _bb_step, check_vi,
+                                 clamp_formula_residual, cost_eval, optimize,
+                                 project_admissible, stationarity_residual, u_norm, v0_norm)
 from thermophase.errors import BadParameter
 from thermophase.grid import build_grid, inner
 from thermophase.nonlinearity import Coupling, Potential
@@ -263,3 +263,56 @@ def test_optimize_projects_infeasible_init():
     opts = OptimizeOptions(stationarity_tol=1e-6, max_iters=5, vi_samples=0)
     report = optimize(problem, cost, aset, bad, opts)
     assert all(r.feasible_box and r.feasible_ball for r in report.iterates)
+
+
+def test_optimize_reports_its_work():
+    problem, cost, aset = _convex_reference()
+    opts = OptimizeOptions(stationarity_tol=1e-10, max_iters=6, vi_samples=0)
+    report = optimize(problem, cost, aset, ControlPair.zeros(problem.grid, problem.time.nt),
+                      opts)
+    iters = len(report.iterates) - 1
+    backtracks = sum(r.armijo_backtracks for r in report.iterates)
+    assert report.gradients == iters + 1
+    # the initial point plus one solve per line-search trial; gradients hit the cache
+    assert iters + 1 <= report.forward_solves <= 1 + iters + backtracks
+
+
+# ---------------------------------------------------------------------------
+# Barzilai-Borwein first trial step
+# ---------------------------------------------------------------------------
+
+def _bb_pairs(rng, grid, nt):
+    x = ControlPair(rng.standard_normal((nt, *grid.shape)), rng.standard_normal(grid.shape))
+    x_new = ControlPair(x.u + rng.standard_normal(x.u.shape),
+                        x.v0 + rng.standard_normal(grid.shape))
+    return x, x_new
+
+
+@pytest.mark.parametrize("c", [4.0, 0.125])
+def test_bb_step_is_inverse_curvature_on_quadratic(rng, c):
+    # f = c/2 (||u||^2_L2(Q) + ||v0||^2_V) has gradient c (u, v0) in the control metric
+    grid, nt, tau = build_grid(1.0, 1.0, 6, 6), 3, 0.1
+    x, x_new = _bb_pairs(rng, grid, nt)
+    g = GradientPair(c * x.u, c * x.v0)
+    g_new = GradientPair(c * x_new.u, c * x_new.v0)
+    assert _bb_step(grid, tau, x, x_new, g, g_new, accepted=0.3) == 1.0 / c
+
+
+def test_bb_step_falls_back_when_curvature_not_positive(rng):
+    grid, nt, tau = build_grid(1.0, 1.0, 6, 6), 3, 0.1
+    x, x_new = _bb_pairs(rng, grid, nt)
+    g = GradientPair(np.zeros_like(x.u), grid.zeros())
+    g_new = GradientPair(x.u - x_new.u, x.v0 - x_new.v0)  # y = -s, so <s,y> < 0
+    assert _bb_step(grid, tau, x, x_new, g, g_new, accepted=0.3) == 0.6
+
+
+def test_bb_step_falls_back_when_quotient_not_finite():
+    grid, nt, tau = build_grid(1.0, 1.0, 6, 6), 3, 0.1
+    x = ControlPair.zeros(grid, nt)
+    x_new = ControlPair(np.full((nt, *grid.shape), 1e200), grid.full(1e200))
+    g = GradientPair(np.zeros_like(x.u), grid.zeros())
+    # <s,y> > 0 but <y,y> underflows to 0
+    g_new = GradientPair(np.full_like(x.u, 1e-170), grid.full(1e-170))
+    assert _bb_step(grid, tau, x, x_new, g, g_new, accepted=0.3) == 0.6
+    # no change of the gradient at all: <s,y> = <y,y> = 0
+    assert _bb_step(grid, tau, x, x_new, g, g, accepted=0.3) == 0.6
