@@ -133,9 +133,11 @@ def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     opts = cfg.solver_options()
     traj = solve_state(problem, control, opts)
     diag = run_diagnostics(traj, problem.potential)
-    rows = [(r.step, r.time, r.min_phi, r.max_phi, r.l2_phi, r.l2_v, r.linf_v,
+    grid = problem.grid
+    rows = [(r.step, r.time, float(np.min(phi)), float(np.max(phi)), norm(grid, phi),
+             norm(grid, v), float(np.max(np.abs(v))),
              r.newton_iters, r.cg_iters, r.energy_residual, r.cumulative_balance_residual)
-            for r in traj.steps]
+            for r, phi, v in zip(traj.steps, traj.phi, traj.v)]
     write_csv(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTICS_COLUMNS, rows)
     stride = cfg.raw["output"]["snapshot_stride"]
     if stride > 0:

@@ -11,7 +11,12 @@ A config file is a JSON object with the blocks below; only ``grid`` and
 - the domain types own value ranges.  ``ProblemConfig`` builds the problem,
   control, admissible set, options and cost once, at parse time, and a
   failed range check there (it names the violated assumption, e.g.
-  "A1: alpha must be > 0") or a bad snapshot file becomes a ValidationError.
+  "A1: alpha must be > 0") or a bad snapshot file becomes a ValidationError;
+- ``output.snapshot_stride`` and the experiment blocks have no domain type,
+  so ``ProblemConfig`` checks them: every list a slope is fitted to has two
+  or more distinct positive entries, ``grad_check.n_directions`` and
+  ``adjoint_test.n_trials`` are at least 1, and each convergence refinement
+  level is a proper divisor of its reference.
 
 Field specs (initial data, controls, targets, bounds) are either a number
 (constant field), a preset object, or a snapshot reference:
@@ -260,6 +265,37 @@ def _validated(raw: dict) -> dict:
     return cfg
 
 
+# lists an experiment fits a log-log slope to (fd_steps: picks a plateau from
+# consecutive pairs); a convergence refinement is off when its list is empty
+_FIT_LISTS = ("grad_check.epsilons", "grad_check.fd_steps", "cont_dependence.deltas",
+              "convergence.lap_levels", "convergence.spatial_levels",
+              "convergence.temporal_nts")
+_REFINEMENT_REFS = {"spatial_levels": "spatial_ref_nx", "temporal_nts": "temporal_ref_nt"}
+
+
+def _check_studies(raw: dict) -> None:
+    """Every slope fit gets two distinct positive points or more; a level divides its reference."""
+    for where in _FIT_LISTS:
+        block, key = where.split(".")
+        values = raw[block][key]
+        if key in _REFINEMENT_REFS and not values:
+            continue
+        if len(set(values)) < max(len(values), 2) or min(values) <= 0:
+            raise ValidationError(f"{where} needs two or more distinct positive entries "
+                                  f"for its slope fit, got {values!r}")
+        if key in _REFINEMENT_REFS:
+            ref_key = _REFINEMENT_REFS[key]
+            ref = raw[block][ref_key]
+            bad = [n for n in values if not (n < ref and ref % n == 0)]
+            if bad:
+                raise ValidationError(f"{where} {bad} must be proper divisors of "
+                                      f"{block}.{ref_key} = {ref}")
+    for where in ("grad_check.n_directions", "adjoint_test.n_trials"):
+        block, key = where.split(".")
+        if raw[block][key] < 1:
+            raise ValidationError(f"{where} must be >= 1, got {raw[block][key]}")
+
+
 def _readonly(*values) -> None:
     for value in values:
         if isinstance(value, np.ndarray):
@@ -307,6 +343,7 @@ class ProblemConfig:
             solver=self._solver)
         if raw["output"]["snapshot_stride"] < 0:
             raise ValidationError("output.snapshot_stride must be >= 0")
+        _check_studies(raw)
         self._cost = self._from_run = None
         if "cost" in raw:
             self._build_cost(raw["cost"])

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BadParameter, BallProjectionStall, LineSearchFailure, ShapeMismatch
 from .grid import Field, GridSpec, inner, riesz_v
-from .sensitivity import adjoint_solve_discrete, trapezoid_weights
+from .sensitivity import TRACKING_TERMS, adjoint_solve_discrete, trapezoid_weights
 from .state import Problem, SolverOptions, StateTrajectory, TimeGrid, _check_ranges, solve_state
 
 
@@ -174,30 +174,19 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
     nt, tau = timegrid.nt, timegrid.tau
     if traj.phi.shape[0] != nt + 1:
         raise ShapeMismatch(f"trajectory has {traj.phi.shape[0]} nodes, expected {nt + 1}")
-    st_shape = (nt + 1, grid.ny, grid.nx)
-    for name in ("phi_q", "w_q", "wprime_q"):
-        target = getattr(cost, name)
-        if target.shape != st_shape:
-            raise ShapeMismatch(f"{name} has shape {target.shape}, expected {st_shape}")
-    for name in ("phi_omega", "w_omega", "wprime_omega"):
-        target = getattr(cost, name)
-        if target.shape != grid.shape:
-            raise ShapeMismatch(f"{name} has shape {target.shape}, expected {grid.shape}")
     vol = grid.cell_volume
     w = trapezoid_weights(nt, tau)[:, None, None]
     terms = []
-    if cost.k1 > 0.0:
-        terms.append(0.5 * cost.k1 * vol * _fsum(w * (traj.phi - cost.phi_q) ** 2))
-    if cost.k2 > 0.0:
-        terms.append(0.5 * cost.k2 * vol * _fsum((traj.phi[nt] - cost.phi_omega) ** 2))
-    if cost.k3 > 0.0:
-        terms.append(0.5 * cost.k3 * vol * _fsum(w * (traj.w - cost.w_q) ** 2))
-    if cost.k4 > 0.0:
-        terms.append(0.5 * cost.k4 * vol * _fsum((traj.w[nt] - cost.w_omega) ** 2))
-    if cost.k5 > 0.0:
-        terms.append(0.5 * cost.k5 * vol * _fsum(w * (traj.v - cost.wprime_q) ** 2))
-    if cost.k6 > 0.0:
-        terms.append(0.5 * cost.k6 * vol * _fsum((traj.v[nt] - cost.wprime_omega) ** 2))
+    for weight, state, name, terminal in TRACKING_TERMS:
+        target = getattr(cost, name)
+        shape = grid.shape if terminal else (nt + 1, grid.ny, grid.nx)
+        if target.shape != shape:
+            raise ShapeMismatch(f"{name} has shape {target.shape}, expected {shape}")
+        k = getattr(cost, weight)
+        if k > 0.0:
+            x = getattr(traj, state)
+            misfit = (x[nt] - target) ** 2 if terminal else w * (x - target) ** 2
+            terms.append(0.5 * k * vol * _fsum(misfit))
     if cost.nu1 > 0.0:
         terms.append(0.5 * cost.nu1 * tau * vol * _fsum(control.u**2))
     if cost.nu2 > 0.0:
@@ -498,9 +487,10 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
 
     final_vi, final_vi_scale = check_vi(x, g, aset, grid, tg,
                                         n_samples=max(opts.vi_samples, 100), seed=opts.seed)
+    # every exit leaves the loop before x and g change: the last record holds their values
     certs = Certificates(
-        stationarity=stationarity_residual(x, g, aset, grid, tg, s=opts.stationarity_step),
-        clamp_formula_residual=clamp_formula_residual(x, g, aset, grid, tg, cost.nu1),
+        stationarity=records[-1].stationarity,
+        clamp_formula_residual=records[-1].clamp_formula_residual,
         clamp_formula_scale=1.0 + u_norm(grid, tau, x.u),
         vi_min=final_vi,
         vi_scale=final_vi_scale,

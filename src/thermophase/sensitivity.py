@@ -87,6 +87,14 @@ def circledast_accumulate(series, tau: float) -> np.ndarray:
     return out
 
 
+# The six tracking terms of the cost as (weight, state, target, terminal): a
+# distributed term weighs the whole trajectory against a space-time target
+# with trapezoid weights, a terminal term the final node against a field.
+TRACKING_TERMS = (("k1", "phi", "phi_q", False), ("k2", "phi", "phi_omega", True),
+                  ("k3", "w", "w_q", False), ("k4", "w", "w_omega", True),
+                  ("k5", "v", "wprime_q", False), ("k6", "v", "wprime_omega", True))
+
+
 def trapezoid_weights(nt: int, tau: float) -> np.ndarray:
     """Composite-trapezoid weights over nodes 0..nt."""
     w = np.full(nt + 1, tau)
@@ -230,23 +238,17 @@ def tracking_seeds(base: StateTrajectory, cost: "CostSpec", grid: GridSpec, nt: 
     time-distributed terms, terminal terms at node nt.  Control penalties are
     not included.
     """
-    w = trapezoid_weights(nt, tau)
-    a_phi = np.zeros((nt + 1, grid.ny, grid.nx))
-    a_w = np.zeros_like(a_phi)
-    a_v = np.zeros_like(a_phi)
-    if cost.k1 > 0.0:
-        a_phi += cost.k1 * w[:, None, None] * (base.phi - cost.phi_q)
-    if cost.k3 > 0.0:
-        a_w += cost.k3 * w[:, None, None] * (base.w - cost.w_q)
-    if cost.k5 > 0.0:
-        a_v += cost.k5 * w[:, None, None] * (base.v - cost.wprime_q)
-    if cost.k2 > 0.0:
-        a_phi[nt] += cost.k2 * (base.phi[nt] - cost.phi_omega)
-    if cost.k4 > 0.0:
-        a_w[nt] += cost.k4 * (base.w[nt] - cost.w_omega)
-    if cost.k6 > 0.0:
-        a_v[nt] += cost.k6 * (base.v[nt] - cost.wprime_omega)
-    return a_phi, a_w, a_v
+    w = trapezoid_weights(nt, tau)[:, None, None]
+    seeds = {state: np.zeros((nt + 1, grid.ny, grid.nx)) for state in ("phi", "w", "v")}
+    for weight, state, target, terminal in TRACKING_TERMS:
+        k = getattr(cost, weight)
+        if k > 0.0:
+            x = getattr(base, state)
+            if terminal:
+                seeds[state][nt] += k * (x[nt] - getattr(cost, target))
+            else:
+                seeds[state] += k * w * (x - getattr(cost, target))
+    return seeds["phi"], seeds["w"], seeds["v"]
 
 
 def adjoint_solve_discrete(base: StateTrajectory, problem: Problem, cost: "CostSpec",

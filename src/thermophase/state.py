@@ -139,17 +139,10 @@ class ThermalStepInfo:
 
 @dataclass
 class StepRecord:
-    """Per-step diagnostics; one record per node, node 0 has zero iteration counts."""
+    """What one step of the march measured; node 0 has zero counts and residuals."""
 
     step: int
     time: float
-    min_phi: float
-    max_phi: float
-    l2_phi: float
-    v_phi: float
-    l2_v: float
-    v_v: float
-    linf_v: float
     newton_iters: int
     cg_iters: int  # phase (Newton) CG iterations; the thermal solve is direct
     energy_residual: float
@@ -160,7 +153,7 @@ class StepRecord:
 
 @dataclass
 class StateTrajectory:
-    """Snapshots of (phi, w, v) at every node plus per-step diagnostics.
+    """Snapshots of (phi, w, v) at every node plus the per-step solver record.
 
     Arrays have shape (nt+1, ny, nx); v holds the time derivative of w, i.e.
     the temperature.  The update w[n+1] = w[n] + tau * v[n+1] is bit-exact.
@@ -183,12 +176,11 @@ class StateTrajectory:
 class Diagnostics:
     """Run-level summary assembled from a complete trajectory.
 
-    sup_v_phi, sup_l2_v and sup_gamma_hat_l1 monitor the quantities the
-    a-priori energy estimate bounds (qualitatively: they must stay finite and
-    data-controlled; no constant is checked).
+    sup_gamma_hat_l1 monitors a quantity the a-priori energy estimate bounds
+    (qualitatively: it must stay finite and data-controlled; no constant is
+    checked).
     """
 
-    steps: list[StepRecord]
     r_star_low: float
     r_star_high: float
     separation_margin: float
@@ -196,10 +188,7 @@ class Diagnostics:
     domain_guard_fired: bool
     max_energy_residual: float
     max_scaled_energy_residual: float
-    sup_v_phi: float
-    sup_l2_v: float
     sup_gamma_hat_l1: float
-    phi0_prime_l2: float
 
 
 def _phi_solver(grid, tau, potential, phi_node, rhs, opts):
@@ -315,27 +304,6 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
     return w_np1, v_np1, info
 
 
-def _node_record(grid, step, time, phi, v, newton_iters, cg_iters, energy_residual,
-                 cumulative, balance_scale, guard_hits):
-    return StepRecord(
-        step=step,
-        time=time,
-        min_phi=float(np.min(phi)),
-        max_phi=float(np.max(phi)),
-        l2_phi=norm(grid, phi),
-        v_phi=norm(grid, phi, "v"),
-        l2_v=norm(grid, v),
-        v_v=norm(grid, v, "v"),
-        linf_v=float(np.max(np.abs(v))),
-        newton_iters=newton_iters,
-        cg_iters=cg_iters,
-        energy_residual=energy_residual,
-        cumulative_balance_residual=cumulative,
-        balance_scale=balance_scale,
-        domain_guard_hits=guard_hits,
-    )
-
-
 def compat_phi0_prime(grid, potential, coupling, params, phi0, v0):
     """Initial time derivative of phi implied by the phase equation."""
     thc = params.theta_c
@@ -363,7 +331,8 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
     phi[0], w[0], v[0] = phi0, w0, v0
 
     phi0p = compat_phi0_prime(grid, problem.potential, problem.coupling, problem.params, phi0, v0)
-    steps = [_node_record(grid, 0, 0.0, phi0, v0, 0, 0, 0.0, 0.0, 1.0, 0)]
+    steps = [StepRecord(step=0, time=0.0, newton_iters=0, cg_iters=0, energy_residual=0.0,
+                        cumulative_balance_residual=0.0)]
     cumulative = 0.0
     for n in range(nt):
         try:
@@ -379,11 +348,11 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
             raise StepError(n + 1, exc) from exc
         phi[n + 1], w[n + 1], v[n + 1] = phi_next, w_next, v_next
         cumulative += tinfo.balance_residual
-        steps.append(_node_record(
-            grid, n + 1, (n + 1) * tau, phi_next, v_next,
-            pinfo.newton_iters, pinfo.cg_iters,
-            tinfo.balance_residual, cumulative, tinfo.balance_scale,
-            pinfo.domain_guard_hits,
+        steps.append(StepRecord(
+            step=n + 1, time=(n + 1) * tau,
+            newton_iters=pinfo.newton_iters, cg_iters=pinfo.cg_iters,
+            energy_residual=tinfo.balance_residual, cumulative_balance_residual=cumulative,
+            balance_scale=tinfo.balance_scale, domain_guard_hits=pinfo.domain_guard_hits,
         ))
     return StateTrajectory(phi=phi, w=w, v=v, tau=tau, steps=steps,
                            phi0_prime_l2=norm(grid, phi0p), cell_volume=grid.cell_volume)
@@ -417,7 +386,7 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
 
 def run_diagnostics(traj: StateTrajectory, potential: Potential,
                     margin: float | None = None) -> Diagnostics:
-    """Run-level summary: separation bounds, balance residuals, norm monitors."""
+    """Run-level summary: separation bounds, balance residuals, the gamma_hat monitor."""
     r_low = float(np.min(traj.phi))
     r_high = float(np.max(traj.phi))
     if potential.bounded_domain:
@@ -432,7 +401,6 @@ def run_diagnostics(traj: StateTrajectory, potential: Potential,
         float(np.sum(np.abs(potential.gamma_hat(traj.phi[n]))))
         for n in range(traj.nt + 1))
     return Diagnostics(
-        steps=recs,
         r_star_low=r_low,
         r_star_high=r_high,
         separation_margin=sep_margin,
@@ -440,8 +408,5 @@ def run_diagnostics(traj: StateTrajectory, potential: Potential,
         domain_guard_fired=any(r.domain_guard_hits > 0 for r in recs),
         max_energy_residual=max(abs(r.energy_residual) for r in recs),
         max_scaled_energy_residual=max(abs(r.energy_residual) / r.balance_scale for r in recs),
-        sup_v_phi=max(r.v_phi for r in recs),
-        sup_l2_v=max(r.l2_v for r in recs),
         sup_gamma_hat_l1=gamma_hat_l1,
-        phi0_prime_l2=traj.phi0_prime_l2,
     )

@@ -7,7 +7,9 @@ import pytest
 from thermophase.cli import main, run_command
 from thermophase.config import parse_config, parse_config_dict
 from thermophase.errors import ParseError, ValidationError
+from thermophase.grid import norm
 from thermophase.snapshots import read_field, write_field
+from thermophase.state import solve_state
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -118,6 +120,23 @@ def test_run_command_simulate_exit_zero(tmp_path):
                       "newton_iters,cg_iters,energy_residual,cumulative_balance_residual")
 
 
+def test_simulate_node_columns_come_from_the_trajectory(tmp_path):
+    cfg = parse_config_dict({**MINIMAL, "initial": {"phi0": {"cosine": {"amplitude": 0.5}},
+                                                    "w0": 0.0},
+                             "control": {"u": {"cosine": {"amplitude": 0.4}}, "v0": 0.2}})
+    run_command("simulate", cfg, out_dir=str(tmp_path / "out"))
+    with open(tmp_path / "out" / "diagnostics.csv") as fh:
+        rows = [line.strip().split(",") for line in fh][1:]
+    traj = solve_state(cfg.problem(), cfg.control(), cfg.solver_options())
+    grid = cfg.problem().grid
+    assert len(rows) == traj.nt + 1
+    for n, row in enumerate(rows):
+        phi, v = traj.phi[n], traj.v[n]
+        assert [float(x) for x in row[2:7]] == [
+            float(np.min(phi)), float(np.max(phi)), norm(grid, phi), norm(grid, v),
+            float(np.max(np.abs(v)))]
+
+
 def test_main_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o1")]) == 0
@@ -146,9 +165,27 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"adjoint_test": {"levels": [8, 4]}}, "adjoint_test.levels"),
     (lambda p: {"grad_check": {"epsilons": [[0.1, 0.2]]}}, "grad_check.epsilons"),
     (lambda p: {"cont_dependence": {"deltas": [[0.1, 0.01]]}}, "cont_dependence.deltas"),
+    (lambda p: {"grad_check": {"epsilons": [0.1]}}, "grad_check.epsilons"),
+    (lambda p: {"grad_check": {"n_directions": 0}}, "grad_check.n_directions"),
+    (lambda p: {"grad_check": {"fd_steps": [0.01]}}, "grad_check.fd_steps"),
+    (lambda p: {"adjoint_test": {"n_trials": 0}}, "adjoint_test.n_trials"),
+    (lambda p: {"cont_dependence": {"deltas": [0.1]}}, "cont_dependence.deltas"),
+    (lambda p: {"cont_dependence": {"deltas": []}}, "cont_dependence.deltas"),
+    (lambda p: {"convergence": {"lap_levels": [32]}}, "convergence.lap_levels"),
+    (lambda p: {"convergence": {"spatial_levels": [8], "spatial_ref_nx": 16}},
+     "convergence.spatial_levels"),
+    (lambda p: {"convergence": {"temporal_nts": [5, 10, 20], "temporal_ref_nt": 150}},
+     "convergence.temporal_nts"),
+    (lambda p: {"convergence": {"spatial_levels": [16, 24], "spatial_ref_nx": 64}},
+     "convergence.spatial_levels"),
+    (lambda p: {"cont_dependence": {"deltas": [0.1, -0.01]}}, "cont_dependence.deltas"),
+    (lambda p: {"grad_check": {"epsilons": [0.1, 0.1]}}, "grad_check.epsilons"),
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
         "n_directions_string", "cg_tol_bool", "alpha_bool", "nx_float", "levels_flat",
-        "epsilons_pairs", "deltas_pairs"])
+        "epsilons_pairs", "deltas_pairs", "epsilons_single", "n_directions_zero",
+        "fd_steps_single", "n_trials_zero", "deltas_single", "deltas_empty",
+        "lap_levels_single", "spatial_levels_single", "temporal_ref_not_multiple",
+        "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated"])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2

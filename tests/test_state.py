@@ -183,7 +183,7 @@ def test_run_diagnostics_zero_trajectory():
     assert not diag.separation_breach and not diag.domain_guard_fired
     assert diag.max_energy_residual == 0.0
     assert diag.sup_gamma_hat_l1 == 0.0
-    assert max(r.l2_phi for r in diag.steps) == 0.0
+    assert max(norm(g, phi) for phi in traj.phi) == 0.0
 
 
 def test_separation_shrinks_with_smaller_source():
