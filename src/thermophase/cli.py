@@ -379,7 +379,7 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     if spatial_levels:
         ref_nx = int(blk["spatial_ref_nx"])
         nt = int(blk["spatial_nt"])
-        ref_problem, ref = _solve_level(ref_nx, nt)
+        _, ref = _solve_level(ref_nx, nt)
         errs = []
         for nx in spatial_levels:
             lproblem, traj = _solve_level(nx, nt)
@@ -397,7 +397,7 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     if temporal_nts:
         nx = int(blk["temporal_nx"])
         ref_nt = int(blk["temporal_ref_nt"])
-        ref_problem, ref = _solve_level(nx, ref_nt)
+        _, ref = _solve_level(nx, ref_nt)
         errs = []
         for nt in temporal_nts:
             lproblem, traj = _solve_level(nx, nt)

@@ -11,6 +11,10 @@ fields, so its cell sum telescopes to zero up to rounding.  The V inner
 product is the L2 part plus the face-difference stiffness form; with square
 cells in 2-D the h factors cancel, so each interior face contributes
 (difference of a) * (difference of b).
+
+The orthonormal 2-D DCT-II (``_to_cosine``, inverse ``_from_cosine``) diagonalises
+the stencil; the exact ``cosine_solve`` and the phase-Jacobian CG in ``state``
+both run through these two transforms.
 """
 
 from __future__ import annotations
@@ -130,6 +134,18 @@ def _cosine_eigenbasis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return out
 
 
+def _to_cosine(grid: GridSpec, f: Field) -> Field:
+    """Orthonormal DCT-II coefficients C f; entry [ky, kx] belongs to eigenvalue eig[ky, kx]."""
+    cy, cx, _ = _cosine_eigenbasis(grid)
+    return cy @ f @ cx.T
+
+
+def _from_cosine(grid: GridSpec, c: Field) -> Field:
+    """Field C^T c with cosine coefficients c: the inverse, and transpose, of ``_to_cosine``."""
+    cy, cx, _ = _cosine_eigenbasis(grid)
+    return cy.T @ c @ cx
+
+
 def cosine_solve(grid: GridSpec, rhs: Field, shift: float, coef: float = 1.0) -> Field:
     """Exact solution x of (shift I + coef (-lap)) x = rhs in the stencil's cosine eigenbasis.
 
@@ -138,13 +154,12 @@ def cosine_solve(grid: GridSpec, rhs: Field, shift: float, coef: float = 1.0) ->
     cell sums of shift x and rhs agree to rounding and a constant c gives c/shift exactly.
     """
     rhs = grid.check_field(rhs, "rhs")
-    cy, cx, eig = _cosine_eigenbasis(grid)
     dev = rhs - rhs.flat[0]
     dev_mean = float(dev.sum()) / dev.size
     dev -= dev_mean
-    coeffs = cy @ dev @ cx.T / (shift + coef * eig)
+    coeffs = _to_cosine(grid, dev) / (shift + coef * _cosine_eigenbasis(grid)[2])
     coeffs[0, 0] = 0.0
-    return cy.T @ coeffs @ cx + (rhs.flat[0] + dev_mean) / shift
+    return _from_cosine(grid, coeffs) + (rhs.flat[0] + dev_mean) / shift
 
 
 def _stiffness(a: Field, b: Field) -> float:

@@ -91,10 +91,12 @@ class Potential:
                 f"({self.r_minus + m:.12g}, {self.r_plus - m:.12g})"
             )
 
+    # The quartic family uses products, not r**3 or r**4: numpy's pow takes a
+    # slow path for negative bases.
     def gamma_hat(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == REGULAR:
-            return 0.25 * r**4
+            return 0.25 * (r * r) * (r * r)
         if self.kind == LOGARITHMIC:
             self._require_interior(r)
             return 0.5 * self.kappa * ((1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r))
@@ -104,7 +106,7 @@ class Potential:
     def gamma(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == REGULAR:
-            return r**3
+            return r * r * r
         if self.kind == LOGARITHMIC:
             self._require_interior(r)
             return 0.5 * self.kappa * (np.log1p(r) - np.log1p(-r))

@@ -11,8 +11,10 @@ One step from t_n to t_{n+1} performs, in order:
      followed by the exact update w' = w_n + tau v'.
 
 The thermal operator I/tau + (alpha + tau beta)(-lap) is inverted exactly by
-``grid.cosine_solve``; the SPD Newton operator I/tau - lap + diag(gamma') goes
-through CG preconditioned by it.  The sensitivity sweeps reuse both solvers.
+``grid.cosine_solve``.  The SPD Newton operator I/tau - lap + diag(gamma') is
+solved by CG in the same cosine coefficients, where I/tau - lap is diagonal and
+only diag(gamma') needs the transforms; the preconditioner is that diagonal
+shifted by the median of gamma'.  The sensitivity sweeps reuse both solvers.
 
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
@@ -32,7 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParameter, DomainViolation, NewtonDivergence, StepError, ThermophaseError
-from .grid import Field, GridSpec, _stencil, cg_solve, cosine_solve, laplacian_neumann, norm
+from .grid import (Field, GridSpec, _cosine_eigenbasis, _from_cosine, _stencil, _to_cosine,
+                   cg_solve, cosine_solve, laplacian_neumann, norm)
 from .nonlinearity import Coupling, Potential
 
 if TYPE_CHECKING:
@@ -194,13 +197,23 @@ class Diagnostics:
 def _phi_solver(grid, tau, potential, phi_node, rhs, opts):
     """CGResult of (I/tau - lap + diag(gamma'(phi_node))) x = rhs, to ``opts.cg_tol``.
 
-    Preconditioned by the cosine solve with gamma' replaced by its mean.
+    CG runs on the cosine coefficients c = C x, C the orthonormal DCT-II, where
+    the operator is (1/tau + eig) c + C(gamma' C^T c) and the preconditioner the
+    diagonal 1/(1/tau + m + eig), m the upper median of gamma' (a few stiff
+    cells near separation do not set it, unlike the mean).  C is orthonormal,
+    so residual norms and the stopping rule are those of the physical system;
+    the solution is transformed back once, into ``x``.
     """
+    rhs = grid.check_field(rhs, "rhs")
     gp = potential.dgamma(phi_node)
-    shift = 1.0 / tau + float(np.mean(gp))
-    return cg_solve(grid, lambda z: z / tau - _stencil(grid, z) + gp * z, rhs,
-                    tol=opts.cg_tol, maxit=opts.cg_maxit,
-                    precond=lambda r: cosine_solve(grid, r, shift))
+    diag = 1.0 / tau + _cosine_eigenbasis(grid)[2]
+    k = gp.size // 2
+    inv_pre = 1.0 / (diag + np.partition(gp.ravel(), k)[k])
+    res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
+                   _to_cosine(grid, rhs), tol=opts.cg_tol, maxit=opts.cg_maxit,
+                   precond=lambda r: r * inv_pre)
+    res.x = _from_cosine(grid, res.x)
+    return res
 
 
 def _thermal_solve(grid, params, tau, rhs):

@@ -15,8 +15,7 @@ from oracles import scalar_forward
 
 from thermophase.cli import run_command
 from thermophase.config import parse_config_dict
-from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, OptimizeOptions,
-                                 optimize, u_norm)
+from thermophase.control import AdmissibleSet, ControlPair, CostSpec, OptimizeOptions, optimize
 from thermophase.grid import build_grid, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.sensitivity import Perturbation, tangent_solve, tangent_transpose

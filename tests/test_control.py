@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, GradientP
                                  clamp_formula_residual, cost_eval, optimize,
                                  project_admissible, stationarity_residual, u_norm, v0_norm)
 from thermophase.errors import BadParameter
-from thermophase.grid import build_grid, inner
+from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions,
                                StateTrajectory, TimeGrid, solve_state)

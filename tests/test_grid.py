@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermophase.errors import AnisotropicCells, DegenerateGrid, NoConvergence, ShapeMismatch
-from thermophase.grid import (build_grid, cg_solve, cosine_solve, inner, laplacian_neumann, norm,
-                              riesz_v)
+from thermophase.grid import (_cosine_eigenbasis, _from_cosine, _to_cosine, build_grid, cg_solve,
+                              cosine_solve, inner, laplacian_neumann, norm, riesz_v)
 
 
 def test_build_grid_arithmetic():
@@ -204,6 +204,26 @@ def test_cosine_solve_preserves_mean_and_constants(rng):
     assert abs(math.fsum((shift * x).ravel()) - math.fsum(rhs.ravel())) <= 1e-13 * g.cell_count
     for c in (0.1, 1.7, -3.3e5):
         assert np.all(cosine_solve(g, g.full(c), shift, 1.5) == c / shift)
+
+
+def test_cosine_transforms_are_orthonormal_inverses(rng):
+    g = build_grid(1.5, 1, 24, 16)
+    f = rng.standard_normal(g.shape)
+    c = _to_cosine(g, f)
+    assert abs(np.linalg.norm(c) - np.linalg.norm(f)) <= 1e-14 * np.linalg.norm(f)
+    assert np.max(np.abs(_from_cosine(g, c) - f)) <= 1e-14 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("tau", [1.0, 1e-2, 1e-5])
+def test_cosine_coefficient_operator_is_shifted_stencil(rng, tau):
+    # C^T((1/tau + eig) C z) = z/tau - lap z on a non-square grid: a swapped axis
+    # or eigenvalue table would leave an O(1) error
+    g = build_grid(1.5, 1, 24, 16)
+    eig = _cosine_eigenbasis(g)[2]
+    z = rng.standard_normal(g.shape) + 2.0
+    want = z / tau - laplacian_neumann(g, z)
+    got = _from_cosine(g, (1.0 / tau + eig) * _to_cosine(g, z))
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_riesz_constant_and_eigenfunction():

@@ -67,6 +67,16 @@ def test_bounded_smooth_coupling_values():
     assert np.isfinite(cpl.pi_hat(500.0))
 
 
+def test_regular_products_match_pow(rng):
+    # gamma and gamma_hat are evaluated as products; they agree with pow to rounding
+    pot = Potential("regular")
+    r = np.concatenate([rng.uniform(-3.0, 3.0, 2000), -np.logspace(-6, 3, 50),
+                        np.logspace(-6, 3, 50)])
+    assert np.any(r < 0) and np.any(r > 0)
+    assert np.max(np.abs(pot.gamma(r) - r**3) / np.abs(r**3)) <= 5e-16
+    assert np.max(np.abs(pot.gamma_hat(r) - 0.25 * r**4) / (0.25 * r**4)) <= 5e-16
+
+
 _CASES = [
     (Potential("regular"), (-1.5, 1.5)),
     (Potential("logarithmic", kappa=0.7), (-0.9, 0.9)),

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_problem, smooth_control
-from oracles import bisect, scalar_forward, scalar_phi_step
+from oracles import bisect, scalar_forward
 
 from thermophase.control import ControlPair
-from thermophase.errors import DomainViolation
+from thermophase.errors import DomainViolation, NoConvergence
 from thermophase.grid import build_grid, cg_solve, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
@@ -64,6 +64,57 @@ def test_phase_preconditioner_near_separation_small_tau(rng, tau):
     assert norm(g, pre.x - plain.x) <= 1e-10 * norm(g, plain.x)
     phi_next, info = phi_step(g, log_pot, PI_NEG, PARAMS, phi, g.zeros(), tau, opts)
     assert log_pot.contains(phi_next) and info.newton_iters >= 1
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.01])
+@pytest.mark.parametrize("n,max_iters", [(32, 40), (64, 60)])
+def test_phase_solve_stiff_cells_iteration_bound(tau, n, max_iters):
+    # phi uniform in +-0.5 with 1 % of the cells near separation, so gamma'
+    # spans 1 .. 5e5.  The preconditioner shift follows the bulk of gamma'
+    # (median), not the few stiff cells that dominate its mean (174 / 107
+    # iterations at 32^2 with the mean).
+    g = build_grid(1, 1, n, n)
+    rng = np.random.default_rng(3)
+    phi = rng.uniform(-0.5, 0.5, g.shape)
+    phi.flat[rng.choice(g.cell_count, g.cell_count // 100, replace=False)] = 0.999999
+    rhs = rng.standard_normal(g.shape)
+    log_pot = Potential("logarithmic", kappa=1.0)
+    opts = SolverOptions()
+    res = _phi_solver(g, tau, log_pot, phi, rhs, opts)
+    assert res.iterations <= max_iters
+    gp = log_pot.dgamma(phi)
+    true_res = res.x / tau - laplacian_neumann(g, res.x) + gp * res.x - rhs
+    assert np.linalg.norm(true_res) <= 2 * opts.cg_tol * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("cg_tol", [1e-12, 1e-13])
+@pytest.mark.parametrize("kind", ["regular", "logarithmic"])
+@pytest.mark.parametrize("lx,nx,ny", [(1.5, 24, 16), (1.0, 64, 64)])
+def test_phase_solve_true_stencil_residual(rng, cg_tol, kind, lx, nx, ny):
+    # CG stops on its coefficient-space residual; back in physical space the
+    # stencil residual must still meet the tolerance
+    g = build_grid(lx, 1, nx, ny)
+    x, y = g.cell_centers()
+    pot = Potential(kind, kappa=1.0)
+    phi = 0.9 * np.cos(np.pi * x / lx) * np.cos(np.pi * y) + 0.05 * rng.uniform(-1, 1, g.shape)
+    rhs = rng.standard_normal(g.shape) + 0.5
+    opts = SolverOptions(cg_tol=cg_tol)
+    tau = 0.005
+    res = _phi_solver(g, tau, pot, phi, rhs, opts)
+    true_res = res.x / tau - laplacian_neumann(g, res.x) + pot.dgamma(phi) * res.x - rhs
+    assert res.iterations >= 1
+    assert np.linalg.norm(true_res) <= 2 * cg_tol * np.linalg.norm(rhs)
+
+
+def test_phase_solve_iteration_cap_raises(rng):
+    g = build_grid(1, 1, 16, 16)
+    x, y = g.cell_centers()
+    phi = 0.9 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    with pytest.raises(NoConvergence):
+        _phi_solver(g, 0.01, REGULAR, phi, rng.standard_normal(g.shape),
+                    SolverOptions(cg_maxit=1))
+    with pytest.raises(NoConvergence):
+        phi_step(g, REGULAR, PI_NEG, PARAMS, phi, g.full(1.0), 0.01, SolverOptions(cg_maxit=1))
 
 
 def test_thermal_step_zero_inputs():
