@@ -18,6 +18,10 @@ A config file is a JSON object with the blocks below; only ``grid`` and
   ``adjoint_test.n_trials`` are at least 1, and each convergence refinement
   level is a proper divisor of its reference.
 
+The Newton and Armijo limits (in ``state.phi_step`` and ``control.optimize``)
+and the pass thresholds of the experiment criteria (in ``cli``) are constants,
+not keys: a config that names one is rejected as an unknown key.
+
 Field specs (initial data, controls, targets, bounds) are either a number
 (constant field), a preset object, or a snapshot reference:
 
@@ -67,33 +71,21 @@ _DEFAULTS: dict[str, Any] = {
     "control": {"u": 0.0, "v0": 0.0},
     "admissible": {"u_lo": -1e6, "u_hi": 1e6, "v_lo": -1e6, "v_hi": 1e6, "ball_radius": 1e6},
     "solver": {
-        "cg_tol": 1e-12, "cg_maxit": 50000,
-        "newton_tol": 1e-11, "newton_maxit": 30, "newton_max_damping": 40,
-        "armijo_c": 1e-4, "armijo_shrink": 0.5, "armijo_max_backtracks": 60,
-        "stationarity_tol": 1e-6, "stationarity_step": 1.0,
-        "max_iters": 200, "vi_samples": 16, "seed": 0,
+        "cg_tol": 1e-12, "cg_maxit": 50000, "newton_tol": 1e-11,
+        "stationarity_tol": 1e-6, "max_iters": 200, "vi_samples": 16, "seed": 0,
     },
     "output": {"directory": "out", "snapshot_stride": 0},
     "grad_check": {
-        "epsilons": [1e-1, 1e-2, 1e-3], "n_directions": 5,
-        "fd_steps": [1e-2, 1e-3, 1e-4],
-        "taylor_slope_min": 1.8, "fd_rel_tol": 1e-6,
+        "epsilons": [1e-1, 1e-2, 1e-3], "n_directions": 5, "fd_steps": [1e-2, 1e-3, 1e-4],
     },
-    "adjoint_test": {
-        "n_trials": 10, "dot_tol": 1e-10,
-        "levels": [], "gap_tol": 5e-2, "order_min": 0.8,
-    },
+    "adjoint_test": {"n_trials": 10, "levels": []},
     "optimize": {"recovery_factor": 0.0, "clamp_formula_tol": 0.0, "vi_tol": 0.0},
     "convergence": {
-        "lap_levels": [32, 64, 128], "lap_order_min": 1.9, "mean_zero_nx": 16,
+        "lap_levels": [32, 64, 128], "mean_zero_nx": 16,
         "spatial_levels": [], "spatial_ref_nx": 0, "spatial_nt": 8,
-        "spatial_order_min": 1.9,
         "temporal_nts": [], "temporal_ref_nt": 0, "temporal_nx": 32,
-        "temporal_order_min": 0.9,
     },
-    "cont_dependence": {
-        "deltas": [1e-1, 1e-2, 1e-3, 1e-4], "slope_min": 0.9, "slope_max": 1.1,
-    },
+    "cont_dependence": {"deltas": [1e-1, 1e-2, 1e-3, 1e-4]},
 }
 
 # list keys whose elements are number pairs; every other list holds numbers

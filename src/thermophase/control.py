@@ -14,8 +14,8 @@ the discrete reduced cost.
 Projection onto the admissible set clamps u pointwise (the exact L2(Q)
 projection).  For v0 the exact projection in the V metric would be an
 obstacle problem; instead v0 is clamped pointwise and, if the V-norm ball is
-violated, scaled toward the box-feasible anchor clamp(0) until the ball is
-met.  Optimality is certified through the stationarity residual and the
+violated, scaled toward the box-feasible anchor clamp(0) onto the ball's
+sphere.  Optimality is certified through the stationarity residual and the
 sampled variational inequality rather than through exactness of that
 projection.
 
@@ -233,14 +233,13 @@ class ReducedProblem:
         return GradientPair(g_u=g_u, g_v=g_v)
 
 
-def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec,
-                       max_ball_iters: int = 50) -> ControlPair:
+def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec) -> ControlPair:
     """Clamp u to its box; clamp v0 and, if needed, pull it inside the V-ball.
 
     The ball pass scales the clamped v0 toward the box-feasible anchor
-    clamp(0); the segment stays in the box by convexity, so one pass normally
-    suffices.  Raises BallProjectionStall if the loop cannot achieve ball
-    feasibility within 1e-10 relative.
+    clamp(0) onto the sphere; the segment stays in the box by convexity, so
+    one pass suffices.  Raises BallProjectionStall if its result misses ball
+    feasibility by more than 1e-10 relative.
     """
     u = np.clip(control.u, aset.u_lo, aset.u_hi)
     v = np.clip(control.v0, aset.v_lo, aset.v_hi)
@@ -248,19 +247,15 @@ def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec
     if v0_norm(grid, v) <= M * (1.0 + 1e-10):
         return ControlPair(u, v)
     anchor = aset.v0_anchor(grid)
-    for _ in range(max_ball_iters):
-        d = v - anchor
-        dd = v0_inner(grid, d, d)
-        if dd == 0.0:
-            break
+    d = v - anchor
+    dd = v0_inner(grid, d, d)
+    if dd > 0.0:
         ad = v0_inner(grid, anchor, d)
         aa = v0_inner(grid, anchor, anchor) - M * M
         # ||anchor + t d||_V = M, positive root; aa <= 0 since the anchor is feasible
         t = (-ad + math.sqrt(max(ad * ad - dd * aa, 0.0))) / dd
         t = min(max(t, 0.0), 1.0)
         v = np.clip(anchor + t * d, aset.v_lo, aset.v_hi)
-        if v0_norm(grid, v) <= M * (1.0 + 1e-10):
-            return ControlPair(u, v)
     if v0_norm(grid, v) <= M * (1.0 + 1e-10):
         return ControlPair(u, v)
     raise BallProjectionStall(
@@ -336,20 +331,15 @@ def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid
 
 @dataclass
 class OptimizeOptions:
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    armijo_max_backtracks: int = 60
     stationarity_tol: float = 1e-6
-    stationarity_step: float = 1.0
     max_iters: int = 200
     vi_samples: int = 16
     seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        _check_ranges(self, positive=("armijo_c", "armijo_shrink", "stationarity_tol",
-                                      "stationarity_step"),
-                      nonnegative=("armijo_max_backtracks", "max_iters", "vi_samples", "seed"))
+        _check_ranges(self, positive=("stationarity_tol",),
+                      nonnegative=("max_iters", "vi_samples", "seed"))
 
 
 @dataclass
@@ -420,11 +410,14 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     """Projected gradient with Armijo backtracking; every iterate feasible.
 
     The first trial step is 1/||g0||; after each accepted step it is the
-    Barzilai-Borwein quotient of that step (_bb_step).  Stops when the
-    stationarity residual falls below the tolerance or after max_iters.
-    Emits per-iterate certificates (stationarity, projection formula defect
-    where nu1 > 0, sampled variational inequality).
+    Barzilai-Borwein quotient of that step (_bb_step).  Armijo accepts a
+    trial with J(trial) <= J + 1e-4 <g, trial - x>, halving the step up to 60
+    times.  Stops when the stationarity residual (at unit step scale) falls
+    below the tolerance or after max_iters.  Emits per-iterate certificates
+    (stationarity, projection formula defect where nu1 > 0, sampled
+    variational inequality).
     """
+    armijo_c, shrink, max_backtracks = 1e-4, 0.5, 60
     grid, tg = problem.grid, problem.time
     tau = tg.tau
     rp = ReducedProblem(problem, cost, opts.solver)
@@ -439,7 +432,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     reason = "max_iters reached"
     last_step, last_bt = 0.0, 0
     for it in range(opts.max_iters + 1):
-        stat = stationarity_residual(x, g, aset, grid, tg, s=opts.stationarity_step)
+        stat = stationarity_residual(x, g, aset, grid, tg)
         vi = check_vi(x, g, aset, grid, tg, n_samples=opts.vi_samples,
                       seed=opts.seed + 7919 * it)[0] if opts.vi_samples > 0 else math.nan
         cfr = clamp_formula_residual(x, g, aset, grid, tg, cost.nu1)
@@ -458,7 +451,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         s = step
         accepted = False
         backtracks = 0
-        for backtracks in range(opts.armijo_max_backtracks + 1):
+        for backtracks in range(max_backtracks + 1):
             trial = project_admissible(
                 ControlPair(x.u - s * g.g_u, x.v0 - s * g.g_v), aset, grid)
             pred = (u_inner(grid, tau, g.g_u, trial.u - x.u)
@@ -470,15 +463,15 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
                 break
             if pred <= 0.0:
                 j_trial = rp.cost(trial)
-                if j_trial <= j + opts.armijo_c * pred:
+                if j_trial <= j + armijo_c * pred:
                     accepted = True
                     break
-            s *= opts.armijo_shrink
+            s *= shrink
         if converged:
             break
         if not accepted:
             raise LineSearchFailure(
-                f"no Armijo decrease after {opts.armijo_max_backtracks} backtracks "
+                f"no Armijo decrease after {max_backtracks} backtracks "
                 f"(iteration {it}, stationarity {stat:.3e})")
         g_new = rp.gradient(trial)
         step = _bb_step(grid, tau, x, trial, g, g_new, s)

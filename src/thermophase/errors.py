@@ -51,7 +51,7 @@ class DomainViolation(ThermophaseError):
 
 
 class BallProjectionStall(ThermophaseError):
-    """The box-and-ball projection loop exhausted its iterations."""
+    """The box-and-ball projection left v0 outside the V-ball."""
 
 
 class LineSearchFailure(ThermophaseError):

@@ -99,11 +99,7 @@ def build_grid(lx: float, ly: float, nx: int, ny: int) -> GridSpec:
 
 def laplacian_neumann(grid: GridSpec, f: Field) -> Field:
     """Five-point cell-centered Laplacian with zero flux through boundary faces."""
-    return _stencil(grid, grid.check_field(f))
-
-
-def _stencil(grid: GridSpec, f: Field) -> Field:
-    """``laplacian_neumann`` without the shape check, for solver inner loops."""
+    f = grid.check_field(f)
     dx = f[:, 1:] - f[:, :-1]
     out = np.empty_like(f)
     out[:, :-1] = dx

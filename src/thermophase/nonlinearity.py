@@ -71,11 +71,11 @@ class Potential:
     def bounded_domain(self) -> bool:
         return self.kind == LOGARITHMIC
 
-    def contains(self, r, margin: float | None = None) -> bool:
-        """True if every entry is strictly inside (r_minus + m, r_plus - m)."""
+    def contains(self, r) -> bool:
+        """True if every entry is inside (r_minus + m, r_plus - m), m = interior_margin."""
         if not self.bounded_domain:
             return bool(np.all(np.isfinite(r)))
-        m = self.interior_margin if margin is None else margin
+        m = self.interior_margin
         r = np.asarray(r, dtype=float)
         return bool(np.all(r > self.r_minus + m) and np.all(r < self.r_plus - m))
 

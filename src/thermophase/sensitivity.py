@@ -165,14 +165,14 @@ class TransposeResult:
 
     dPairing = sum_n <h_bar[n-1], h_n>_L2 + <h0_bar, h0>_L2 where the
     cotangent input was paired in L2 against the tangent output at every node.
-    p_like / q_like are the per-node equation multipliers divided by tau;
-    their time-continuum limits solve the backward adjoint system.
+    p_like holds the per-node phase-equation multipliers divided by tau, and
+    h_bar / tau those of the thermal equation; their time-continuum limits
+    solve the backward adjoint system.
     """
 
     h_bar: np.ndarray
     h0_bar: np.ndarray
     p_like: np.ndarray
-    q_like: np.ndarray
 
 
 def tangent_transpose(base: StateTrajectory, problem: Problem,
@@ -203,7 +203,6 @@ def tangent_transpose(base: StateTrajectory, problem: Problem,
 
     h_bar = np.zeros((nt, grid.ny, grid.nx))
     p_like = np.zeros((nt + 1, grid.ny, grid.nx))
-    q_like = np.zeros((nt + 1, grid.ny, grid.nx))
     pi_np1 = pi_of(base.phi[nt])
     for n in range(nt - 1, -1, -1):
         # transpose of eta_{n+1} = eta_n + tau eta_t_{n+1}
@@ -211,7 +210,6 @@ def tangent_transpose(base: StateTrajectory, problem: Problem,
         E[n] += E[n + 1]
         # transpose of the thermal solve
         rv_bar = _thermal_solve(grid, problem.params, tau, Th[n + 1])
-        q_like[n + 1] = rv_bar / tau
         Th[n] += rv_bar / tau
         E[n] += beta * laplacian_neumann(grid, rv_bar)
         pi_n = pi_of(base.phi[n])
@@ -226,8 +224,7 @@ def tangent_transpose(base: StateTrajectory, problem: Problem,
         Th[n] += c2 * rphi_bar
         pi_np1 = pi_n
     p_like[0] = p_like[1]
-    q_like[0] = Th[0]
-    return TransposeResult(h_bar=h_bar, h0_bar=Th[0], p_like=p_like, q_like=q_like)
+    return TransposeResult(h_bar=h_bar, h0_bar=Th[0], p_like=p_like)
 
 
 def tracking_seeds(base: StateTrajectory, cost: "CostSpec", grid: GridSpec, nt: int,

@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParameter, DomainViolation, NewtonDivergence, StepError, ThermophaseError
-from .grid import (Field, GridSpec, _cosine_eigenbasis, _from_cosine, _stencil, _to_cosine,
-                   cg_solve, cosine_solve, laplacian_neumann, norm)
+from .grid import (Field, GridSpec, _cosine_eigenbasis, _from_cosine, _to_cosine, cg_solve,
+                   cosine_solve, laplacian_neumann, norm)
 from .nonlinearity import Coupling, Potential
 
 if TYPE_CHECKING:
@@ -102,12 +102,9 @@ class SolverOptions:
     cg_tol: float = 1e-12
     cg_maxit: int = 50000
     newton_tol: float = 1e-11
-    newton_maxit: int = 30
-    newton_max_damping: int = 40
 
     def __post_init__(self):
-        _check_ranges(self, positive=("cg_tol", "newton_tol"),
-                      nonnegative=("cg_maxit", "newton_maxit", "newton_max_damping"))
+        _check_ranges(self, positive=("cg_tol", "newton_tol"), nonnegative=("cg_maxit",))
 
 
 @dataclass
@@ -167,8 +164,6 @@ class StateTrajectory:
     v: np.ndarray
     tau: float
     steps: list[StepRecord] = field(default_factory=list, repr=False)
-    phi0_prime_l2: float = 0.0
-    cell_volume: float = 1.0
 
     @property
     def nt(self) -> int:
@@ -177,12 +172,7 @@ class StateTrajectory:
 
 @dataclass
 class Diagnostics:
-    """Run-level summary assembled from a complete trajectory.
-
-    sup_gamma_hat_l1 monitors a quantity the a-priori energy estimate bounds
-    (qualitatively: it must stay finite and data-controlled; no constant is
-    checked).
-    """
+    """Run-level summary assembled from a complete trajectory."""
 
     r_star_low: float
     r_star_high: float
@@ -191,7 +181,6 @@ class Diagnostics:
     domain_guard_fired: bool
     max_energy_residual: float
     max_scaled_energy_residual: float
-    sup_gamma_hat_l1: float
 
 
 def _phi_solver(grid, tau, potential, phi_node, rhs, opts):
@@ -227,8 +216,10 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     Newton on  G(p) = p/tau - lap(p) + gamma(p) - b  with
     b = phi_n/tau - (2/theta_c) pi(phi_n) + (1/theta_c^2) v_n pi(phi_n).
     The Jacobian I/tau - lap + diag(gamma') is SPD; damping by step halving
-    keeps iterates interior to the potential's domain.
+    keeps iterates interior to the potential's domain.  At most 30 Newton
+    iterations, each with at most 40 halvings.
     """
+    maxit, max_damping = 30, 40
     phi_n = grid.check_field(phi_n, "phi_n")
     v_n = grid.check_field(v_n, "v_n")
     thc = params.theta_c
@@ -240,13 +231,13 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
         raise DomainViolation("phi_n is not interior to the potential domain")
 
     def residual(p):
-        return p / tau - _stencil(grid, p) + potential.gamma(p) - b
+        return p / tau - laplacian_neumann(grid, p) + potential.gamma(p) - b
 
     phi = phi_n.copy()
     r = residual(phi)
     rnorm = norm(grid, r)
     while rnorm > opts.newton_tol:
-        if info.newton_iters >= opts.newton_maxit:
+        if info.newton_iters >= maxit:
             raise NewtonDivergence(
                 f"Newton stalled at residual {rnorm:.3e} after {info.newton_iters} iterations",
                 residual=rnorm,
@@ -260,7 +251,7 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
         s = 1.0
         accepted = False
         interior_failed = False
-        for _ in range(opts.newton_max_damping + 1):
+        for _ in range(max_damping + 1):
             trial = phi + s * delta
             if not potential.contains(trial):
                 info.domain_guard_hits += 1
@@ -279,10 +270,10 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
             if interior_failed:
                 raise DomainViolation(
                     f"Newton iterate escaped the potential domain after "
-                    f"{opts.newton_max_damping} dampings"
+                    f"{max_damping} dampings"
                 )
             raise NewtonDivergence(
-                f"no residual decrease after {opts.newton_max_damping} dampings "
+                f"no residual decrease after {max_damping} dampings "
                 f"(residual {rnorm:.3e})",
                 residual=rnorm,
                 iterations=info.newton_iters,
@@ -317,14 +308,6 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
     return w_np1, v_np1, info
 
 
-def compat_phi0_prime(grid, potential, coupling, params, phi0, v0):
-    """Initial time derivative of phi implied by the phase equation."""
-    thc = params.theta_c
-    pi0 = coupling.pi(phi0)
-    return (laplacian_neumann(grid, phi0) - potential.gamma(phi0)
-            - (2.0 / thc) * pi0 + (v0 * pi0) / thc**2)
-
-
 def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
     """March the full trajectory; fails fast with the step index on any error."""
     grid, tg = problem.grid, problem.time
@@ -343,7 +326,6 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
     v = np.empty_like(phi)
     phi[0], w[0], v[0] = phi0, w0, v0
 
-    phi0p = compat_phi0_prime(grid, problem.potential, problem.coupling, problem.params, phi0, v0)
     steps = [StepRecord(step=0, time=0.0, newton_iters=0, cg_iters=0, energy_residual=0.0,
                         cumulative_balance_residual=0.0)]
     cumulative = 0.0
@@ -367,8 +349,7 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
             energy_residual=tinfo.balance_residual, cumulative_balance_residual=cumulative,
             balance_scale=tinfo.balance_scale, domain_guard_hits=pinfo.domain_guard_hits,
         ))
-    return StateTrajectory(phi=phi, w=w, v=v, tau=tau, steps=steps,
-                           phi0_prime_l2=norm(grid, phi0p), cell_volume=grid.cell_volume)
+    return StateTrajectory(phi=phi, w=w, v=v, tau=tau, steps=steps)
 
 
 def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
@@ -397,22 +378,17 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
     return sup_v_phi + sup_lap_phi + sup_dt_phi + sup_v_v + sup_dt_v + l2t_lap_w
 
 
-def run_diagnostics(traj: StateTrajectory, potential: Potential,
-                    margin: float | None = None) -> Diagnostics:
-    """Run-level summary: separation bounds, balance residuals, the gamma_hat monitor."""
+def run_diagnostics(traj: StateTrajectory, potential: Potential) -> Diagnostics:
+    """Run-level summary: separation bounds, guard hits, balance residuals."""
     r_low = float(np.min(traj.phi))
     r_high = float(np.max(traj.phi))
     if potential.bounded_domain:
         sep_margin = min(r_low - potential.r_minus, potential.r_plus - r_high)
-        guard = potential.interior_margin if margin is None else margin
-        breach = sep_margin <= guard
+        breach = sep_margin <= potential.interior_margin
     else:
         sep_margin = math.inf
         breach = False
     recs = traj.steps
-    gamma_hat_l1 = traj.cell_volume * max(
-        float(np.sum(np.abs(potential.gamma_hat(traj.phi[n]))))
-        for n in range(traj.nt + 1))
     return Diagnostics(
         r_star_low=r_low,
         r_star_high=r_high,
@@ -421,5 +397,4 @@ def run_diagnostics(traj: StateTrajectory, potential: Potential,
         domain_guard_fired=any(r.domain_guard_hits > 0 for r in recs),
         max_energy_residual=max(abs(r.energy_residual) for r in recs),
         max_scaled_energy_residual=max(abs(r.energy_residual) / r.balance_scale for r in recs),
-        sup_gamma_hat_l1=gamma_hat_l1,
     )

@@ -6,8 +6,6 @@ plain floats, so spatially homogeneous runs of the field solver must agree
 with them to solver tolerance.
 """
 
-import math
-
 
 def bisect(f, lo, hi, tol=1e-15, maxit=500):
     flo, fhi = f(lo), f(hi)

@@ -6,7 +6,7 @@ import pytest
 
 from thermophase.cli import main, run_command
 from thermophase.config import parse_config, parse_config_dict
-from thermophase.errors import ParseError, ValidationError
+from thermophase.errors import NewtonDivergence, ParseError, StepError, ValidationError
 from thermophase.grid import norm
 from thermophase.snapshots import read_field, write_field
 from thermophase.state import solve_state
@@ -146,6 +146,20 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# keys that solver internals and criterion thresholds had before they became
+# constants of the code, with their old default values
+RETIRED_KEYS = [
+    ("solver", "newton_maxit", 30), ("solver", "newton_max_damping", 40),
+    ("solver", "armijo_c", 1e-4), ("solver", "armijo_shrink", 0.5),
+    ("solver", "armijo_max_backtracks", 60), ("solver", "stationarity_step", 1.0),
+    ("grad_check", "taylor_slope_min", 1.8), ("grad_check", "fd_rel_tol", 1e-6),
+    ("adjoint_test", "dot_tol", 1e-10), ("adjoint_test", "gap_tol", 5e-2),
+    ("adjoint_test", "order_min", 0.8), ("convergence", "lap_order_min", 1.9),
+    ("convergence", "spatial_order_min", 1.9), ("convergence", "temporal_order_min", 0.9),
+    ("cont_dependence", "slope_min", 0.9), ("cont_dependence", "slope_max", 1.1),
+]
+
+
 def _truncated_phi0(tmp_path):
     snap = tmp_path / "phi0.cgw"
     write_field(str(snap), np.zeros((8, 8)))
@@ -180,12 +194,15 @@ def _truncated_phi0(tmp_path):
      "convergence.spatial_levels"),
     (lambda p: {"cont_dependence": {"deltas": [0.1, -0.01]}}, "cont_dependence.deltas"),
     (lambda p: {"grad_check": {"epsilons": [0.1, 0.1]}}, "grad_check.epsilons"),
+    *[(lambda p, b=block, k=key, v=value: {b: {k: v}}, f"{block}: unknown keys ['{key}']")
+      for block, key, value in RETIRED_KEYS],
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
         "n_directions_string", "cg_tol_bool", "alpha_bool", "nx_float", "levels_flat",
         "epsilons_pairs", "deltas_pairs", "epsilons_single", "n_directions_zero",
         "fd_steps_single", "n_trials_zero", "deltas_single", "deltas_empty",
         "lap_levels_single", "spatial_levels_single", "temporal_ref_not_multiple",
-        "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated"])
+        "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated",
+        *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -233,6 +250,20 @@ def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
     path = _write(tmp_path, cfg, "hard.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o3")]) == 3
     capsys.readouterr()
+
+
+def test_newton_divergence_exit_three(tmp_path, capsys):
+    # a residual floor above newton_tol: every damped trial fails to decrease it
+    cfg = {**MINIMAL,
+           "solver": {"newton_tol": 1e-30},
+           "initial": {"phi0": {"cosine": {"amplitude": 0.5}}, "w0": 0.0}}
+    path = _write(tmp_path, cfg, "stiff.json")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert "step 1: no residual decrease after 40 dampings" in capsys.readouterr().err
+    parsed = parse_config(path)
+    with pytest.raises(StepError) as info:
+        solve_state(parsed.problem(), parsed.control(), parsed.solver_options())
+    assert isinstance(info.value.cause, NewtonDivergence)
 
 
 def test_determinism_byte_identical_csvs(tmp_path):

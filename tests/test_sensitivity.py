@@ -257,7 +257,7 @@ def test_transpose_multipliers_track_continuous_adjoint():
     seeds, sweep = adjoint_solve_discrete(base, problem, cost, TIGHT)
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
     tau = problem.time.tau
-    rel_q = (u_norm(problem.grid, tau, sweep.q_like[1:] - adj.q[1:])
+    rel_q = (u_norm(problem.grid, tau, seeds.u - adj.q[1:])
              / u_norm(problem.grid, tau, adj.q[1:]))
     rel_p = (u_norm(problem.grid, tau, sweep.p_like[1:] - adj.p[1:])
              / u_norm(problem.grid, tau, adj.p[1:]))

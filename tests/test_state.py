@@ -233,7 +233,6 @@ def test_run_diagnostics_zero_trajectory():
     assert diag.r_star_low == 0.0 and diag.r_star_high == 0.0
     assert not diag.separation_breach and not diag.domain_guard_fired
     assert diag.max_energy_residual == 0.0
-    assert diag.sup_gamma_hat_l1 == 0.0
     assert max(norm(g, phi) for phi in traj.phi) == 0.0
 
 
@@ -254,12 +253,6 @@ def test_solve_state_rejects_exterior_phi0():
     problem = Problem(g, tg, PARAMS, log_pot, PI_NEG, InitialData(g.full(1.2), g.zeros()))
     with pytest.raises(DomainViolation):
         solve_state(problem, ControlPair.zeros(g, tg.nt))
-
-
-def test_phi0_prime_diagnostic_logged():
-    problem = small_problem(nx=12, nt=4)
-    traj = solve_state(problem, smooth_control(problem))
-    assert traj.phi0_prime_l2 > 0.0
 
 
 def test_single_step_run_allowed():
