@@ -18,6 +18,11 @@ A config file is a JSON object with the blocks below; only ``grid`` and
   ``adjoint_test.n_trials`` are at least 1, and each convergence refinement
   level is a proper divisor of its reference.
 
+The ``params``, ``potential``, ``coupling``, ``admissible`` and ``solver``
+blocks take their defaults from the constructors of ``PhysParams``,
+``Potential``, ``Coupling``, ``AdmissibleSet``, ``SolverOptions`` and
+``OptimizeOptions``, and the cost targets follow ``sensitivity.TRACKING_TERMS``.
+
 The Newton and Armijo limits (in ``state.phi_step`` and ``control.optimize``)
 and the pass thresholds of the experiment criteria (in ``cli``) are constants,
 not keys: a config that names one is rejected as an unknown key.
@@ -29,7 +34,7 @@ Field specs (initial data, controls, targets, bounds) are either a number
   {"cosine": {"amplitude": a, "kx": 1, "ky": 1, "offset": 0, "ramp": 0}}
       -> offset + a (1 + ramp t) cos(kx pi x / lx) cos(ky pi y / ly)
         (ramp only makes sense for space-time fields; t = 0 for spatial ones)
-  {"snapshot": "field.cgw"}              (broadcast in time when space-time)
+  {"snapshot": "field.cgw"}              (read once; broadcast in time when space-time)
   {"snapshot_dir": {"path": dir, "prefix": "u"}}   (space-time only; reads
       prefix_%06d.cgw per node)
 
@@ -48,7 +53,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -57,23 +62,29 @@ from .control import AdmissibleSet, ControlPair, CostSpec, OptimizeOptions
 from .errors import ParseError, ThermophaseError, ValidationError
 from .grid import GridSpec, build_grid
 from .nonlinearity import Coupling, Potential
+from .sensitivity import TRACKING_TERMS
 from .snapshots import read_field
 from .state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
                     solve_state)
 
+
+def _defaults_of(*classes) -> dict:
+    """The constructor defaults of the given dataclasses, one key per field that
+    has a plain default (``OptimizeOptions.solver`` has a default factory)."""
+    return {f.name: f.default for cls in classes for f in fields(cls)
+            if f.default is not MISSING}
+
+
 _DEFAULTS: dict[str, Any] = {
     "grid": {"lx": 1.0, "ly": 1.0, "nx": 32, "ny": 32},
     "time": {"t_final": 0.25, "nt": 50},
-    "params": {"alpha": 1.0, "beta": 1.0, "theta_c": 1.0},
-    "potential": {"kind": "regular", "kappa": 1.0, "eps_pen": 0.1, "interior_margin": 1e-9},
-    "coupling": {"kind": "affine", "a": -1.0, "b": 0.0, "c": 1.0},
+    "params": _defaults_of(PhysParams),
+    "potential": _defaults_of(Potential),
+    "coupling": _defaults_of(Coupling),
     "initial": {"phi0": 0.0, "w0": 0.0},
     "control": {"u": 0.0, "v0": 0.0},
-    "admissible": {"u_lo": -1e6, "u_hi": 1e6, "v_lo": -1e6, "v_hi": 1e6, "ball_radius": 1e6},
-    "solver": {
-        "cg_tol": 1e-12, "cg_maxit": 50000, "newton_tol": 1e-11,
-        "stationarity_tol": 1e-6, "max_iters": 200, "vi_samples": 16, "seed": 0,
-    },
+    "admissible": _defaults_of(AdmissibleSet),
+    "solver": _defaults_of(SolverOptions, OptimizeOptions),
     "output": {"directory": "out", "snapshot_stride": 0},
     "grad_check": {
         "epsilons": [1e-1, 1e-2, 1e-3], "n_directions": 5, "fd_steps": [1e-2, 1e-3, 1e-4],
@@ -91,7 +102,6 @@ _DEFAULTS: dict[str, Any] = {
 # list keys whose elements are number pairs; every other list holds numbers
 _PAIR_LISTS = ("adjoint_test.levels",)
 _COST_KEYS = ("k1", "k2", "k3", "k4", "k5", "k6", "nu1", "nu2")
-_TARGET_KEYS = ("phi_q", "w_q", "wprime_q", "phi_omega", "w_omega", "wprime_omega")
 _COSINE_KEYS = ("amplitude", "kx", "ky", "offset", "ramp")
 # field-spec entries of the blocks, and whether each is a space-time field
 _FIELD_SPECS = {"initial": {"phi0": False, "w0": False},
@@ -167,38 +177,31 @@ def _finite(value: np.ndarray, what) -> np.ndarray:
     return value
 
 
-def build_field(spec, grid: GridSpec, t: float = 0.0) -> np.ndarray:
-    """Materialize one spatial field from its spec."""
-    if isinstance(spec, (int, float)):
-        return _finite(grid.full(float(spec)), spec)
-    key = next(iter(spec))
-    body = spec[key]
+def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0) -> np.ndarray:
+    """Materialize a field spec: spatial (ny, nx) when ``nodes`` is None, else
+    space-time (len(nodes), ny, nx) at the times ``n * tau`` of the given nodes."""
+    key, body = ("const", spec) if _is_number(spec) else next(iter(spec.items()))
+    if key == "snapshot_dir":
+        prefix = body.get("prefix", "u")
+        return np.stack([grid.check_field(read_field(
+            os.path.join(body["path"], f"{prefix}_{n:06d}.cgw"))) for n in nodes])
+    t = np.zeros(1) if nodes is None else np.asarray(nodes) * tau
     if key == "const":
-        return _finite(grid.full(float(body)), spec)
-    if key == "cosine":
+        out = _finite(np.full((len(t),) + grid.shape, float(body)), spec)
+    elif key == "cosine":
         amp = float(body.get("amplitude", 1.0))
         kx = float(body.get("kx", 1))
         ky = float(body.get("ky", 1))
-        offset = float(body.get("offset", 0.0))
         ramp = float(body.get("ramp", 0.0))
         x, y = grid.cell_centers()
-        shape = np.cos(kx * np.pi * x / grid.lx) * np.cos(ky * np.pi * y / grid.ly)
-        return _finite(offset + amp * (1.0 + ramp * t) * shape, spec)
-    if key == "snapshot":
-        f = read_field(body)
-        return grid.check_field(f, body)
-    raise ValidationError(f"cannot build spatial field from {spec!r}")
-
-
-def build_space_time(spec, grid: GridSpec, nodes, tau: float) -> np.ndarray:
-    """Materialize a space-time field at the given node indices."""
-    if isinstance(spec, dict) and next(iter(spec)) == "snapshot_dir":
-        body = spec["snapshot_dir"]
-        prefix = body.get("prefix", "u")
-        out = [grid.check_field(read_field(os.path.join(body["path"], f"{prefix}_{n:06d}.cgw")))
-               for n in nodes]
-        return np.stack(out)
-    return np.stack([build_field(spec, grid, t=n * tau) for n in nodes])
+        mode = np.cos(kx * np.pi * x / grid.lx) * np.cos(ky * np.pi * y / grid.ly)
+        out = (amp * (1.0 + ramp * t))[:, None, None] * mode
+        out += float(body.get("offset", 0.0))
+        _finite(out, spec)
+    else:
+        f = grid.check_field(read_field(body), body)
+        out = np.broadcast_to(f, (len(t),) + f.shape).copy()
+    return out[0] if nodes is None else out
 
 
 def _validated(raw: dict) -> dict:
@@ -249,9 +252,11 @@ def _validated(raw: dict) -> dict:
             _check_field_spec(targets["from_run"].get("v0", 0.0), "cost.targets.from_run.v0",
                               space_time=False)
         else:
-            _reject_unknown(targets, _TARGET_KEYS, "cost.targets")
-            for k, v in targets.items():
-                _check_field_spec(v, f"cost.targets.{k}", space_time=k.endswith("_q"))
+            _reject_unknown(targets, [key for _, _, key, _ in TRACKING_TERMS], "cost.targets")
+            for _, _, key, terminal in TRACKING_TERMS:
+                if key in targets:
+                    _check_field_spec(targets[key], f"cost.targets.{key}",
+                                      space_time=not terminal)
         cost["targets"] = copy.deepcopy(targets)
         cfg["cost"] = cost
     return cfg
@@ -312,15 +317,10 @@ class ProblemConfig:
         raw = self.raw
         self.grid = build_grid(**raw["grid"])
         self.timegrid = TimeGrid(t_final=float(raw["time"]["t_final"]), nt=raw["time"]["nt"])
-        pot, cpl, init = raw["potential"], raw["coupling"], raw["initial"]
+        init = raw["initial"]
         self._problem = Problem(
-            grid=self.grid, time=self.timegrid,
-            params=PhysParams(**{k: float(v) for k, v in raw["params"].items()}),
-            potential=Potential(kind=pot["kind"], kappa=float(pot["kappa"]),
-                                eps_pen=float(pot["eps_pen"]),
-                                interior_margin=float(pot["interior_margin"])),
-            coupling=Coupling(kind=cpl["kind"], a=float(cpl["a"]), b=float(cpl["b"]),
-                              c=float(cpl["c"])),
+            grid=self.grid, time=self.timegrid, params=PhysParams(**raw["params"]),
+            potential=Potential(**raw["potential"]), coupling=Coupling(**raw["coupling"]),
             initial=InitialData(phi0=build_field(init["phi0"], self.grid),
                                 w0=build_field(init["w0"], self.grid)))
         self._problem.check_initial()
@@ -343,8 +343,7 @@ class ProblemConfig:
 
     def _control_pair(self, blk: dict) -> ControlPair:
         nodes = range(1, self.timegrid.nt + 1)
-        pair = ControlPair(u=build_space_time(blk.get("u", 0.0), self.grid, nodes,
-                                              self.timegrid.tau),
+        pair = ControlPair(u=build_field(blk.get("u", 0.0), self.grid, nodes, self.timegrid.tau),
                            v0=build_field(blk.get("v0", 0.0), self.grid))
         _readonly(pair.u, pair.v0)
         return pair
@@ -358,13 +357,12 @@ class ProblemConfig:
             self._cost = CostSpec(**weights)
             self._from_run = self._control_pair(blk["targets"]["from_run"])
             return
-        nt, tau = self.timegrid.nt, self.timegrid.tau
-        self._cost = CostSpec.with_zero_targets(self.grid, nt, **weights)
-        for key, spec in blk["targets"].items():
-            setattr(self._cost, key,
-                    build_space_time(spec, self.grid, range(nt + 1), tau)
-                    if key.endswith("_q") else build_field(spec, self.grid))
-        _readonly(*(getattr(self._cost, key) for key in _TARGET_KEYS))
+        nodes = range(self.timegrid.nt + 1)
+        targets = {key: build_field(blk["targets"].get(key, 0.0), self.grid,
+                                    None if terminal else nodes, self.timegrid.tau)
+                   for _, _, key, terminal in TRACKING_TERMS}
+        _readonly(*targets.values())
+        self._cost = CostSpec(**weights, **targets)
 
     # -- built pieces -------------------------------------------------------
     def problem(self) -> Problem:
@@ -394,8 +392,9 @@ class ProblemConfig:
         traj = solve_state(problem if problem is not None else self._problem, self._from_run,
                            self._solver)
         nt = self.timegrid.nt
-        return replace(self._cost, phi_q=traj.phi, w_q=traj.w, wprime_q=traj.v,
-                       phi_omega=traj.phi[nt], w_omega=traj.w[nt], wprime_omega=traj.v[nt])
+        return replace(self._cost, **{key: getattr(traj, state)[nt] if terminal
+                                      else getattr(traj, state)
+                                      for _, state, key, terminal in TRACKING_TERMS})
 
 
 def _build(raw, source: str) -> ProblemConfig:

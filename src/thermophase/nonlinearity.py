@@ -16,8 +16,8 @@ The penalized obstacle is the Moreau-Yosida envelope of the hard constraint
 the model rather than approximating it at a known rate.
 
 Logarithmic evaluations never clamp: arguments at or beyond +-1 minus the
-configured interior margin raise DomainViolation, so a separation failure in
-a run is loud instead of silently saturated.
+configured interior margin, and NaN, raise DomainViolation, so a separation
+failure in a run is loud instead of silently saturated.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ COUPLING_KINDS = (AFFINE, BOUNDED_SMOOTH)
 class Potential:
     """Convex potential gamma_hat with derivatives gamma, gamma', gamma''."""
 
-    kind: str
+    kind: str = REGULAR
     kappa: float = 1.0
     eps_pen: float = 0.1
     interior_margin: float = 1e-9
@@ -72,22 +72,20 @@ class Potential:
         return self.kind == LOGARITHMIC
 
     def contains(self, r) -> bool:
-        """True if every entry is inside (r_minus + m, r_plus - m), m = interior_margin."""
+        """True if every entry is inside (r_minus + m, r_plus - m), m = interior_margin.
+
+        min and max propagate NaN, so an array holding NaN is never inside."""
         if not self.bounded_domain:
             return bool(np.all(np.isfinite(r)))
         m = self.interior_margin
         r = np.asarray(r, dtype=float)
-        return bool(np.all(r > self.r_minus + m) and np.all(r < self.r_plus - m))
+        return bool(np.min(r) > self.r_minus + m and np.max(r) < self.r_plus - m)
 
     def _require_interior(self, r):
-        if not self.bounded_domain:
-            return
-        lo = float(np.min(r))
-        hi = float(np.max(r))
-        m = self.interior_margin
-        if lo <= self.r_minus + m or hi >= self.r_plus - m:
+        if self.bounded_domain and not self.contains(r):
+            m = self.interior_margin
             raise DomainViolation(
-                f"argument range [{lo:.12g}, {hi:.12g}] leaves "
+                f"argument range [{float(np.min(r)):.12g}, {float(np.max(r)):.12g}] leaves "
                 f"({self.r_minus + m:.12g}, {self.r_plus - m:.12g})"
             )
 
@@ -145,7 +143,7 @@ class Coupling:
     bounded_smooth: pi(r) = c tanh(r)
     """
 
-    kind: str
+    kind: str = AFFINE
     a: float = -1.0
     b: float = 0.0
     c: float = 1.0

@@ -74,9 +74,6 @@ class TimeGrid:
     def tau(self) -> float:
         return self.t_final / self.nt
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.nt + 1) * self.tau
-
 
 @dataclass
 class InitialData:

@@ -1,15 +1,19 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from thermophase import config
 from thermophase.cli import main, run_command
-from thermophase.config import parse_config, parse_config_dict
+from thermophase.config import build_field, parse_config, parse_config_dict
+from thermophase.control import AdmissibleSet, OptimizeOptions
 from thermophase.errors import NewtonDivergence, ParseError, StepError, ValidationError
-from thermophase.grid import norm
+from thermophase.grid import build_grid, norm
+from thermophase.nonlinearity import Coupling, Potential
 from thermophase.snapshots import read_field, write_field
-from thermophase.state import solve_state
+from thermophase.state import PhysParams, SolverOptions, solve_state
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -31,6 +35,51 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.problem().potential.kind == "regular"
     cpl = cfg.problem().coupling
     assert cpl.kind == "affine" and cpl.a == -1.0 and cpl.b == 0.0
+    # the config defaults are the constructors' defaults
+    assert cfg.problem().params == PhysParams()
+    assert cfg.problem().potential == Potential()
+    assert cfg.problem().coupling == Coupling()
+    assert cfg.solver_options() == SolverOptions()
+    assert cfg.optimize_options() == OptimizeOptions()
+    adm, default = cfg.admissible_set(), AdmissibleSet()
+    assert all(getattr(adm, f.name) == getattr(default, f.name) for f in fields(AdmissibleSet))
+
+
+def test_field_builder_matches_per_node_builds(tmp_path, rng):
+    grid, tau, nodes = build_grid(1.5, 1.0, 12, 8), 0.03, range(1, 6)
+    snap = str(tmp_path / "f.cgw")
+    write_field(snap, rng.standard_normal(grid.shape))
+    x, y = grid.cell_centers()
+    mode = np.cos(2.0 * np.pi * x / grid.lx) * np.cos(1.0 * np.pi * y / grid.ly)
+    per_node = {
+        "cosine": lambda t: 0.25 + 0.7 * (1.0 + -1.5 * t) * mode,
+        "const": lambda t: np.full(grid.shape, -0.375),
+        "snapshot": lambda t: read_field(snap),
+    }
+    specs = {"cosine": {"cosine": {"amplitude": 0.7, "kx": 2, "offset": 0.25, "ramp": -1.5}},
+             "const": {"const": -0.375}, "snapshot": {"snapshot": snap}}
+    for key, spec in specs.items():
+        built = build_field(spec, grid, nodes, tau)
+        assert built.shape == (len(nodes),) + grid.shape
+        for i, n in enumerate(nodes):
+            assert np.array_equal(built[i], per_node[key](n * tau)), (key, n)
+            assert np.array_equal(built[i], build_field(spec, grid, [n], tau)[0]), (key, n)
+        assert np.array_equal(build_field(spec, grid), per_node[key](0.0)), key
+
+
+def test_space_time_snapshot_is_read_once(tmp_path, rng, monkeypatch):
+    snap = str(tmp_path / "u.cgw")
+    write_field(snap, rng.standard_normal((8, 8)))
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_field(path)
+
+    monkeypatch.setattr(config, "read_field", counting_read)
+    cfg = parse_config_dict({**MINIMAL, "control": {"u": {"snapshot": snap}}})
+    assert reads == [snap]
+    assert np.array_equal(cfg.control().u, np.stack([read_field(snap)] * 4))
 
 
 def test_malformed_json_is_parse_error(tmp_path):
@@ -326,6 +375,14 @@ def test_convergence_driver_solver_orders(tmp_path):
     assert values["spatial_order"].passed and values["spatial_order"].value >= 1.9
     assert values["temporal_order"].passed and values["temporal_order"].value >= 0.9
     assert rep.code == 0
+
+
+@pytest.mark.parametrize("lap_levels", [[32, 128], [16, 48]])
+def test_laplacian_order_uses_the_level_ratio(tmp_path, lap_levels):
+    cfg = parse_config_dict({**MINIMAL, "convergence": {"lap_levels": lap_levels}})
+    rep = run_command("convergence", cfg, out_dir=str(tmp_path / "conv"))
+    order = {c.name: c.value for c in rep.criteria}["laplacian_order"]
+    assert abs(order - 2.0) <= 0.05
 
 
 def test_optimize_control_snapshots_roundtrip_as_config_input(tmp_path):

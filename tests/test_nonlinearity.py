@@ -51,6 +51,13 @@ def test_logarithmic_domain_violation_is_loud():
         pot.gamma(np.array([0.0, -1.0 + 1e-12]))
 
 
+@pytest.mark.parametrize("method", ["gamma_hat", "gamma", "dgamma", "d2gamma"])
+def test_logarithmic_rejects_nan(method):
+    pot = Potential("logarithmic")
+    with pytest.raises(DomainViolation, match="leaves"):
+        getattr(pot, method)(np.array([0.1, np.nan]))
+
+
 def test_affine_coupling_values():
     cpl = Coupling("affine", a=-1.0, b=0.0)
     assert cpl.pi_hat(2.0) == pytest.approx(-2.0)
