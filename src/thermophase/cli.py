@@ -28,7 +28,7 @@ from .control import ControlPair, ReducedProblem, optimize, u_inner, u_norm, v0_
 from .errors import ParseError, ThermophaseError, ValidationError
 from .grid import build_grid, inner, laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
-                          tangent_solve, tangent_transpose)
+                          array_seed, tangent_solve, tangent_transpose)
 from .snapshots import persist_trajectory, write_field
 from .state import solve_state, run_diagnostics, trajectory_difference_norm
 
@@ -243,7 +243,7 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         weta = rng.standard_normal(base.phi.shape)
         wth = rng.standard_normal(base.phi.shape)
         lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
-        sweep = tangent_transpose(base, problem, wxi, weta, wth, opts)
+        sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth), opts)
         lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                           + np.sum(wth * lin.eta_t))
         rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
@@ -273,8 +273,10 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
             gap = 0.0 if num == 0.0 else num / den
             gaps.append(gap)
             # observed order in tau = t_final / nt; none between equal time steps
+            # or when either gap is zero (a cost with no tracking weight)
             order = (math.log2(gaps[i - 1] / gap) / math.log2(nt / levels[i - 1][1])
-                     if i > 0 and nt != levels[i - 1][1] else math.nan)
+                     if i > 0 and nt != levels[i - 1][1] and gap > 0.0 and gaps[i - 1] > 0.0
+                     else math.nan)
             gap_rows.append((nx, nt, lproblem.time.tau, gap, order))
             if i == len(levels) - 1:
                 stride = cfg.raw["output"]["snapshot_stride"]
@@ -334,7 +336,8 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
                                         js[0] / float(blk["recovery_factor"])))
     return criteria, [f"optimizer converged={_fmt(report.converged)} reason={report.reason} "
                       f"iters={len(report.iterates) - 1} "
-                      f"forward_solves={report.forward_solves} gradients={report.gradients}"]
+                      f"forward_solves={report.forward_solves} gradients={report.gradients} "
+                      f"hessian_products={report.hessian_products}"]
 
 
 def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:

@@ -1,4 +1,4 @@
-"""Tracking cost, reduced gradient, admissibility projection, projected gradient.
+"""Tracking cost, reduced gradient and Hessian, admissibility projection, projected Newton.
 
 The control pair is a distributed heat source u, sampled at the step
 endpoints t_1..t_nt and applied implicitly, plus the initial temperature v0.
@@ -10,6 +10,12 @@ penalties:
 
 so that <g_u, h>_L2(Q) + <g_v, h0>_V is the exact directional derivative of
 the discrete reduced cost.
+
+The Gauss-Newton Hessian applies the same representatives to the second
+derivative of the tracking terms with the state linearized: a tangent sweep
+along the direction, a transpose sweep seeded by the tracking terms applied
+to that tangent, plus the penalties nu1 d_u and nu2 d_v.  The optimizer is
+projected Newton on the boxes with these products in truncated CG.
 
 Projection onto the admissible set clamps u pointwise (the exact L2(Q)
 projection).  For v0 the exact projection in the V metric would be an
@@ -31,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, BallProjectionStall, LineSearchFailure, ShapeMismatch
-from .grid import Field, GridSpec, inner, riesz_v
-from .sensitivity import TRACKING_TERMS, adjoint_solve_discrete, trapezoid_weights
+from .grid import Field, GridSpec, inner, laplacian_neumann, riesz_v
+from .sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_discrete, tangent_solve,
+                          tangent_transpose, tracking_seeds, trapezoid_weights)
 from .state import Problem, SolverOptions, StateTrajectory, TimeGrid, _check_ranges, solve_state
 
 
@@ -90,14 +97,6 @@ class CostSpec:
             raise BadParameter("C2: cost weights must be nonnegative and finite")
         if not any(w > 0.0 for w in weights):
             raise BadParameter("C2: cost weights must not all be zero")
-
-    @staticmethod
-    def with_zero_targets(grid: GridSpec, nt: int, **weights) -> "CostSpec":
-        st = np.zeros((nt + 1, grid.ny, grid.nx))
-        sp = grid.zeros()
-        return CostSpec(phi_q=st.copy(), w_q=st.copy(), wprime_q=st.copy(),
-                        phi_omega=sp.copy(), w_omega=sp.copy(), wprime_omega=sp.copy(),
-                        **weights)
 
 
 @dataclass
@@ -195,9 +194,9 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
 
 
 class ReducedProblem:
-    """Reduced cost and gradient with a one-deep trajectory cache.
+    """Reduced cost, gradient and Gauss-Newton Hessian with a one-deep trajectory cache.
 
-    Counts its forward solves (cache misses) and its gradients.
+    Counts its forward solves (cache misses), gradients and Hessian products.
     """
 
     def __init__(self, problem: Problem, cost: CostSpec, opts: SolverOptions = SolverOptions()):
@@ -208,6 +207,7 @@ class ReducedProblem:
         self._cache_traj = None
         self.forward_solves = 0
         self.gradients = 0
+        self.hessian_products = 0
 
     def _key(self, control: ControlPair):
         return (control.u.tobytes(), control.v0.tobytes())
@@ -231,6 +231,26 @@ class ReducedProblem:
         g_u = seeds.u + self.cost_spec.nu1 * control.u
         g_v = self.cost_spec.nu2 * control.v0 + riesz_v(self.problem.grid, seeds.v0)
         return GradientPair(g_u=g_u, g_v=g_v)
+
+    def hessian_vector(self, control: ControlPair, d: ControlPair) -> GradientPair:
+        """Gauss-Newton Hessian of the reduced cost at ``control`` applied to ``d``.
+
+        A tangent sweep along d and a transpose sweep seeded by the tracking
+        terms applied to that tangent, both on the cached trajectory, plus the
+        penalties: (h_bar/tau + nu1 d_u) is the L2(Q) representative and
+        (nu2 d_v + riesz_v(h0_bar)) the V representative, as in ``gradient``.
+        It never solves the state: ``control`` must be the last control solved.
+        """
+        if self._key(control) != self._cache_key:
+            raise BadParameter("hessian_vector needs the cached trajectory of its control")
+        traj, tau = self._cache_traj, self.problem.time.tau
+        lin = tangent_solve(traj, self.problem, Perturbation(d.u, d.v0), self.opts)
+        seed = tracking_seeds(self.cost_spec, lin.xi, lin.eta, lin.eta_t, tau, targets=False)
+        sweep = tangent_transpose(traj, self.problem, seed, self.opts)
+        self.hessian_products += 1
+        return GradientPair(g_u=sweep.h_bar / tau + self.cost_spec.nu1 * d.u,
+                            g_v=self.cost_spec.nu2 * d.v0
+                            + riesz_v(self.problem.grid, sweep.h0_bar))
 
 
 def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec) -> ControlPair:
@@ -373,6 +393,7 @@ class OptimizeReport:
     reason: str
     forward_solves: int
     gradients: int
+    hessian_products: int
 
     @property
     def j_history(self) -> list[float]:
@@ -390,7 +411,7 @@ def _feasible_flags(control, aset, grid):
 
 def _bb_step(grid: GridSpec, tau: float, x: ControlPair, x_new: ControlPair,
              g: GradientPair, g_new: GradientPair, accepted: float) -> float:
-    """First trial step after an accepted one: the short Barzilai-Borwein quotient.
+    """First trial step of a gradient step after an accepted one: the short BB quotient.
 
     With s = x_new - x and y = g_new - g, returns <s,y>/<y,y> in the control
     metric (L2(Q) for u, V for v0), or twice the accepted step when <s,y> <= 0
@@ -405,14 +426,80 @@ def _bb_step(grid: GridSpec, tau: float, x: ControlPair, x_new: ControlPair,
     return 2.0 * accepted
 
 
+def _newton_cg(rp: ReducedProblem, x: ControlPair, g: GradientPair, free_u: np.ndarray,
+               free_v: np.ndarray) -> ControlPair | None:
+    """Truncated CG for the Gauss-Newton step H d = -g on the free entries.
+
+    CG runs in the control metric on the directions that vanish on the active
+    entries.  Residuals are kept as L2 representatives masked to the free
+    entries; the u part is its own L2(Q) representative, and the v0 part is
+    lifted by the masked V-Riesz map, which makes this plain CG in V when no
+    v0 entry is active.
+
+    CG stops once the residual is at most eta ||g_F||, with the forcing term
+    eta = min(0.5, sqrt(||g_F||)) (Eisenstat-Walker), after 50 iterations, or
+    at non-positive curvature, where it returns the step so far, or None on
+    the first iteration (Steihaug).
+    """
+    max_inner = 50
+    grid, tau = rp.problem.grid, rp.problem.time.tau
+
+    def residual(h_u, h_v):
+        return (np.where(free_u, h_u, 0.0),
+                np.where(free_v, h_v - laplacian_neumann(grid, h_v), 0.0))
+
+    def lift(r_v):
+        return np.where(free_v, riesz_v(grid, r_v), 0.0)
+
+    r_u, r_v = residual(-g.g_u, -g.g_v)
+    z_v = lift(r_v)
+    rz = u_inner(grid, tau, r_u, r_u) + inner(grid, r_v, z_v)
+    d_u, d_v = np.zeros_like(x.u), np.zeros_like(x.v0)
+    if not rz > 0.0:
+        return ControlPair(d_u, d_v)
+    g_free = math.sqrt(rz)
+    stop = min(0.5, math.sqrt(g_free)) * g_free
+    p_u, p_v = r_u, z_v
+    for k in range(max_inner):
+        hp = rp.hessian_vector(x, ControlPair(p_u, p_v))
+        curv = u_inner(grid, tau, p_u, hp.g_u) + v0_inner(grid, p_v, hp.g_v)
+        if not curv > 0.0:
+            if k == 0:
+                return None
+            break
+        alpha = rz / curv
+        d_u += alpha * p_u
+        d_v += alpha * p_v
+        h_u, h_v = residual(hp.g_u, hp.g_v)
+        r_u, r_v = r_u - alpha * h_u, r_v - alpha * h_v
+        z_v = lift(r_v)
+        rz_new = u_inner(grid, tau, r_u, r_u) + inner(grid, r_v, z_v)
+        if math.sqrt(max(rz_new, 0.0)) <= stop:
+            break
+        p_u = r_u + (rz_new / rz) * p_u
+        p_v = z_v + (rz_new / rz) * p_v
+        rz = rz_new
+    return ControlPair(d_u, d_v)
+
+
+def _active(x: np.ndarray, g: np.ndarray, lo, hi, eps: float) -> np.ndarray:
+    """Entries within eps of a bound that the gradient step pushes onto it."""
+    return ((x <= np.asarray(lo) + eps) & (g > 0.0)) | ((x >= np.asarray(hi) - eps) & (g < 0.0))
+
+
 def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: ControlPair,
              opts: OptimizeOptions = OptimizeOptions()) -> OptimizeReport:
-    """Projected gradient with Armijo backtracking; every iterate feasible.
+    """Projected Gauss-Newton-CG with Armijo backtracking; every iterate feasible.
 
-    The first trial step is 1/||g0||; after each accepted step it is the
-    Barzilai-Borwein quotient of that step (_bb_step).  Armijo accepts a
-    trial with J(trial) <= J + 1e-4 <g, trial - x>, halving the step up to 60
-    times.  Stops when the stationarity residual (at unit step scale) falls
+    Each iteration takes the eps-active set of the u and v0 boxes, with eps
+    the current stationarity residual (Bertsekas' projected Newton).  The
+    direction is the truncated-CG Gauss-Newton step on the free entries
+    (_newton_cg) and -g on the active ones.  Armijo searches the projected
+    path P(x + s d) from s = 1, accepting J(trial) <= J + 1e-4 <g, trial - x>
+    and halving s up to 60 times.  When CG meets non-positive curvature on
+    its first iteration, the direction is -g and s starts at the
+    Barzilai-Borwein quotient of the last accepted step (_bb_step; 1 before
+    any).  Stops when the stationarity residual (at unit step scale) falls
     below the tolerance or after max_iters.  Emits per-iterate certificates
     (stationarity, projection formula defect where nu1 > 0, sampled
     variational inequality).
@@ -424,8 +511,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     x = project_admissible(init, aset, grid)
     j = rp.cost(x)
     g = rp.gradient(x)
-    gnorm = math.sqrt(u_norm(grid, tau, g.g_u) ** 2 + v0_norm(grid, g.g_v) ** 2)
-    step = 1.0 / max(gnorm, 1e-12)
+    bb_step = 1.0
 
     records: list[IterateRecord] = []
     converged = False
@@ -448,12 +534,18 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         if it == opts.max_iters:
             break
 
-        s = step
+        active_u = _active(x.u, g.g_u, aset.u_lo, aset.u_hi, stat)
+        active_v = _active(x.v0, g.g_v, aset.v_lo, aset.v_hi, stat)
+        newton = _newton_cg(rp, x, g, ~active_u, ~active_v)
+        if newton is None:
+            d, s = ControlPair(-g.g_u, -g.g_v), bb_step
+        else:
+            d, s = ControlPair(np.where(active_u, -g.g_u, newton.u),
+                               np.where(active_v, -g.g_v, newton.v0)), 1.0
         accepted = False
         backtracks = 0
         for backtracks in range(max_backtracks + 1):
-            trial = project_admissible(
-                ControlPair(x.u - s * g.g_u, x.v0 - s * g.g_v), aset, grid)
+            trial = project_admissible(ControlPair(x.u + s * d.u, x.v0 + s * d.v0), aset, grid)
             pred = (u_inner(grid, tau, g.g_u, trial.u - x.u)
                     + v0_inner(grid, g.g_v, trial.v0 - x.v0))
             move = u_norm(grid, tau, trial.u - x.u) + v0_norm(grid, trial.v0 - x.v0)
@@ -474,7 +566,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
                 f"no Armijo decrease after {max_backtracks} backtracks "
                 f"(iteration {it}, stationarity {stat:.3e})")
         g_new = rp.gradient(trial)
-        step = _bb_step(grid, tau, x, trial, g, g_new, s)
+        bb_step = _bb_step(grid, tau, x, trial, g, g_new, s)
         x, j, g = trial, j_trial, g_new
         last_step, last_bt = s, backtracks
 
@@ -490,4 +582,5 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     )
     return OptimizeReport(iterates=records, final=x, certificates=certs,
                           converged=converged, reason=reason,
-                          forward_solves=rp.forward_solves, gradients=rp.gradients)
+                          forward_solves=rp.forward_solves, gradients=rp.gradients,
+                          hessian_products=rp.hessian_products)

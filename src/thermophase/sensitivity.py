@@ -6,7 +6,10 @@ Two routes to the same gradient, on purpose:
   scheme to a control perturbation, and ``tangent_transpose`` applies the
   transpose of every linear map in it, in reverse order.  Built on top of
   these, ``adjoint_solve_discrete`` returns machine-accurate gradient seeds
-  for the discrete cost (engineering truth).
+  for the discrete cost (engineering truth).  The reverse sweep takes its
+  cotangents node by node from a seed; ``tracking_seeds`` builds it from the
+  trajectory misfit (the gradient) or from a tangent (the Gauss-Newton
+  Hessian product).
 * ``adjoint_solve_continuous`` discretizes the backward-in-time adjoint
   system itself, with a semi-implicit scheme mirroring the forward one
   (scientific fidelity).  Its gradient agrees with the discrete one only up
@@ -21,11 +24,11 @@ rectangle rule out[n] = out[n+1] + tau * g[n+1], with out[nt] = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .grid import GridSpec, laplacian_neumann
+from .grid import laplacian_neumann
 from .state import Problem, SolverOptions, StateTrajectory, _phi_solver, _thermal_solve
 
 if TYPE_CHECKING:
@@ -175,77 +178,95 @@ class TransposeResult:
     p_like: np.ndarray
 
 
-def tangent_transpose(base: StateTrajectory, problem: Problem,
-                      xi_bar, eta_bar, eta_t_bar,
+# A per-node seed: seed(n) returns fresh cotangent fields (xi_bar, eta_bar,
+# eta_t_bar) of node n, which the reverse sweep accumulates into in place.
+Seed = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def array_seed(problem: Problem, xi_bar, eta_bar, eta_t_bar) -> Seed:
+    """Seed reading node n of three cotangent arrays of shape (nt+1, ny, nx)."""
+    shape = (problem.time.nt + 1, *problem.grid.shape)
+    arrays = [np.asarray(a, dtype=float) for a in (xi_bar, eta_bar, eta_t_bar)]
+    for arr, name in zip(arrays, ("xi_bar", "eta_bar", "eta_t_bar")):
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return lambda n: tuple(a[n].copy() for a in arrays)
+
+
+def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
                       opts=SolverOptions()) -> TransposeResult:
     """Transpose of ``tangent_solve`` against the L2 pairing at every node.
 
-    Inputs are cotangent fields of shape (nt+1, ny, nx): the result satisfies
+    ``seed(n)`` gives the cotangent fields of node n; the result satisfies
 
       sum_n <xi_bar[n], xi[n]> + <eta_bar[n], eta[n]> + <eta_t_bar[n], eta_t[n]>
         = sum_n <h_bar[n-1], h[n-1-th entry]> + <h0_bar, h0>
 
     exactly (up to the phase CG tolerance) for every perturbation, because
     every linear map in the forward sweep is L2-self-adjoint and is reapplied
-    here in reverse order.
+    here in reverse order.  Only the cotangents of nodes n and n+1 are held.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
     beta = problem.params.beta
     pi_of = problem.coupling.pi
 
-    X = np.array(xi_bar, dtype=float, copy=True)
-    E = np.array(eta_bar, dtype=float, copy=True)
-    Th = np.array(eta_t_bar, dtype=float, copy=True)
-    for arr, name in ((X, "xi_bar"), (E, "eta_bar"), (Th, "eta_t_bar")):
-        if arr.shape != (nt + 1, grid.ny, grid.nx):
-            raise ValueError(f"{name} has shape {arr.shape}, expected {(nt + 1, grid.ny, grid.nx)}")
-
     h_bar = np.zeros((nt, grid.ny, grid.nx))
     p_like = np.zeros((nt + 1, grid.ny, grid.nx))
+    X1, E1, Th1 = seed(nt)
     pi_np1 = pi_of(base.phi[nt])
     for n in range(nt - 1, -1, -1):
+        X, E, Th = seed(n)
         # transpose of eta_{n+1} = eta_n + tau eta_t_{n+1}
-        Th[n + 1] += tau * E[n + 1]
-        E[n] += E[n + 1]
+        Th1 += tau * E1
+        E += E1
         # transpose of the thermal solve
-        rv_bar = _thermal_solve(grid, problem.params, tau, Th[n + 1])
-        Th[n] += rv_bar / tau
-        E[n] += beta * laplacian_neumann(grid, rv_bar)
+        rv_bar = _thermal_solve(grid, problem.params, tau, Th1)
+        Th += rv_bar / tau
+        E += beta * laplacian_neumann(grid, rv_bar)
         pi_n = pi_of(base.phi[n])
-        X[n + 1] -= pi_np1 * rv_bar / tau
-        X[n] += pi_n * rv_bar / tau
+        X1 -= pi_np1 * rv_bar / tau
+        X += pi_n * rv_bar / tau
         h_bar[n] = rv_bar
-        # transpose of the phase solve (after X[n+1] is complete)
-        rphi_bar = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], X[n + 1], opts).x
+        # transpose of the phase solve (after X1 is complete)
+        rphi_bar = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], X1, opts).x
         p_like[n + 1] = rphi_bar / tau
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
-        X[n] += rphi_bar / tau + c1 * rphi_bar
-        Th[n] += c2 * rphi_bar
-        pi_np1 = pi_n
+        X += rphi_bar / tau + c1 * rphi_bar
+        Th += c2 * rphi_bar
+        X1, E1, Th1, pi_np1 = X, E, Th, pi_n
     p_like[0] = p_like[1]
-    return TransposeResult(h_bar=h_bar, h0_bar=Th[0], p_like=p_like)
+    return TransposeResult(h_bar=h_bar, h0_bar=Th1, p_like=p_like)
 
 
-def tracking_seeds(base: StateTrajectory, cost: "CostSpec", grid: GridSpec, nt: int,
-                   tau: float):
-    """L2-representative derivatives of the tracking cost at every node.
+def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True) -> Seed:
+    """Per-node L2-representative derivative of the tracking cost, for ``tangent_transpose``.
 
-    Returns (a_phi, a_w, a_v), each (nt+1, ny, nx): trapezoid weights on the
-    time-distributed terms, terminal terms at node nt.  Control penalties are
+    Seeds the fields (phi, w, v), each (nt+1, ny, nx), with the TRACKING_TERMS
+    table: trapezoid weights on the time-distributed terms, terminal terms at
+    node nt.  With ``targets`` the fields are a trajectory and the seed is its
+    misfit (the gradient); without, they are a tangent and the seed is the
+    Gauss-Newton quadratic's (the Hessian product).  Control penalties are
     not included.
     """
-    w = trapezoid_weights(nt, tau)[:, None, None]
-    seeds = {state: np.zeros((nt + 1, grid.ny, grid.nx)) for state in ("phi", "w", "v")}
-    for weight, state, target, terminal in TRACKING_TERMS:
-        k = getattr(cost, weight)
-        if k > 0.0:
-            x = getattr(base, state)
+    fields = {"phi": phi, "w": w, "v": v}
+    nt = phi.shape[0] - 1
+    wts = trapezoid_weights(nt, tau)
+    terms = [(state, getattr(cost, weight), fields[state],
+              getattr(cost, target) if targets else None, terminal)
+             for weight, state, target, terminal in TRACKING_TERMS if getattr(cost, weight) > 0.0]
+
+    def seed(n):
+        out = {state: np.zeros(phi.shape[1:]) for state in fields}
+        for state, k, x, target, terminal in terms:
             if terminal:
-                seeds[state][nt] += k * (x[nt] - getattr(cost, target))
+                if n == nt:
+                    out[state] += k * (x[nt] if target is None else x[nt] - target)
             else:
-                seeds[state] += k * w * (x - getattr(cost, target))
-    return seeds["phi"], seeds["w"], seeds["v"]
+                out[state] += k * wts[n] * (x[n] if target is None else x[n] - target[n])
+        return out["phi"], out["w"], out["v"]
+
+    return seed
 
 
 def adjoint_solve_discrete(base: StateTrajectory, problem: Problem, cost: "CostSpec",
@@ -255,10 +276,10 @@ def adjoint_solve_discrete(base: StateTrajectory, problem: Problem, cost: "CostS
     Returns (GradientSeeds, TransposeResult).  The seeds are exact for the
     discrete reduced cost: dJ_tracking = <seeds.u, h>_L2(Q) + <seeds.v0, h0>_L2.
     """
-    grid, tg = problem.grid, problem.time
-    a_phi, a_w, a_v = tracking_seeds(base, cost, grid, tg.nt, tg.tau)
-    sweep = tangent_transpose(base, problem, a_phi, a_w, a_v, opts)
-    seeds = GradientSeeds(u=sweep.h_bar / tg.tau, v0=sweep.h0_bar)
+    tau = problem.time.tau
+    sweep = tangent_transpose(base, problem, tracking_seeds(cost, base.phi, base.w, base.v, tau),
+                              opts)
+    seeds = GradientSeeds(u=sweep.h_bar / tau, v0=sweep.h0_bar)
     return seeds, sweep
 
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from thermophase.control import ControlPair
+from thermophase.control import ControlPair, CostSpec
 from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import InitialData, PhysParams, Problem, TimeGrid
@@ -34,6 +34,14 @@ def smooth_control(problem, u_amp=0.5, v0_amp=0.3):
     u = u_amp * (np.cos(np.pi * x) * np.cos(np.pi * y))[None, :, :] * (1.0 + t)[:, None, None]
     v0 = v0_amp * np.cos(np.pi * y)
     return ControlPair(u, v0)
+
+
+def zero_target_cost(grid, nt, **weights):
+    """CostSpec with the given weights and every tracking target zero."""
+    st = np.zeros((nt + 1, grid.ny, grid.nx))
+    return CostSpec(phi_q=st.copy(), w_q=st.copy(), wprime_q=st.copy(),
+                    phi_omega=grid.zeros(), w_omega=grid.zeros(), wprime_omega=grid.zeros(),
+                    **weights)
 
 
 @pytest.fixture

@@ -11,14 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import zero_target_cost
 from oracles import scalar_forward
 
 from thermophase.cli import run_command
 from thermophase.config import parse_config_dict
-from thermophase.control import AdmissibleSet, ControlPair, CostSpec, OptimizeOptions, optimize
+from thermophase.control import AdmissibleSet, ControlPair, OptimizeOptions, optimize
 from thermophase.grid import build_grid, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
-from thermophase.sensitivity import Perturbation, tangent_solve, tangent_transpose
+from thermophase.sensitivity import Perturbation, array_seed, tangent_solve, tangent_transpose
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
                                run_diagnostics, solve_state)
 
@@ -187,7 +188,8 @@ def test_criterion_06_dot_test_matrix():
                 weta = rng.standard_normal(base.phi.shape)
                 wth = rng.standard_normal(base.phi.shape)
                 lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
-                sweep = tangent_transpose(base, problem, wxi, weta, wth, opts)
+                sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth),
+                                           opts)
                 lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                                   + np.sum(wth * lin.eta_t))
                 rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
@@ -264,7 +266,7 @@ def test_criterion_10_target_recovery():
     u_true = 0.5 * (np.cos(np.pi * x) * np.cos(np.pi * y))[None] * (1 + t)[:, None, None]
     v0_true = 0.4 * np.cos(np.pi * y)
     traj = solve_state(problem, ControlPair(u_true, v0_true))
-    cost = CostSpec.with_zero_targets(grid, tg.nt, k1=1.0, k2=1.0, k5=1.0, k6=1.0, nu1=1e-4)
+    cost = zero_target_cost(grid, tg.nt, k1=1.0, k2=1.0, k5=1.0, k6=1.0, nu1=1e-4)
     cost.phi_q = traj.phi.copy()
     cost.wprime_q = traj.v.copy()
     cost.phi_omega = traj.phi[-1].copy()
@@ -274,10 +276,13 @@ def test_criterion_10_target_recovery():
     report = optimize(problem, cost, aset, ControlPair.zeros(grid, tg.nt), opts)
     js = report.j_history
     monotone = all(js[i + 1] <= js[i] for i in range(len(js) - 1))
-    ok = js[-1] <= js[0] / 10.0 and monotone and len(js) <= 201
+    stat = report.certificates.stationarity
+    ok = (js[-1] <= js[0] / 10.0 and monotone and len(js) <= 201
+          and report.converged and stat <= 1e-9)
     _report(10, "target_recovery", ok,
             f"J0={js[0]:.3e} Jfinal={js[-1]:.3e} ratio={js[0] / js[-1]:.1f} "
-            f"iters={len(js) - 1} monotone={monotone}")
+            f"iters={len(js) - 1} monotone={monotone} converged={report.converged} "
+            f"stationarity={stat:.2e}")
 
 
 # ---------------------------------------------------------------------------

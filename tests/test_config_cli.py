@@ -287,6 +287,7 @@ def test_optimize_recovery_converges_within_iteration_budget(tmp_path):
     assert int(work["gradients"]) == iters + 1
     backtracks = sum(int(row.split(",")[4]) for row in rows)
     assert int(work["forward_solves"]) <= 1 + iters + backtracks
+    assert int(work["hessian_products"]) >= iters
 
 
 def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
@@ -427,3 +428,13 @@ def test_adjoint_test_zero_tracking_writes_zero_snapshots(tmp_path):
     assert snaps
     for snap in snaps:
         assert np.max(np.abs(read_field(str(snap)))) == 0.0
+
+
+def test_adjoint_test_zero_gaps_give_nan_order(tmp_path, capsys):
+    # no tracking weight: every gap is 0, so no order can be observed between levels
+    path = _write(tmp_path, {**MINIMAL, "control": {"u": 0.2, "v0": 0.1}, "cost": {"nu2": 1.0},
+                             "adjoint_test": {"n_trials": 2, "levels": [[8, 4], [16, 8]]}})
+    assert main(["adjoint_test", "--config", path, "--out", str(tmp_path / "adj")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "adj" / "gap.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3:] for row in rows] == [["0.0", "nan"], ["0.0", "nan"]]

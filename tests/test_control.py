@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import small_problem, smooth_control
+from conftest import small_problem, smooth_control, zero_target_cost
 
-from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, GradientPair,
+from thermophase.control import (AdmissibleSet, ControlPair, GradientPair,
                                  OptimizeOptions, ReducedProblem, _bb_step, check_vi,
                                  clamp_formula_residual, cost_eval, optimize,
-                                 project_admissible, stationarity_residual, u_norm, v0_norm)
+                                 project_admissible, stationarity_residual, u_inner, u_norm,
+                                 v0_inner, v0_norm)
 from thermophase.errors import BadParameter
 from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
@@ -24,7 +27,7 @@ def test_cost_zero_when_trajectory_hits_targets():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=1.0, nt=4)
     traj = _manual_traj(g, tg.nt, phi=0.3, w=0.2, v=0.1, tau=tg.tau)
-    cost = CostSpec.with_zero_targets(g, tg.nt, k1=1, k2=1, k3=1, k4=1, k5=1, k6=1)
+    cost = zero_target_cost(g, tg.nt, k1=1, k2=1, k3=1, k4=1, k5=1, k6=1)
     cost.phi_q += 0.3
     cost.w_q += 0.2
     cost.wprime_q += 0.1
@@ -39,7 +42,7 @@ def test_cost_unit_control_penalty():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=1.0, nt=8)
     traj = _manual_traj(g, tg.nt, tau=tg.tau)
-    cost = CostSpec.with_zero_targets(g, tg.nt, nu1=1.0)
+    cost = zero_target_cost(g, tg.nt, nu1=1.0)
     ctrl = ControlPair(np.ones((tg.nt, *g.shape)), g.zeros())
     assert cost_eval(traj, ctrl, cost, g, tg) == pytest.approx(0.5, abs=1e-14)
 
@@ -48,7 +51,7 @@ def test_cost_terminal_phase_term():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=1.0, nt=4)
     traj = _manual_traj(g, tg.nt, phi=1.0, tau=tg.tau)
-    cost = CostSpec.with_zero_targets(g, tg.nt, k2=1.0)
+    cost = zero_target_cost(g, tg.nt, k2=1.0)
     assert cost_eval(traj, ControlPair.zeros(g, tg.nt), cost, g, tg) \
         == pytest.approx(0.5, abs=1e-14)
 
@@ -60,8 +63,7 @@ def test_cost_invariant_under_grid_symmetry(rng):
     traj = StateTrajectory(phi=rng.standard_normal((6, 8, 8)),
                            w=rng.standard_normal((6, 8, 8)),
                            v=rng.standard_normal((6, 8, 8)), tau=tg.tau)
-    cost = CostSpec.with_zero_targets(g, tg.nt, k1=1, k3=0.5, k5=0.25, k6=1,
-                                      nu1=1e-2, nu2=1e-2)
+    cost = zero_target_cost(g, tg.nt, k1=1, k3=0.5, k5=0.25, k6=1, nu1=1e-2, nu2=1e-2)
     cost.phi_q = rng.standard_normal((6, 8, 8))
     ctrl = ControlPair(rng.standard_normal((5, 8, 8)), rng.standard_normal((8, 8)))
     j1 = cost_eval(traj, ctrl, cost, g, tg)
@@ -70,8 +72,7 @@ def test_cost_invariant_under_grid_symmetry(rng):
         return np.ascontiguousarray(a[..., ::-1, ::-1])
 
     traj2 = StateTrajectory(phi=rot(traj.phi), w=rot(traj.w), v=rot(traj.v), tau=tg.tau)
-    cost2 = CostSpec.with_zero_targets(g, tg.nt, k1=1, k3=0.5, k5=0.25, k6=1,
-                                       nu1=1e-2, nu2=1e-2)
+    cost2 = zero_target_cost(g, tg.nt, k1=1, k3=0.5, k5=0.25, k6=1, nu1=1e-2, nu2=1e-2)
     cost2.phi_q = rot(cost.phi_q)
     ctrl2 = ControlPair(rot(ctrl.u), rot(ctrl.v0))
     j2 = cost_eval(traj2, ctrl2, cost2, g, tg)
@@ -81,16 +82,16 @@ def test_cost_invariant_under_grid_symmetry(rng):
 def test_cost_spec_rejects_all_zero_weights():
     g = build_grid(1, 1, 8, 8)
     with pytest.raises(BadParameter):
-        CostSpec.with_zero_targets(g, 4)
+        zero_target_cost(g, 4)
     with pytest.raises(BadParameter):
-        CostSpec.with_zero_targets(g, 4, k1=-1.0)
+        zero_target_cost(g, 4, k1=-1.0)
 
 
 def test_reduced_cost_consistency_and_monotone_nu1():
     problem = small_problem(nx=10, nt=6)
     ctrl = smooth_control(problem)
-    cost1 = CostSpec.with_zero_targets(problem.grid, problem.time.nt, k1=1.0, nu1=1.0)
-    cost2 = CostSpec.with_zero_targets(problem.grid, problem.time.nt, k1=1.0, nu1=2.0)
+    cost1 = zero_target_cost(problem.grid, problem.time.nt, k1=1.0, nu1=1.0)
+    cost2 = zero_target_cost(problem.grid, problem.time.nt, k1=1.0, nu1=2.0)
     rp = ReducedProblem(problem, cost1)
     j = rp.cost(ctrl)
     assert j == cost_eval(rp.state(ctrl), ctrl, cost1, problem.grid, problem.time)
@@ -100,7 +101,7 @@ def test_reduced_cost_consistency_and_monotone_nu1():
 def test_reduced_cost_bit_reproducible():
     problem = small_problem(nx=10, nt=6)
     ctrl = smooth_control(problem)
-    cost = CostSpec.with_zero_targets(problem.grid, problem.time.nt, k1=1.0, k5=0.5, nu1=1e-3)
+    cost = zero_target_cost(problem.grid, problem.time.nt, k1=1.0, k5=0.5, nu1=1e-3)
     j1 = ReducedProblem(problem, cost).cost(ctrl)
     j2 = ReducedProblem(problem, cost).cost(ctrl)
     assert j1 == j2
@@ -110,7 +111,7 @@ def test_gradient_assembly_zero_seeds():
     # zero tracking weights leave only the penalty parts of the gradient
     problem = small_problem(nx=10, nt=6)
     ctrl = smooth_control(problem)
-    cost = CostSpec.with_zero_targets(problem.grid, problem.time.nt, nu1=0.1)
+    cost = zero_target_cost(problem.grid, problem.time.nt, nu1=0.1)
     g = ReducedProblem(problem, cost).gradient(ctrl)
     assert np.allclose(g.g_u, 0.1 * ctrl.u, rtol=0, atol=1e-15)
     assert np.max(np.abs(g.g_v)) <= 1e-12
@@ -232,7 +233,7 @@ def _convex_reference():
                       InitialData(0.2 * np.cos(np.pi * x) * np.cos(np.pi * y), grid.zeros()))
     u_true = 0.4 * np.cos(np.pi * x)[None, :, :] * np.ones((tg.nt, 1, 1))
     traj = solve_state(problem, ControlPair(u_true, grid.zeros()))
-    cost = CostSpec.with_zero_targets(grid, tg.nt, k5=1.0, nu1=1e-3)
+    cost = zero_target_cost(grid, tg.nt, k5=1.0, nu1=1e-3)
     cost.wprime_q = traj.v.copy()
     aset = AdmissibleSet(u_lo=-5.0, u_hi=5.0, v_lo=0.0, v_hi=0.0)
     return problem, cost, aset
@@ -273,10 +274,130 @@ def test_optimize_reports_its_work():
     assert report.gradients == iters + 1
     # the initial point plus one solve per line-search trial; gradients hit the cache
     assert iters + 1 <= report.forward_solves <= 1 + iters + backtracks
+    assert report.hessian_products >= iters
 
 
 # ---------------------------------------------------------------------------
-# Barzilai-Borwein first trial step
+# Gauss-Newton Hessian and the projected Newton-CG loop
+# ---------------------------------------------------------------------------
+
+TIGHT = SolverOptions(cg_tol=1e-13)
+
+
+def _pairing(grid, tau, a, b):
+    """<a, b> in the control metric for a GradientPair a and a ControlPair b."""
+    return u_inner(grid, tau, a.g_u, b.u) + v0_inner(grid, a.g_v, b.v0)
+
+
+def _random_pair(rng, grid, nt):
+    return ControlPair(rng.standard_normal((nt, *grid.shape)), rng.standard_normal(grid.shape))
+
+
+def test_hessian_vector_symmetric_in_control_metric(rng):
+    problem = small_problem(nx=10, nt=6)
+    grid, tau = problem.grid, problem.time.tau
+    cost = zero_target_cost(grid, problem.time.nt, k1=1.0, k2=0.5, k3=0.3, k4=0.2, k5=1.0,
+                            k6=0.7, nu1=1e-2, nu2=1e-2)
+    cost.phi_q += 0.1
+    ctrl = smooth_control(problem)
+    rp = ReducedProblem(problem, cost, TIGHT)
+    rp.cost(ctrl)
+    for _ in range(3):
+        a, b = _random_pair(rng, grid, problem.time.nt), _random_pair(rng, grid, problem.time.nt)
+        ha, hb = rp.hessian_vector(ctrl, a), rp.hessian_vector(ctrl, b)
+        lhs, rhs = _pairing(grid, tau, ha, b), _pairing(grid, tau, hb, a)
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+        assert _pairing(grid, tau, ha, a) > 0.0
+
+
+def test_hessian_vector_matches_gradient_fd_at_zero_residual(rng):
+    # targets from the run of the control itself: Gauss-Newton is the exact Hessian there
+    problem = small_problem(nx=10, nt=6)
+    grid, tau, nt = problem.grid, problem.time.tau, problem.time.nt
+    ctrl = smooth_control(problem)
+    traj = solve_state(problem, ctrl, TIGHT)
+    cost = zero_target_cost(grid, nt, k1=1.0, k2=1.0, k3=0.5, k5=1.0, k6=1.0,
+                            nu1=1e-3, nu2=1e-3)
+    cost.phi_q, cost.w_q, cost.wprime_q = traj.phi.copy(), traj.w.copy(), traj.v.copy()
+    cost.phi_omega, cost.wprime_omega = traj.phi[-1].copy(), traj.v[-1].copy()
+    d = _random_pair(rng, grid, nt)
+    rp = ReducedProblem(problem, cost, TIGHT)
+    assert np.array_equal(rp.state(ctrl).v, cost.wprime_q)  # zero tracking residual
+    hd = rp.hessian_vector(ctrl, d)
+    eps = 1e-3
+    gp = rp.gradient(ControlPair(ctrl.u + eps * d.u, ctrl.v0 + eps * d.v0))
+    gm = rp.gradient(ControlPair(ctrl.u - eps * d.u, ctrl.v0 - eps * d.v0))
+    fd = GradientPair((gp.g_u - gm.g_u) / (2 * eps), (gp.g_v - gm.g_v) / (2 * eps))
+    err = math.sqrt(u_norm(grid, tau, fd.g_u - hd.g_u) ** 2 + v0_norm(grid, fd.g_v - hd.g_v) ** 2)
+    size = math.sqrt(u_norm(grid, tau, hd.g_u) ** 2 + v0_norm(grid, hd.g_v) ** 2)
+    assert err <= 1e-9 * size
+
+
+def test_hessian_vector_never_solves_the_state(rng):
+    problem = small_problem(nx=8, nt=4)
+    cost = zero_target_cost(problem.grid, problem.time.nt, k1=1.0, k5=1.0, nu1=1e-3)
+    ctrl = smooth_control(problem)
+    rp = ReducedProblem(problem, cost)
+    rp.gradient(ctrl)
+    for _ in range(3):
+        rp.hessian_vector(ctrl, _random_pair(rng, problem.grid, problem.time.nt))
+    assert (rp.forward_solves, rp.gradients, rp.hessian_products) == (1, 1, 3)
+    other = ControlPair(2.0 * ctrl.u, ctrl.v0)
+    with pytest.raises(BadParameter, match="cached trajectory"):
+        rp.hessian_vector(other, ctrl)
+    assert rp.forward_solves == 1
+
+
+def _recovery_problem(n, nt):
+    """Criterion-10 physics: recover a heat source and an initial temperature, nu1 = 1e-4."""
+    grid = build_grid(1.0, 1.0, n, n)
+    tg = TimeGrid(t_final=0.2, nt=nt)
+    x, y = grid.cell_centers()
+    problem = Problem(grid, tg, PhysParams(), Potential("regular"),
+                      Coupling("affine", a=-1.0, b=0.0),
+                      InitialData(0.3 * np.cos(np.pi * x) * np.cos(np.pi * y), grid.zeros()))
+    t = np.arange(1, nt + 1) * tg.tau
+    u_true = 0.5 * (np.cos(np.pi * x) * np.cos(np.pi * y))[None] * (1 + t)[:, None, None]
+    traj = solve_state(problem, ControlPair(u_true, 0.4 * np.cos(np.pi * y)))
+    cost = zero_target_cost(grid, nt, k1=1.0, k2=1.0, k5=1.0, k6=1.0, nu1=1e-4)
+    cost.phi_q, cost.wprime_q = traj.phi.copy(), traj.v.copy()
+    cost.phi_omega, cost.wprime_omega = traj.phi[-1].copy(), traj.v[-1].copy()
+    return problem, cost, AdmissibleSet(u_lo=-2.0, u_hi=2.0, v_lo=-1.0, v_hi=1.0)
+
+
+def test_optimize_outer_iterations_mesh_independent():
+    iters = []
+    for n in (16, 32, 64):
+        problem, cost, aset = _recovery_problem(n, nt=10)
+        opts = OptimizeOptions(stationarity_tol=1e-6, max_iters=20, vi_samples=0)
+        report = optimize(problem, cost, aset, ControlPair.zeros(problem.grid, 10), opts)
+        assert report.converged
+        iters.append(len(report.iterates) - 1)
+    assert max(iters) - min(iters) <= 1, iters
+
+
+def test_optimize_falls_back_to_bb_step_without_positive_curvature(monkeypatch):
+    # a Hessian with negative curvature everywhere: CG gives up on its first iteration
+    # and every step is the projected-gradient step from the Barzilai-Borwein quotient
+    problem, cost, aset = _convex_reference()
+    calls = []
+
+    def negative_curvature(self, control, d):
+        calls.append(d)
+        return GradientPair(-d.u, -d.v0)
+
+    monkeypatch.setattr(ReducedProblem, "hessian_vector", negative_curvature)
+    opts = OptimizeOptions(stationarity_tol=1e-8, max_iters=120, vi_samples=0)
+    report = optimize(problem, cost, aset, ControlPair.zeros(problem.grid, problem.time.nt),
+                      opts)
+    assert report.converged
+    assert len(calls) == len(report.iterates) - 1
+    js = report.j_history
+    assert all(js[i + 1] <= js[i] for i in range(len(js) - 1))
+
+
+# ---------------------------------------------------------------------------
+# Barzilai-Borwein step of the non-positive-curvature fallback
 # ---------------------------------------------------------------------------
 
 def _bb_pairs(rng, grid, nt):

@@ -4,14 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import small_problem, smooth_control
+from conftest import small_problem, smooth_control, zero_target_cost
 from oracles import scalar_adjoint_backward, scalar_forward
 
-from thermophase.control import ControlPair, CostSpec, u_norm
+from thermophase.control import ControlPair, u_norm
 from thermophase.grid import build_grid, laplacian_neumann, norm
-from thermophase.sensitivity import (Perturbation, adjoint_solve_continuous,
-                                     adjoint_solve_discrete, circledast_accumulate,
-                                     tangent_solve, tangent_transpose, trapezoid_weights)
+from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
+                                     adjoint_solve_discrete, array_seed, circledast_accumulate,
+                                     tangent_solve, tangent_transpose, tracking_seeds,
+                                     trapezoid_weights)
 from thermophase.state import SolverOptions, solve_state
 
 TIGHT = SolverOptions(cg_tol=1e-13)
@@ -112,7 +113,7 @@ def test_dot_product_identity(potential_kind, coupling_kind, rng):
         weta = rng.standard_normal(base.phi.shape)
         wth = rng.standard_normal(base.phi.shape)
         lin = tangent_solve(base, problem, Perturbation(h, h0), TIGHT)
-        sweep = tangent_transpose(base, problem, wxi, weta, wth, TIGHT)
+        sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth), TIGHT)
         lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                           + np.sum(wth * lin.eta_t))
         rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
@@ -141,12 +142,48 @@ def test_zero_cost_zero_adjoint_zero_seeds():
 
 
 def _tracking_cost(problem):
-    cost = CostSpec.with_zero_targets(problem.grid, problem.time.nt,
-                                      k1=1.0, k2=0.5, k3=0.3, k4=0.2, k5=1.0, k6=0.7)
+    cost = zero_target_cost(problem.grid, problem.time.nt,
+                            k1=1.0, k2=0.5, k3=0.3, k4=0.2, k5=1.0, k6=0.7)
     cost.phi_q += 0.1
     cost.wprime_q += 0.05
     cost.phi_omega += 0.2
     return cost
+
+
+def _seed_arrays(cost, fields, nt, tau, targets):
+    """The tracking seeds as whole space-time arrays, term by term (the reference)."""
+    w = trapezoid_weights(nt, tau)[:, None, None]
+    seeds = {state: np.zeros(fields["phi"].shape) for state in ("phi", "w", "v")}
+    for weight, state, target, terminal in TRACKING_TERMS:
+        k, x = getattr(cost, weight), fields[state]
+        if k > 0.0:
+            t = getattr(cost, target) if targets else 0.0
+            if terminal:
+                seeds[state][nt] += k * (x[nt] - t)
+            else:
+                seeds[state] += k * w * (x - t)
+    return seeds["phi"], seeds["w"], seeds["v"]
+
+
+@pytest.mark.parametrize("targets", [True, False])
+def test_tracking_seeds_per_node_match_space_time_arrays(targets):
+    problem = small_problem(nx=8, nt=6)
+    base = solve_state(problem, smooth_control(problem), TIGHT)
+    cost = _tracking_cost(problem)
+    nt, tau = problem.time.nt, problem.time.tau
+    fields = {"phi": base.phi, "w": base.w, "v": base.v}
+    seed = tracking_seeds(cost, base.phi, base.w, base.v, tau, targets=targets)
+    reference = _seed_arrays(cost, fields, nt, tau, targets)
+    for n in range(nt + 1):
+        for got, want in zip(seed(n), reference):
+            assert np.array_equal(got, want[n])
+
+
+def test_array_seed_rejects_wrong_node_count():
+    problem = small_problem(nx=8, nt=6)
+    good = np.zeros((problem.time.nt + 1, *problem.grid.shape))
+    with pytest.raises(ValueError, match="eta_bar"):
+        array_seed(problem, good, good[:-1], good)
 
 
 def test_adjoint_terminal_conditions_exact():
