@@ -254,18 +254,22 @@ class ReducedProblem:
 
 
 def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec) -> ControlPair:
-    """Clamp u to its box; clamp v0 and, if needed, pull it inside the V-ball.
-
-    The ball pass scales the clamped v0 toward the box-feasible anchor
-    clamp(0) onto the sphere; the segment stays in the box by convexity, so
-    one pass suffices.  Raises BallProjectionStall if its result misses ball
-    feasibility by more than 1e-10 relative.
-    """
+    """Clamp u to its box; clamp v0 and, if needed, pull it inside the V-ball (``_into_ball``)."""
     u = np.clip(control.u, aset.u_lo, aset.u_hi)
-    v = np.clip(control.v0, aset.v_lo, aset.v_hi)
+    return ControlPair(u, _into_ball(np.clip(control.v0, aset.v_lo, aset.v_hi), aset, grid))
+
+
+def _into_ball(v: Field, aset: AdmissibleSet, grid: GridSpec) -> Field:
+    """A box-clamped v0, pulled inside the V-ball if it leaves it.
+
+    The ball pass scales v toward the box-feasible anchor clamp(0) onto the
+    sphere; the segment stays in the box by convexity, so one pass suffices.
+    Raises BallProjectionStall if its result misses ball feasibility by more
+    than 1e-10 relative.
+    """
     M = aset.ball_radius
     if v0_norm(grid, v) <= M * (1.0 + 1e-10):
-        return ControlPair(u, v)
+        return v
     anchor = aset.v0_anchor(grid)
     d = v - anchor
     dd = v0_inner(grid, d, d)
@@ -277,7 +281,7 @@ def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec
         t = min(max(t, 0.0), 1.0)
         v = np.clip(anchor + t * d, aset.v_lo, aset.v_hi)
     if v0_norm(grid, v) <= M * (1.0 + 1e-10):
-        return ControlPair(u, v)
+        return v
     raise BallProjectionStall(
         f"ball projection stalled at ||v0||_V = {v0_norm(grid, v):.6e} > M = {M:.6e}")
 
@@ -310,20 +314,17 @@ def clamp_formula_residual(control: ControlPair, grad: GradientPair, aset: Admis
     return u_norm(grid, timegrid.tau, control.u - target)
 
 
-def _vi_samples(aset, grid, nt, rng, n_samples, u_scale, v_scale):
-    """Feasible sample controls: box-vertex patterns alternating with clamped Gaussians."""
-    u_lo = np.broadcast_to(np.asarray(aset.u_lo, dtype=float), (nt, grid.ny, grid.nx))
-    u_hi = np.broadcast_to(np.asarray(aset.u_hi, dtype=float), (nt, grid.ny, grid.nx))
-    for i in range(n_samples):
-        if i % 2 == 0:
-            u = np.where(rng.random((nt, grid.ny, grid.nx)) < 0.5, u_lo, u_hi)
-            v = np.where(rng.random(grid.shape) < 0.5,
-                         np.broadcast_to(np.asarray(aset.v_lo, dtype=float), grid.shape),
-                         np.broadcast_to(np.asarray(aset.v_hi, dtype=float), grid.shape))
-        else:
-            u = np.clip(rng.normal(0.0, u_scale, (nt, grid.ny, grid.nx)), aset.u_lo, aset.u_hi)
-            v = np.clip(rng.normal(0.0, v_scale, grid.shape), aset.v_lo, aset.v_hi)
-        yield project_admissible(ControlPair(u, v), aset, grid)
+# bytes of the sample block check_vi draws into; a larger sample fills it alone
+_VI_BLOCK_BYTES = 1 << 18
+
+
+def _v0_norms(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    """V norms of a stack of fields of shape (k, ny, nx)."""
+    dx = v[:, :, 1:] - v[:, :, :-1]
+    dy = v[:, 1:, :] - v[:, :-1, :]
+    sq = (grid.cell_volume * np.einsum("kji,kji->k", v, v)
+          + np.einsum("kji,kji->k", dx, dx) + np.einsum("kji,kji->k", dy, dy))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid: GridSpec,
@@ -334,18 +335,53 @@ def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid
     at a constrained minimizer with an accurate gradient it is nonnegative up
     to gradient error times the sample distance.  vi_scale is the largest
     sample distance (at least 1), the natural scale for vi_min.
+
+    The samples alternate box-vertex patterns and box-clamped Gaussians (u,
+    then v0, from one RNG stream seeded by ``seed``); a sample whose v0 leaves
+    the V-ball is pulled into it as by ``project_admissible``.  They are
+    drawn, one row each, into a block of at most _VI_BLOCK_BYTES, and each
+    block is paired with the gradient in one matrix-vector product:
+    <g_v, h>_V = vol <g_v - lap g_v, h>.
     """
     if n_samples < 1:
         raise BadParameter("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    tau = timegrid.tau
+    tau, vol, M = timegrid.tau, grid.cell_volume, aset.ball_radius
+    m_u = control.u.size
     u_scale = 1.0 + float(np.max(np.abs(control.u), initial=0.0))
     v_scale = 1.0 + float(np.max(np.abs(control.v0), initial=0.0))
+
+    def flat(u_part, v_part):
+        return np.concatenate([np.broadcast_to(u_part, control.u.shape).ravel(),
+                               np.broadcast_to(v_part, grid.shape).ravel()])
+
+    lo, hi = flat(aset.u_lo, aset.v_lo), flat(aset.u_hi, aset.v_hi)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise BadParameter("check_vi needs finite bounds: its vertex samples take them")
+    center = flat(control.u, control.v0)
+    weight = flat((tau * vol) * grad.g_u, vol * (grad.g_v - laplacian_neumann(grid, grad.g_v)))
+    rows = max(1, min(n_samples, _VI_BLOCK_BYTES // (8 * center.size)))
+    block = np.empty((rows, center.size))
     best, dist = math.inf, 1.0
-    for sample in _vi_samples(aset, grid, timegrid.nt, rng, n_samples, u_scale, v_scale):
-        du, dv = sample.u - control.u, sample.v0 - control.v0
-        best = min(best, u_inner(grid, tau, grad.g_u, du) + v0_inner(grid, grad.g_v, dv))
-        dist = max(dist, u_norm(grid, tau, du) + v0_norm(grid, dv))
+    for start in range(0, n_samples, rows):
+        b = block[:min(rows, n_samples - start)]
+        for i, row in enumerate(b):
+            if (start + i) % 2 == 0:
+                rng.random(out=row)
+                row[...] = np.where(row < 0.5, lo, hi)
+            else:
+                rng.standard_normal(out=row)
+                row[:m_u] *= u_scale
+                row[m_u:] *= v_scale
+                np.clip(row, lo, hi, out=row)
+        v = b[:, m_u:].reshape(len(b), *grid.shape)
+        for i in np.flatnonzero(_v0_norms(grid, v) > M * (1.0 + 1e-10)):
+            v[i] = _into_ball(v[i], aset, grid)
+        b -= center
+        best = min(best, float(np.min(b @ weight)))
+        du = b[:, :m_u]
+        du_norm = np.sqrt(np.maximum((tau * vol) * np.einsum("ki,ki->k", du, du), 0.0))
+        dist = max(dist, float(np.max(du_norm + _v0_norms(grid, v))))
     return best, dist
 
 
@@ -427,7 +463,7 @@ def _bb_step(grid: GridSpec, tau: float, x: ControlPair, x_new: ControlPair,
 
 
 def _newton_cg(rp: ReducedProblem, x: ControlPair, g: GradientPair, free_u: np.ndarray,
-               free_v: np.ndarray) -> ControlPair | None:
+               free_v: np.ndarray, tol: float) -> ControlPair | None:
     """Truncated CG for the Gauss-Newton step H d = -g on the free entries.
 
     CG runs in the control metric on the directions that vanish on the active
@@ -436,10 +472,11 @@ def _newton_cg(rp: ReducedProblem, x: ControlPair, g: GradientPair, free_u: np.n
     lifted by the masked V-Riesz map, which makes this plain CG in V when no
     v0 entry is active.
 
-    CG stops once the residual is at most eta ||g_F||, with the forcing term
-    eta = min(0.5, sqrt(||g_F||)) (Eisenstat-Walker), after 50 iterations, or
-    at non-positive curvature, where it returns the step so far, or None on
-    the first iteration (Steihaug).
+    CG stops once the residual is at most max(eta ||g_F||, tol/2), with the
+    forcing term eta = min(0.5, sqrt(||g_F||)) (Eisenstat-Walker) and tol the
+    outer stationarity tolerance, which no finer step needs (Kelley 1995,
+    sec. 6.3); after 50 iterations; or at non-positive curvature, where it
+    returns the step so far, or None on the first iteration (Steihaug).
     """
     max_inner = 50
     grid, tau = rp.problem.grid, rp.problem.time.tau
@@ -458,7 +495,7 @@ def _newton_cg(rp: ReducedProblem, x: ControlPair, g: GradientPair, free_u: np.n
     if not rz > 0.0:
         return ControlPair(d_u, d_v)
     g_free = math.sqrt(rz)
-    stop = min(0.5, math.sqrt(g_free)) * g_free
+    stop = max(min(0.5, math.sqrt(g_free)) * g_free, 0.5 * tol)
     p_u, p_v = r_u, z_v
     for k in range(max_inner):
         hp = rp.hessian_vector(x, ControlPair(p_u, p_v))
@@ -536,7 +573,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
 
         active_u = _active(x.u, g.g_u, aset.u_lo, aset.u_hi, stat)
         active_v = _active(x.v0, g.g_v, aset.v_lo, aset.v_hi, stat)
-        newton = _newton_cg(rp, x, g, ~active_u, ~active_v)
+        newton = _newton_cg(rp, x, g, ~active_u, ~active_v, opts.stationarity_tol)
         if newton is None:
             d, s = ControlPair(-g.g_u, -g.g_v), bb_step
         else:

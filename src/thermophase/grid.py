@@ -76,9 +76,6 @@ class GridSpec:
     def zeros(self) -> Field:
         return np.zeros(self.shape)
 
-    def full(self, value: float) -> Field:
-        return np.full(self.shape, float(value))
-
     def check_field(self, f: Field, name: str = "field") -> Field:
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:

@@ -164,18 +164,17 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
 
 @dataclass
 class TransposeResult:
-    """Output of the reverse sweep: pairings against (h, h0) plus multipliers.
+    """Output of the reverse sweep: pairings against (h, h0).
 
     dPairing = sum_n <h_bar[n-1], h_n>_L2 + <h0_bar, h0>_L2 where the
     cotangent input was paired in L2 against the tangent output at every node.
-    p_like holds the per-node phase-equation multipliers divided by tau, and
-    h_bar / tau those of the thermal equation; their time-continuum limits
-    solve the backward adjoint system.
+    h_bar / tau holds the per-node thermal-equation multipliers, and the phase
+    solve of node n+1 returns tau times those of the phase equation; their
+    time-continuum limits solve the backward adjoint system.
     """
 
     h_bar: np.ndarray
     h0_bar: np.ndarray
-    p_like: np.ndarray
 
 
 # A per-node seed: seed(n) returns fresh cotangent fields (xi_bar, eta_bar,
@@ -212,7 +211,6 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
     pi_of = problem.coupling.pi
 
     h_bar = np.zeros((nt, grid.ny, grid.nx))
-    p_like = np.zeros((nt + 1, grid.ny, grid.nx))
     X1, E1, Th1 = seed(nt)
     pi_np1 = pi_of(base.phi[nt])
     for n in range(nt - 1, -1, -1):
@@ -230,13 +228,11 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
         h_bar[n] = rv_bar
         # transpose of the phase solve (after X1 is complete)
         rphi_bar = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], X1, opts).x
-        p_like[n + 1] = rphi_bar / tau
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         X += rphi_bar / tau + c1 * rphi_bar
         Th += c2 * rphi_bar
         X1, E1, Th1, pi_np1 = X, E, Th, pi_n
-    p_like[0] = p_like[1]
-    return TransposeResult(h_bar=h_bar, h0_bar=Th1, p_like=p_like)
+    return TransposeResult(h_bar=h_bar, h0_bar=Th1)
 
 
 def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True) -> Seed:

@@ -90,9 +90,10 @@ def test_criterion_03_homogeneous_oracle():
     tg = TimeGrid(t_final=0.3, nt=30)
     pot = Potential("regular")
     cpl = Coupling("affine", a=-1.0, b=0.0)
-    problem = Problem(g, tg, PhysParams(), pot, cpl, InitialData(g.full(0.4), g.full(-0.2)))
+    problem = Problem(g, tg, PhysParams(), pot, cpl,
+                      InitialData(np.full(g.shape, 0.4), np.full(g.shape, -0.2)))
     u_vals = [0.5 * math.sin(1.0 + 0.37 * k) for k in range(1, tg.nt + 1)]
-    ctrl = ControlPair(np.stack([g.full(v) for v in u_vals]), g.full(0.25))
+    ctrl = ControlPair(np.stack([np.full(g.shape, v) for v in u_vals]), np.full(g.shape, 0.25))
     opts = SolverOptions(cg_tol=1e-13, newton_tol=1e-12)
     traj = solve_state(problem, ctrl, opts)
     phis, ws, vs = scalar_forward(pot, cpl, problem.params, 0.4, -0.2, 0.25, u_vals, tg.tau)
@@ -277,12 +278,13 @@ def test_criterion_10_target_recovery():
     js = report.j_history
     monotone = all(js[i + 1] <= js[i] for i in range(len(js) - 1))
     stat = report.certificates.stationarity
+    # inner CG stops at half the outer tolerance: 124 products, 155 without that floor
     ok = (js[-1] <= js[0] / 10.0 and monotone and len(js) <= 201
-          and report.converged and stat <= 1e-9)
+          and report.converged and stat <= 1e-9 and report.hessian_products < 155)
     _report(10, "target_recovery", ok,
             f"J0={js[0]:.3e} Jfinal={js[-1]:.3e} ratio={js[0] / js[-1]:.1f} "
             f"iters={len(js) - 1} monotone={monotone} converged={report.converged} "
-            f"stationarity={stat:.2e}")
+            f"stationarity={stat:.2e} hessian_products={report.hessian_products}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import small_problem, smooth_control, zero_target_cost
+from oracles import check_vi_per_sample
 
+from thermophase import control as control_module
 from thermophase.control import (AdmissibleSet, ControlPair, GradientPair,
                                  OptimizeOptions, ReducedProblem, _bb_step, check_vi,
                                  clamp_formula_residual, cost_eval, optimize,
@@ -138,7 +140,7 @@ def test_project_idempotent(rng):
 def test_project_feasible_passthrough():
     g = build_grid(1, 1, 8, 8)
     aset = AdmissibleSet(u_lo=-1.0, u_hi=1.0, v_lo=-1.0, v_hi=1.0, ball_radius=5.0)
-    ctrl = ControlPair(np.full((4, 8, 8), 0.25), g.full(-0.5))
+    ctrl = ControlPair(np.full((4, 8, 8), 0.25), np.full(g.shape, -0.5))
     proj = project_admissible(ctrl, aset, g)
     assert np.array_equal(proj.u, ctrl.u)
     assert np.array_equal(proj.v0, ctrl.v0)
@@ -147,7 +149,7 @@ def test_project_feasible_passthrough():
 def test_project_ball_active():
     g = build_grid(1, 1, 8, 8)
     aset = AdmissibleSet(u_lo=-1.0, u_hi=1.0, v_lo=-1.0, v_hi=1.0, ball_radius=0.5)
-    ctrl = ControlPair(np.zeros((4, 8, 8)), g.full(1.0))
+    ctrl = ControlPair(np.zeros((4, 8, 8)), np.full(g.shape, 1.0))
     proj = project_admissible(ctrl, aset, g)
     assert np.all(proj.v0 >= -1.0) and np.all(proj.v0 <= 1.0)
     assert v0_norm(g, proj.v0) <= 0.5 * (1 + 1e-10)
@@ -224,6 +226,50 @@ def test_check_vi_clamped_quadratic_oracle():
     assert scale >= 1.0
 
 
+BOX = {"u_lo": -2.0, "u_hi": 2.0, "v_lo": -1.0, "v_hi": 1.0}
+VI_CASES = {
+    # name: (nx, nt, n_samples, admissible set, whether samples leave the ball);
+    # |v| <= 1 gives ||v||_V^2 <= 1 + 8 nx (nx - 1), far inside the default radius
+    "default_ball": (8, 4, 37, BOX, False),
+    "ball_active": (8, 4, 37, {**BOX, "ball_radius": 0.5}, True),
+    "array_bounds": (8, 4, 37, "arrays", True),
+    "one_sample": (8, 4, 1, BOX, False),
+    "partial_last_block": (8, 4, 450, {**BOX, "ball_radius": 2.0}, True),
+    "sample_fills_block": (16, 127, 3, {**BOX, "ball_radius": 0.5}, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VI_CASES))
+def test_check_vi_matches_per_sample_reference(case, rng, monkeypatch):
+    nx, nt, n_samples, bounds, leaves_ball = VI_CASES[case]
+    rows = control_module._VI_BLOCK_BYTES // (8 * (nt + 1) * nx * nx)  # samples a block
+    if case == "partial_last_block":
+        assert n_samples > rows and n_samples % rows
+    if case == "sample_fills_block":
+        assert rows == 1 and control_module._VI_BLOCK_BYTES == 8 * (nt + 1) * nx * nx
+    g = build_grid(1, 1, nx, nx)
+    tg = TimeGrid(t_final=0.4, nt=nt)
+    if bounds == "arrays":
+        bounds = {"u_lo": -1.0 - rng.random(g.shape), "u_hi": 1.0 + rng.random((nt, *g.shape)),
+                  "v_lo": -0.5 - rng.random(g.shape), "v_hi": rng.random(g.shape),
+                  "ball_radius": 0.7}
+    aset = AdmissibleSet(**bounds)
+    ctrl = project_admissible(ControlPair(0.5 * rng.standard_normal((nt, *g.shape)),
+                                          0.5 * rng.standard_normal(g.shape)), aset, g)
+    grad = GradientPair(rng.standard_normal((nt, *g.shape)), rng.standard_normal(g.shape))
+    pulled = []
+    into_ball = control_module._into_ball
+    monkeypatch.setattr(control_module, "_into_ball",
+                        lambda v, *args: pulled.append(1) or into_ball(v, *args))
+    vi_min, vi_scale = check_vi(ctrl, grad, aset, g, tg, n_samples=n_samples, seed=5)
+    monkeypatch.undo()
+    ref_min, ref_scale = check_vi_per_sample(ctrl, grad, aset, g, tg, n_samples, seed=5)
+    assert vi_min == pytest.approx(ref_min, rel=1e-12, abs=0.0)
+    assert vi_scale == pytest.approx(ref_scale, rel=1e-12, abs=0.0)
+    # the ball pass runs only for samples that leave the ball
+    assert bool(pulled) == leaves_ball
+
+
 def _convex_reference():
     grid = build_grid(1.0, 1.0, 12, 12)
     tg = TimeGrid(t_final=0.1, nt=10)
@@ -258,7 +304,7 @@ def test_optimize_convex_reaches_projection_formula():
 def test_optimize_projects_infeasible_init():
     problem, cost, aset = _convex_reference()
     bad = ControlPair(np.full((problem.time.nt, *problem.grid.shape), 50.0),
-                      problem.grid.full(3.0))
+                      np.full(problem.grid.shape, 3.0))
     opts = OptimizeOptions(stationarity_tol=1e-6, max_iters=5, vi_samples=0)
     report = optimize(problem, cost, aset, bad, opts)
     assert all(r.feasible_box and r.feasible_ball for r in report.iterates)
@@ -428,10 +474,10 @@ def test_bb_step_falls_back_when_curvature_not_positive(rng):
 def test_bb_step_falls_back_when_quotient_not_finite():
     grid, nt, tau = build_grid(1.0, 1.0, 6, 6), 3, 0.1
     x = ControlPair.zeros(grid, nt)
-    x_new = ControlPair(np.full((nt, *grid.shape), 1e200), grid.full(1e200))
+    x_new = ControlPair(np.full((nt, *grid.shape), 1e200), np.full(grid.shape, 1e200))
     g = GradientPair(np.zeros_like(x.u), grid.zeros())
     # <s,y> > 0 but <y,y> underflows to 0
-    g_new = GradientPair(np.full_like(x.u, 1e-170), grid.full(1e-170))
+    g_new = GradientPair(np.full_like(x.u, 1e-170), np.full(grid.shape, 1e-170))
     assert _bb_step(grid, tau, x, x_new, g, g_new, accepted=0.3) == 0.6
     # no change of the gradient at all: <s,y> = <y,y> = 0
     assert _bb_step(grid, tau, x, x_new, g, g, accepted=0.3) == 0.6

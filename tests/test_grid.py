@@ -28,7 +28,7 @@ def test_build_grid_rejects_degenerate_and_anisotropic():
 
 def test_laplacian_annihilates_constants():
     g = build_grid(1, 1, 8, 8)
-    assert np.all(laplacian_neumann(g, g.full(3.7)) == 0.0)
+    assert np.all(laplacian_neumann(g, np.full(g.shape, 3.7)) == 0.0)
 
 
 def test_laplacian_neumann_eigenfunction_128():
@@ -78,9 +78,9 @@ def test_laplacian_matches_stiffness_form(seed):
 
 def test_inner_unit_measure_and_constant_v():
     g = build_grid(1, 1, 16, 16)
-    ones = g.full(1.0)
+    ones = np.full(g.shape, 1.0)
     assert inner(g, ones, ones) == pytest.approx(1.0, abs=1e-14)
-    c = g.full(2.5)
+    c = np.full(g.shape, 2.5)
     assert inner(g, c, c, "v") == pytest.approx(2.5**2 * g.lx * g.ly, abs=1e-12)
 
 
@@ -203,7 +203,7 @@ def test_cosine_solve_preserves_mean_and_constants(rng):
     x = cosine_solve(g, rhs, shift, 1.5)
     assert abs(math.fsum((shift * x).ravel()) - math.fsum(rhs.ravel())) <= 1e-13 * g.cell_count
     for c in (0.1, 1.7, -3.3e5):
-        assert np.all(cosine_solve(g, g.full(c), shift, 1.5) == c / shift)
+        assert np.all(cosine_solve(g, np.full(g.shape, c), shift, 1.5) == c / shift)
 
 
 def test_cosine_transforms_are_orthonormal_inverses(rng):
@@ -228,7 +228,7 @@ def test_cosine_coefficient_operator_is_shifted_stencil(rng, tau):
 
 def test_riesz_constant_and_eigenfunction():
     g = build_grid(1, 1, 128, 128)
-    c = g.full(1.7)
+    c = np.full(g.shape, 1.7)
     assert np.max(np.abs(riesz_v(g, c) - c)) <= 1e-11
     x, _ = g.cell_centers()
     f = (1 + np.pi**2) * np.cos(np.pi * x)

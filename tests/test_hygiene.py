@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the package modules and the tests is used."""
+"""Source hygiene: every imported name in the package modules and the tests is used, and
+every function and method of the package is referenced somewhere."""
 
 import ast
 import glob
@@ -7,11 +8,13 @@ import os
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+PACKAGE = sorted(glob.glob(os.path.join(ROOT, "src", "thermophase", "*.py")))
+TESTS = sorted(glob.glob(os.path.join(ROOT, "tests", "*.py")))
 # __init__.py imports names to re-export them
-SOURCES = sorted(
-    [p for p in glob.glob(os.path.join(ROOT, "src", "thermophase", "*.py"))
-     if os.path.basename(p) != "__init__.py"]
-    + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+SOURCES = [p for p in PACKAGE if os.path.basename(p) != "__init__.py"] + TESTS
+# the benchmark drives the package through its API; it is read, never checked itself
+BENCHMARK = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+                   + glob.glob(os.path.join(ROOT, "perfbench", "tests", "*.py")))
 
 
 def _imported(tree):
@@ -47,3 +50,36 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"line {line}: {name}" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{os.path.relpath(path, ROOT)} imports unused names: {unused}"
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _definitions(tree):
+    """(name, qualified name, line) of every module-level function and method,
+    dunder methods aside: Python calls those itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, f"{node.name}.{item.name}", item.lineno
+
+
+def test_no_unreferenced_definitions():
+    referenced = set()
+    for path in PACKAGE + TESTS + BENCHMARK:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [f"{os.path.relpath(path, ROOT)}:{line} {qualname}"
+                    for path in PACKAGE
+                    for name, qualname, line in _definitions(_parse(path))
+                    if name not in referenced]
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"

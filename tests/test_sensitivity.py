@@ -7,13 +7,14 @@ import pytest
 from conftest import small_problem, smooth_control, zero_target_cost
 from oracles import scalar_adjoint_backward, scalar_forward
 
+from thermophase import sensitivity
 from thermophase.control import ControlPair, u_norm
 from thermophase.grid import build_grid, laplacian_neumann, norm
 from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
                                      adjoint_solve_discrete, array_seed, circledast_accumulate,
                                      tangent_solve, tangent_transpose, tracking_seeds,
                                      trapezoid_weights)
-from thermophase.state import SolverOptions, solve_state
+from thermophase.state import SolverOptions, _phi_solver, solve_state
 
 TIGHT = SolverOptions(cg_tol=1e-13)
 
@@ -203,11 +204,11 @@ def test_adjoint_terminal_conditions_exact():
 def test_continuous_adjoint_matches_scalar_oracle():
     g = build_grid(1, 1, 8, 8)
     problem = small_problem(nx=8, nt=10)
-    problem.initial.phi0 = g.full(0.4)
-    problem.initial.w0 = g.full(-0.2)
+    problem.initial.phi0 = np.full(g.shape, 0.4)
+    problem.initial.w0 = np.full(g.shape, -0.2)
     u_vals = [0.3 * math.cos(0.5 * k) for k in range(1, 11)]
-    u = np.stack([g.full(val) for val in u_vals])
-    ctrl = ControlPair(u, g.full(0.25))
+    u = np.stack([np.full(g.shape, val) for val in u_vals])
+    ctrl = ControlPair(u, np.full(g.shape, 0.25))
     base = solve_state(problem, ctrl, TIGHT)
     cost = _tracking_cost(problem)
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
@@ -286,17 +287,30 @@ def test_discrete_seeds_match_fd_of_cost(rng):
     assert abs(fd - pairing) <= 1e-8 * abs(pairing)
 
 
-def test_transpose_multipliers_track_continuous_adjoint():
+def test_transpose_multipliers_track_continuous_adjoint(monkeypatch):
     problem = small_problem(nx=16, nt=40, t_final=0.2)
     control = smooth_control(problem)
     base = solve_state(problem, control, TIGHT)
     cost = _tracking_cost(problem)
-    seeds, sweep = adjoint_solve_discrete(base, problem, cost, TIGHT)
+    # the reverse sweep's phase solves come in node order nt..1; each returns
+    # tau times that node's phase-equation multiplier
+    solves = []
+
+    def recording_phi_solver(*args):
+        res = _phi_solver(*args)
+        solves.append(res.x)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(sensitivity, "_phi_solver", recording_phi_solver)
+        seeds, _ = adjoint_solve_discrete(base, problem, cost, TIGHT)
+    assert len(solves) == problem.time.nt
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
     tau = problem.time.tau
+    p_like = np.stack(solves[::-1]) / tau
     rel_q = (u_norm(problem.grid, tau, seeds.u - adj.q[1:])
              / u_norm(problem.grid, tau, adj.q[1:]))
-    rel_p = (u_norm(problem.grid, tau, sweep.p_like[1:] - adj.p[1:])
+    rel_p = (u_norm(problem.grid, tau, p_like - adj.p[1:])
              / u_norm(problem.grid, tau, adj.p[1:]))
     assert rel_q <= 0.15
     assert rel_p <= 0.15

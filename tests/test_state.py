@@ -35,7 +35,7 @@ def test_phi_step_constant_matches_bisection_root():
     tau = 0.1
     root = bisect(lambda x: x + tau * x**3 - 1.0, 0.5, 1.0)
     assert root == pytest.approx(0.9216989942046787, abs=1e-12)  # frozen from the oracle
-    phi, _ = phi_step(g, REGULAR, PI_ZERO, PARAMS, g.full(1.0), g.zeros(), tau=tau)
+    phi, _ = phi_step(g, REGULAR, PI_ZERO, PARAMS, np.full(g.shape, 1.0), g.zeros(), tau=tau)
     assert np.max(np.abs(phi - root)) <= 1e-10
     assert np.ptp(phi) <= 1e-13  # constant in, constant out
 
@@ -44,7 +44,7 @@ def test_phi_step_requires_interior_start():
     g = build_grid(1, 1, 8, 8)
     log_pot = Potential("logarithmic", kappa=1.0)
     with pytest.raises(DomainViolation):
-        phi_step(g, log_pot, PI_NEG, PARAMS, g.full(1.0), g.zeros(), tau=0.1)
+        phi_step(g, log_pot, PI_NEG, PARAMS, np.full(g.shape, 1.0), g.zeros(), tau=0.1)
 
 
 @pytest.mark.parametrize("tau", [1e-4, 1e-6])
@@ -114,7 +114,8 @@ def test_phase_solve_iteration_cap_raises(rng):
         _phi_solver(g, 0.01, REGULAR, phi, rng.standard_normal(g.shape),
                     SolverOptions(cg_maxit=1))
     with pytest.raises(NoConvergence):
-        phi_step(g, REGULAR, PI_NEG, PARAMS, phi, g.full(1.0), 0.01, SolverOptions(cg_maxit=1))
+        phi_step(g, REGULAR, PI_NEG, PARAMS, phi, np.full(g.shape, 1.0), 0.01,
+                 SolverOptions(cg_maxit=1))
 
 
 def test_thermal_step_zero_inputs():
@@ -128,8 +129,8 @@ def test_thermal_step_zero_inputs():
 def test_thermal_step_constant_recurrence():
     g = build_grid(1, 1, 8, 8)
     tau = 0.05
-    phi_n, phi_np1 = g.full(0.3), g.full(0.45)
-    v_n, w_n, u = g.full(0.2), g.full(-0.1), g.full(0.7)
+    phi_n, phi_np1 = np.full(g.shape, 0.3), np.full(g.shape, 0.45)
+    v_n, w_n, u = np.full(g.shape, 0.2), np.full(g.shape, -0.1), np.full(g.shape, 0.7)
     w, v, _ = thermal_step(g, PI_NEG, PARAMS, w_n, v_n, phi_n, phi_np1, u, tau)
     pi_diff = float(PI_NEG.pi_hat(0.45) - PI_NEG.pi_hat(0.3))
     v_expect = 0.2 + tau * 0.7 - pi_diff
@@ -146,7 +147,7 @@ def test_thermal_step_unit_source_exact_ramp():
     w, v = g.zeros(), g.zeros()
     for n in range(tg.nt):
         w, v, _ = thermal_step(g, PI_ZERO, PARAMS, w, v, g.zeros(), g.zeros(),
-                               g.full(1.0), tau)
+                               np.full(g.shape, 1.0), tau)
         assert np.all(v == (n + 1) * tau)
 
 
@@ -157,7 +158,7 @@ def test_solve_state_stationary_at_coupled_root():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.5, nt=10)
     problem = Problem(g, tg, PARAMS, REGULAR, PI_NEG,
-                      InitialData(g.full(root), g.zeros()))
+                      InitialData(np.full(g.shape, root), g.zeros()))
     ctrl = ControlPair.zeros(g, tg.nt)
     traj = solve_state(problem, ctrl)
     for n in range(tg.nt):
@@ -172,10 +173,11 @@ def test_solve_state_matches_scalar_oracle(potential_kind, coupling_kind):
     tg = TimeGrid(t_final=0.3, nt=12)
     pot = Potential(potential_kind)
     cpl = (PI_NEG if coupling_kind == "affine" else Coupling("bounded_smooth", c=1.0))
-    problem = Problem(g, tg, PARAMS, pot, cpl, InitialData(g.full(0.4), g.full(-0.2)))
+    problem = Problem(g, tg, PARAMS, pot, cpl,
+                      InitialData(np.full(g.shape, 0.4), np.full(g.shape, -0.2)))
     u_vals = [0.5 * math.sin(1.0 + 0.3 * k) for k in range(1, tg.nt + 1)]
-    u = np.stack([g.full(val) for val in u_vals])
-    ctrl = ControlPair(u, g.full(0.25))
+    u = np.stack([np.full(g.shape, val) for val in u_vals])
+    ctrl = ControlPair(u, np.full(g.shape, 0.25))
     traj = solve_state(problem, ctrl)
     phis, ws, vs = scalar_forward(pot, cpl, PARAMS, 0.4, -0.2, 0.25, u_vals, tg.tau)
     for n in range(tg.nt + 1):
@@ -250,7 +252,8 @@ def test_solve_state_rejects_exterior_phi0():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.1, nt=2)
     log_pot = Potential("logarithmic", kappa=1.0)
-    problem = Problem(g, tg, PARAMS, log_pot, PI_NEG, InitialData(g.full(1.2), g.zeros()))
+    problem = Problem(g, tg, PARAMS, log_pot, PI_NEG,
+                      InitialData(np.full(g.shape, 1.2), g.zeros()))
     with pytest.raises(DomainViolation):
         solve_state(problem, ControlPair.zeros(g, tg.nt))
 
