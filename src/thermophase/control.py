@@ -113,6 +113,9 @@ class AdmissibleSet:
     ball_radius: float = 1e6
 
     def __post_init__(self):
+        for name in ("u_lo", "u_hi", "v_lo", "v_hi"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise BadParameter(f"C4: {name} must be finite everywhere")
         if np.any(np.asarray(self.u_lo) > np.asarray(self.u_hi)):
             raise BadParameter("C4: u_lo must be <= u_hi everywhere")
         if np.any(np.asarray(self.v_lo) > np.asarray(self.v_hi)):
@@ -356,8 +359,6 @@ def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid
                                np.broadcast_to(v_part, grid.shape).ravel()])
 
     lo, hi = flat(aset.u_lo, aset.v_lo), flat(aset.u_hi, aset.v_hi)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise BadParameter("check_vi needs finite bounds: its vertex samples take them")
     center = flat(control.u, control.v0)
     weight = flat((tau * vol) * grad.g_u, vol * (grad.g_v - laplacian_neumann(grid, grad.g_v)))
     rows = max(1, min(n_samples, _VI_BLOCK_BYTES // (8 * center.size)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +73,24 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.hx * self.hy
 
+    @cached_property
+    def cosine_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only orthonormal DCT-II bases along y and x (row k is mode k), eigenvalues of -lap.
+
+        Per axis 4 sin^2(pi k / 2n) / h^2: unlike (2 - 2 cos) / h^2 it does not cancel at small k.
+        Built on first use and kept on the instance.
+        """
+        bases, eigs = [], []
+        for n, h in ((self.ny, self.hy), (self.nx, self.hx)):
+            k = np.arange(n)
+            bases.append(math.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n))
+            bases[-1][0] = 1.0 / math.sqrt(n)
+            eigs.append((2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2)
+        out = (*bases, eigs[0][:, None] + eigs[1][None, :])
+        for a in out:
+            a.flags.writeable = False
+        return out
+
     def zeros(self) -> Field:
         return np.zeros(self.shape)
 
@@ -109,33 +127,15 @@ def laplacian_neumann(grid: GridSpec, f: Field) -> Field:
     return out
 
 
-@lru_cache(maxsize=16)
-def _cosine_eigenbasis(grid: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only orthonormal DCT-II bases along y and x (row k is mode k), eigenvalues of -lap.
-
-    Per axis 4 sin^2(pi k / 2n) / h^2: unlike (2 - 2 cos) / h^2 it does not cancel at small k.
-    """
-    bases, eigs = [], []
-    for n, h in ((grid.ny, grid.hy), (grid.nx, grid.hx)):
-        k = np.arange(n)
-        bases.append(math.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n))
-        bases[-1][0] = 1.0 / math.sqrt(n)
-        eigs.append((2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2)
-    out = (*bases, eigs[0][:, None] + eigs[1][None, :])
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def _to_cosine(grid: GridSpec, f: Field) -> Field:
     """Orthonormal DCT-II coefficients C f; entry [ky, kx] belongs to eigenvalue eig[ky, kx]."""
-    cy, cx, _ = _cosine_eigenbasis(grid)
+    cy, cx, _ = grid.cosine_eigenbasis
     return cy @ f @ cx.T
 
 
 def _from_cosine(grid: GridSpec, c: Field) -> Field:
     """Field C^T c with cosine coefficients c: the inverse, and transpose, of ``_to_cosine``."""
-    cy, cx, _ = _cosine_eigenbasis(grid)
+    cy, cx, _ = grid.cosine_eigenbasis
     return cy.T @ c @ cx
 
 
@@ -150,7 +150,7 @@ def cosine_solve(grid: GridSpec, rhs: Field, shift: float, coef: float = 1.0) ->
     dev = rhs - rhs.flat[0]
     dev_mean = float(dev.sum()) / dev.size
     dev -= dev_mean
-    coeffs = _to_cosine(grid, dev) / (shift + coef * _cosine_eigenbasis(grid)[2])
+    coeffs = _to_cosine(grid, dev) / (shift + coef * grid.cosine_eigenbasis[2])
     coeffs[0, 0] = 0.0
     return _from_cosine(grid, coeffs) + (rhs.flat[0] + dev_mean) / shift
 
@@ -195,7 +195,8 @@ def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult
 
     `apply` must be symmetric positive definite with respect to the L2 inner
     product on the grid.  Stops once ||apply(x) - rhs||_L2 <= tol * ||rhs||_L2
-    and raises NoConvergence (carrying the residual) at the iteration cap.
+    and raises NoConvergence (carrying the residual) when the ``maxit``-th
+    iterate still misses that target.
     `precond`, if given, applies an SPD approximation of the inverse.
     """
     rhs = grid.check_field(rhs, "rhs")
@@ -226,6 +227,8 @@ def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult
         rz_new = float(np.dot(r.ravel(), z.ravel()))
         p = z + (rz_new / rz) * p
         rz = rz_new
+    if residuals[-1] <= target:
+        return CGResult(x=x, iterations=int(maxit), residuals=residuals)
     raise NoConvergence(
         f"CG did not reach tol {tol:g} in {maxit} iterations "
         f"(residual {residuals[-1]:.3e}, target {target:.3e})",

@@ -155,10 +155,6 @@ class Coupling:
             if not math.isfinite(getattr(self, name)):
                 raise BadParameter(f"A3: coupling parameter {name} must be finite")
 
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.a) if self.kind == AFFINE else abs(self.c)
-
     def pi_hat(self, r):
         r = np.asarray(r, dtype=float)
         if self.kind == AFFINE:

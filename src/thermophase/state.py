@@ -14,7 +14,10 @@ The thermal operator I/tau + (alpha + tau beta)(-lap) is inverted exactly by
 ``grid.cosine_solve``.  The SPD Newton operator I/tau - lap + diag(gamma') is
 solved by CG in the same cosine coefficients, where I/tau - lap is diagonal and
 only diag(gamma') needs the transforms; the preconditioner is that diagonal
-shifted by the median of gamma'.  The sensitivity sweeps reuse both solvers.
+shifted by the median of gamma'.  Newton is inexact: its stop is relative to
+the size of the step's right-hand side, and each inner CG solves only as far
+as the Eisenstat-Walker forcing term asks.  The sensitivity sweeps reuse both
+solvers, with CG run to ``cg_tol``.
 
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
@@ -34,8 +37,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParameter, DomainViolation, NewtonDivergence, StepError, ThermophaseError
-from .grid import (Field, GridSpec, _cosine_eigenbasis, _from_cosine, _to_cosine, cg_solve,
-                   cosine_solve, laplacian_neumann, norm)
+from .grid import (Field, GridSpec, _from_cosine, _to_cosine, cg_solve, cosine_solve,
+                   laplacian_neumann, norm)
 from .nonlinearity import Coupling, Potential
 
 if TYPE_CHECKING:
@@ -180,9 +183,11 @@ class Diagnostics:
     max_scaled_energy_residual: float
 
 
-def _phi_solver(grid, tau, potential, phi_node, rhs, opts):
-    """CGResult of (I/tau - lap + diag(gamma'(phi_node))) x = rhs, to ``opts.cg_tol``.
+def _phi_solver(grid, tau, potential, phi_node, rhs, opts, tol=None):
+    """CGResult of (I/tau - lap + diag(gamma'(phi_node))) x = rhs, to relative ``tol``.
 
+    ``tol`` defaults to ``opts.cg_tol``, the exact solves of the sensitivity
+    sweeps; only Newton's inner solves in ``phi_step`` pass a looser one.
     CG runs on the cosine coefficients c = C x, C the orthonormal DCT-II, where
     the operator is (1/tau + eig) c + C(gamma' C^T c) and the preconditioner the
     diagonal 1/(1/tau + m + eig), m the upper median of gamma' (a few stiff
@@ -192,12 +197,12 @@ def _phi_solver(grid, tau, potential, phi_node, rhs, opts):
     """
     rhs = grid.check_field(rhs, "rhs")
     gp = potential.dgamma(phi_node)
-    diag = 1.0 / tau + _cosine_eigenbasis(grid)[2]
+    diag = 1.0 / tau + grid.cosine_eigenbasis[2]
     k = gp.size // 2
     inv_pre = 1.0 / (diag + np.partition(gp.ravel(), k)[k])
     res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
-                   _to_cosine(grid, rhs), tol=opts.cg_tol, maxit=opts.cg_maxit,
-                   precond=lambda r: r * inv_pre)
+                   _to_cosine(grid, rhs), tol=opts.cg_tol if tol is None else tol,
+                   maxit=opts.cg_maxit, precond=lambda r: r * inv_pre)
     res.x = _from_cosine(grid, res.x)
     return res
 
@@ -210,11 +215,17 @@ def _thermal_solve(grid, params, tau, rhs):
 def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOptions()):
     """Implicit phase update; returns (phi_{n+1}, PhiStepInfo).
 
-    Newton on  G(p) = p/tau - lap(p) + gamma(p) - b  with
-    b = phi_n/tau - (2/theta_c) pi(phi_n) + (1/theta_c^2) v_n pi(phi_n).
-    The Jacobian I/tau - lap + diag(gamma') is SPD; damping by step halving
-    keeps iterates interior to the potential's domain.  At most 30 Newton
-    iterations, each with at most 40 halvings.
+    Inexact Newton on  G(p) = p/tau - lap(p) + gamma(p) - b  with
+    b = phi_n/tau - (2/theta_c) pi(phi_n) + (1/theta_c^2) v_n pi(phi_n),
+    stopped once ||G||_L2 <= tol_N = newton_tol (1 + ||b||_L2): the rounding
+    floor of G grows with b ~ phi_n/tau, so an absolute stop fails as tau
+    shrinks.  Iteration k solves the SPD Jacobian I/tau - lap + diag(gamma')
+    to the relative tolerance max(cg_tol, eta_k, tol_N / (2 ||G_k||)), with
+    the Eisenstat-Walker forcing eta_0 = 0.5, eta_k = min(0.9, 0.9
+    (||G_k|| / ||G_{k-1}||)^2), and the floor that keeps the last solve from
+    reaching below the stop (Kelley, 1995, sec. 6.3).  Damping by step
+    halving keeps iterates interior to the potential's domain.  At most 30
+    Newton iterations, each with at most 40 halvings.
     """
     maxit, max_damping = 30, 40
     phi_n = grid.check_field(phi_n, "phi_n")
@@ -222,6 +233,7 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     thc = params.theta_c
     pi_n = coupling.pi(phi_n)
     b = phi_n / tau - (2.0 / thc) * pi_n + (v_n * pi_n) / thc**2
+    tol_n = opts.newton_tol * (1.0 + norm(grid, b))
     info = PhiStepInfo()
 
     if not potential.contains(phi_n):
@@ -233,14 +245,16 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     phi = phi_n.copy()
     r = residual(phi)
     rnorm = norm(grid, r)
-    while rnorm > opts.newton_tol:
+    eta = 0.5
+    while rnorm > tol_n:
         if info.newton_iters >= maxit:
             raise NewtonDivergence(
                 f"Newton stalled at residual {rnorm:.3e} after {info.newton_iters} iterations",
                 residual=rnorm,
                 iterations=info.newton_iters,
             )
-        res = _phi_solver(grid, tau, potential, phi, -r, opts)
+        res = _phi_solver(grid, tau, potential, phi, -r, opts,
+                          tol=max(opts.cg_tol, eta, 0.5 * tol_n / rnorm))
         info.cg_iters += res.iterations
         delta = res.x
 
@@ -257,7 +271,8 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
                 continue
             r_trial = residual(trial)
             rnorm_trial = norm(grid, r_trial)
-            if math.isfinite(rnorm_trial) and (rnorm_trial < rnorm or rnorm_trial <= opts.newton_tol):
+            if math.isfinite(rnorm_trial) and (rnorm_trial < rnorm or rnorm_trial <= tol_n):
+                eta = min(0.9, 0.9 * (rnorm_trial / rnorm) ** 2)
                 phi, r, rnorm = trial, r_trial, rnorm_trial
                 accepted = True
                 break

@@ -11,6 +11,8 @@ from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import InitialData, PhysParams, Problem, TimeGrid
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
 
 def small_problem(nx=16, nt=12, t_final=0.15, potential_kind="regular",
                   coupling_kind="affine", phi_amp=0.3):

@@ -278,7 +278,7 @@ def test_criterion_10_target_recovery():
     js = report.j_history
     monotone = all(js[i + 1] <= js[i] for i in range(len(js) - 1))
     stat = report.certificates.stationarity
-    # inner CG stops at half the outer tolerance: 124 products, 155 without that floor
+    # inner CG stops at half the outer tolerance; without that floor it took 155 products
     ok = (js[-1] <= js[0] / 10.0 and monotone and len(js) <= 201
           and report.converged and stat <= 1e-9 and report.hessian_products < 155)
     _report(10, "target_recovery", ok,

@@ -167,6 +167,16 @@ def test_admissible_set_validation():
         aset.v0_anchor(g)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["u_lo", "u_hi", "v_lo", "v_hi"])
+def test_admissible_set_rejects_non_finite_bounds(name, bad):
+    # NaN compares false, so an order test alone lets it through
+    with pytest.raises(BadParameter, match=f"C4: {name} must be finite"):
+        AdmissibleSet(**{name: bad})
+    with pytest.raises(BadParameter, match=f"C4: {name} must be finite"):
+        AdmissibleSet(**{name: np.array([[0.0, bad]])})
+
+
 def test_stationarity_zero_at_interior_zero_gradient():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.4, nt=4)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermophase.errors import AnisotropicCells, DegenerateGrid, NoConvergence, ShapeMismatch
-from thermophase.grid import (_cosine_eigenbasis, _from_cosine, _to_cosine, build_grid, cg_solve,
+from thermophase.grid import (_from_cosine, _to_cosine, build_grid, cg_solve,
                               cosine_solve, inner, laplacian_neumann, norm, riesz_v)
 
 
@@ -109,6 +109,22 @@ def test_cg_roundtrip_recovers_truth(rng):
 
     res = cg_solve(g, apply, apply(x_true), tol=1e-12)
     assert norm(g, res.x - x_true) <= 1e-10 * norm(g, x_true)
+
+
+def test_cg_cap_at_the_needed_iteration_count_returns(rng):
+    # the maxit-th iterate is tested against the target before NoConvergence
+    g = build_grid(1, 1, 16, 16)
+    tau = 0.01
+
+    def apply(z):
+        return z - tau * laplacian_neumann(g, z)
+
+    rhs = rng.standard_normal(g.shape)
+    needed = cg_solve(g, apply, rhs, tol=1e-12).iterations
+    capped = cg_solve(g, apply, rhs, tol=1e-12, maxit=needed)
+    assert capped.iterations == needed and capped.residual <= 1e-12 * np.linalg.norm(rhs)
+    with pytest.raises(NoConvergence):
+        cg_solve(g, apply, rhs, tol=1e-12, maxit=needed - 1)
 
 
 def test_cg_singular_neumann_inconsistent_rhs(rng):
@@ -214,12 +230,22 @@ def test_cosine_transforms_are_orthonormal_inverses(rng):
     assert np.max(np.abs(_from_cosine(g, c) - f)) <= 1e-14 * np.max(np.abs(f))
 
 
+def test_cosine_eigenbasis_is_built_once_and_read_only():
+    g = build_grid(1.5, 1, 24, 16)
+    bases = g.cosine_eigenbasis
+    assert g.cosine_eigenbasis is bases
+    assert build_grid(1.5, 1, 24, 16).cosine_eigenbasis is not bases
+    for a in bases:
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("tau", [1.0, 1e-2, 1e-5])
 def test_cosine_coefficient_operator_is_shifted_stencil(rng, tau):
     # C^T((1/tau + eig) C z) = z/tau - lap z on a non-square grid: a swapped axis
     # or eigenvalue table would leave an O(1) error
     g = build_grid(1.5, 1, 24, 16)
-    eig = _cosine_eigenbasis(g)[2]
+    eig = g.cosine_eigenbasis[2]
     z = rng.standard_normal(g.shape) + 2.0
     want = z / tau - laplacian_neumann(g, z)
     got = _from_cosine(g, (1.0 / tau + eig) * _to_cosine(g, z))

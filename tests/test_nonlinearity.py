@@ -62,7 +62,9 @@ def test_affine_coupling_values():
     cpl = Coupling("affine", a=-1.0, b=0.0)
     assert cpl.pi_hat(2.0) == pytest.approx(-2.0)
     assert cpl.dpi(123.4) == pytest.approx(-1.0)
-    assert cpl.lipschitz == 1.0
+    r = np.linspace(-5.0, 5.0, 101)
+    slopes = np.diff(cpl.pi(r)) / np.diff(r)
+    assert np.max(np.abs(slopes)) == pytest.approx(abs(cpl.a), rel=1e-12)
 
 
 def test_bounded_smooth_coupling_values():

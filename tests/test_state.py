@@ -1,13 +1,16 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_problem, smooth_control
+from conftest import CONFIGS, small_problem, smooth_control
 from oracles import bisect, scalar_forward
 
+from thermophase.config import parse_config_dict
 from thermophase.control import ControlPair
 from thermophase.errors import DomainViolation, NoConvergence
 from thermophase.grid import build_grid, cg_solve, laplacian_neumann, norm
@@ -20,6 +23,17 @@ PARAMS = PhysParams()
 REGULAR = Potential("regular")
 PI_ZERO = Coupling("affine", a=0.0, b=0.0)
 PI_NEG = Coupling("affine", a=-1.0, b=0.0)
+
+
+def _committed_run(name, n=None, tau=None, nt=None):
+    """Forward solve of a committed example config, optionally resized to n^2 x nt steps of tau."""
+    with open(os.path.join(CONFIGS, name)) as fh:
+        raw = json.load(fh)
+    if n is not None:
+        raw["grid"].update(nx=n, ny=n)
+        raw["time"].update(t_final=nt * tau, nt=nt)
+    cfg = parse_config_dict(raw)
+    return solve_state(cfg.problem(), cfg.control(), cfg.solver_options())
 
 
 def test_phi_step_zero_fixed_point():
@@ -116,6 +130,27 @@ def test_phase_solve_iteration_cap_raises(rng):
     with pytest.raises(NoConvergence):
         phi_step(g, REGULAR, PI_NEG, PARAMS, phi, np.full(g.shape, 1.0), 0.01,
                  SolverOptions(cg_maxit=1))
+
+
+@pytest.mark.parametrize("n,tau", [(64, 1e-6), (128, 1e-6), (128, 1e-4)])
+def test_newton_stop_scales_with_small_tau(n, tau):
+    # the residual's rounding floor grows like ||phi_n||/tau; an absolute
+    # newton_tol of 1e-11 lies below it at 64^2 and 128^2 with tau = 1e-6
+    traj = _committed_run("simulate_logarithmic.json", n=n, tau=tau, nt=5)
+    assert traj.nt == 5
+    for rec in traj.steps[1:]:
+        assert 1 <= rec.newton_iters <= 3
+        assert abs(rec.energy_residual) <= 1e-10 * rec.balance_scale
+
+
+@pytest.mark.parametrize("name", ["simulate_logarithmic.json", "grad_check.json"])
+def test_inexact_newton_work_per_step(name):
+    # the forcing terms keep inner CG loose until the last Newton iteration;
+    # exact inner solves need about 6 CG iterations per step here
+    traj = _committed_run(name)
+    steps = traj.steps[1:]
+    assert sum(rec.cg_iters for rec in steps) / len(steps) <= 3.0
+    assert sum(rec.newton_iters for rec in steps) / len(steps) <= 2.15
 
 
 def test_thermal_step_zero_inputs():
