@@ -535,7 +535,9 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     (_newton_cg) and -g on the active ones.  Armijo searches the projected
     path P(x + s d) from s = 1, accepting J(trial) <= J + 1e-4 <g, trial - x>
     and halving s up to 60 times.  When CG meets non-positive curvature on
-    its first iteration, the direction is -g and s starts at the
+    its first iteration, or the first trial of the Newton path (s = 1) does
+    not predict descent (<g, trial - x> > 0, which the projection onto the
+    V-ball can cause), the direction is -g and s starts at the
     Barzilai-Borwein quotient of the last accepted step (_bb_step; 1 before
     any).  Stops when the stationarity residual (at unit step scale) falls
     below the tolerance or after max_iters.  Emits per-iterate certificates
@@ -596,6 +598,10 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
                 if j_trial <= j + armijo_c * pred:
                     accepted = True
                     break
+            elif newton is not None and backtracks == 0:
+                # the projection of the Newton path onto the ball need not descend
+                d, s = ControlPair(-g.g_u, -g.g_v), bb_step
+                continue
             s *= shrink
         if converged:
             break

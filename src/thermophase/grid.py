@@ -113,18 +113,26 @@ def build_grid(lx: float, ly: float, nx: int, ny: int) -> GridSpec:
 
 
 def laplacian_neumann(grid: GridSpec, f: Field) -> Field:
-    """Five-point cell-centered Laplacian with zero flux through boundary faces."""
+    """Five-point cell-centered Laplacian with zero flux through boundary faces.
+
+    Works on the flattened row-major field, where the x-neighbours are 1 apart
+    and the y-neighbours nx apart, so every pass is contiguous; the x-differences
+    that wrap from the end of one row to the start of the next are zeroed.
+    """
     f = grid.check_field(f)
-    dx = f[:, 1:] - f[:, :-1]
-    out = np.empty_like(f)
-    out[:, :-1] = dx
-    out[:, -1] = 0.0
-    out[:, 1:] -= dx
-    dy = f[1:, :] - f[:-1, :]
-    out[:-1, :] += dy
-    out[1:, :] -= dy
+    nx = grid.nx
+    flat = f.ravel()
+    dx = flat[1:] - flat[:-1]
+    dx[nx - 1::nx] = 0.0
+    out = np.empty_like(flat)
+    out[:-1] = dx
+    out[-1] = 0.0
+    out[1:] -= dx
+    dy = flat[nx:] - flat[:-nx]
+    out[:-nx] += dy
+    out[nx:] -= dy
     out /= grid.hx * grid.hy
-    return out
+    return out.reshape(f.shape)
 
 
 def _to_cosine(grid: GridSpec, f: Field) -> Field:
@@ -203,7 +211,7 @@ def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult
     bnorm = float(np.sqrt(np.dot(rhs.ravel(), rhs.ravel())))
     if bnorm == 0.0:
         return CGResult(x=np.zeros_like(rhs), iterations=0, residuals=[0.0])
-    x, r, residuals = grid.zeros(), rhs, [bnorm]
+    x, r, residuals = grid.zeros(), rhs.copy(), [bnorm]
     target = tol * bnorm
     z = precond(r) if precond is not None else r
     p = z.copy()
@@ -220,12 +228,13 @@ def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult
                 iterations=k,
             )
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p
+        r -= alpha * ap
         residuals.append(float(np.sqrt(np.dot(r.ravel(), r.ravel()))))
         z = precond(r) if precond is not None else r
         rz_new = float(np.dot(r.ravel(), z.ravel()))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     if residuals[-1] <= target:
         return CGResult(x=x, iterations=int(maxit), residuals=residuals)

@@ -74,12 +74,12 @@ class Potential:
     def contains(self, r) -> bool:
         """True if every entry is inside (r_minus + m, r_plus - m), m = interior_margin.
 
-        min and max propagate NaN, so an array holding NaN is never inside."""
+        The bounded domain (-1, 1) is symmetric, so this is max|r| < 1 - m; max
+        propagates NaN, so an array holding NaN is never inside."""
         if not self.bounded_domain:
             return bool(np.all(np.isfinite(r)))
-        m = self.interior_margin
         r = np.asarray(r, dtype=float)
-        return bool(np.min(r) > self.r_minus + m and np.max(r) < self.r_plus - m)
+        return bool(np.max(np.abs(r)) < self.r_plus - self.interior_margin)
 
     def _require_interior(self, r):
         if self.bounded_domain and not self.contains(r):

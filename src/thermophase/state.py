@@ -14,10 +14,12 @@ The thermal operator I/tau + (alpha + tau beta)(-lap) is inverted exactly by
 ``grid.cosine_solve``.  The SPD Newton operator I/tau - lap + diag(gamma') is
 solved by CG in the same cosine coefficients, where I/tau - lap is diagonal and
 only diag(gamma') needs the transforms; the preconditioner is that diagonal
-shifted by the median of gamma'.  Newton is inexact: its stop is relative to
-the size of the step's right-hand side, and each inner CG solves only as far
-as the Eisenstat-Walker forcing term asks.  The sensitivity sweeps reuse both
-solvers, with CG run to ``cg_tol``.
+shifted by the median m of gamma'.  Newton is inexact: its stop is relative to
+the size of the step's right-hand side, and each inner solve goes only as far
+as the Eisenstat-Walker forcing term asks.  The preconditioned step alone has
+relative residual at most theta = max|gamma' - m| / (1/tau + m), so when theta
+meets the forcing it is taken without CG (0 CG iterations for that Newton
+iteration).  The sensitivity sweeps reuse both solvers at ``cg_tol``.
 
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
@@ -37,8 +39,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParameter, DomainViolation, NewtonDivergence, StepError, ThermophaseError
-from .grid import (Field, GridSpec, _from_cosine, _to_cosine, cg_solve, cosine_solve,
-                   laplacian_neumann, norm)
+from .grid import (CGResult, Field, GridSpec, _from_cosine, _to_cosine, cg_solve,
+                   cosine_solve, laplacian_neumann, norm)
 from .nonlinearity import Coupling, Potential
 
 if TYPE_CHECKING:
@@ -188,21 +190,33 @@ def _phi_solver(grid, tau, potential, phi_node, rhs, opts, tol=None):
 
     ``tol`` defaults to ``opts.cg_tol``, the exact solves of the sensitivity
     sweeps; only Newton's inner solves in ``phi_step`` pass a looser one.
-    CG runs on the cosine coefficients c = C x, C the orthonormal DCT-II, where
-    the operator is (1/tau + eig) c + C(gamma' C^T c) and the preconditioner the
-    diagonal 1/(1/tau + m + eig), m the upper median of gamma' (a few stiff
-    cells near separation do not set it, unlike the mean).  C is orthonormal,
-    so residual norms and the stopping rule are those of the physical system;
-    the solution is transformed back once, into ``x``.
+    The system is solved in the cosine coefficients c = C x, C the orthonormal
+    DCT-II, where the operator is A = (1/tau + eig) + C diag(gamma') C^T and the
+    preconditioner the diagonal P = 1/(1/tau + m + eig), m the upper median of
+    gamma' (a few stiff cells near separation do not set it, unlike the mean).
+    The preconditioned step X = P R, R = C rhs, leaves the residual
+    R - A X = -C((gamma' - m) C^T X), so its relative residual is at most
+    theta = max|gamma' - m| / (1/tau + m).  When theta <= tol that step is
+    returned with 0 iterations (``residuals`` then holds the bound theta ||R||);
+    at ``cg_tol`` this happens only for gamma' constant to that level, where P
+    is the exact inverse.  Otherwise CG runs from zero.  C is orthonormal, so
+    residual norms and the stopping rule are those of the physical system; the
+    solution is transformed back once, into ``x``.
     """
     rhs = grid.check_field(rhs, "rhs")
+    tol = opts.cg_tol if tol is None else tol
     gp = potential.dgamma(phi_node)
     diag = 1.0 / tau + grid.cosine_eigenbasis[2]
     k = gp.size // 2
-    inv_pre = 1.0 / (diag + np.partition(gp.ravel(), k)[k])
+    m = np.partition(gp.ravel(), k)[k]
+    inv_pre = 1.0 / (diag + m)
+    coeffs = _to_cosine(grid, rhs)
+    theta = float(np.max(np.abs(gp - m))) * inv_pre[0, 0]
+    if theta <= tol:
+        return CGResult(x=_from_cosine(grid, coeffs * inv_pre), iterations=0,
+                        residuals=[theta * float(np.linalg.norm(coeffs))])
     res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
-                   _to_cosine(grid, rhs), tol=opts.cg_tol if tol is None else tol,
-                   maxit=opts.cg_maxit, precond=lambda r: r * inv_pre)
+                   coeffs, tol=tol, maxit=opts.cg_maxit, precond=lambda r: r * inv_pre)
     res.x = _from_cosine(grid, res.x)
     return res
 

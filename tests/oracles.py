@@ -5,7 +5,9 @@ and the 0-D recursions below implement the same time-stepping formulas with
 plain floats, so spatially homogeneous runs of the field solver must agree
 with them to solver tolerance.  ``check_vi_per_sample`` is the sampled
 variational inequality evaluated one sample at a time, the reference for the
-block evaluation in ``control.check_vi``.
+block evaluation in ``control.check_vi``.  ``laplacian_strided`` is the
+five-point stencil taken on 2-D slices, the reference that the flattened
+``grid.laplacian_neumann`` must match bit for bit.
 """
 
 import math
@@ -34,6 +36,20 @@ def bisect(f, lo, hi, tol=1e-15, maxit=500):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def laplacian_strided(grid, f):
+    """Zero-flux five-point Laplacian from row and column differences of the (ny, nx) field."""
+    dx = f[:, 1:] - f[:, :-1]
+    out = np.empty_like(f)
+    out[:, :-1] = dx
+    out[:, -1] = 0.0
+    out[:, 1:] -= dx
+    dy = f[1:, :] - f[:-1, :]
+    out[:-1, :] += dy
+    out[1:, :] -= dy
+    out /= grid.hx * grid.hy
+    return out
 
 
 def scalar_phi_step(potential, coupling, params, phi_n, v_n, tau):

@@ -1,9 +1,12 @@
+import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import small_problem, smooth_control, zero_target_cost
+from conftest import CONFIGS, small_problem, smooth_control, zero_target_cost
 from oracles import check_vi_per_sample
 
 from thermophase import control as control_module
@@ -12,6 +15,7 @@ from thermophase.control import (AdmissibleSet, ControlPair, GradientPair,
                                  clamp_formula_residual, cost_eval, optimize,
                                  project_admissible, stationarity_residual, u_inner, u_norm,
                                  v0_inner, v0_norm)
+from thermophase.config import parse_config_dict
 from thermophase.errors import BadParameter
 from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
@@ -430,6 +434,23 @@ def test_optimize_outer_iterations_mesh_independent():
         assert report.converged
         iters.append(len(report.iterates) - 1)
     assert max(iters) - min(iters) <= 1, iters
+
+
+@pytest.mark.parametrize("ball_radius", [0.3, 0.1, 0.03])
+def test_optimize_converges_with_active_v0_ball(ball_radius):
+    # optimize_recovery.json with v0's V-ball active: the projection of the
+    # Newton path onto the ball can predict ascent, where backtracking along
+    # it cannot find a decrease, so the step must fall back to the -g path
+    with open(os.path.join(CONFIGS, "optimize_recovery.json")) as fh:
+        raw = json.load(fh)
+    raw["admissible"]["ball_radius"] = ball_radius
+    cfg = parse_config_dict(raw)
+    problem = cfg.problem()
+    report = optimize(problem, cfg.cost_spec(problem), cfg.admissible_set(), cfg.control(),
+                      replace(cfg.optimize_options(), max_iters=60))
+    assert report.converged
+    assert len(report.iterates) - 1 <= 6
+    assert all(r.feasible_ball for r in report.iterates)
 
 
 def test_optimize_falls_back_to_bb_step_without_positive_curvature(monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import laplacian_strided
+
 from thermophase.errors import AnisotropicCells, DegenerateGrid, NoConvergence, ShapeMismatch
 from thermophase.grid import (_from_cosine, _to_cosine, build_grid, cg_solve,
                               cosine_solve, inner, laplacian_neumann, norm, riesz_v)
@@ -44,6 +46,18 @@ def test_laplacian_mean_zero_random(rng):
     f = rng.uniform(-1, 1, g.shape)
     mean = g.cell_volume * math.fsum(laplacian_neumann(g, f).ravel().tolist())
     assert abs(mean) <= 1e-13 * norm(g, f)
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 5), (7, 4), (64, 64)])
+def test_laplacian_matches_strided_stencil_bitwise(rng, nx, ny):
+    g = build_grid(nx / ny, 1, nx, ny)
+    f = rng.standard_normal(g.shape)
+    out = laplacian_neumann(g, f)
+    assert out.shape == g.shape
+    assert np.array_equal(out, laplacian_strided(g, f))
+    # a non-contiguous view of the same values gives the same bits
+    wide = np.repeat(f, 2, axis=1)
+    assert np.array_equal(laplacian_neumann(g, wide[:, ::2]), out)
 
 
 def test_laplacian_shape_mismatch():
@@ -97,6 +111,16 @@ def test_cg_identity_one_iteration():
     res = cg_solve(g, lambda z: z, rhs, tol=1e-12)
     assert res.iterations == 1
     assert np.allclose(res.x, rhs, rtol=0, atol=1e-13)
+
+
+def test_cg_leaves_rhs_unchanged(rng):
+    # x, r and p are updated in place; r starts as a copy of rhs
+    g = build_grid(1, 1, 16, 16)
+    rhs = rng.standard_normal(g.shape)
+    kept = rhs.copy()
+    res = cg_solve(g, lambda z: z - 0.01 * laplacian_neumann(g, z), rhs, tol=1e-12)
+    assert res.iterations > 1
+    assert np.array_equal(rhs, kept)
 
 
 def test_cg_roundtrip_recovers_truth(rng):
