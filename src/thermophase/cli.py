@@ -4,7 +4,9 @@ Subcommands: simulate, grad_check, adjoint_test, optimize, convergence,
 cont_dependence.  Each writes deterministic artifacts (CSV reports, CGW1
 snapshots, an effective-config echo, and a summary file with one pass/fail
 line per criterion) into the output directory, and exits nonzero iff any
-enabled criterion fails.
+enabled criterion fails.  A numerical failure leaves ``failure.json`` (the
+command, the error and its cause, the failing step, and the cause's residual
+and iteration count where it has them) next to what the run had written.
 
 Exit codes: 0 pass, 1 criterion failure, 2 usage/config error, 3 numerical
 failure.  CSV files use '.' decimal, comma separators, a header row, and
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import json
 import math
 import os
 import sys
@@ -25,7 +28,7 @@ import numpy as np
 
 from .config import ProblemConfig, echo_effective_config, parse_config, parse_config_dict
 from .control import ControlPair, ReducedProblem, optimize, u_inner, u_norm, v0_inner
-from .errors import ParseError, ThermophaseError, ValidationError
+from .errors import ParseError, StepError, ThermophaseError, ValidationError
 from .grid import build_grid, inner, laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)
@@ -464,6 +467,36 @@ _COMMANDS = {
 }
 
 
+def _write_failure(path: str, cmd: str, exc: ThermophaseError) -> None:
+    """failure.json of a numerical failure: what failed, at which step, and why.
+
+    ``cause`` is the class of the error a ``StepError`` wraps; ``residual`` and
+    ``iterations`` come from that cause, or from the error itself, where it
+    carries them (CG and Newton failures).  No timings: the file is as
+    deterministic as the CSVs.
+    """
+    step = exc.step if isinstance(exc, StepError) else None
+    cause = getattr(exc, "cause", None)
+    if not isinstance(cause, Exception):  # a StepError may wrap only a message
+        cause = None
+    source = exc if cause is None else cause
+    residual = getattr(source, "residual", None)
+    record = {
+        "command": cmd,
+        "error": type(exc).__name__,
+        "message": str(exc),
+        "step": step,
+        "cause": None if cause is None else type(cause).__name__,
+        "residual": None if residual is None else float(residual),
+        "iterations": getattr(source, "iterations", None),
+    }
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
                 seed: int | None = None) -> ExitReport:
     """Run one subcommand; writes artifacts and returns the exit report."""
@@ -475,7 +508,16 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
         raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     echo_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
-    criteria, notes = _COMMANDS[cmd](cfg, out_dir, seed)
+    failure_path = os.path.join(out_dir, "failure.json")
+    if os.path.exists(failure_path):  # left by an earlier failed run into this directory
+        os.remove(failure_path)
+    try:
+        criteria, notes = _COMMANDS[cmd](cfg, out_dir, seed)
+    except (ParseError, ValidationError):
+        raise
+    except ThermophaseError as exc:
+        _write_failure(failure_path, cmd, exc)
+        raise
     _write_summary(os.path.join(out_dir, "summary.txt"), criteria, notes)
     code = 0 if all(c.passed for c in criteria) else 1
     return ExitReport(code=code, criteria=criteria, out_dir=out_dir)

@@ -8,7 +8,8 @@ Closed forms:
 
   regular:              gamma_hat(r) = r^4 / 4                      on all of R
   logarithmic (kappa):  gamma_hat(r) = (kappa/2) [(1+r) ln(1+r)
-                                       + (1-r) ln(1-r)]             on (-1, 1)
+                                       + (1-r) ln(1-r)]             on (-1, 1),
+                        gamma(r) = kappa artanh(r)
   obstacle_penalized:   gamma_hat(r) = dist(r, [-1, 1])^2 / (2 eps) on all of R
 
 The penalized obstacle is the Moreau-Yosida envelope of the hard constraint
@@ -17,7 +18,9 @@ the model rather than approximating it at a known rate.
 
 Logarithmic evaluations never clamp: arguments at or beyond +-1 minus the
 configured interior margin, and NaN, raise DomainViolation, so a separation
-failure in a run is loud instead of silently saturated.
+failure in a run is loud instead of silently saturated.  The one exception
+is the phase Newton loop, which checks each trial point once with
+``contains`` and then evaluates gamma and gamma' there without a second check.
 """
 
 from __future__ import annotations
@@ -103,19 +106,28 @@ class Potential:
 
     def gamma(self, r):
         r = np.asarray(r, dtype=float)
-        if self.kind == REGULAR:
-            return r * r * r
-        if self.kind == LOGARITHMIC:
-            self._require_interior(r)
-            return 0.5 * self.kappa * (np.log1p(r) - np.log1p(-r))
-        return np.sign(r) * np.maximum(np.abs(r) - 1.0, 0.0) / self.eps_pen
+        self._require_interior(r)
+        return self._gamma(r)
 
     def dgamma(self, r):
         r = np.asarray(r, dtype=float)
+        self._require_interior(r)
+        return self._dgamma(r)
+
+    # Unchecked gamma and gamma' on a float array that the caller has found
+    # inside the domain (``contains``): the Newton loop of ``state.phi_step``
+    # checks each trial once and then evaluates here.
+    def _gamma(self, r):
+        if self.kind == REGULAR:
+            return r * r * r
+        if self.kind == LOGARITHMIC:
+            return self.kappa * np.arctanh(r)
+        return np.sign(r) * np.maximum(np.abs(r) - 1.0, 0.0) / self.eps_pen
+
+    def _dgamma(self, r):
         if self.kind == REGULAR:
             return 3.0 * r**2
         if self.kind == LOGARITHMIC:
-            self._require_interior(r)
             return self.kappa / ((1.0 + r) * (1.0 - r))
         return np.where(np.abs(r) > 1.0, 1.0 / self.eps_pen, 0.0)
 

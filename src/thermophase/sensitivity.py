@@ -148,11 +148,12 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
     eta_t = np.zeros_like(xi)
     eta_t[0] = h0
     pi_of = problem.coupling.pi
+    dgamma = problem.potential.dgamma
     pi_n = pi_of(base.phi[0])
     for n in range(nt):
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         rhs_phi = xi[n] / tau + c1 * xi[n] + c2 * eta_t[n]
-        xi[n + 1] = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], rhs_phi, opts).x
+        xi[n + 1] = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), rhs_phi, opts).x
         pi_np1 = pi_of(base.phi[n + 1])
         rhs_v = (eta_t[n] / tau + beta * laplacian_neumann(grid, eta[n])
                  - (pi_np1 * xi[n + 1] - pi_n * xi[n]) / tau + h[n])
@@ -209,6 +210,7 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
     nt, tau = tg.nt, tg.tau
     beta = problem.params.beta
     pi_of = problem.coupling.pi
+    dgamma = problem.potential.dgamma
 
     h_bar = np.zeros((nt, grid.ny, grid.nx))
     X1, E1, Th1 = seed(nt)
@@ -227,7 +229,7 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
         X += pi_n * rv_bar / tau
         h_bar[n] = rv_bar
         # transpose of the phase solve (after X1 is complete)
-        rphi_bar = _phi_solver(grid, tau, problem.potential, base.phi[n + 1], X1, opts).x
+        rphi_bar = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), X1, opts).x
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         X += rphi_bar / tau + c1 * rphi_bar
         Th += c2 * rphi_bar
@@ -313,6 +315,7 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     thc = problem.params.theta_c
     beta = problem.params.beta
     pi_of = problem.coupling.pi
+    dgamma = problem.potential.dgamma
     dpi_of = problem.coupling.dpi
 
     f_q = np.zeros((nt + 1, grid.ny, grid.nx))
@@ -342,5 +345,5 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
                  + (base.v[n] * dpi_n * p[n + 1]) / thc**2)
         if cost.k1 > 0.0:
             rhs_p = rhs_p + cost.k1 * (base.phi[n] - cost.phi_q[n])
-        p[n] = _phi_solver(grid, tau, problem.potential, base.phi[n], rhs_p, opts).x
+        p[n] = _phi_solver(grid, tau, dgamma(base.phi[n]), rhs_p, opts).x
     return AdjointPair(p=p, q=q, q_conv=q_conv, f_q=f_q)

@@ -21,6 +21,13 @@ relative residual at most theta = max|gamma' - m| / (1/tau + m), so when theta
 meets the forcing it is taken without CG (0 CG iterations for that Newton
 iteration).  The sensitivity sweeps reuse both solvers at ``cg_tol``.
 
+Each Newton point costs one domain check, one stencil and one gamma: the
+residual is G(p) = p/tau + A(p) - b with A(p) = gamma(p) - lap(p), a trial
+is checked once by ``contains`` and then evaluated unchecked, and
+``solve_state`` carries A of each step's accepted iterate into the next
+step, whose first residual therefore needs no stencil, no gamma and no
+second check of phi_n.
+
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
 
@@ -131,6 +138,7 @@ class PhiStepInfo:
     newton_iters: int = 0
     cg_iters: int = 0
     domain_guard_hits: int = 0
+    operator: Field | None = field(default=None, repr=False)  # A(phi) = gamma(phi) - lap(phi)
 
 
 @dataclass
@@ -185,8 +193,8 @@ class Diagnostics:
     max_scaled_energy_residual: float
 
 
-def _phi_solver(grid, tau, potential, phi_node, rhs, opts, tol=None):
-    """CGResult of (I/tau - lap + diag(gamma'(phi_node))) x = rhs, to relative ``tol``.
+def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
+    """CGResult of (I/tau - lap + diag(gp)) x = rhs, to relative ``tol``; gp holds gamma'.
 
     ``tol`` defaults to ``opts.cg_tol``, the exact solves of the sensitivity
     sweeps; only Newton's inner solves in ``phi_step`` pass a looser one.
@@ -205,16 +213,17 @@ def _phi_solver(grid, tau, potential, phi_node, rhs, opts, tol=None):
     """
     rhs = grid.check_field(rhs, "rhs")
     tol = opts.cg_tol if tol is None else tol
-    gp = potential.dgamma(phi_node)
-    diag = 1.0 / tau + grid.cosine_eigenbasis[2]
+    eig = grid.cosine_eigenbasis[2]
     k = gp.size // 2
     m = np.partition(gp.ravel(), k)[k]
-    inv_pre = 1.0 / (diag + m)
+    shift = 1.0 / tau + m
+    inv_pre = 1.0 / (eig + shift)
     coeffs = _to_cosine(grid, rhs)
-    theta = float(np.max(np.abs(gp - m))) * inv_pre[0, 0]
+    theta = max(float(np.max(gp)) - m, m - float(np.min(gp))) / shift
     if theta <= tol:
         return CGResult(x=_from_cosine(grid, coeffs * inv_pre), iterations=0,
                         residuals=[theta * float(np.linalg.norm(coeffs))])
+    diag = 1.0 / tau + eig
     res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
                    coeffs, tol=tol, maxit=opts.cg_maxit, precond=lambda r: r * inv_pre)
     res.x = _from_cosine(grid, res.x)
@@ -226,10 +235,11 @@ def _thermal_solve(grid, params, tau, rhs):
     return cosine_solve(grid, rhs, 1.0 / tau, params.alpha + tau * params.beta)
 
 
-def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOptions()):
+def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOptions(),
+             a_n=None):
     """Implicit phase update; returns (phi_{n+1}, PhiStepInfo).
 
-    Inexact Newton on  G(p) = p/tau - lap(p) + gamma(p) - b  with
+    Inexact Newton on  G(p) = p/tau + A(p) - b,  A(p) = gamma(p) - lap(p),  with
     b = phi_n/tau - (2/theta_c) pi(phi_n) + (1/theta_c^2) v_n pi(phi_n),
     stopped once ||G||_L2 <= tol_N = newton_tol (1 + ||b||_L2): the rounding
     floor of G grows with b ~ phi_n/tau, so an absolute stop fails as tau
@@ -240,6 +250,15 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     reaching below the stop (Kelley, 1995, sec. 6.3).  Damping by step
     halving keeps iterates interior to the potential's domain.  At most 30
     Newton iterations, each with at most 40 halvings.
+
+    Each Newton point is evaluated once: a trial is checked against the domain
+    by one ``contains`` (which drives the damping), and gamma and gamma' at
+    that point then skip their own check.  ``info.operator`` holds A of the
+    returned iterate.  Passed back as ``a_n`` with that iterate as the next
+    step's ``phi_n``, it spares the next step's first residual its stencil and
+    gamma, and phi_n its domain check, since it was a checked trial; it is the
+    same array that the fresh evaluation of A(phi_n) gives.  Without ``a_n``,
+    phi_n is checked and A(phi_n) evaluated here.
     """
     maxit, max_damping = 30, 40
     phi_n = grid.check_field(phi_n, "phi_n")
@@ -250,14 +269,16 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     tol_n = opts.newton_tol * (1.0 + norm(grid, b))
     info = PhiStepInfo()
 
-    if not potential.contains(phi_n):
-        raise DomainViolation("phi_n is not interior to the potential domain")
+    def operator(p):  # A(p) at a point that passed ``contains``
+        return potential._gamma(p) - laplacian_neumann(grid, p)
 
-    def residual(p):
-        return p / tau - laplacian_neumann(grid, p) + potential.gamma(p) - b
+    if a_n is None:
+        if not potential.contains(phi_n):
+            raise DomainViolation("phi_n is not interior to the potential domain")
+        a_n = operator(phi_n)
 
-    phi = phi_n.copy()
-    r = residual(phi)
+    phi, a = phi_n.copy(), a_n
+    r = phi / tau + a - b
     rnorm = norm(grid, r)
     eta = 0.5
     while rnorm > tol_n:
@@ -267,7 +288,7 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
                 residual=rnorm,
                 iterations=info.newton_iters,
             )
-        res = _phi_solver(grid, tau, potential, phi, -r, opts,
+        res = _phi_solver(grid, tau, potential._dgamma(phi), -r, opts,
                           tol=max(opts.cg_tol, eta, 0.5 * tol_n / rnorm))
         info.cg_iters += res.iterations
         delta = res.x
@@ -283,11 +304,12 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
                 interior_failed = True
                 s *= 0.5
                 continue
-            r_trial = residual(trial)
+            a_trial = operator(trial)
+            r_trial = trial / tau + a_trial - b
             rnorm_trial = norm(grid, r_trial)
             if math.isfinite(rnorm_trial) and (rnorm_trial < rnorm or rnorm_trial <= tol_n):
                 eta = min(0.9, 0.9 * (rnorm_trial / rnorm) ** 2)
-                phi, r, rnorm = trial, r_trial, rnorm_trial
+                phi, a, r, rnorm = trial, a_trial, r_trial, rnorm_trial
                 accepted = True
                 break
             interior_failed = False
@@ -305,6 +327,7 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
                 iterations=info.newton_iters,
             )
         info.newton_iters += 1
+    info.operator = a
     return phi, info
 
 
@@ -355,11 +378,12 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
     steps = [StepRecord(step=0, time=0.0, newton_iters=0, cg_iters=0, energy_residual=0.0,
                         cumulative_balance_residual=0.0)]
     cumulative = 0.0
+    a_n = None  # A(phi[n]) carried from the step that produced phi[n]
     for n in range(nt):
         try:
             phi_next, pinfo = phi_step(
                 grid, problem.potential, problem.coupling, problem.params,
-                phi[n], v[n], tau, opts,
+                phi[n], v[n], tau, opts, a_n,
             )
             w_next, v_next, tinfo = thermal_step(
                 grid, problem.coupling, problem.params,
@@ -368,6 +392,7 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
         except ThermophaseError as exc:
             raise StepError(n + 1, exc) from exc
         phi[n + 1], w[n + 1], v[n + 1] = phi_next, w_next, v_next
+        a_n = pinfo.operator
         cumulative += tinfo.balance_residual
         steps.append(StepRecord(
             step=n + 1, time=(n + 1) * tau,

@@ -290,6 +290,16 @@ def test_optimize_recovery_converges_within_iteration_budget(tmp_path):
     assert int(work["hessian_products"]) >= iters
 
 
+def _failure(out_dir):
+    """failure.json of a failed run; its keys are sorted and it holds no timings."""
+    with open(out_dir / "failure.json") as fh:
+        record = json.load(fh)
+    assert list(record) == sorted(record) == ["cause", "command", "error", "iterations",
+                                              "message", "residual", "step"]
+    assert not os.path.exists(out_dir / "failure.json.tmp")
+    return record
+
+
 def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
     snap = tmp_path / "phi0.cgw"
     # rough phi0: the phase Jacobian varies from cell to cell, so its CG needs
@@ -301,6 +311,11 @@ def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
     path = _write(tmp_path, cfg, "hard.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o3")]) == 3
     assert "step 1: CG did not reach tol" in capsys.readouterr().err
+    record = _failure(tmp_path / "o3")
+    assert record["command"] == "simulate"
+    assert (record["error"], record["step"], record["cause"]) == ("StepError", 1, "NoConvergence")
+    assert record["message"].startswith("step 1: CG did not reach tol")
+    assert record["iterations"] == 1 and record["residual"] > 0.0
 
 
 def test_newton_divergence_exit_three(tmp_path, capsys):
@@ -311,10 +326,23 @@ def test_newton_divergence_exit_three(tmp_path, capsys):
     path = _write(tmp_path, cfg, "stiff.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
     assert "step 1: no residual decrease after 40 dampings" in capsys.readouterr().err
+    record = _failure(tmp_path / "o")
+    assert (record["error"], record["step"], record["cause"]) == ("StepError", 1,
+                                                                  "NewtonDivergence")
+    assert record["message"].startswith("step 1: no residual decrease after 40 dampings")
+    assert record["iterations"] >= 1 and record["residual"] > 0.0
     parsed = parse_config(path)
     with pytest.raises(StepError) as info:
         solve_state(parsed.problem(), parsed.control(), parsed.solver_options())
     assert isinstance(info.value.cause, NewtonDivergence)
+
+
+def test_run_removes_stale_failure_record(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "failure.json").write_text("{}\n")
+    run_command("simulate", parse_config(_write(tmp_path, MINIMAL)), out_dir=str(out))
+    assert not (out / "failure.json").exists()
 
 
 def test_determinism_byte_identical_csvs(tmp_path):

@@ -51,6 +51,21 @@ def test_logarithmic_domain_violation_is_loud():
         pot.gamma(np.array([0.0, -1.0 + 1e-12]))
 
 
+@pytest.mark.parametrize("kappa", [1.0, 0.7])
+def test_logarithmic_gamma_matches_log1p_form(rng, kappa):
+    # gamma = kappa artanh(r) in one pass; the two-log1p form agrees to 2 ulp,
+    # also within 1e-9 of the singularities
+    pot = Potential("logarithmic", kappa=kappa)
+    gap = np.logspace(-8.9, -0.01, 5000)
+    r = np.concatenate([rng.uniform(-1.0, 1.0, 20_000), 1.0 - gap, gap - 1.0])
+    ref = 0.5 * kappa * (np.log1p(r) - np.log1p(-r))
+    assert np.all(np.abs(pot.gamma(r) - ref) <= 2 * np.spacing(np.abs(ref)))
+    edge = 1.0 - pot.interior_margin
+    for bad in (edge, -edge, np.nan):
+        with pytest.raises(DomainViolation):
+            pot.gamma(np.array([0.0, bad]))
+
+
 @pytest.mark.parametrize("method", ["gamma_hat", "gamma", "dgamma", "d2gamma"])
 def test_logarithmic_rejects_nan(method):
     pot = Potential("logarithmic")

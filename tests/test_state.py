@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import CONFIGS, small_problem, smooth_control
 from oracles import bisect, scalar_forward
 
+from thermophase import state
 from thermophase.config import parse_config_dict
 from thermophase.control import ControlPair
 from thermophase.errors import DomainViolation, NoConvergence
@@ -73,7 +75,7 @@ def test_phase_preconditioner_near_separation_small_tau(rng, tau):
     rhs = rng.standard_normal(g.shape)
     plain = cg_solve(g, lambda z: z / tau - laplacian_neumann(g, z) + gp * z, rhs,
                      tol=opts.cg_tol)
-    pre = _phi_solver(g, tau, log_pot, phi, rhs, opts)
+    pre = _phi_solver(g, tau, gp, rhs, opts)
     assert pre.iterations < plain.iterations
     assert norm(g, pre.x - plain.x) <= 1e-10 * norm(g, plain.x)
     phi_next, info = phi_step(g, log_pot, PI_NEG, PARAMS, phi, g.zeros(), tau, opts)
@@ -94,9 +96,9 @@ def test_phase_solve_stiff_cells_iteration_bound(tau, n, max_iters):
     rhs = rng.standard_normal(g.shape)
     log_pot = Potential("logarithmic", kappa=1.0)
     opts = SolverOptions()
-    res = _phi_solver(g, tau, log_pot, phi, rhs, opts)
-    assert res.iterations <= max_iters
     gp = log_pot.dgamma(phi)
+    res = _phi_solver(g, tau, gp, rhs, opts)
+    assert res.iterations <= max_iters
     true_res = res.x / tau - laplacian_neumann(g, res.x) + gp * res.x - rhs
     assert np.linalg.norm(true_res) <= 2 * opts.cg_tol * np.linalg.norm(rhs)
 
@@ -114,7 +116,7 @@ def test_phase_solve_true_stencil_residual(rng, cg_tol, kind, lx, nx, ny):
     rhs = rng.standard_normal(g.shape) + 0.5
     opts = SolverOptions(cg_tol=cg_tol)
     tau = 0.005
-    res = _phi_solver(g, tau, pot, phi, rhs, opts)
+    res = _phi_solver(g, tau, pot.dgamma(phi), rhs, opts)
     true_res = res.x / tau - laplacian_neumann(g, res.x) + pot.dgamma(phi) * res.x - rhs
     assert res.iterations >= 1
     assert np.linalg.norm(true_res) <= 2 * cg_tol * np.linalg.norm(rhs)
@@ -133,7 +135,7 @@ def test_phase_solve_certified_preconditioner_step(rng, amp, tol, certified, bou
     phi = 0.3 + amp * np.cos(np.pi * x) * np.cos(np.pi * y)
     tau = 0.1
     rhs = rng.standard_normal(g.shape) + 0.5
-    res = _phi_solver(g, tau, REGULAR, phi, rhs, SolverOptions(), tol=tol)
+    res = _phi_solver(g, tau, REGULAR.dgamma(phi), rhs, SolverOptions(), tol=tol)
     assert (res.iterations == 0) == certified
     true_res = res.x / tau - laplacian_neumann(g, res.x) + REGULAR.dgamma(phi) * res.x - rhs
     assert np.linalg.norm(true_res) <= bound * np.linalg.norm(rhs)
@@ -146,7 +148,7 @@ def test_phase_solve_iteration_cap_raises(rng):
     x, y = g.cell_centers()
     phi = 0.9 * np.cos(np.pi * x) * np.cos(np.pi * y)
     with pytest.raises(NoConvergence):
-        _phi_solver(g, 0.01, REGULAR, phi, rng.standard_normal(g.shape),
+        _phi_solver(g, 0.01, REGULAR.dgamma(phi), rng.standard_normal(g.shape),
                     SolverOptions(cg_maxit=1))
     with pytest.raises(NoConvergence):
         phi_step(g, REGULAR, PI_NEG, PARAMS, phi, np.full(g.shape, 1.0), 0.01,
@@ -173,6 +175,50 @@ def test_inexact_newton_work_per_step(name):
     steps = traj.steps[1:]
     assert sum(rec.cg_iters for rec in steps) / len(steps) <= 1.5
     assert sum(rec.newton_iters for rec in steps) / len(steps) <= 2.15
+
+
+def test_phi_step_carried_operator_matches_fresh_call():
+    # A = gamma - lap of one step's iterate, handed to the next step, is the
+    # array that a fresh evaluation at phi_n gives: same phi and counts, bit for bit
+    problem = small_problem(nx=16, nt=6, potential_kind="logarithmic", phi_amp=0.9)
+    ctrl = smooth_control(problem, u_amp=1.0)
+    traj = solve_state(problem, ctrl)
+    g, tau, pot = problem.grid, problem.time.tau, problem.potential
+    args = (g, pot, problem.coupling, problem.params)
+    carried = None
+    for n in range(problem.time.nt):
+        phi, info = phi_step(*args, traj.phi[n], traj.v[n], tau)
+        assert info.newton_iters >= 1
+        assert np.array_equal(info.operator, pot.gamma(phi) - laplacian_neumann(g, phi))
+        assert np.array_equal(phi, traj.phi[n + 1])
+        if carried is not None:
+            phi_c, info_c = phi_step(*args, traj.phi[n], traj.v[n], tau, a_n=carried)
+            assert np.array_equal(phi_c, phi)
+            assert np.array_equal(info_c.operator, info.operator)
+            assert ((info_c.newton_iters, info_c.cg_iters, info_c.domain_guard_hits)
+                    == (info.newton_iters, info.cg_iters, info.domain_guard_hits))
+        carried = info.operator
+
+
+def test_newton_points_evaluated_once(monkeypatch):
+    # one stencil per Newton trial plus the thermal step's, and one domain check
+    # per trial: the step's first residual comes from the previous step's operator
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(state, "laplacian_neumann",
+                        counting("stencil", state.laplacian_neumann))
+    monkeypatch.setattr(Potential, "contains", counting("contains", Potential.contains))
+    traj = _committed_run("simulate_logarithmic.json")
+    newton = sum(rec.newton_iters for rec in traj.steps[1:]) / traj.nt
+    assert newton >= 2.0
+    assert calls["stencil"] / traj.nt <= 3.2
+    assert calls["contains"] / traj.nt <= 2.2
 
 
 def test_thermal_step_zero_inputs():
