@@ -6,7 +6,7 @@ Subpackage map:
 - ``nonlinearity``: convex potentials and Lipschitz couplings.
 - ``state``: semi-implicit forward solver and runtime diagnostics.
 - ``sensitivity``: tangent map, exact transpose, continuous adjoint.
-- ``control``: cost, reduced gradient, projection, projected-gradient descent.
+- ``control``: cost, reduced gradient, projection, projected Gauss–Newton–CG.
 - ``snapshots``: field snapshot format and trajectory persistence.
 - ``config`` / ``cli``: configuration ingestion and experiment drivers.
 """

@@ -7,6 +7,9 @@ line per criterion) into the output directory, and exits nonzero iff any
 enabled criterion fails.  A numerical failure leaves ``failure.json`` (the
 command, the error and its cause, the failing step, and the cause's residual
 and iteration count where it has them) next to what the run had written.
+Every run first removes the ``summary.txt`` and ``failure.json`` of an
+earlier run into the same directory, so a verdict on disk is always this
+run's.  Every file goes to disk through ``snapshots.write_atomic``.
 
 Exit codes: 0 pass, 1 criterion failure, 2 usage/config error, 3 numerical
 failure.  CSV files use '.' decimal, comma separators, a header row, and
@@ -28,11 +31,11 @@ import numpy as np
 
 from .config import ProblemConfig, echo_effective_config, parse_config, parse_config_dict
 from .control import ControlPair, ReducedProblem, optimize, u_inner, u_norm, v0_inner
-from .errors import ParseError, StepError, ThermophaseError, ValidationError
+from .errors import ParseError, SolverFailure, StepError, ThermophaseError, ValidationError
 from .grid import build_grid, inner, laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)
-from .snapshots import persist_trajectory, write_field
+from .snapshots import persist_trajectory, write_atomic, write_field, write_series
 from .state import solve_state, run_diagnostics, trajectory_difference_norm
 
 DIAGNOSTICS_COLUMNS = ["step", "time", "min_phi", "max_phi", "l2_phi", "v_l2", "v_linf",
@@ -55,12 +58,8 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    write_atomic(path, "".join(f"{line}\n" for line in lines))
 
 
 @dataclass
@@ -92,17 +91,10 @@ class ExitReport:
 
 
 def _write_summary(path: str, criteria: list[CriterionResult], notes: list[str]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        for c in criteria:
-            status = "PASS" if c.passed else "FAIL"
-            fh.write(f"{c.name} value={_fmt(c.value)} threshold={c.op}{_fmt(c.threshold)} "
-                     f"status={status}\n")
-        for note in notes:
-            fh.write(f"{note}\n")
-        overall = "PASS" if all(c.passed for c in criteria) else "FAIL"
-        fh.write(f"overall {overall}\n")
-    os.replace(tmp, path)
+    lines = [f"{c.name} value={_fmt(c.value)} threshold={c.op}{_fmt(c.threshold)} "
+             f"status={'PASS' if c.passed else 'FAIL'}" for c in criteria]
+    overall = "PASS" if all(c.passed for c in criteria) else "FAIL"
+    write_atomic(path, "".join(f"{line}\n" for line in lines + notes + [f"overall {overall}"]))
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -268,7 +260,7 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
             lctrl = lcfg.control()
             lcost = lcfg.cost_spec(lproblem)
             ltraj = solve_state(lproblem, lctrl, lopts)
-            seeds, _ = adjoint_solve_discrete(ltraj, lproblem, lcost, lopts)
+            seeds = adjoint_solve_discrete(ltraj, lproblem, lcost, lopts)
             adj = adjoint_solve_continuous(ltraj, lproblem, lcost, lopts)
             qc = adj.q[1:]
             num = u_norm(lproblem.grid, lproblem.time.tau, seeds.u - qc)
@@ -284,11 +276,10 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
             if i == len(levels) - 1:
                 stride = cfg.raw["output"]["snapshot_stride"]
                 if stride > 0:
-                    adir = os.path.join(out_dir, "adjoint")
-                    os.makedirs(adir, exist_ok=True)
-                    for n in range(0, lproblem.time.nt + 1, stride):
-                        write_field(os.path.join(adir, f"p_{n:06d}.cgw"), adj.p[n])
-                        write_field(os.path.join(adir, f"q_{n:06d}.cgw"), adj.q[n])
+                    nodes = range(0, lproblem.time.nt + 1, stride)
+                    for name, series in (("p", adj.p), ("q", adj.q)):
+                        write_series(os.path.join(out_dir, "adjoint"), name,
+                                     ((n, series[n]) for n in nodes))
         write_csv(os.path.join(out_dir, "gap.csv"),
                   ["nx", "nt", "tau", "gap", "order"], gap_rows)
         criteria.append(CriterionResult("adjoint_gap", gaps[-1], "<=", 5e-2))
@@ -312,9 +303,7 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
              r.clamp_formula_residual) for r in report.iterates]
     write_csv(os.path.join(out_dir, "history.csv"), HISTORY_COLUMNS, rows)
     cdir = os.path.join(out_dir, "control")
-    os.makedirs(cdir, exist_ok=True)
-    for n in range(problem.time.nt):
-        write_field(os.path.join(cdir, f"u_{n + 1:06d}.cgw"), report.final.u[n])
+    write_series(cdir, "u", enumerate(report.final.u, start=1))
     write_field(os.path.join(cdir, "v0.cgw"), report.final.v0)
 
     js = report.j_history
@@ -471,30 +460,23 @@ def _write_failure(path: str, cmd: str, exc: ThermophaseError) -> None:
     """failure.json of a numerical failure: what failed, at which step, and why.
 
     ``cause`` is the class of the error a ``StepError`` wraps; ``residual`` and
-    ``iterations`` come from that cause, or from the error itself, where it
-    carries them (CG and Newton failures).  No timings: the file is as
+    ``iterations`` come from that cause, or from the error itself, when it is
+    a ``SolverFailure`` (CG and Newton failures).  No timings: the file is as
     deterministic as the CSVs.
     """
-    step = exc.step if isinstance(exc, StepError) else None
-    cause = getattr(exc, "cause", None)
-    if not isinstance(cause, Exception):  # a StepError may wrap only a message
-        cause = None
+    step, cause = (exc.step, exc.cause) if isinstance(exc, StepError) else (None, None)
     source = exc if cause is None else cause
-    residual = getattr(source, "residual", None)
+    failed = isinstance(source, SolverFailure)
     record = {
         "command": cmd,
         "error": type(exc).__name__,
         "message": str(exc),
         "step": step,
         "cause": None if cause is None else type(cause).__name__,
-        "residual": None if residual is None else float(residual),
-        "iterations": getattr(source, "iterations", None),
+        "residual": float(source.residual) if failed else None,
+        "iterations": source.iterations if failed else None,
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
@@ -508,9 +490,11 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
         raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     echo_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
+    summary_path = os.path.join(out_dir, "summary.txt")
     failure_path = os.path.join(out_dir, "failure.json")
-    if os.path.exists(failure_path):  # left by an earlier failed run into this directory
-        os.remove(failure_path)
+    for verdict in (summary_path, failure_path):  # an earlier run's, into this directory
+        if os.path.exists(verdict):
+            os.remove(verdict)
     try:
         criteria, notes = _COMMANDS[cmd](cfg, out_dir, seed)
     except (ParseError, ValidationError):
@@ -518,7 +502,7 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
     except ThermophaseError as exc:
         _write_failure(failure_path, cmd, exc)
         raise
-    _write_summary(os.path.join(out_dir, "summary.txt"), criteria, notes)
+    _write_summary(summary_path, criteria, notes)
     code = 0 if all(c.passed for c in criteria) else 1
     return ExitReport(code=code, criteria=criteria, out_dir=out_dir)
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any
 
@@ -63,7 +62,7 @@ from .errors import ParseError, ThermophaseError, ValidationError
 from .grid import GridSpec, build_grid
 from .nonlinearity import Coupling, Potential
 from .sensitivity import TRACKING_TERMS
-from .snapshots import read_field
+from .snapshots import read_field, read_series, write_atomic
 from .state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
                     solve_state)
 
@@ -182,9 +181,8 @@ def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0) -> np.ndarra
     space-time (len(nodes), ny, nx) at the times ``n * tau`` of the given nodes."""
     key, body = ("const", spec) if _is_number(spec) else next(iter(spec.items()))
     if key == "snapshot_dir":
-        prefix = body.get("prefix", "u")
-        return np.stack([grid.check_field(read_field(
-            os.path.join(body["path"], f"{prefix}_{n:06d}.cgw"))) for n in nodes])
+        return grid.check_field(read_series(body["path"], body.get("prefix", "u"), nodes),
+                                body["path"], len(nodes))
     t = np.zeros(1) if nodes is None else np.asarray(nodes) * tau
     if key == "const":
         out = _finite(np.full((len(t),) + grid.shape, float(body)), spec)
@@ -424,8 +422,4 @@ def parse_config_dict(raw: dict) -> ProblemConfig:
 
 def echo_effective_config(cfg: ProblemConfig, path: str) -> None:
     """Write the normalized config (defaults materialized) as valid config JSON."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(cfg.raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(cfg.raw, indent=2, sort_keys=True) + "\n")

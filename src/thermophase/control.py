@@ -180,10 +180,7 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
     w = trapezoid_weights(nt, tau)[:, None, None]
     terms = []
     for weight, state, name, terminal in TRACKING_TERMS:
-        target = getattr(cost, name)
-        shape = grid.shape if terminal else (nt + 1, grid.ny, grid.nx)
-        if target.shape != shape:
-            raise ShapeMismatch(f"{name} has shape {target.shape}, expected {shape}")
+        target = grid.check_field(getattr(cost, name), name, None if terminal else nt + 1)
         k = getattr(cost, weight)
         if k > 0.0:
             x = getattr(traj, state)
@@ -230,18 +227,15 @@ class ReducedProblem:
     def gradient(self, control: ControlPair) -> GradientPair:
         traj = self.state(control)
         self.gradients += 1
-        seeds, _ = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
-        g_u = seeds.u + self.cost_spec.nu1 * control.u
-        g_v = self.cost_spec.nu2 * control.v0 + riesz_v(self.problem.grid, seeds.v0)
-        return GradientPair(g_u=g_u, g_v=g_v)
+        seeds = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
+        return self._representative(seeds.u, seeds.v0, control)
 
     def hessian_vector(self, control: ControlPair, d: ControlPair) -> GradientPair:
         """Gauss-Newton Hessian of the reduced cost at ``control`` applied to ``d``.
 
         A tangent sweep along d and a transpose sweep seeded by the tracking
         terms applied to that tangent, both on the cached trajectory, plus the
-        penalties: (h_bar/tau + nu1 d_u) is the L2(Q) representative and
-        (nu2 d_v + riesz_v(h0_bar)) the V representative, as in ``gradient``.
+        penalties, mapped to the gradient's representatives by ``_representative``.
         It never solves the state: ``control`` must be the last control solved.
         """
         if self._key(control) != self._cache_key:
@@ -251,9 +245,13 @@ class ReducedProblem:
         seed = tracking_seeds(self.cost_spec, lin.xi, lin.eta, lin.eta_t, tau, targets=False)
         sweep = tangent_transpose(traj, self.problem, seed, self.opts)
         self.hessian_products += 1
-        return GradientPair(g_u=sweep.h_bar / tau + self.cost_spec.nu1 * d.u,
-                            g_v=self.cost_spec.nu2 * d.v0
-                            + riesz_v(self.problem.grid, sweep.h0_bar))
+        return self._representative(sweep.h_bar / tau, sweep.h0_bar, d)
+
+    def _representative(self, seed_u: Field, seed_v0: Field, x: ControlPair) -> GradientPair:
+        """(seed_u + nu1 x.u, nu2 x.v0 + riesz_v(seed_v0)): the L2(Q) and V representatives
+        of a tracking derivative with L2 seeds (seed_u, seed_v0) plus the penalties' at x."""
+        return GradientPair(g_u=seed_u + self.cost_spec.nu1 * x.u,
+                            g_v=self.cost_spec.nu2 * x.v0 + riesz_v(self.problem.grid, seed_v0))
 
 
 def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec) -> ControlPair:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A solver that gives up raises a ``SolverFailure``, which carries its last
+residual and iteration count; a failed time step wraps its error in a
+``StepError``.  ``failure.json`` is written from these fields alone.
+"""
 
 
 class ThermophaseError(Exception):
@@ -13,29 +18,25 @@ class AnisotropicCells(ThermophaseError):
     """Cell sizes differ between the two axes; only square cells are supported."""
 
 
-class ShapeMismatch(ThermophaseError):
-    """A field does not conform to the grid it is used with."""
+class ShapeMismatch(ThermophaseError, ValueError):
+    """A field does not conform to the grid it is used with; also a ValueError."""
 
 
-class NoConvergence(ThermophaseError):
-    """Iterative linear solver hit its iteration cap.
+class SolverFailure(ThermophaseError):
+    """An iterative solver gave up; carries its last residual norm and iteration count."""
 
-    Carries the last residual norm and the iteration count.
-    """
-
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
 
 
-class NewtonDivergence(ThermophaseError):
+class NoConvergence(SolverFailure):
+    """Iterative linear solver hit its iteration cap or lost positive definiteness."""
+
+
+class NewtonDivergence(SolverFailure):
     """Newton iteration failed to reduce the residual within its budget."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 class BadParameter(ThermophaseError):
@@ -71,9 +72,9 @@ class FormatError(ThermophaseError):
 
 
 class StepError(ThermophaseError):
-    """A time step failed; wraps the underlying error with its step index."""
+    """A time step failed; wraps the error that stopped it with its step index."""
 
-    def __init__(self, step, cause):
+    def __init__(self, step: int, cause: Exception):
         super().__init__(f"step {step}: {cause}")
         self.step = step
         self.cause = cause

@@ -94,10 +94,12 @@ class GridSpec:
     def zeros(self) -> Field:
         return np.zeros(self.shape)
 
-    def check_field(self, f: Field, name: str = "field") -> Field:
+    def check_field(self, f: Field, name: str = "field", nodes: int | None = None) -> Field:
+        """``f`` as a float array of shape (ny, nx), or (nodes, ny, nx) when ``nodes`` is given."""
         f = np.asarray(f, dtype=float)
-        if f.shape != self.shape:
-            raise ShapeMismatch(f"{name} has shape {f.shape}, grid needs {self.shape}")
+        shape = self.shape if nodes is None else (nodes, *self.shape)
+        if f.shape != shape:
+            raise ShapeMismatch(f"{name} has shape {f.shape}, grid needs {shape}")
         return f
 
     def cell_centers(self) -> tuple[Field, Field]:

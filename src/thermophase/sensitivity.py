@@ -137,10 +137,8 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
-    h = np.asarray(pert.h, dtype=float)
+    h = grid.check_field(pert.h, "h", nt)
     h0 = grid.check_field(pert.h0, "h0")
-    if h.shape != (nt, grid.ny, grid.nx):
-        raise ValueError(f"h has shape {h.shape}, expected {(nt, grid.ny, grid.nx)}")
     beta = problem.params.beta
 
     xi = np.zeros((nt + 1, grid.ny, grid.nx))
@@ -185,11 +183,8 @@ Seed = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 def array_seed(problem: Problem, xi_bar, eta_bar, eta_t_bar) -> Seed:
     """Seed reading node n of three cotangent arrays of shape (nt+1, ny, nx)."""
-    shape = (problem.time.nt + 1, *problem.grid.shape)
-    arrays = [np.asarray(a, dtype=float) for a in (xi_bar, eta_bar, eta_t_bar)]
-    for arr, name in zip(arrays, ("xi_bar", "eta_bar", "eta_t_bar")):
-        if arr.shape != shape:
-            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    arrays = [problem.grid.check_field(a, name, problem.time.nt + 1)
+              for a, name in ((xi_bar, "xi_bar"), (eta_bar, "eta_bar"), (eta_t_bar, "eta_t_bar"))]
     return lambda n: tuple(a[n].copy() for a in arrays)
 
 
@@ -268,17 +263,16 @@ def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True
 
 
 def adjoint_solve_discrete(base: StateTrajectory, problem: Problem, cost: "CostSpec",
-                           opts=SolverOptions()):
+                           opts=SolverOptions()) -> GradientSeeds:
     """Exact transpose of the tangent map seeded by the discrete cost.
 
-    Returns (GradientSeeds, TransposeResult).  The seeds are exact for the
-    discrete reduced cost: dJ_tracking = <seeds.u, h>_L2(Q) + <seeds.v0, h0>_L2.
+    The seeds are exact for the discrete reduced cost:
+    dJ_tracking = <seeds.u, h>_L2(Q) + <seeds.v0, h0>_L2.
     """
     tau = problem.time.tau
     sweep = tangent_transpose(base, problem, tracking_seeds(cost, base.phi, base.w, base.v, tau),
                               opts)
-    seeds = GradientSeeds(u=sweep.h_bar / tau, v0=sweep.h0_bar)
-    return seeds, sweep
+    return GradientSeeds(u=sweep.h_bar / tau, v0=sweep.h0_bar)
 
 
 def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "CostSpec",

@@ -1,11 +1,13 @@
-"""Field snapshot binary format and trajectory persistence.
+"""How run artefacts reach disk: atomic writes, the CGW1 snapshot format, series, trajectories.
 
-A snapshot file holds one field: magic bytes "CGW1", little-endian u32 nx,
-u32 ny, then nx*ny little-endian 64-bit floats, row-major over cell centers.
-
-A persisted trajectory is a directory of snapshots (phi/w/v at a configurable
-node stride, the final node always included) plus a plain-text index file
-recording node count, stride and tau.
+Every file the package writes goes through ``write_atomic`` (a temp file, then
+``os.replace``), so no reader ever sees a partial file.  A snapshot file holds
+one field: magic bytes "CGW1", little-endian u32 nx, u32 ny, then nx*ny
+little-endian 64-bit floats, row-major over cell centers.  A series is one
+snapshot per time node, ``<prefix>_<node:06d>.cgw``, a name that only
+``write_series`` and ``read_series`` form.  A persisted trajectory is the
+phi/w/v series at a node stride (the final node always included) plus a
+plain-text index file recording node count, stride and tau.
 """
 
 from __future__ import annotations
@@ -20,7 +22,16 @@ from .errors import FormatError
 
 MAGIC = b"CGW1"
 INDEX_NAME = "index.txt"
+_TRAJECTORY_SERIES = ("phi", "w", "v")
 _HEADER = struct.Struct("<4sII")
+
+
+def write_atomic(path: str, data: str | bytes) -> None:
+    """Write ``data`` (text or bytes) to ``path`` through a temp file and a rename."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def write_field(path: str, values: np.ndarray) -> None:
@@ -28,11 +39,7 @@ def write_field(path: str, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise FormatError(f"snapshot fields are 2-D, got shape {values.shape}")
     ny, nx = values.shape
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, nx, ny))
-        fh.write(np.ascontiguousarray(values).tobytes())
-    os.replace(tmp, path)
+    write_atomic(path, _HEADER.pack(MAGIC, nx, ny) + np.ascontiguousarray(values).tobytes())
 
 
 def read_field(path: str) -> np.ndarray:
@@ -51,6 +58,22 @@ def read_field(path: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise FormatError(f"{path}: non-finite entries")
     return values
+
+
+def _series_path(directory: str, prefix: str, node: int) -> str:
+    return os.path.join(directory, f"{prefix}_{node:06d}.cgw")
+
+
+def write_series(directory: str, prefix: str, pairs) -> None:
+    """Write each (node, field) of ``pairs`` as one snapshot of the series; makes ``directory``."""
+    os.makedirs(directory, exist_ok=True)
+    for node, values in pairs:
+        write_field(_series_path(directory, prefix, node), values)
+
+
+def read_series(directory: str, prefix: str, nodes) -> np.ndarray:
+    """The snapshots of the given nodes of a series, stacked: shape (len(nodes), ny, nx)."""
+    return np.stack([read_field(_series_path(directory, prefix, n)) for n in nodes])
 
 
 def _stored_nodes(nt: int, stride: int) -> list[int]:
@@ -75,19 +98,13 @@ def persist_trajectory(traj, directory: str, stride: int = 1) -> list[int]:
     """Write phi/w/v snapshots at the given node stride plus an index file."""
     if stride < 1:
         raise FormatError(f"stride must be >= 1, got {stride}")
-    os.makedirs(directory, exist_ok=True)
     nt = traj.phi.shape[0] - 1
     nodes = _stored_nodes(nt, stride)
-    for n in nodes:
-        write_field(os.path.join(directory, f"phi_{n:06d}.cgw"), traj.phi[n])
-        write_field(os.path.join(directory, f"w_{n:06d}.cgw"), traj.w[n])
-        write_field(os.path.join(directory, f"v_{n:06d}.cgw"), traj.v[n])
-    tmp = os.path.join(directory, INDEX_NAME + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(f"nodes {nt + 1}\n")
-        fh.write(f"stride {stride}\n")
-        fh.write(f"tau {traj.tau!r}\n")
-    os.replace(tmp, os.path.join(directory, INDEX_NAME))
+    for name in _TRAJECTORY_SERIES:
+        series = getattr(traj, name)
+        write_series(directory, name, ((n, series[n]) for n in nodes))
+    write_atomic(os.path.join(directory, INDEX_NAME),
+                 f"nodes {nt + 1}\nstride {stride}\ntau {traj.tau!r}\n")
     return nodes
 
 
@@ -107,7 +124,5 @@ def load_trajectory(directory: str) -> LoadedTrajectory:
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{index_path}: {exc}") from exc
     nodes = _stored_nodes(node_count - 1, stride)
-    phi = np.stack([read_field(os.path.join(directory, f"phi_{n:06d}.cgw")) for n in nodes])
-    w = np.stack([read_field(os.path.join(directory, f"w_{n:06d}.cgw")) for n in nodes])
-    v = np.stack([read_field(os.path.join(directory, f"v_{n:06d}.cgw")) for n in nodes])
-    return LoadedTrajectory(nodes=nodes, tau=tau, phi=phi, w=w, v=v)
+    return LoadedTrajectory(nodes=nodes, tau=tau, **{name: read_series(directory, name, nodes)
+                                                     for name in _TRAJECTORY_SERIES})

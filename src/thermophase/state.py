@@ -22,11 +22,12 @@ meets the forcing it is taken without CG (0 CG iterations for that Newton
 iteration).  The sensitivity sweeps reuse both solvers at ``cg_tol``.
 
 Each Newton point costs one domain check, one stencil and one gamma: the
-residual is G(p) = p/tau + A(p) - b with A(p) = gamma(p) - lap(p), a trial
-is checked once by ``contains`` and then evaluated unchecked, and
-``solve_state`` carries A of each step's accepted iterate into the next
-step, whose first residual therefore needs no stencil, no gamma and no
-second check of phi_n.
+residual is G(p) = p/tau + A(p) - b with A(p) = gamma(p) - lap(p) (one
+definition, ``_phase_operator``), a trial is checked once by ``contains``
+and then evaluated unchecked, and ``solve_state`` carries A of each step's
+accepted iterate into the next step, whose first residual therefore needs
+no stencil, no gamma and no second check of phi_n.  Step 1 gets A(phi0)
+from ``solve_state``, after ``Problem.check_initial`` has checked phi0.
 
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
@@ -89,11 +90,10 @@ class TimeGrid:
 
 @dataclass
 class InitialData:
-    """Initial phase and thermal displacement; v0 is injected by the control."""
+    """Initial phase and thermal displacement; the initial temperature v0 is a control."""
 
     phi0: Field
     w0: Field
-    v0: Field | None = None
 
 
 def _check_ranges(opts, positive=(), nonnegative=()) -> None:
@@ -128,8 +128,9 @@ class Problem:
     initial: InitialData
 
     def check_initial(self) -> None:
-        """phi0 must lie strictly inside the potential's domain (strong-solution data)."""
-        if self.potential.bounded_domain and not self.potential.contains(self.initial.phi0):
+        """phi0 must lie strictly inside the potential's domain (strong-solution data);
+        for a potential defined on all reals, that means finite."""
+        if not self.potential.contains(self.initial.phi0):
             raise DomainViolation("phi0 must be strictly interior to the potential domain")
 
 
@@ -230,6 +231,11 @@ def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
     return res
 
 
+def _phase_operator(grid, potential, p):
+    """A(p) = gamma(p) - lap(p) at a point ``p`` that passed ``potential.contains``."""
+    return potential._gamma(p) - laplacian_neumann(grid, p)
+
+
 def _thermal_solve(grid, params, tau, rhs):
     """Exact inverse of the thermal operator I/tau + (alpha + tau beta)(-lap)."""
     return cosine_solve(grid, rhs, 1.0 / tau, params.alpha + tau * params.beta)
@@ -268,14 +274,10 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     b = phi_n / tau - (2.0 / thc) * pi_n + (v_n * pi_n) / thc**2
     tol_n = opts.newton_tol * (1.0 + norm(grid, b))
     info = PhiStepInfo()
-
-    def operator(p):  # A(p) at a point that passed ``contains``
-        return potential._gamma(p) - laplacian_neumann(grid, p)
-
     if a_n is None:
         if not potential.contains(phi_n):
             raise DomainViolation("phi_n is not interior to the potential domain")
-        a_n = operator(phi_n)
+        a_n = _phase_operator(grid, potential, phi_n)
 
     phi, a = phi_n.copy(), a_n
     r = phi / tau + a - b
@@ -304,7 +306,7 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
                 interior_failed = True
                 s *= 0.5
                 continue
-            a_trial = operator(trial)
+            a_trial = _phase_operator(grid, potential, trial)
             r_trial = trial / tau + a_trial - b
             rnorm_trial = norm(grid, r_trial)
             if math.isfinite(rnorm_trial) and (rnorm_trial < rnorm or rnorm_trial <= tol_n):
@@ -358,16 +360,17 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
 
 
 def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
-    """March the full trajectory; fails fast with the step index on any error."""
+    """March the full trajectory; fails fast with the step index on any error.
+
+    Wrongly shaped data (``ShapeMismatch``) and a phi0 outside the potential's
+    domain (``DomainViolation``) fail before step 1; step n fails as ``StepError(n, error)``.
+    """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
     phi0 = grid.check_field(problem.initial.phi0, "phi0")
     w0 = grid.check_field(problem.initial.w0, "w0")
     v0 = grid.check_field(control.v0, "v0")
-    u = np.asarray(control.u, dtype=float)
-    if u.shape != (nt, grid.ny, grid.nx):
-        raise StepError(0, f"u has shape {u.shape}, expected {(nt, grid.ny, grid.nx)}")
-
+    u = grid.check_field(control.u, "u", nt)
     problem.check_initial()
 
     phi = np.empty((nt + 1, grid.ny, grid.nx))
@@ -378,7 +381,7 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
     steps = [StepRecord(step=0, time=0.0, newton_iters=0, cg_iters=0, energy_residual=0.0,
                         cumulative_balance_residual=0.0)]
     cumulative = 0.0
-    a_n = None  # A(phi[n]) carried from the step that produced phi[n]
+    a_n = _phase_operator(grid, problem.potential, phi0)  # A(phi[n]), carried step to step
     for n in range(nt):
         try:
             phi_next, pinfo = phi_step(

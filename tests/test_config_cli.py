@@ -309,8 +309,12 @@ def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
            "solver": {"cg_maxit": 1},
            "initial": {"phi0": {"snapshot": str(snap)}}}
     path = _write(tmp_path, cfg, "hard.json")
+    # the verdict of an earlier passing run into the same directory
+    (tmp_path / "o3").mkdir()
+    (tmp_path / "o3" / "summary.txt").write_text("overall PASS\n")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o3")]) == 3
     assert "step 1: CG did not reach tol" in capsys.readouterr().err
+    assert not (tmp_path / "o3" / "summary.txt").exists()
     record = _failure(tmp_path / "o3")
     assert record["command"] == "simulate"
     assert (record["error"], record["step"], record["cause"]) == ("StepError", 1, "NoConvergence")

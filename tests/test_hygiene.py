@@ -83,3 +83,54 @@ def test_no_unreferenced_definitions():
                     for name, qualname, line in _definitions(_parse(path))
                     if name not in referenced]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def _scoped(tree):
+    """(dotted name of the enclosing function or class, node) for every node of a module."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child
+            yield from walk(child, inner)
+    return walk(tree, "")
+
+
+def _sites(predicate):
+    """module.function of every node of the package that satisfies ``predicate``."""
+    return [f"{os.path.splitext(os.path.basename(path))[0]}.{scope}"
+            for path in PACKAGE for scope, node in _scoped(_parse(path)) if predicate(node)]
+
+
+def _renames_a_file(node) -> bool:
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        return any(alias.name in ("replace", "rename") for alias in node.names)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+            and node.func.attr in ("replace", "rename"))
+
+
+def _formats_cgw_name(node) -> bool:
+    """An f-string, %-format or str.format call whose literal text holds '.cgw'."""
+    if isinstance(node, ast.JoinedStr):
+        literal = [v for v in node.values if isinstance(v, ast.Constant)]
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        literal = [node.left]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "format":
+        literal = [node.func.value]
+    else:
+        return False
+    return any(isinstance(c, ast.Constant) and isinstance(c.value, str) and ".cgw" in c.value
+               for c in literal)
+
+
+def test_files_reach_disk_through_one_writer():
+    # every artefact is written to a temp file and renamed over its path, in one place
+    assert _sites(_renames_a_file) == ["snapshots.write_atomic"]
+
+
+def test_series_name_formed_in_one_function():
+    # prefix_%06d.cgw is built only by the snapshots series helper
+    assert _sites(_formats_cgw_name) == ["snapshots._series_path"]

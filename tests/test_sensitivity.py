@@ -134,7 +134,7 @@ def test_zero_cost_zero_adjoint_zero_seeds():
     problem = small_problem(nx=8, nt=6)
     base = solve_state(problem, smooth_control(problem), TIGHT)
     cost = _zero_cost(problem)
-    seeds, sweep = adjoint_solve_discrete(base, problem, cost, TIGHT)
+    seeds = adjoint_solve_discrete(base, problem, cost, TIGHT)
     assert np.max(np.abs(seeds.u)) == 0.0
     assert np.max(np.abs(seeds.v0)) == 0.0
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
@@ -303,7 +303,7 @@ def test_transpose_multipliers_track_continuous_adjoint(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(sensitivity, "_phi_solver", recording_phi_solver)
-        seeds, _ = adjoint_solve_discrete(base, problem, cost, TIGHT)
+        seeds = adjoint_solve_discrete(base, problem, cost, TIGHT)
     assert len(solves) == problem.time.nt
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
     tau = problem.time.tau

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from thermophase.errors import FormatError
 from thermophase.snapshots import (load_trajectory, persist_trajectory, read_field,
-                                   write_field)
+                                   read_series, write_atomic, write_field, write_series)
 from thermophase.state import StateTrajectory
 
 
@@ -71,3 +73,20 @@ def test_persist_load_roundtrip_exact(tmp_path, rng):
 def test_persist_rejects_bad_stride(tmp_path, rng):
     with pytest.raises(FormatError):
         persist_trajectory(_traj(rng, nt=4), str(tmp_path / "t"), stride=0)
+
+
+def test_series_roundtrip_and_names(tmp_path, rng):
+    fields = rng.standard_normal((3, 4, 5))
+    directory = str(tmp_path / "s")
+    write_series(directory, "u", zip((1, 5, 12), fields))
+    assert sorted(os.listdir(directory)) == ["u_000001.cgw", "u_000005.cgw", "u_000012.cgw"]
+    assert np.array_equal(read_series(directory, "u", [1, 5, 12]), fields)
+
+
+def test_write_atomic_text_and_bytes_leave_no_temp_file(tmp_path):
+    text, blob = str(tmp_path / "a.txt"), str(tmp_path / "b.bin")
+    write_atomic(text, "x,y\n1,2\n")
+    write_atomic(blob, b"CGW1\x00")
+    assert open(text).read() == "x,y\n1,2\n"
+    assert open(blob, "rb").read() == b"CGW1\x00"
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.bin"]

@@ -14,7 +14,7 @@ from oracles import bisect, scalar_forward
 from thermophase import state
 from thermophase.config import parse_config_dict
 from thermophase.control import ControlPair
-from thermophase.errors import DomainViolation, NoConvergence
+from thermophase.errors import DomainViolation, NoConvergence, ShapeMismatch
 from thermophase.grid import build_grid, cg_solve, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
@@ -218,7 +218,7 @@ def test_newton_points_evaluated_once(monkeypatch):
     newton = sum(rec.newton_iters for rec in traj.steps[1:]) / traj.nt
     assert newton >= 2.0
     assert calls["stencil"] / traj.nt <= 3.2
-    assert calls["contains"] / traj.nt <= 2.2
+    assert calls["contains"] / traj.nt <= 2.17
 
 
 def test_thermal_step_zero_inputs():
@@ -359,6 +359,19 @@ def test_solve_state_rejects_exterior_phi0():
                       InitialData(np.full(g.shape, 1.2), g.zeros()))
     with pytest.raises(DomainViolation):
         solve_state(problem, ControlPair.zeros(g, tg.nt))
+    # an unbounded potential's domain is the finite reals: rejected before step 1
+    phi0 = g.zeros()
+    phi0[3, 4] = np.nan
+    problem = Problem(g, tg, PARAMS, REGULAR, PI_NEG, InitialData(phi0, g.zeros()))
+    with pytest.raises(DomainViolation, match="phi0"):
+        solve_state(problem, ControlPair.zeros(g, tg.nt))
+
+
+def test_solve_state_rejects_wrong_control_shape_before_step_one():
+    problem = small_problem(nx=8, nt=4)
+    ctrl = smooth_control(problem)
+    with pytest.raises(ShapeMismatch, match="u has shape"):
+        solve_state(problem, ControlPair(ctrl.u[:-1], ctrl.v0))
 
 
 def test_single_step_run_allowed():
