@@ -4,11 +4,14 @@ Subcommands: simulate, grad_check, adjoint_test, optimize, convergence,
 cont_dependence.  Each writes deterministic artifacts (CSV reports, CGW1
 snapshots, an effective-config echo, and a summary file with one pass/fail
 line per criterion) into the output directory, and exits nonzero iff any
-enabled criterion fails.  A numerical failure leaves ``failure.json`` (the
-command, the error and its cause, the failing step, and the cause's residual
-and iteration count where it has them) next to what the run had written.
-Every run first removes the ``summary.txt`` and ``failure.json`` of an
-earlier run into the same directory, so a verdict on disk is always this
+enabled criterion fails.  The refinement studies share one path: ``_level``
+solves the config resized to a level's nx and nt, and ``_orders`` gives the
+observed order between consecutive levels, nan at the first level, at a zero
+value and between equal steps.  A numerical failure leaves ``failure.json``
+(the command, the error and its cause, the failing step, and the cause's
+residual and iteration count where it has them) next to what the run had
+written.  Every run first removes the ``summary.txt`` and ``failure.json`` of
+an earlier run into the same directory, so a verdict on disk is always this
 run's.  Every file goes to disk through ``snapshots.write_atomic``.
 
 Exit codes: 0 pass, 1 criterion failure, 2 usage/config error, 3 numerical
@@ -35,7 +38,8 @@ from .errors import ParseError, SolverFailure, StepError, ThermophaseError, Vali
 from .grid import build_grid, inner, laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)
-from .snapshots import persist_trajectory, write_atomic, write_field, write_series
+from .snapshots import (persist_trajectory, stored_nodes, write_atomic, write_field,
+                        write_series)
 from .state import solve_state, run_diagnostics, trajectory_difference_norm
 
 DIAGNOSTICS_COLUMNS = ["step", "time", "min_phi", "max_phi", "l2_phi", "v_l2", "v_linf",
@@ -87,7 +91,6 @@ Outcome = tuple[list[CriterionResult], list[str]]
 class ExitReport:
     code: int
     criteria: list[CriterionResult]
-    out_dir: str
 
 
 def _write_summary(path: str, criteria: list[CriterionResult], notes: list[str]) -> None:
@@ -103,6 +106,27 @@ def _loglog_slope(xs, ys) -> float:
     A = np.vstack([lx, np.ones_like(lx)]).T
     slope, _ = np.linalg.lstsq(A, ly, rcond=None)[0]
     return float(slope)
+
+
+def _orders(steps, values) -> list[float]:
+    """Observed order between consecutive levels, log(v[i-1]/v[i]) / log(s[i-1]/s[i]);
+    nan at the first level, where either value is zero and between equal steps."""
+    return [math.nan] + [
+        math.log(v0 / v1) / math.log(s0 / s1) if s0 != s1 and v0 != 0.0 and v1 != 0.0
+        else math.nan
+        for s0, s1, v0, v1 in zip(steps, steps[1:], values, values[1:])]
+
+
+def _level(cfg: ProblemConfig, nx: int, nt: int):
+    """``cfg`` resized to nx cells across (ny keeps the aspect ratio) and nt steps:
+    the resized config, its problem and the state solved on it."""
+    raw = copy.deepcopy(cfg.raw)
+    raw["grid"]["nx"] = int(nx)
+    raw["grid"]["ny"] = int(round(nx * cfg.raw["grid"]["ly"] / cfg.raw["grid"]["lx"]))
+    raw["time"]["nt"] = int(nt)
+    lcfg = parse_config_dict(raw)
+    problem = lcfg.problem()
+    return lcfg, problem, solve_state(problem, lcfg.control(), lcfg.solver_options())
 
 
 def _unit_direction(rng, grid, tg):
@@ -162,22 +186,19 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
     tangent_norm = _sup_node_norm(grid, lin.xi, lin.eta, lin.eta_t)
     eps_list = [float(e) for e in blk["epsilons"]]
-    remainders = []
     rows = []
-    for i, eps in enumerate(eps_list):
+    for eps in eps_list:
         pert_ctrl = ControlPair(control.u + eps * h, control.v0 + eps * h0)
         traj_eps = solve_state(problem, pert_ctrl, opts)
         dphi, dw, dv = traj_eps.phi - base.phi, traj_eps.w - base.w, traj_eps.v - base.v
         diff = _sup_node_norm(grid, dphi - eps * lin.xi, dw - eps * lin.eta,
                               dv - eps * lin.eta_t)
-        remainders.append(diff)
-        pair_slope = (math.log(remainders[i - 1] / diff) / math.log(eps_list[i - 1] / eps)
-                      if i > 0 else math.nan)
-        rows.append((eps, _sup_node_norm(grid, dphi, dw, dv), eps * tangent_norm,
-                     diff, pair_slope))
+        rows.append((eps, _sup_node_norm(grid, dphi, dw, dv), eps * tangent_norm, diff))
+    remainders = [row[3] for row in rows]
     slope = _loglog_slope(eps_list, remainders)
     write_csv(os.path.join(out_dir, "taylor.csv"),
-              ["epsilon", "lhs", "rhs", "remainder", "slope"], rows)
+              ["epsilon", "lhs", "rhs", "remainder", "slope"],
+              [row + (order,) for row, order in zip(rows, _orders(eps_list, remainders))])
 
     # adjoint gradient against tuned central differences
     rp = ReducedProblem(problem, cost, opts)
@@ -192,9 +213,7 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         for s in fd_steps:
             cp = ControlPair(control.u + s * hd, control.v0 + s * h0d)
             cm = ControlPair(control.u - s * hd, control.v0 - s * h0d)
-            jp = ReducedProblem(problem, cost, opts).cost(cp)
-            jm = ReducedProblem(problem, cost, opts).cost(cm)
-            fds.append((jp - jm) / (2 * s))
+            fds.append((rp.cost(cp) - rp.cost(cm)) / (2 * s))
         # pick the plateau: the pair of consecutive steps that agree best
         gaps = [abs(fds[i] - fds[i + 1]) for i in range(len(fds) - 1)]
         best = int(np.argmin(gaps))
@@ -208,14 +227,6 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         CriterionResult("taylor_slope", slope, ">=", 1.8),
         CriterionResult("fd_vs_adjoint", worst, "<=", 1e-6),
     ], []
-
-
-def _level_config(cfg: ProblemConfig, nx: int, nt: int) -> ProblemConfig:
-    raw = copy.deepcopy(cfg.raw)
-    raw["grid"]["nx"] = int(nx)
-    raw["grid"]["ny"] = int(round(nx * cfg.raw["grid"]["ly"] / cfg.raw["grid"]["lx"]))
-    raw["time"]["nt"] = int(nt)
-    return parse_config_dict(raw)
 
 
 def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
@@ -252,39 +263,29 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     levels = [(int(nx), int(nt)) for nx, nt in blk["levels"]]
     if levels:
         gaps = []
-        gap_rows = []
-        for i, (nx, nt) in enumerate(levels):
-            lcfg = _level_config(cfg, nx, nt)
-            lproblem = lcfg.problem()
+        taus = []
+        for nx, nt in levels:
+            lcfg, lproblem, ltraj = _level(cfg, nx, nt)
             lopts = lcfg.solver_options()
-            lctrl = lcfg.control()
             lcost = lcfg.cost_spec(lproblem)
-            ltraj = solve_state(lproblem, lctrl, lopts)
             seeds = adjoint_solve_discrete(ltraj, lproblem, lcost, lopts)
             adj = adjoint_solve_continuous(ltraj, lproblem, lcost, lopts)
             qc = adj.q[1:]
             num = u_norm(lproblem.grid, lproblem.time.tau, seeds.u - qc)
             den = u_norm(lproblem.grid, lproblem.time.tau, qc)
-            gap = 0.0 if num == 0.0 else num / den
-            gaps.append(gap)
-            # observed order in tau = t_final / nt; none between equal time steps
-            # or when either gap is zero (a cost with no tracking weight)
-            order = (math.log2(gaps[i - 1] / gap) / math.log2(nt / levels[i - 1][1])
-                     if i > 0 and nt != levels[i - 1][1] and gap > 0.0 and gaps[i - 1] > 0.0
-                     else math.nan)
-            gap_rows.append((nx, nt, lproblem.time.tau, gap, order))
-            if i == len(levels) - 1:
-                stride = cfg.raw["output"]["snapshot_stride"]
-                if stride > 0:
-                    nodes = range(0, lproblem.time.nt + 1, stride)
-                    for name, series in (("p", adj.p), ("q", adj.q)):
-                        write_series(os.path.join(out_dir, "adjoint"), name,
-                                     ((n, series[n]) for n in nodes))
-        write_csv(os.path.join(out_dir, "gap.csv"),
-                  ["nx", "nt", "tau", "gap", "order"], gap_rows)
+            gaps.append(0.0 if num == 0.0 else num / den)
+            taus.append(lproblem.time.tau)
+        stride = cfg.raw["output"]["snapshot_stride"]
+        if stride > 0:  # the last level's adjoint, at the nodes a trajectory stores
+            nodes = stored_nodes(levels[-1][1], stride)
+            for name, series in (("p", adj.p), ("q", adj.q)):
+                write_series(os.path.join(out_dir, "adjoint"), name,
+                             ((n, series[n]) for n in nodes))
+        write_csv(os.path.join(out_dir, "gap.csv"), ["nx", "nt", "tau", "gap", "order"],
+                  [(nx, nt, tau, gap, order) for (nx, nt), tau, gap, order
+                   in zip(levels, taus, gaps, _orders(taus, gaps))])
         criteria.append(CriterionResult("adjoint_gap", gaps[-1], "<=", 5e-2))
         if len(levels) >= 2 and all(gap > 0.0 for gap in gaps):
-            taus = [row[2] for row in gap_rows]
             order_fit = _loglog_slope(taus, gaps)
             criteria.append(CriterionResult("adjoint_gap_order", order_fit, ">=", 0.8))
     return criteria, []
@@ -345,12 +346,10 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         x, y = g.cell_centers()
         f = np.cos(np.pi * x / g.lx) * np.cos(np.pi * y / g.ly)
         lam = (np.pi / g.lx) ** 2 + (np.pi / g.ly) ** 2
-        err = norm(g, laplacian_neumann(g, f) + lam * f)
-        errs.append(err)
-        rows.append(("laplacian", nx, err, math.nan))
-    orders = [math.log2(errs[i] / errs[i + 1]) / math.log2(lap_levels[i + 1] / lap_levels[i])
-              for i in range(len(errs) - 1)]
-    criteria.append(CriterionResult("laplacian_order", min(orders), ">=", 1.9))
+        errs.append(norm(g, laplacian_neumann(g, f) + lam * f))
+    orders = _orders([1.0 / nx for nx in lap_levels], errs)
+    rows += [("laplacian", nx, err, order) for nx, err, order in zip(lap_levels, errs, orders)]
+    criteria.append(CriterionResult("laplacian_order", min(orders[1:]), ">=", 1.9))
 
     # mean of the Laplacian of a random field (flux telescoping)
     nx = int(blk["mean_zero_nx"])
@@ -366,44 +365,32 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         f3 = fine.reshape(fine.shape[0] // factor, factor, fine.shape[1] // factor, factor)
         return f3.mean(axis=(1, 3))
 
-    def _solve_level(nx, nt):
-        lcfg = _level_config(cfg, nx, nt)
-        lproblem = lcfg.problem()
-        return lproblem, solve_state(lproblem, lcfg.control(), lcfg.solver_options())
-
-    spatial_levels = [int(n) for n in blk["spatial_levels"]]
-    if spatial_levels:
-        ref_nx = int(blk["spatial_ref_nx"])
-        nt = int(blk["spatial_nt"])
-        _, ref = _solve_level(ref_nx, nt)
+    # each study: its reference (nx, nt), the (nx, nt) of each level keyed by the
+    # resolution it refines, the step of each level (h or tau), the fit's threshold
+    spatial = [int(n) for n in blk["spatial_levels"]]
+    temporal = [int(n) for n in blk["temporal_nts"]]
+    nt_h, nx_tau = int(blk["spatial_nt"]), int(blk["temporal_nx"])
+    studies = [("spatial", (int(blk["spatial_ref_nx"]), nt_h),
+                {nx: (nx, nt_h) for nx in spatial}, [1.0 / nx for nx in spatial], 1.9),
+               ("temporal", (nx_tau, int(blk["temporal_ref_nt"])),
+                {nt: (nx_tau, nt) for nt in temporal},
+                [cfg.raw["time"]["t_final"] / nt for nt in temporal], 0.9)]
+    for study, (ref_nx, ref_nt), levels, steps, threshold in studies:
+        if not levels:
+            continue
+        ref = _level(cfg, ref_nx, ref_nt)[2]
         errs = []
-        for nx in spatial_levels:
-            lproblem, traj = _solve_level(nx, nt)
-            factor = ref_nx // nx
-            err = max(norm(lproblem.grid, _restrict(ref.phi[n], factor) - traj.phi[n])
-                      + norm(lproblem.grid, _restrict(ref.v[n], factor) - traj.v[n])
-                      for n in range(nt + 1))
-            errs.append(err)
-            rows.append(("spatial", nx, err, math.nan))
-        hs = [1.0 / nx for nx in spatial_levels]
-        criteria.append(CriterionResult("spatial_order", _loglog_slope(hs, errs), ">=", 1.9))
-
-    temporal_nts = [int(n) for n in blk["temporal_nts"]]
-    if temporal_nts:
-        nx = int(blk["temporal_nx"])
-        ref_nt = int(blk["temporal_ref_nt"])
-        _, ref = _solve_level(nx, ref_nt)
-        errs = []
-        for nt in temporal_nts:
-            lproblem, traj = _solve_level(nx, nt)
-            stride = ref_nt // nt
-            err = max(norm(lproblem.grid, ref.phi[n * stride] - traj.phi[n])
-                      + norm(lproblem.grid, ref.v[n * stride] - traj.v[n])
-                      for n in range(nt + 1))
-            errs.append(err)
-            rows.append(("temporal", nt, err, math.nan))
-        taus = [cfg.raw["time"]["t_final"] / nt for nt in temporal_nts]
-        criteria.append(CriterionResult("temporal_order", _loglog_slope(taus, errs), ">=", 0.9))
+        for nx, nt in levels.values():
+            _, lproblem, traj = _level(cfg, nx, nt)
+            factor, stride = ref_nx // nx, ref_nt // nt
+            errs.append(max(
+                norm(lproblem.grid, _restrict(ref.phi[n * stride], factor) - traj.phi[n])
+                + norm(lproblem.grid, _restrict(ref.v[n * stride], factor) - traj.v[n])
+                for n in range(nt + 1)))
+        rows += [(study, level, err, order)
+                 for level, err, order in zip(levels, errs, _orders(steps, errs))]
+        criteria.append(CriterionResult(f"{study}_order", _loglog_slope(steps, errs),
+                                        ">=", threshold))
 
     write_csv(os.path.join(out_dir, "convergence.csv"),
               ["study", "level", "error", "order"], rows)
@@ -425,21 +412,17 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     base = solve_state(problem, control, opts)
     deltas = [float(d) for d in blk["deltas"]]
     norms = []
-    rows = []
-    for i, delta in enumerate(deltas):
+    for delta in deltas:
         pert_problem = copy.copy(problem)
         pert_problem.initial = copy.copy(problem.initial)
         pert_problem.initial.phi0 = problem.initial.phi0 + delta * g_phi
         pert_problem.initial.w0 = problem.initial.w0 + delta * g_w
         pert_ctrl = ControlPair(control.u + delta * g_u, control.v0 + delta * g_v)
         traj = solve_state(pert_problem, pert_ctrl, opts)
-        value = trajectory_difference_norm(grid, traj, base)
-        norms.append(value)
-        pair = (math.log(norms[i - 1] / value) / math.log(deltas[i - 1] / delta)
-                if i > 0 else math.nan)
-        rows.append((delta, value, pair))
+        norms.append(trajectory_difference_norm(grid, traj, base))
     slope = _loglog_slope(deltas, norms)
-    write_csv(os.path.join(out_dir, "cont_dep.csv"), ["delta", "diff_norm", "slope"], rows)
+    write_csv(os.path.join(out_dir, "cont_dep.csv"), ["delta", "diff_norm", "slope"],
+              zip(deltas, norms, _orders(deltas, norms)))
     return [
         CriterionResult("cd_slope_low", slope, ">=", 0.9),
         CriterionResult("cd_slope_high", slope, "<=", 1.1),
@@ -504,7 +487,7 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
         raise
     _write_summary(summary_path, criteria, notes)
     code = 0 if all(c.passed for c in criteria) else 1
-    return ExitReport(code=code, criteria=criteria, out_dir=out_dir)
+    return ExitReport(code=code, criteria=criteria)
 
 
 def main(argv=None) -> int:

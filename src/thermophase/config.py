@@ -326,6 +326,7 @@ class ProblemConfig:
         adm = raw["admissible"]
         bounds = {k: self._bound(adm[k]) for k in _FIELD_SPECS["admissible"]}
         self._admissible = AdmissibleSet(**bounds, ball_radius=float(adm["ball_radius"]))
+        self._admissible.v0_anchor(self.grid)  # raises when the set is empty
         s = raw["solver"]
         self._solver = SolverOptions(**{f.name: s[f.name] for f in fields(SolverOptions)})
         self._optimize = OptimizeOptions(

@@ -60,9 +60,6 @@ class ControlPair:
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v0))):
             raise BadParameter("control entries must be finite")
 
-    def copy(self) -> "ControlPair":
-        return ControlPair(self.u.copy(), self.v0.copy())
-
     @staticmethod
     def zeros(grid: GridSpec, nt: int) -> "ControlPair":
         return ControlPair(np.zeros((nt, grid.ny, grid.nx)), grid.zeros())

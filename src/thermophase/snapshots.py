@@ -76,7 +76,8 @@ def read_series(directory: str, prefix: str, nodes) -> np.ndarray:
     return np.stack([read_field(_series_path(directory, prefix, n)) for n in nodes])
 
 
-def _stored_nodes(nt: int, stride: int) -> list[int]:
+def stored_nodes(nt: int, stride: int) -> list[int]:
+    """Every ``stride``-th node of 0..nt, and always the final node nt."""
     nodes = list(range(0, nt + 1, stride))
     if nodes[-1] != nt:
         nodes.append(nt)
@@ -99,7 +100,7 @@ def persist_trajectory(traj, directory: str, stride: int = 1) -> list[int]:
     if stride < 1:
         raise FormatError(f"stride must be >= 1, got {stride}")
     nt = traj.phi.shape[0] - 1
-    nodes = _stored_nodes(nt, stride)
+    nodes = stored_nodes(nt, stride)
     for name in _TRAJECTORY_SERIES:
         series = getattr(traj, name)
         write_series(directory, name, ((n, series[n]) for n in nodes))
@@ -123,6 +124,6 @@ def load_trajectory(directory: str) -> LoadedTrajectory:
         tau = float(entries["tau"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{index_path}: {exc}") from exc
-    nodes = _stored_nodes(node_count - 1, stride)
+    nodes = stored_nodes(node_count - 1, stride)
     return LoadedTrajectory(nodes=nodes, tau=tau, **{name: read_series(directory, name, nodes)
                                                      for name in _TRAJECTORY_SERIES})

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import fields
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import CONFIGS
 
 from thermophase import config
-from thermophase.cli import main, run_command
+from thermophase.cli import _orders, main, run_command
 from thermophase.config import build_field, parse_config, parse_config_dict
 from thermophase.control import AdmissibleSet, OptimizeOptions
 from thermophase.errors import NewtonDivergence, ParseError, StepError, ValidationError
@@ -243,6 +244,8 @@ def _truncated_phi0(tmp_path):
      "convergence.spatial_levels"),
     (lambda p: {"cont_dependence": {"deltas": [0.1, -0.01]}}, "cont_dependence.deltas"),
     (lambda p: {"grad_check": {"epsilons": [0.1, 0.1]}}, "grad_check.epsilons"),
+    (lambda p: {"admissible": {"v_lo": 0.5, "v_hi": 1.0, "ball_radius": 0.1}},
+     "admissible set is empty"),
     *[(lambda p, b=block, k=key, v=value: {b: {k: v}}, f"{block}: unknown keys ['{key}']")
       for block, key, value in RETIRED_KEYS],
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
@@ -251,6 +254,7 @@ def _truncated_phi0(tmp_path):
         "fd_steps_single", "n_trials_zero", "deltas_single", "deltas_empty",
         "lap_levels_single", "spatial_levels_single", "temporal_ref_not_multiple",
         "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated",
+        "admissible_set_empty",
         *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
@@ -409,6 +413,17 @@ def test_convergence_driver_solver_orders(tmp_path):
     assert values["spatial_order"].passed and values["spatial_order"].value >= 1.9
     assert values["temporal_order"].passed and values["temporal_order"].value >= 0.9
     assert rep.code == 0
+    # each refinement row after a study's first carries its observed order
+    rows = [row.split(",") for row in
+            (tmp_path / "conv" / "convergence.csv").read_text().splitlines()[1:]]
+    orders = {}
+    for study, _, _, order in rows:
+        orders.setdefault(study, []).append(float(order))
+    assert list(orders) == ["laplacian", "mean_zero", "spatial", "temporal"]
+    assert math.isnan(orders.pop("mean_zero")[0])
+    for study, observed in orders.items():
+        assert math.isnan(observed[0]) and all(map(math.isfinite, observed[1:])), study
+    assert min(orders["laplacian"][1:]) == values["laplacian_order"].value
 
 
 @pytest.mark.parametrize("lap_levels", [[32, 128], [16, 48]])
@@ -471,3 +486,50 @@ def test_adjoint_test_zero_gaps_give_nan_order(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     rows = (tmp_path / "adj" / "gap.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3:] for row in rows] == [["0.0", "nan"], ["0.0", "nan"]]
+
+
+def test_orders_nan_for_first_level_zero_value_and_equal_steps():
+    first, second = _orders([0.1, 0.01], [4.0, 0.04])
+    assert math.isnan(first) and second == pytest.approx(2.0, rel=1e-15)
+    assert all(map(math.isnan, _orders([0.1, 0.01, 0.001], [1.0, 0.0, 1.0])))
+    orders = _orders([0.1, 0.1, 0.05], [1.0, 0.5, 0.25])
+    assert math.isnan(orders[1]) and orders[2] == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("name,csv,step,value", [
+    ("grad_check", "taylor.csv", "epsilon", "remainder"),
+    ("cont_dependence", "cont_dep.csv", "delta", "diff_norm"),
+])
+def test_slope_column_is_the_pairwise_log_ratio(tmp_path, name, csv, step, value):
+    # on the committed config, each slope is log(v[i-1]/v[i]) / log(s[i-1]/s[i]) of the
+    # written columns, to the last digit
+    out = tmp_path / name
+    assert run_command(name, parse_config(os.path.join(CONFIGS, f"{name}.json")),
+                       out_dir=str(out)).code == 0
+    header, *lines = (out / csv).read_text().splitlines()
+    columns = dict(zip(header.split(","), zip(*(line.split(",") for line in lines))))
+    s, v = [list(map(float, columns[k])) for k in (step, value)]
+    expected = ["nan"] + [repr(math.log(v[i - 1] / v[i]) / math.log(s[i - 1] / s[i]))
+                          for i in range(1, len(v))]
+    assert list(columns["slope"]) == expected
+
+
+def test_adjoint_snapshots_keep_the_final_node(tmp_path):
+    # nt = 5 is no multiple of the stride: the terminal node 5 is stored all the same,
+    # at the nodes a simulated trajectory stores
+    cfg = parse_config_dict({
+        **MINIMAL, "time": {"t_final": 0.1, "nt": 5},
+        "cost": {"k1": 1.0, "targets": {"phi_q": 0.1}},
+        "adjoint_test": {"n_trials": 1, "levels": [[8, 5]]},
+        "output": {"snapshot_stride": 2},
+    })
+    run_command("adjoint_test", cfg, out_dir=str(tmp_path / "adj"))
+    run_command("simulate", cfg, out_dir=str(tmp_path / "sim"))
+
+    def nodes(directory, prefix):
+        return sorted(int(p.stem.rsplit("_", 1)[1]) for p in directory.glob(f"{prefix}_*.cgw"))
+
+    stored = nodes(tmp_path / "sim" / "snapshots", "phi")
+    assert stored == [0, 2, 4, 5]
+    assert nodes(tmp_path / "adj" / "adjoint", "p") == stored
+    assert nodes(tmp_path / "adj" / "adjoint", "q") == stored

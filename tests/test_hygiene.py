@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name in the package modules and the tests is used, and
-every function and method of the package is referenced somewhere."""
+"""Source hygiene: every imported name in the package modules and the tests is used, every
+function and method of the package is referenced somewhere, and every field of a package
+dataclass is read somewhere."""
 
 import ast
 import glob
@@ -134,3 +135,30 @@ def test_files_reach_disk_through_one_writer():
 def test_series_name_formed_in_one_function():
     # prefix_%06d.cgw is built only by the snapshots series helper
     assert _sites(_formats_cgw_name) == ["snapshots._series_path"]
+
+
+def _is_dataclass(node) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_no_unread_dataclass_fields():
+    # a field is read where some code loads it as an attribute or a string names it
+    # (getattr, a CSV column, a config key); assignments alone do not count
+    read = set()
+    for path in PACKAGE + TESTS + BENCHMARK:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [f"{os.path.relpath(path, ROOT)}:{item.lineno} {node.name}.{item.target.id}"
+              for path in PACKAGE for node in _parse(path).body
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
