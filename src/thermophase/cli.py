@@ -5,14 +5,15 @@ cont_dependence.  Each writes deterministic artifacts (CSV reports, CGW1
 snapshots, an effective-config echo, and a summary file with one pass/fail
 line per criterion) into the output directory, and exits nonzero iff any
 enabled criterion fails.  The refinement studies share one path: ``_level``
-solves the config resized to a level's nx and nt, and ``_orders`` gives the
+solves the config resized to a level's nt and ``config.level_grid``'s grid,
+which the Laplacian studies build too, and ``_orders`` gives the
 observed order between consecutive levels, nan at the first level, at a zero
 value and between equal steps.  A numerical failure leaves ``failure.json``
 (the command, the error and its cause, the failing step, and the cause's
 residual and iteration count where it has them) next to what the run had
-written.  Every run first removes the ``summary.txt`` and ``failure.json`` of
-an earlier run into the same directory, so a verdict on disk is always this
-run's.  Every file goes to disk through ``snapshots.write_atomic``.
+written.  Every run first removes an earlier run's ``ARTEFACTS`` and ``SERIES``
+files, and no other, so every result on disk is this run's.  Every file goes
+to disk through ``snapshots.write_atomic``.
 
 Exit codes: 0 pass, 1 criterion failure, 2 usage/config error, 3 numerical
 failure.  CSV files use '.' decimal, comma separators, a header row, and
@@ -32,14 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ProblemConfig, echo_effective_config, parse_config, parse_config_dict
+from .config import (ProblemConfig, echo_effective_config, level_grid, parse_config,
+                     parse_config_dict)
 from .control import ControlPair, ReducedProblem, optimize, u_inner, u_norm, v0_inner
 from .errors import ParseError, SolverFailure, StepError, ThermophaseError, ValidationError
-from .grid import build_grid, inner, laplacian_neumann, norm
+from .grid import inner, laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)
-from .snapshots import (persist_trajectory, stored_nodes, write_atomic, write_field,
-                        write_series)
+from .snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_trajectory, remove_series,
+                        stored_nodes, write_atomic, write_field, write_series)
 from .state import solve_state, run_diagnostics, trajectory_difference_norm
 
 DIAGNOSTICS_COLUMNS = ["step", "time", "min_phi", "max_phi", "l2_phi", "v_l2", "v_linf",
@@ -49,6 +51,11 @@ DIAGNOSTICS_COLUMNS = ["step", "time", "min_phi", "max_phi", "l2_phi", "v_l2", "
 # of the pointwise clamp formula u = clamp(-q/nu1)
 HISTORY_COLUMNS = ["iter", "J", "stationarity", "step", "armijo_backtracks",
                    "vi_min", "cor39_residual"]
+# the files besides effective_config.json and the series a command writes; a run removes old ones
+ARTEFACTS = ("summary.txt", "failure.json", "diagnostics.csv", "taylor.csv", "fd_check.csv",
+             "dot_test.csv", "gap.csv", "history.csv", "convergence.csv", "cont_dep.csv",
+             os.path.join("snapshots", INDEX_NAME), os.path.join("control", "v0.cgw"))
+SERIES = {"snapshots": TRAJECTORY_SERIES, "adjoint": ("p", "q"), "control": ("u",)}
 
 
 def _fmt(value) -> str:
@@ -118,12 +125,11 @@ def _orders(steps, values) -> list[float]:
 
 
 def _level(cfg: ProblemConfig, nx: int, nt: int):
-    """``cfg`` resized to nx cells across (ny keeps the aspect ratio) and nt steps:
+    """``cfg`` resized to ``level_grid``'s grid of nx cells across and nt steps:
     the resized config, its problem and the state solved on it."""
     raw = copy.deepcopy(cfg.raw)
-    raw["grid"]["nx"] = int(nx)
-    raw["grid"]["ny"] = int(round(nx * cfg.raw["grid"]["ly"] / cfg.raw["grid"]["lx"]))
-    raw["time"]["nt"] = int(nt)
+    raw["grid"].update(nx=nx, ny=level_grid(cfg.raw["grid"], nx).ny)
+    raw["time"]["nt"] = nt
     lcfg = parse_config_dict(raw)
     problem = lcfg.problem()
     return lcfg, problem, solve_state(problem, lcfg.control(), lcfg.solver_options())
@@ -255,23 +261,21 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         worst = max(worst, rel)
-        rows.append((trial, lhs, rhs, rel, math.nan))
-    write_csv(os.path.join(out_dir, "dot_test.csv"),
-              ["trial", "lhs", "rhs", "rel_err", "slope"], rows)
+        rows.append((trial, lhs, rhs, rel))
+    write_csv(os.path.join(out_dir, "dot_test.csv"), ["trial", "lhs", "rhs", "rel_err"], rows)
     criteria = [CriterionResult("dot_test", worst, "<=", 1e-10)]
 
-    levels = [(int(nx), int(nt)) for nx, nt in blk["levels"]]
+    levels = blk["levels"]
     if levels:
-        gaps = []
-        taus = []
+        gaps, taus = [], []
         for nx, nt in levels:
             lcfg, lproblem, ltraj = _level(cfg, nx, nt)
             lopts = lcfg.solver_options()
             lcost = lcfg.cost_spec(lproblem)
-            seeds = adjoint_solve_discrete(ltraj, lproblem, lcost, lopts)
+            sweep = adjoint_solve_discrete(ltraj, lproblem, lcost, lopts)
             adj = adjoint_solve_continuous(ltraj, lproblem, lcost, lopts)
             qc = adj.q[1:]
-            num = u_norm(lproblem.grid, lproblem.time.tau, seeds.u - qc)
+            num = u_norm(lproblem.grid, lproblem.time.tau, sweep.h_bar / lproblem.time.tau - qc)
             den = u_norm(lproblem.grid, lproblem.time.tau, qc)
             gaps.append(0.0 if num == 0.0 else num / den)
             taus.append(lproblem.time.tau)
@@ -310,20 +314,21 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     js = report.j_history
     monotone = all(js[i + 1] <= js[i] for i in range(len(js) - 1))
     feasible = all(r.feasible_box and r.feasible_ball for r in report.iterates)
-    certs = report.certificates
+    last = report.iterates[-1]  # the record of report.final
     criteria = [
-        CriterionResult("stationarity", certs.stationarity, "<=",
+        CriterionResult("stationarity", last.stationarity, "<=",
                         cfg.raw["solver"]["stationarity_tol"]),
         CriterionResult("j_monotone", 1.0 if monotone else 0.0, ">=", 1.0),
         CriterionResult("feasible_iterates", 1.0 if feasible else 0.0, ">=", 1.0),
     ]
     if float(blk["clamp_formula_tol"]) > 0.0 and cost.nu1 > 0.0:
         criteria.append(CriterionResult(
-            "clamp_formula_residual", certs.clamp_formula_residual, "<=",
-            float(blk["clamp_formula_tol"]) * certs.clamp_formula_scale))
+            "clamp_formula_residual", last.clamp_formula_residual, "<=",
+            float(blk["clamp_formula_tol"]) * (1.0 + u_norm(problem.grid, problem.time.tau,
+                                                            report.final.u))))
     if float(blk["vi_tol"]) > 0.0:
-        criteria.append(CriterionResult("vi_min", certs.vi_min, ">=",
-                                        -float(blk["vi_tol"]) * certs.vi_scale))
+        criteria.append(CriterionResult("vi_min", report.vi_min, ">=",
+                                        -float(blk["vi_tol"]) * report.vi_scale))
     if float(blk["recovery_factor"]) > 0.0:
         criteria.append(CriterionResult("j_reduction", js[-1], "<=",
                                         js[0] / float(blk["recovery_factor"])))
@@ -335,14 +340,13 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
 
 def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     blk = cfg.raw["convergence"]
-    rows = []
-    criteria = []
+    rows, criteria = [], []
 
     # Laplacian consistency on the product-cosine eigenfunction
-    lap_levels = [int(n) for n in blk["lap_levels"]]
+    lap_levels = blk["lap_levels"]
     errs = []
     for nx in lap_levels:
-        g = build_grid(cfg.raw["grid"]["lx"], cfg.raw["grid"]["ly"], nx, nx)
+        g = level_grid(cfg.raw["grid"], nx)
         x, y = g.cell_centers()
         f = np.cos(np.pi * x / g.lx) * np.cos(np.pi * y / g.ly)
         lam = (np.pi / g.lx) ** 2 + (np.pi / g.ly) ** 2
@@ -352,13 +356,12 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     criteria.append(CriterionResult("laplacian_order", min(orders[1:]), ">=", 1.9))
 
     # mean of the Laplacian of a random field (flux telescoping)
-    nx = int(blk["mean_zero_nx"])
-    g = build_grid(cfg.raw["grid"]["lx"], cfg.raw["grid"]["ly"], nx, nx)
+    g = level_grid(cfg.raw["grid"], blk["mean_zero_nx"])
     rng = np.random.default_rng(seed)
     f = rng.uniform(-1.0, 1.0, g.shape)
     mean = g.cell_volume * math.fsum(laplacian_neumann(g, f).ravel().tolist())
     bound = 1e-13 * norm(g, f)
-    rows.append(("mean_zero", nx, abs(mean), math.nan))
+    rows.append(("mean_zero", g.nx, abs(mean), math.nan))
     criteria.append(CriterionResult("laplacian_mean_zero", abs(mean), "<=", bound))
 
     def _restrict(fine, factor):
@@ -367,12 +370,11 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
 
     # each study: its reference (nx, nt), the (nx, nt) of each level keyed by the
     # resolution it refines, the step of each level (h or tau), the fit's threshold
-    spatial = [int(n) for n in blk["spatial_levels"]]
-    temporal = [int(n) for n in blk["temporal_nts"]]
-    nt_h, nx_tau = int(blk["spatial_nt"]), int(blk["temporal_nx"])
-    studies = [("spatial", (int(blk["spatial_ref_nx"]), nt_h),
+    spatial, temporal = blk["spatial_levels"], blk["temporal_nts"]
+    nt_h, nx_tau = blk["spatial_nt"], blk["temporal_nx"]
+    studies = [("spatial", (blk["spatial_ref_nx"], nt_h),
                 {nx: (nx, nt_h) for nx in spatial}, [1.0 / nx for nx in spatial], 1.9),
-               ("temporal", (nx_tau, int(blk["temporal_ref_nt"])),
+               ("temporal", (nx_tau, blk["temporal_ref_nt"]),
                 {nt: (nx_tau, nt) for nt in temporal},
                 [cfg.raw["time"]["t_final"] / nt for nt in temporal], 0.9)]
     for study, (ref_nx, ref_nt), levels, steps, threshold in studies:
@@ -473,19 +475,19 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
         raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     echo_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
-    summary_path = os.path.join(out_dir, "summary.txt")
-    failure_path = os.path.join(out_dir, "failure.json")
-    for verdict in (summary_path, failure_path):  # an earlier run's, into this directory
-        if os.path.exists(verdict):
-            os.remove(verdict)
+    for name in ARTEFACTS:  # an earlier run's, into this directory
+        if os.path.isfile(os.path.join(out_dir, name)):
+            os.remove(os.path.join(out_dir, name))
+    for subdir, prefixes in SERIES.items():
+        remove_series(os.path.join(out_dir, subdir), prefixes)
     try:
         criteria, notes = _COMMANDS[cmd](cfg, out_dir, seed)
     except (ParseError, ValidationError):
         raise
     except ThermophaseError as exc:
-        _write_failure(failure_path, cmd, exc)
+        _write_failure(os.path.join(out_dir, "failure.json"), cmd, exc)
         raise
-    _write_summary(summary_path, criteria, notes)
+    _write_summary(os.path.join(out_dir, "summary.txt"), criteria, notes)
     code = 0 if all(c.passed for c in criteria) else 1
     return ExitReport(code=code, criteria=criteria)
 

@@ -6,8 +6,9 @@ A config file is a JSON object with the blocks below; only ``grid`` and
 - this module owns the JSON shape: unknown keys are rejected at every level,
   field specs and cost targets must be well formed, and every value must have
   its default's JSON type (an int default takes integers only, a float
-  default finite numbers, a list default a list of numbers, or of number
-  pairs for ``adjoint_test.levels``; a bool is never a number);
+  default finite numbers, a list default a list of numbers, of integers for
+  the study levels, or of integer pairs for ``adjoint_test.levels``; a bool
+  is never a number);
 - the domain types own value ranges.  ``ProblemConfig`` builds the problem,
   control, admissible set, options and cost once, at parse time, and a
   failed range check there (it names the violated assumption, e.g.
@@ -15,8 +16,9 @@ A config file is a JSON object with the blocks below; only ``grid`` and
 - ``output.snapshot_stride`` and the experiment blocks have no domain type,
   so ``ProblemConfig`` checks them: every list a slope is fitted to has two
   or more distinct positive entries, ``grad_check.n_directions`` and
-  ``adjoint_test.n_trials`` are at least 1, and each convergence refinement
-  level is a proper divisor of its reference.
+  ``adjoint_test.n_trials`` are at least 1, each convergence refinement
+  level is a proper divisor of its reference, and every study level's
+  ``level_grid`` (the grid the run builds) and time grid can be built.
 
 The ``params``, ``potential``, ``coupling``, ``admissible`` and ``solver``
 blocks take their defaults from the constructors of ``PhysParams``,
@@ -98,8 +100,9 @@ _DEFAULTS: dict[str, Any] = {
     "cont_dependence": {"deltas": [1e-1, 1e-2, 1e-3, 1e-4]},
 }
 
-# list keys whose elements are number pairs; every other list holds numbers
-_PAIR_LISTS = ("adjoint_test.levels",)
+# list keys whose elements are integers (cell or step counts), and the one of pairs
+_INT_LISTS = ("convergence.lap_levels", "convergence.spatial_levels", "convergence.temporal_nts")
+_PAIR_LIST = "adjoint_test.levels"
 _COST_KEYS = ("k1", "k2", "k3", "k4", "k5", "k6", "nu1", "nu2")
 _COSINE_KEYS = ("amplitude", "kx", "ky", "offset", "ramp")
 # field-spec entries of the blocks, and whether each is a space-time field
@@ -122,18 +125,24 @@ def _is_finite(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_type(value, default, where: str) -> None:
     """A value must have its default's JSON type; a bool is never a number."""
     if isinstance(default, str):
         ok, want = isinstance(value, str), "a string"
     elif isinstance(default, int):
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        ok, want = _is_int(value), "an integer"
     elif isinstance(default, float):
         ok, want = _is_finite(value), "a finite number"
-    elif where in _PAIR_LISTS:
+    elif where == _PAIR_LIST:
         ok = isinstance(value, list) and all(
-            isinstance(x, list) and len(x) == 2 and all(map(_is_finite, x)) for x in value)
-        want = "a list of number pairs"
+            isinstance(x, list) and len(x) == 2 and all(map(_is_int, x)) for x in value)
+        want = "a list of integer pairs"
+    elif where in _INT_LISTS:
+        ok, want = isinstance(value, list) and all(map(_is_int, value)), "a list of integers"
     else:
         ok, want = isinstance(value, list) and all(map(_is_finite, value)), "a list of numbers"
     if not ok:
@@ -268,8 +277,14 @@ _FIT_LISTS = ("grad_check.epsilons", "grad_check.fd_steps", "cont_dependence.del
 _REFINEMENT_REFS = {"spatial_levels": "spatial_ref_nx", "temporal_nts": "temporal_ref_nt"}
 
 
+def level_grid(grid: dict, nx: int) -> GridSpec:
+    """A study level's grid: nx cells across the ``grid`` block's domain, ny = round(nx ly / lx)."""
+    return build_grid(grid["lx"], grid["ly"], nx, round(nx * grid["ly"] / grid["lx"]))
+
+
 def _check_studies(raw: dict) -> None:
-    """Every slope fit gets two distinct positive points or more; a level divides its reference."""
+    """Every slope fit gets two distinct positive points or more; a level divides its
+    reference; every level's grid and time grid can be built."""
     for where in _FIT_LISTS:
         block, key = where.split(".")
         values = raw[block][key]
@@ -289,6 +304,20 @@ def _check_studies(raw: dict) -> None:
         block, key = where.split(".")
         if raw[block][key] < 1:
             raise ValidationError(f"{where} must be >= 1, got {raw[block][key]}")
+    # (key, nx, nt) of each level a study builds (a reference is a multiple of one)
+    c = raw["convergence"]
+    levels = ([("convergence.lap_levels", nx, None) for nx in c["lap_levels"]]
+              + [("convergence.mean_zero_nx", c["mean_zero_nx"], None)]
+              + [("convergence.spatial_levels", nx, c["spatial_nt"]) for nx in c["spatial_levels"]]
+              + [("convergence.temporal_nts", c["temporal_nx"], nt) for nt in c["temporal_nts"]]
+              + [("adjoint_test.levels", nx, nt) for nx, nt in raw["adjoint_test"]["levels"]])
+    for where, nx, nt in levels:
+        try:
+            level_grid(raw["grid"], nx)
+            if nt is not None:
+                TimeGrid(float(raw["time"]["t_final"]), nt)
+        except ThermophaseError as exc:
+            raise ValidationError(f"{where}: level nx={nx}: {type(exc).__name__}: {exc}") from exc
 
 
 def _readonly(*values) -> None:

@@ -224,8 +224,9 @@ class ReducedProblem:
     def gradient(self, control: ControlPair) -> GradientPair:
         traj = self.state(control)
         self.gradients += 1
-        seeds = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
-        return self._representative(seeds.u, seeds.v0, control)
+        sweep = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
+        sweep.h_bar /= self.problem.time.tau  # in place: no second trajectory-sized array
+        return self._representative(sweep.h_bar, sweep.h0_bar, control)
 
     def hessian_vector(self, control: ControlPair, d: ControlPair) -> GradientPair:
         """Gauss-Newton Hessian of the reduced cost at ``control`` applied to ``d``.
@@ -408,19 +409,13 @@ class IterateRecord:
 
 
 @dataclass
-class Certificates:
-    stationarity: float
-    clamp_formula_residual: float
-    clamp_formula_scale: float
-    vi_min: float
-    vi_scale: float
-
-
-@dataclass
 class OptimizeReport:
+    """Iterates (the last is ``final``'s record) and ``check_vi`` at ``final``, >= 100 samples."""
+
     iterates: list[IterateRecord]
     final: ControlPair
-    certificates: Certificates
+    vi_min: float
+    vi_scale: float
     converged: bool
     reason: str
     forward_solves: int
@@ -535,9 +530,9 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     V-ball can cause), the direction is -g and s starts at the
     Barzilai-Borwein quotient of the last accepted step (_bb_step; 1 before
     any).  Stops when the stationarity residual (at unit step scale) falls
-    below the tolerance or after max_iters.  Emits per-iterate certificates
+    below the tolerance or after max_iters.  Records per-iterate certificates
     (stationarity, projection formula defect where nu1 > 0, sampled
-    variational inequality).
+    variational inequality) and the final sampled variational inequality.
     """
     armijo_c, shrink, max_backtracks = 1e-4, 0.5, 60
     grid, tg = problem.grid, problem.time
@@ -609,17 +604,10 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         x, j, g = trial, j_trial, g_new
         last_step, last_bt = s, backtracks
 
-    final_vi, final_vi_scale = check_vi(x, g, aset, grid, tg,
-                                        n_samples=max(opts.vi_samples, 100), seed=opts.seed)
     # every exit leaves the loop before x and g change: the last record holds their values
-    certs = Certificates(
-        stationarity=records[-1].stationarity,
-        clamp_formula_residual=records[-1].clamp_formula_residual,
-        clamp_formula_scale=1.0 + u_norm(grid, tau, x.u),
-        vi_min=final_vi,
-        vi_scale=final_vi_scale,
-    )
-    return OptimizeReport(iterates=records, final=x, certificates=certs,
+    vi_min, vi_scale = check_vi(x, g, aset, grid, tg,
+                                n_samples=max(opts.vi_samples, 100), seed=opts.seed)
+    return OptimizeReport(iterates=records, final=x, vi_min=vi_min, vi_scale=vi_scale,
                           converged=converged, reason=reason,
                           forward_solves=rp.forward_solves, gradients=rp.gradients,
                           hessian_products=rp.hessian_products)

@@ -5,11 +5,11 @@ Two routes to the same gradient, on purpose:
 * ``tangent_solve`` applies the exact derivative of the discrete forward
   scheme to a control perturbation, and ``tangent_transpose`` applies the
   transpose of every linear map in it, in reverse order.  Built on top of
-  these, ``adjoint_solve_discrete`` returns machine-accurate gradient seeds
-  for the discrete cost (engineering truth).  The reverse sweep takes its
-  cotangents node by node from a seed; ``tracking_seeds`` builds it from the
-  trajectory misfit (the gradient) or from a tangent (the Gauss-Newton
-  Hessian product).
+  these, ``adjoint_solve_discrete`` returns the sweep seeded by the discrete
+  cost, its machine-accurate gradient (engineering truth).  The reverse
+  sweep takes its cotangents node by node from a seed; ``tracking_seeds``
+  builds it from the trajectory misfit (the gradient) or from a tangent (the
+  Gauss-Newton Hessian product).
 * ``adjoint_solve_continuous`` discretizes the backward-in-time adjoint
   system itself, with a semi-implicit scheme mirroring the forward one
   (scientific fidelity).  Its gradient agrees with the discrete one only up
@@ -50,20 +50,6 @@ class LinearizedPair:
     xi: np.ndarray
     eta: np.ndarray
     eta_t: np.ndarray
-
-
-@dataclass
-class GradientSeeds:
-    """Cost-derivative representatives produced by the discrete adjoint.
-
-    ``u`` holds, per node 1..nt, the L2(Q)-representative of the tracking
-    part of dJ/du (time pairing by the rectangle rule); ``v0`` holds the
-    plain L2 representative of the tracking part of dJ/dv0, before any
-    Riesz lifting.
-    """
-
-    u: np.ndarray
-    v0: np.ndarray
 
 
 @dataclass
@@ -263,16 +249,15 @@ def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True
 
 
 def adjoint_solve_discrete(base: StateTrajectory, problem: Problem, cost: "CostSpec",
-                           opts=SolverOptions()) -> GradientSeeds:
+                           opts=SolverOptions()) -> TransposeResult:
     """Exact transpose of the tangent map seeded by the discrete cost.
 
-    The seeds are exact for the discrete reduced cost:
-    dJ_tracking = <seeds.u, h>_L2(Q) + <seeds.v0, h0>_L2.
+    Exact for the discrete reduced cost: dJ_tracking = <h_bar / tau, h>_L2(Q)
+    + <h0_bar, h0>_L2, with plain L2 representatives (no Riesz lifting).
     """
     tau = problem.time.tau
-    sweep = tangent_transpose(base, problem, tracking_seeds(cost, base.phi, base.w, base.v, tau),
-                              opts)
-    return GradientSeeds(u=sweep.h_bar / tau, v0=sweep.h0_bar)
+    return tangent_transpose(base, problem, tracking_seeds(cost, base.phi, base.w, base.v, tau),
+                             opts)
 
 
 def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "CostSpec",

@@ -5,9 +5,9 @@ Every file the package writes goes through ``write_atomic`` (a temp file, then
 one field: magic bytes "CGW1", little-endian u32 nx, u32 ny, then nx*ny
 little-endian 64-bit floats, row-major over cell centers.  A series is one
 snapshot per time node, ``<prefix>_<node:06d>.cgw``, a name that only
-``write_series`` and ``read_series`` form.  A persisted trajectory is the
-phi/w/v series at a node stride (the final node always included) plus a
-plain-text index file recording node count, stride and tau.
+``write_series``, ``read_series`` and ``remove_series`` form.  A persisted
+trajectory is the phi/w/v series at a node stride (the final node always
+included) plus a plain-text index file recording node count, stride and tau.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import FormatError
 
 MAGIC = b"CGW1"
 INDEX_NAME = "index.txt"
-_TRAJECTORY_SERIES = ("phi", "w", "v")
+TRAJECTORY_SERIES = ("phi", "w", "v")
 _HEADER = struct.Struct("<4sII")
 
 
@@ -76,6 +76,14 @@ def read_series(directory: str, prefix: str, nodes) -> np.ndarray:
     return np.stack([read_field(_series_path(directory, prefix, n)) for n in nodes])
 
 
+def remove_series(directory: str, prefixes) -> None:
+    """Remove from ``directory`` each file whose name ``_series_path`` forms for ``prefixes``."""
+    for name in os.listdir(directory) if os.path.isdir(directory) else []:
+        prefix, _, node = name.removesuffix(".cgw").rpartition("_")
+        if prefix in prefixes and node.isdecimal() and name == _series_path("", prefix, int(node)):
+            os.remove(os.path.join(directory, name))
+
+
 def stored_nodes(nt: int, stride: int) -> list[int]:
     """Every ``stride``-th node of 0..nt, and always the final node nt."""
     nodes = list(range(0, nt + 1, stride))
@@ -101,7 +109,7 @@ def persist_trajectory(traj, directory: str, stride: int = 1) -> list[int]:
         raise FormatError(f"stride must be >= 1, got {stride}")
     nt = traj.phi.shape[0] - 1
     nodes = stored_nodes(nt, stride)
-    for name in _TRAJECTORY_SERIES:
+    for name in TRAJECTORY_SERIES:
         series = getattr(traj, name)
         write_series(directory, name, ((n, series[n]) for n in nodes))
     write_atomic(os.path.join(directory, INDEX_NAME),
@@ -126,4 +134,4 @@ def load_trajectory(directory: str) -> LoadedTrajectory:
         raise FormatError(f"{index_path}: {exc}") from exc
     nodes = stored_nodes(node_count - 1, stride)
     return LoadedTrajectory(nodes=nodes, tau=tau, **{name: read_series(directory, name, nodes)
-                                                     for name in _TRAJECTORY_SERIES})
+                                                     for name in TRAJECTORY_SERIES})

@@ -19,15 +19,8 @@ the size of the step's right-hand side, and each inner solve goes only as far
 as the Eisenstat-Walker forcing term asks.  The preconditioned step alone has
 relative residual at most theta = max|gamma' - m| / (1/tau + m), so when theta
 meets the forcing it is taken without CG (0 CG iterations for that Newton
-iteration).  The sensitivity sweeps reuse both solvers at ``cg_tol``.
-
-Each Newton point costs one domain check, one stencil and one gamma: the
-residual is G(p) = p/tau + A(p) - b with A(p) = gamma(p) - lap(p) (one
-definition, ``_phase_operator``), a trial is checked once by ``contains``
-and then evaluated unchecked, and ``solve_state`` carries A of each step's
-accepted iterate into the next step, whose first residual therefore needs
-no stencil, no gamma and no second check of phi_n.  Step 1 gets A(phi0)
-from ``solve_state``, after ``Problem.check_initial`` has checked phi0.
+iteration).  The sensitivity sweeps reuse both solvers at ``cg_tol``.  Each
+Newton point costs one domain check, one stencil and one gamma (``phi_step``).
 
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
@@ -140,12 +133,6 @@ class PhiStepInfo:
     cg_iters: int = 0
     domain_guard_hits: int = 0
     operator: Field | None = field(default=None, repr=False)  # A(phi) = gamma(phi) - lap(phi)
-
-
-@dataclass
-class ThermalStepInfo:
-    balance_residual: float = 0.0
-    balance_scale: float = 1.0
 
 
 @dataclass
@@ -334,12 +321,13 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
 
 
 def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
-    """Thermal update; returns (w_{n+1}, v_{n+1}, ThermalStepInfo).
+    """Thermal update; returns (w_{n+1}, v_{n+1}, residual, scale).
 
     Solves, exactly in the cosine eigenbasis,
       (I/tau + alpha (-lap) + tau beta (-lap)) v' = v_n/tau + beta lap(w_n)
           - (pi_hat(phi_{n+1}) - pi_hat(phi_n))/tau + u_{n+1}
-    and sets w_{n+1} = w_n + tau v' with that exact expression.
+    and sets w_{n+1} = w_n + tau v' with that exact expression.  ``residual``
+    is the lumped energy balance, zero up to rounding, and ``scale`` its scale.
     """
     w_n = grid.check_field(w_n, "w_n")
     v_n = grid.check_field(v_n, "v_n")
@@ -355,8 +343,7 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
     int_u = vol * float(np.sum(u_np1))
     residual = int_dv + int_dpi - tau * int_u
     scale = 1.0 + abs(int_dv) + abs(int_dpi) + tau * abs(int_u) + vol * float(np.sum(np.abs(v_np1)))
-    info = ThermalStepInfo(balance_residual=residual, balance_scale=scale)
-    return w_np1, v_np1, info
+    return w_np1, v_np1, residual, scale
 
 
 def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
@@ -388,7 +375,7 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
                 grid, problem.potential, problem.coupling, problem.params,
                 phi[n], v[n], tau, opts, a_n,
             )
-            w_next, v_next, tinfo = thermal_step(
+            w_next, v_next, residual, scale = thermal_step(
                 grid, problem.coupling, problem.params,
                 w[n], v[n], phi[n], phi_next, u[n], tau,
             )
@@ -396,12 +383,12 @@ def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) 
             raise StepError(n + 1, exc) from exc
         phi[n + 1], w[n + 1], v[n + 1] = phi_next, w_next, v_next
         a_n = pinfo.operator
-        cumulative += tinfo.balance_residual
+        cumulative += residual
         steps.append(StepRecord(
             step=n + 1, time=(n + 1) * tau,
             newton_iters=pinfo.newton_iters, cg_iters=pinfo.cg_iters,
-            energy_residual=tinfo.balance_residual, cumulative_balance_residual=cumulative,
-            balance_scale=tinfo.balance_scale, domain_guard_hits=pinfo.domain_guard_hits,
+            energy_residual=residual, cumulative_balance_residual=cumulative,
+            balance_scale=scale, domain_guard_hits=pinfo.domain_guard_hits,
         ))
     return StateTrajectory(phi=phi, w=w, v=v, tau=tau, steps=steps)
 

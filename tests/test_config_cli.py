@@ -9,7 +9,7 @@ import pytest
 from conftest import CONFIGS
 
 from thermophase import config
-from thermophase.cli import _orders, main, run_command
+from thermophase.cli import _COMMANDS, _orders, main, run_command
 from thermophase.config import build_field, parse_config, parse_config_dict
 from thermophase.control import AdmissibleSet, OptimizeOptions
 from thermophase.errors import NewtonDivergence, ParseError, StepError, ValidationError
@@ -246,6 +246,28 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"grad_check": {"epsilons": [0.1, 0.1]}}, "grad_check.epsilons"),
     (lambda p: {"admissible": {"v_lo": 0.5, "v_hi": 1.0, "ball_radius": 0.1}},
      "admissible set is empty"),
+    (lambda p: {"convergence": {"lap_levels": [32.7, 64.2, 128.9]}},
+     "convergence.lap_levels must be a list of integers"),
+    (lambda p: {"adjoint_test": {"levels": [[8.5, 10.7], [16, 20]]}},
+     "adjoint_test.levels must be a list of integer pairs"),
+    (lambda p: {"convergence": {"spatial_levels": [8.0, 16], "spatial_ref_nx": 32}},
+     "convergence.spatial_levels must be a list of integers"),
+    (lambda p: {"convergence": {"lap_levels": [2, 4]}},
+     "convergence.lap_levels: level nx=2: DegenerateGrid"),
+    (lambda p: {"convergence": {"mean_zero_nx": 2}},
+     "convergence.mean_zero_nx: level nx=2: DegenerateGrid"),
+    (lambda p: {"convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16,
+                                "spatial_nt": 0}},
+     "convergence.spatial_levels: level nx=4: BadParameter: nt must be >= 1"),
+    (lambda p: {"grid": {"lx": 2.0, "ly": 1.0, "nx": 16, "ny": 8},
+                "convergence": {"lap_levels": [32, 63]}},
+     "convergence.lap_levels: level nx=63: AnisotropicCells"),
+    (lambda p: {"grid": {"lx": 1.5, "ly": 1.0, "nx": 12, "ny": 8}},
+     "convergence.lap_levels: level nx=32: AnisotropicCells"),
+    (lambda p: {"grid": {"lx": 1.5, "ly": 1.0, "nx": 12, "ny": 8},
+                "convergence": {"lap_levels": [12, 24], "mean_zero_nx": 12},
+                "adjoint_test": {"levels": [[12, 5], [16, 10]]}},
+     "adjoint_test.levels: level nx=16: AnisotropicCells"),
     *[(lambda p, b=block, k=key, v=value: {b: {k: v}}, f"{block}: unknown keys ['{key}']")
       for block, key, value in RETIRED_KEYS],
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
@@ -254,13 +276,17 @@ def _truncated_phi0(tmp_path):
         "fd_steps_single", "n_trials_zero", "deltas_single", "deltas_empty",
         "lap_levels_single", "spatial_levels_single", "temporal_ref_not_multiple",
         "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated",
-        "admissible_set_empty",
+        "admissible_set_empty", "lap_levels_floats", "levels_float_pairs",
+        "spatial_levels_float", "lap_levels_degenerate", "mean_zero_nx_degenerate",
+        "spatial_nt_zero", "lap_level_nonsquare_on_2x1", "default_lap_levels_on_1.5x1",
+        "adjoint_level_nonsquare_on_1.5x1",
         *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and cause in err
+    assert not (tmp_path / "o").exists()  # rejected before anything is written
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "grad_check", "optimize"])
@@ -304,7 +330,8 @@ def _failure(out_dir):
     return record
 
 
-def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
+def _failing_config(tmp_path, rng):
+    """A simulate config whose first step fails: phase CG capped at one iteration."""
     snap = tmp_path / "phi0.cgw"
     # rough phi0: the phase Jacobian varies from cell to cell, so its CG needs
     # more than one iteration once Newton's forcing tightens
@@ -312,14 +339,22 @@ def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
     cfg = {**MINIMAL,
            "solver": {"cg_maxit": 1},
            "initial": {"phi0": {"snapshot": str(snap)}}}
-    path = _write(tmp_path, cfg, "hard.json")
-    # the verdict of an earlier passing run into the same directory
-    (tmp_path / "o3").mkdir()
-    (tmp_path / "o3" / "summary.txt").write_text("overall PASS\n")
-    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o3")]) == 3
+    return _write(tmp_path, cfg, "hard.json")
+
+
+def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
+    path = _failing_config(tmp_path, rng)
+    # an earlier passing run into the same directory, with its snapshots
+    out = tmp_path / "o3"
+    passing = _write(tmp_path, {**MINIMAL, "output": {"snapshot_stride": 2}}, "easy.json")
+    assert main(["simulate", "--config", passing, "--out", str(out)]) == 0
+    assert {"summary.txt", "diagnostics.csv", "snapshots"} <= set(os.listdir(out))
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 3
     assert "step 1: CG did not reach tol" in capsys.readouterr().err
-    assert not (tmp_path / "o3" / "summary.txt").exists()
-    record = _failure(tmp_path / "o3")
+    # nothing of the earlier run is left to read as this run's
+    assert sorted(os.listdir(out)) == ["effective_config.json", "failure.json", "snapshots"]
+    assert os.listdir(out / "snapshots") == []
+    record = _failure(out)
     assert record["command"] == "simulate"
     assert (record["error"], record["step"], record["cause"]) == ("StepError", 1, "NoConvergence")
     assert record["message"].startswith("step 1: CG did not reach tol")
@@ -343,6 +378,30 @@ def test_newton_divergence_exit_three(tmp_path, capsys):
     with pytest.raises(StepError) as info:
         solve_state(parsed.problem(), parsed.control(), parsed.solver_options())
     assert isinstance(info.value.cause, NewtonDivergence)
+
+
+@pytest.mark.parametrize("cmd", sorted(_COMMANDS))
+def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, cmd):
+    # every file a command writes is in ARTEFACTS or a series of SERIES; other files stay
+    cfg = parse_config_dict({
+        **MINIMAL, "cost": {"k1": 1.0, "nu1": 1e-2}, "output": {"snapshot_stride": 2},
+        "initial": {"phi0": {"cosine": {"amplitude": 0.4}}, "w0": 0.0},
+        "grad_check": {"n_directions": 1}, "solver": {"max_iters": 2, "vi_samples": 0},
+        "adjoint_test": {"n_trials": 1, "levels": [[8, 4], [16, 8]]},
+        "convergence": {"lap_levels": [8, 16], "spatial_levels": [4, 8], "spatial_ref_nx": 16,
+                        "spatial_nt": 2, "temporal_nts": [2, 4], "temporal_ref_nt": 8,
+                        "temporal_nx": 8}})
+    out = tmp_path / "o"
+    run_command(cmd, cfg, out_dir=str(out))
+    assert len(list(out.rglob("*"))) > 2  # more than effective_config.json and summary.txt
+    foreign = ["mine.csv", "snapshots/notes.txt", "adjoint/p_0000001.cgw",
+               "control/u_000001.cgw.bak", "control/v0_000001.cgw"]
+    for name in foreign:
+        (out / name).parent.mkdir(exist_ok=True)
+        (out / name).write_text("kept\n")
+    assert main(["simulate", "--config", _failing_config(tmp_path, rng), "--out", str(out)]) == 3
+    left = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert left == sorted(["effective_config.json", "failure.json", *foreign])
 
 
 def test_run_removes_stale_failure_record(tmp_path):
@@ -432,6 +491,23 @@ def test_laplacian_order_uses_the_level_ratio(tmp_path, lap_levels):
     rep = run_command("convergence", cfg, out_dir=str(tmp_path / "conv"))
     order = {c.name: c.value for c in rep.criteria}["laplacian_order"]
     assert abs(order - 2.0) <= 0.05
+
+
+def test_convergence_runs_on_a_two_by_one_domain(tmp_path):
+    # every level keeps the 2:1 aspect ratio, so each grid has square cells
+    cfg = parse_config_dict({
+        "grid": {"lx": 2.0, "ly": 1.0, "nx": 16, "ny": 8}, "time": {"t_final": 0.05, "nt": 4},
+        "initial": {"phi0": {"cosine": {"amplitude": 0.4}}, "w0": 0.0},
+        "control": {"u": {"cosine": {"amplitude": 0.5}}},
+        "convergence": {"lap_levels": [16, 32], "mean_zero_nx": 8,
+                        "spatial_levels": [8, 16], "spatial_ref_nx": 64, "spatial_nt": 4,
+                        "temporal_nts": [2, 4], "temporal_ref_nt": 32, "temporal_nx": 8}})
+    out = tmp_path / "conv"
+    assert run_command("convergence", cfg, out_dir=str(out)).code == 0
+    rows = [row.split(",")[:2] for row in (out / "convergence.csv").read_text().splitlines()]
+    assert rows == [["study", "level"], ["laplacian", "16"], ["laplacian", "32"],
+                    ["mean_zero", "8"], ["spatial", "8"], ["spatial", "16"],
+                    ["temporal", "2"], ["temporal", "4"]]
 
 
 def test_optimize_control_snapshots_roundtrip_as_config_input(tmp_path):

@@ -134,9 +134,9 @@ def test_zero_cost_zero_adjoint_zero_seeds():
     problem = small_problem(nx=8, nt=6)
     base = solve_state(problem, smooth_control(problem), TIGHT)
     cost = _zero_cost(problem)
-    seeds = adjoint_solve_discrete(base, problem, cost, TIGHT)
-    assert np.max(np.abs(seeds.u)) == 0.0
-    assert np.max(np.abs(seeds.v0)) == 0.0
+    sweep = adjoint_solve_discrete(base, problem, cost, TIGHT)
+    assert np.max(np.abs(sweep.h_bar)) == 0.0
+    assert np.max(np.abs(sweep.h0_bar)) == 0.0
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
     assert np.max(np.abs(adj.p)) == 0.0
     assert np.max(np.abs(adj.q)) == 0.0
@@ -303,12 +303,12 @@ def test_transpose_multipliers_track_continuous_adjoint(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(sensitivity, "_phi_solver", recording_phi_solver)
-        seeds = adjoint_solve_discrete(base, problem, cost, TIGHT)
+        sweep = adjoint_solve_discrete(base, problem, cost, TIGHT)
     assert len(solves) == problem.time.nt
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
     tau = problem.time.tau
     p_like = np.stack(solves[::-1]) / tau
-    rel_q = (u_norm(problem.grid, tau, seeds.u - adj.q[1:])
+    rel_q = (u_norm(problem.grid, tau, sweep.h_bar / tau - adj.q[1:])
              / u_norm(problem.grid, tau, adj.q[1:]))
     rel_p = (u_norm(problem.grid, tau, p_like - adj.p[1:])
              / u_norm(problem.grid, tau, adj.p[1:]))

@@ -223,10 +223,10 @@ def test_newton_points_evaluated_once(monkeypatch):
 
 def test_thermal_step_zero_inputs():
     g = build_grid(1, 1, 8, 8)
-    w, v, info = thermal_step(g, PI_NEG, PARAMS, g.zeros(), g.zeros(), g.zeros(),
-                              g.zeros(), g.zeros(), tau=0.1)
+    w, v, residual, _ = thermal_step(g, PI_NEG, PARAMS, g.zeros(), g.zeros(), g.zeros(),
+                                     g.zeros(), g.zeros(), tau=0.1)
     assert np.max(np.abs(w)) == 0.0 and np.max(np.abs(v)) == 0.0
-    assert info.balance_residual == 0.0
+    assert residual == 0.0
 
 
 def test_thermal_step_constant_recurrence():
@@ -234,7 +234,7 @@ def test_thermal_step_constant_recurrence():
     tau = 0.05
     phi_n, phi_np1 = np.full(g.shape, 0.3), np.full(g.shape, 0.45)
     v_n, w_n, u = np.full(g.shape, 0.2), np.full(g.shape, -0.1), np.full(g.shape, 0.7)
-    w, v, _ = thermal_step(g, PI_NEG, PARAMS, w_n, v_n, phi_n, phi_np1, u, tau)
+    w, v, _, _ = thermal_step(g, PI_NEG, PARAMS, w_n, v_n, phi_n, phi_np1, u, tau)
     pi_diff = float(PI_NEG.pi_hat(0.45) - PI_NEG.pi_hat(0.3))
     v_expect = 0.2 + tau * 0.7 - pi_diff
     assert np.max(np.abs(v - v_expect)) <= 1e-12
@@ -249,8 +249,8 @@ def test_thermal_step_unit_source_exact_ramp():
     assert tau == 0.0625
     w, v = g.zeros(), g.zeros()
     for n in range(tg.nt):
-        w, v, _ = thermal_step(g, PI_ZERO, PARAMS, w, v, g.zeros(), g.zeros(),
-                               np.full(g.shape, 1.0), tau)
+        w, v, _, _ = thermal_step(g, PI_ZERO, PARAMS, w, v, g.zeros(), g.zeros(),
+                                  np.full(g.shape, 1.0), tau)
         assert np.all(v == (n + 1) * tau)
 
 
