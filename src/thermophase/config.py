@@ -4,15 +4,15 @@ A config file is a JSON object with the blocks below; only ``grid`` and
 ``time`` are required.  Validation has one owner per decision:
 
 - this module owns the JSON shape: unknown keys are rejected at every level,
-  field specs and cost targets must be well formed, and every value must have
-  its default's JSON type (an int default takes integers only, a float
-  default finite numbers, a list default a list of numbers, of integers for
-  the study levels, or of integer pairs for ``adjoint_test.levels``; a bool
-  is never a number);
+  and every value that is not a field spec must have its default's JSON type
+  (an int default takes integers only, a float default finite numbers, a
+  list default a list of numbers, of integers for the study levels, or of
+  integer pairs for ``adjoint_test.levels``; a bool is never a number);
+- ``build_field`` owns the field-spec grammar below; each of its errors names the key;
 - the domain types own value ranges.  ``ProblemConfig`` builds the problem,
   control, admissible set, options and cost once, at parse time, and a
   failed range check there (it names the violated assumption, e.g.
-  "A1: alpha must be > 0") or a bad snapshot file becomes a ValidationError;
+  "A1: alpha must be > 0") becomes a ValidationError;
 - ``output.snapshot_stride`` and the experiment blocks have no domain type,
   so ``ProblemConfig`` checks them: every list a slope is fitted to has two
   or more distinct positive entries, ``grad_check.n_directions`` and
@@ -54,6 +54,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Any
 
@@ -93,7 +94,6 @@ _DEFAULTS: dict[str, Any] = {
     "adjoint_test": {"n_trials": 10, "levels": []},
     "optimize": {"recovery_factor": 0.0, "clamp_formula_tol": 0.0, "vi_tol": 0.0},
     "convergence": {
-        "lap_levels": [32, 64, 128], "mean_zero_nx": 16,
         "spatial_levels": [], "spatial_ref_nx": 0, "spatial_nt": 8,
         "temporal_nts": [], "temporal_ref_nt": 0, "temporal_nx": 32,
     },
@@ -101,14 +101,13 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 # list keys whose elements are integers (cell or step counts), and the one of pairs
-_INT_LISTS = ("convergence.lap_levels", "convergence.spatial_levels", "convergence.temporal_nts")
+_INT_LISTS = ("convergence.spatial_levels", "convergence.temporal_nts")
 _PAIR_LIST = "adjoint_test.levels"
 _COST_KEYS = ("k1", "k2", "k3", "k4", "k5", "k6", "nu1", "nu2")
-_COSINE_KEYS = ("amplitude", "kx", "ky", "offset", "ramp")
-# field-spec entries of the blocks, and whether each is a space-time field
-_FIELD_SPECS = {"initial": {"phi0": False, "w0": False},
-                "control": {"u": True, "v0": False},
-                "admissible": {"u_lo": False, "u_hi": False, "v_lo": False, "v_hi": False}}
+_COSINE_DEFAULTS = {"amplitude": 1.0, "kx": 1, "ky": 1, "offset": 0.0, "ramp": 0.0}
+# field-spec entries of the blocks: build_field checks them, not _check_type
+_FIELD_SPECS = {"initial": ("phi0", "w0"), "control": ("u", "v0"),
+                "admissible": ("u_lo", "u_hi", "v_lo", "v_hi")}
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
@@ -117,8 +116,8 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {unknown}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value) -> bool:  # a JSON integer can exceed the float range
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
 
 
 def _is_finite(value) -> bool:
@@ -149,66 +148,52 @@ def _check_type(value, default, where: str) -> None:
         raise ValidationError(f"{where} must be {want}, got {value!r}")
 
 
-def _is_field_spec(value) -> bool:
-    if _is_number(value):
-        return True
-    if isinstance(value, dict) and len(value) == 1:
-        return next(iter(value)) in ("const", "cosine", "snapshot", "snapshot_dir")
-    return False
-
-
-def _check_field_spec(value, where: str, space_time: bool) -> None:
-    if not _is_field_spec(value):
-        raise ValidationError(f"{where}: not a field spec: {value!r}")
-    if isinstance(value, dict):
-        key = next(iter(value))
-        body = value[key]
-        if key == "const" and not _is_number(body):
-            raise ValidationError(f"{where}: const must be a number")
-        if key == "cosine":
-            if not (isinstance(body, dict) and all(map(_is_number, body.values()))):
-                raise ValidationError(f"{where}: cosine takes an object of numbers")
-            _reject_unknown(body, _COSINE_KEYS, where)
-        if key == "snapshot" and not isinstance(body, str):
-            raise ValidationError(f"{where}: snapshot takes a path string")
-        if key == "snapshot_dir":
-            if not space_time:
-                raise ValidationError(f"{where}: snapshot_dir only applies to space-time fields")
-            if not isinstance(body, dict):
-                raise ValidationError(f"{where}: snapshot_dir takes an object")
-            _reject_unknown(body, ("path", "prefix"), where)
-
-
-def _finite(value: np.ndarray, what) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
-        raise ValidationError(f"field spec {what!r} produced non-finite entries")
-    return value
-
-
-def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0) -> np.ndarray:
-    """Materialize a field spec: spatial (ny, nx) when ``nodes`` is None, else
-    space-time (len(nodes), ny, nx) at the times ``n * tau`` of the given nodes."""
-    key, body = ("const", spec) if _is_number(spec) else next(iter(spec.items()))
-    if key == "snapshot_dir":
-        return grid.check_field(read_series(body["path"], body.get("prefix", "u"), nodes),
-                                body["path"], len(nodes))
+def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
+                where: str = "field") -> np.ndarray:
+    """Check and materialize a field spec: spatial (ny, nx) when ``nodes`` is None, else
+    space-time (len(nodes), ny, nx) at the times ``n * tau`` of the given nodes.  The one
+    reader of the field-spec grammar; each error it raises starts with ``where``, the key."""
+    if _is_number(spec):
+        spec = {"const": spec}
+    key, body = list(spec.items())[0] if isinstance(spec, dict) and len(spec) == 1 else (None, None)
     t = np.zeros(1) if nodes is None else np.asarray(nodes) * tau
     if key == "const":
-        out = _finite(np.full((len(t),) + grid.shape, float(body)), spec)
+        if not _is_number(body):
+            raise ValidationError(f"{where}: const takes a number, got {body!r}")
+        out = np.full((len(t),) + grid.shape, float(body))
     elif key == "cosine":
-        amp = float(body.get("amplitude", 1.0))
-        kx = float(body.get("kx", 1))
-        ky = float(body.get("ky", 1))
-        ramp = float(body.get("ramp", 0.0))
+        if not (isinstance(body, dict) and all(map(_is_number, body.values()))):
+            raise ValidationError(f"{where}: cosine takes an object of numbers, got {body!r}")
+        _reject_unknown(body, _COSINE_DEFAULTS, f"{where}.cosine")
+        c = {**_COSINE_DEFAULTS, **body}
         x, y = grid.cell_centers()
-        mode = np.cos(kx * np.pi * x / grid.lx) * np.cos(ky * np.pi * y / grid.ly)
-        out = (amp * (1.0 + ramp * t))[:, None, None] * mode
-        out += float(body.get("offset", 0.0))
-        _finite(out, spec)
-    else:
+        mode = np.cos(c["kx"] * np.pi * x / grid.lx) * np.cos(c["ky"] * np.pi * y / grid.ly)
+        out = (c["amplitude"] * (1.0 + c["ramp"] * t))[:, None, None] * mode
+        out += c["offset"]
+    if key in ("const", "cosine"):
+        if not np.all(np.isfinite(out)):
+            raise ValidationError(f"{where}: {spec!r} produced non-finite entries")
+        return out[0] if nodes is None else out
+    if key == "snapshot" and not isinstance(body, str):
+        raise ValidationError(f"{where}: snapshot takes a path string, got {body!r}")
+    if key == "snapshot_dir":
+        if nodes is None:
+            raise ValidationError(f"{where}: snapshot_dir only applies to space-time fields")
+        if not (isinstance(body, dict) and isinstance(body.get("path"), str)
+                and isinstance(body.get("prefix", "u"), str)):
+            raise ValidationError(f"{where}: snapshot_dir takes an object with a path string "
+                                  f"and an optional prefix string, got {body!r}")
+        _reject_unknown(body, ("path", "prefix"), f"{where}.snapshot_dir")
+    elif key != "snapshot":
+        raise ValidationError(f"{where}: not a field spec: {spec!r}")
+    try:
+        if key == "snapshot_dir":
+            return grid.check_field(read_series(body["path"], body.get("prefix", "u"), nodes),
+                                    body["path"], len(nodes))
         f = grid.check_field(read_field(body), body)
-        out = np.broadcast_to(f, (len(t),) + f.shape).copy()
-    return out[0] if nodes is None else out
+    except (ThermophaseError, OSError) as exc:
+        raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
+    return f if nodes is None else np.broadcast_to(f, (len(t),) + f.shape).copy()
 
 
 def _validated(raw: dict) -> dict:
@@ -232,11 +217,8 @@ def _validated(raw: dict) -> dict:
         _reject_unknown(block, cfg[name], name)
         cfg[name].update(copy.deepcopy(block))
     for name, block in cfg.items():
-        specs = _FIELD_SPECS.get(name, {})
         for key, value in block.items():
-            if key in specs:
-                _check_field_spec(value, f"{name}.{key}", space_time=specs[key])
-            else:
+            if key not in _FIELD_SPECS.get(name, ()):
                 _check_type(value, _DEFAULTS[name][key], f"{name}.{key}")
 
     if "cost" in raw:
@@ -254,16 +236,8 @@ def _validated(raw: dict) -> dict:
         if "from_run" in targets:
             _reject_unknown(targets, ("from_run",), "cost.targets")
             _reject_unknown(targets["from_run"], ("u", "v0"), "cost.targets.from_run")
-            _check_field_spec(targets["from_run"].get("u", 0.0), "cost.targets.from_run.u",
-                              space_time=True)
-            _check_field_spec(targets["from_run"].get("v0", 0.0), "cost.targets.from_run.v0",
-                              space_time=False)
         else:
             _reject_unknown(targets, [key for _, _, key, _ in TRACKING_TERMS], "cost.targets")
-            for _, _, key, terminal in TRACKING_TERMS:
-                if key in targets:
-                    _check_field_spec(targets[key], f"cost.targets.{key}",
-                                      space_time=not terminal)
         cost["targets"] = copy.deepcopy(targets)
         cfg["cost"] = cost
     return cfg
@@ -272,8 +246,7 @@ def _validated(raw: dict) -> dict:
 # lists an experiment fits a log-log slope to (fd_steps: picks a plateau from
 # consecutive pairs); a convergence refinement is off when its list is empty
 _FIT_LISTS = ("grad_check.epsilons", "grad_check.fd_steps", "cont_dependence.deltas",
-              "convergence.lap_levels", "convergence.spatial_levels",
-              "convergence.temporal_nts")
+              "convergence.spatial_levels", "convergence.temporal_nts")
 _REFINEMENT_REFS = {"spatial_levels": "spatial_ref_nx", "temporal_nts": "temporal_ref_nt"}
 
 
@@ -306,16 +279,13 @@ def _check_studies(raw: dict) -> None:
             raise ValidationError(f"{where} must be >= 1, got {raw[block][key]}")
     # (key, nx, nt) of each level a study builds (a reference is a multiple of one)
     c = raw["convergence"]
-    levels = ([("convergence.lap_levels", nx, None) for nx in c["lap_levels"]]
-              + [("convergence.mean_zero_nx", c["mean_zero_nx"], None)]
-              + [("convergence.spatial_levels", nx, c["spatial_nt"]) for nx in c["spatial_levels"]]
+    levels = ([("convergence.spatial_levels", nx, c["spatial_nt"]) for nx in c["spatial_levels"]]
               + [("convergence.temporal_nts", c["temporal_nx"], nt) for nt in c["temporal_nts"]]
               + [("adjoint_test.levels", nx, nt) for nx, nt in raw["adjoint_test"]["levels"]])
     for where, nx, nt in levels:
         try:
             level_grid(raw["grid"], nx)
-            if nt is not None:
-                TimeGrid(float(raw["time"]["t_final"]), nt)
+            TimeGrid(float(raw["time"]["t_final"]), nt)
         except ThermophaseError as exc:
             raise ValidationError(f"{where}: level nx={nx}: {type(exc).__name__}: {exc}") from exc
 
@@ -348,12 +318,12 @@ class ProblemConfig:
         self._problem = Problem(
             grid=self.grid, time=self.timegrid, params=PhysParams(**raw["params"]),
             potential=Potential(**raw["potential"]), coupling=Coupling(**raw["coupling"]),
-            initial=InitialData(phi0=build_field(init["phi0"], self.grid),
-                                w0=build_field(init["w0"], self.grid)))
+            initial=InitialData(phi0=build_field(init["phi0"], self.grid, where="initial.phi0"),
+                                w0=build_field(init["w0"], self.grid, where="initial.w0")))
         self._problem.check_initial()
-        self._control = self._control_pair(raw["control"])
+        self._control = self._control_pair(raw["control"], "control")
         adm = raw["admissible"]
-        bounds = {k: self._bound(adm[k]) for k in _FIELD_SPECS["admissible"]}
+        bounds = {k: self._bound(adm[k], f"admissible.{k}") for k in _FIELD_SPECS["admissible"]}
         self._admissible = AdmissibleSet(**bounds, ball_radius=float(adm["ball_radius"]))
         self._admissible.v0_anchor(self.grid)  # raises when the set is empty
         s = raw["solver"]
@@ -369,25 +339,28 @@ class ProblemConfig:
             self._build_cost(raw["cost"])
         _readonly(self._problem.initial.phi0, self._problem.initial.w0, *bounds.values())
 
-    def _control_pair(self, blk: dict) -> ControlPair:
+    def _control_pair(self, blk: dict, where: str) -> ControlPair:
         nodes = range(1, self.timegrid.nt + 1)
-        pair = ControlPair(u=build_field(blk.get("u", 0.0), self.grid, nodes, self.timegrid.tau),
-                           v0=build_field(blk.get("v0", 0.0), self.grid))
+        pair = ControlPair(u=build_field(blk.get("u", 0.0), self.grid, nodes, self.timegrid.tau,
+                                         f"{where}.u"),
+                           v0=build_field(blk.get("v0", 0.0), self.grid, where=f"{where}.v0"))
         _readonly(pair.u, pair.v0)
         return pair
 
-    def _bound(self, spec) -> float | np.ndarray:
-        return float(spec) if isinstance(spec, (int, float)) else build_field(spec, self.grid)
+    def _bound(self, spec, where: str) -> float | np.ndarray:
+        return float(spec) if _is_number(spec) else build_field(spec, self.grid, where=where)
 
     def _build_cost(self, blk: dict) -> None:
         weights = {k: blk[k] for k in _COST_KEYS}
         if "from_run" in blk["targets"]:
             self._cost = CostSpec(**weights)
-            self._from_run = self._control_pair(blk["targets"]["from_run"])
+            self._from_run = self._control_pair(blk["targets"]["from_run"],
+                                                "cost.targets.from_run")
             return
         nodes = range(self.timegrid.nt + 1)
         targets = {key: build_field(blk["targets"].get(key, 0.0), self.grid,
-                                    None if terminal else nodes, self.timegrid.tau)
+                                    None if terminal else nodes, self.timegrid.tau,
+                                    f"cost.targets.{key}")
                    for _, _, key, terminal in TRACKING_TERMS}
         _readonly(*targets.values())
         self._cost = CostSpec(**weights, **targets)

@@ -39,7 +39,8 @@ import numpy as np
 from .errors import BadParameter, BallProjectionStall, LineSearchFailure, ShapeMismatch
 from .grid import Field, GridSpec, inner, laplacian_neumann, riesz_v
 from .sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_discrete, tangent_solve,
-                          tangent_transpose, tracking_seeds, trapezoid_weights)
+                          tangent_transpose, tracking_seeds, trapezoid_weights,
+                          weighted_targets)
 from .state import Problem, SolverOptions, StateTrajectory, TimeGrid, _check_ranges, solve_state
 
 
@@ -175,14 +176,13 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
         raise ShapeMismatch(f"trajectory has {traj.phi.shape[0]} nodes, expected {nt + 1}")
     vol = grid.cell_volume
     w = trapezoid_weights(nt, tau)[:, None, None]
+    targets = weighted_targets(cost, (nt + 1,) + grid.shape)
     terms = []
     for weight, state, name, terminal in TRACKING_TERMS:
-        target = grid.check_field(getattr(cost, name), name, None if terminal else nt + 1)
-        k = getattr(cost, weight)
-        if k > 0.0:
-            x = getattr(traj, state)
+        if name in targets:
+            x, target = getattr(traj, state), targets[name]
             misfit = (x[nt] - target) ** 2 if terminal else w * (x - target) ** 2
-            terms.append(0.5 * k * vol * _fsum(misfit))
+            terms.append(0.5 * getattr(cost, weight) * vol * _fsum(misfit))
     if cost.nu1 > 0.0:
         terms.append(0.5 * cost.nu1 * tau * vol * _fsum(control.u**2))
     if cost.nu2 > 0.0:

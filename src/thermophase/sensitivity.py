@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .errors import ShapeMismatch
 from .grid import laplacian_neumann
 from .state import Problem, SolverOptions, StateTrajectory, _phi_solver, _thermal_solve
 
@@ -82,6 +83,20 @@ def circledast_accumulate(series, tau: float) -> np.ndarray:
 TRACKING_TERMS = (("k1", "phi", "phi_q", False), ("k2", "phi", "phi_omega", True),
                   ("k3", "w", "w_q", False), ("k4", "w", "w_omega", True),
                   ("k5", "v", "wprime_q", False), ("k6", "v", "wprime_omega", True))
+
+
+def weighted_targets(cost: "CostSpec", shape) -> dict[str, np.ndarray]:
+    """The targets of positive weight by name, checked against the trajectory shape
+    (nt+1, ny, nx): a terminal target is (ny, nx).  A zero-weight target is not read."""
+    out = {}
+    for weight, _, name, terminal in TRACKING_TERMS:
+        if getattr(cost, weight) > 0.0:
+            target = np.asarray(getattr(cost, name), dtype=float)
+            want = tuple(shape[1:] if terminal else shape)
+            if target.shape != want:
+                raise ShapeMismatch(f"{name} has shape {target.shape}, expected {want}")
+            out[name] = target
+    return out
 
 
 def trapezoid_weights(nt: int, tau: float) -> np.ndarray:
@@ -231,8 +246,8 @@ def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True
     fields = {"phi": phi, "w": w, "v": v}
     nt = phi.shape[0] - 1
     wts = trapezoid_weights(nt, tau)
-    terms = [(state, getattr(cost, weight), fields[state],
-              getattr(cost, target) if targets else None, terminal)
+    checked = weighted_targets(cost, phi.shape) if targets else {}
+    terms = [(state, getattr(cost, weight), fields[state], checked.get(target), terminal)
              for weight, state, target, terminal in TRACKING_TERMS if getattr(cost, weight) > 0.0]
 
     def seed(n):
@@ -297,19 +312,21 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     dgamma = problem.potential.dgamma
     dpi_of = problem.coupling.dpi
 
+    target = weighted_targets(cost, base.phi.shape)  # a zero weight's term reads 0
     f_q = np.zeros((nt + 1, grid.ny, grid.nx))
     if cost.k3 > 0.0:
-        f_q += cost.k3 * circledast_accumulate(base.w - cost.w_q, tau)
+        f_q += cost.k3 * circledast_accumulate(base.w - target["w_q"], tau)
     if cost.k5 > 0.0:
-        f_q += cost.k5 * (base.v - cost.wprime_q)
+        f_q += cost.k5 * (base.v - target["wprime_q"])
     if cost.k4 > 0.0:
-        f_q += cost.k4 * (base.w[nt] - cost.w_omega)
+        f_q += cost.k4 * (base.w[nt] - target["w_omega"])
 
     p = np.zeros((nt + 1, grid.ny, grid.nx))
     q = np.zeros_like(p)
     q_conv = np.zeros_like(p)
-    vT_err = base.v[nt] - cost.wprime_omega
-    p[nt] = cost.k2 * (base.phi[nt] - cost.phi_omega) - cost.k6 * pi_of(base.phi[nt]) * vT_err
+    vT_err = base.v[nt] - target.get("wprime_omega", 0.0)
+    p[nt] = (cost.k2 * (base.phi[nt] - target.get("phi_omega", 0.0))
+             - cost.k6 * pi_of(base.phi[nt]) * vT_err)
     q[nt] = cost.k6 * vT_err
 
     for n in range(nt - 1, -1, -1):
@@ -323,6 +340,6 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
                  - (2.0 / thc) * dpi_n * p[n + 1]
                  + (base.v[n] * dpi_n * p[n + 1]) / thc**2)
         if cost.k1 > 0.0:
-            rhs_p = rhs_p + cost.k1 * (base.phi[n] - cost.phi_q[n])
+            rhs_p = rhs_p + cost.k1 * (base.phi[n] - target["phi_q"][n])
         p[n] = _phi_solver(grid, tau, dgamma(base.phi[n]), rhs_p, opts).x
     return AdjointPair(p=p, q=q, q_conv=q_conv, f_q=f_q)

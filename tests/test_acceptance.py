@@ -329,8 +329,7 @@ def _determinism_configs():
            "cost": {"k5": 1.0, "nu1": 1e-3,
                     "targets": {"from_run": {"u": 0.3, "v0": 0.0}}},
            "solver": {"seed": 13, "max_iters": 5, "vi_samples": 4}}
-    conv = {**base, "convergence": {"lap_levels": [16, 32], "mean_zero_nx": 8,
-                                    "spatial_levels": [4, 8], "spatial_ref_nx": 16,
+    conv = {**base, "convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16,
                                     "spatial_nt": 3,
                                     "temporal_nts": [2, 4], "temporal_ref_nt": 8,
                                     "temporal_nx": 10}}

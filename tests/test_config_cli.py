@@ -207,6 +207,7 @@ RETIRED_KEYS = [
     ("adjoint_test", "order_min", 0.8), ("convergence", "lap_order_min", 1.9),
     ("convergence", "spatial_order_min", 1.9), ("convergence", "temporal_order_min", 0.9),
     ("cont_dependence", "slope_min", 0.9), ("cont_dependence", "slope_max", 1.1),
+    ("convergence", "lap_levels", [32, 64, 128]), ("convergence", "mean_zero_nx", 16),
 ]
 
 
@@ -235,7 +236,6 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"adjoint_test": {"n_trials": 0}}, "adjoint_test.n_trials"),
     (lambda p: {"cont_dependence": {"deltas": [0.1]}}, "cont_dependence.deltas"),
     (lambda p: {"cont_dependence": {"deltas": []}}, "cont_dependence.deltas"),
-    (lambda p: {"convergence": {"lap_levels": [32]}}, "convergence.lap_levels"),
     (lambda p: {"convergence": {"spatial_levels": [8], "spatial_ref_nx": 16}},
      "convergence.spatial_levels"),
     (lambda p: {"convergence": {"temporal_nts": [5, 10, 20], "temporal_ref_nt": 150}},
@@ -246,40 +246,45 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"grad_check": {"epsilons": [0.1, 0.1]}}, "grad_check.epsilons"),
     (lambda p: {"admissible": {"v_lo": 0.5, "v_hi": 1.0, "ball_radius": 0.1}},
      "admissible set is empty"),
-    (lambda p: {"convergence": {"lap_levels": [32.7, 64.2, 128.9]}},
-     "convergence.lap_levels must be a list of integers"),
     (lambda p: {"adjoint_test": {"levels": [[8.5, 10.7], [16, 20]]}},
      "adjoint_test.levels must be a list of integer pairs"),
     (lambda p: {"convergence": {"spatial_levels": [8.0, 16], "spatial_ref_nx": 32}},
      "convergence.spatial_levels must be a list of integers"),
-    (lambda p: {"convergence": {"lap_levels": [2, 4]}},
-     "convergence.lap_levels: level nx=2: DegenerateGrid"),
-    (lambda p: {"convergence": {"mean_zero_nx": 2}},
-     "convergence.mean_zero_nx: level nx=2: DegenerateGrid"),
     (lambda p: {"convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16,
                                 "spatial_nt": 0}},
      "convergence.spatial_levels: level nx=4: BadParameter: nt must be >= 1"),
-    (lambda p: {"grid": {"lx": 2.0, "ly": 1.0, "nx": 16, "ny": 8},
-                "convergence": {"lap_levels": [32, 63]}},
-     "convergence.lap_levels: level nx=63: AnisotropicCells"),
-    (lambda p: {"grid": {"lx": 1.5, "ly": 1.0, "nx": 12, "ny": 8}},
-     "convergence.lap_levels: level nx=32: AnisotropicCells"),
     (lambda p: {"grid": {"lx": 1.5, "ly": 1.0, "nx": 12, "ny": 8},
-                "convergence": {"lap_levels": [12, 24], "mean_zero_nx": 12},
                 "adjoint_test": {"levels": [[12, 5], [16, 10]]}},
      "adjoint_test.levels: level nx=16: AnisotropicCells"),
+    (lambda p: {"control": {"u": {"snapshot_dir": {}}}}, "control.u: snapshot_dir takes"),
+    (lambda p: {"control": {"u": {"snapshot_dir": {"path": 3}}}},
+     "control.u: snapshot_dir takes"),
+    (lambda p: {"initial": {"phi0": {"cosine": {"amplitude": math.nan}}}},
+     "initial.phi0: {'cosine': {'amplitude': nan}} produced non-finite entries"),
+    (lambda p: {"control": {"v0": {"snapshot_dir": {"path": str(p)}}}},
+     "control.v0: snapshot_dir only applies to space-time fields"),
+    (lambda p: {"cost": {"k2": 1.0, "targets": {"phi_omega": {"cosine": {"phase": 0.5}}}}},
+     "cost.targets.phi_omega.cosine: unknown keys ['phase']"),
+    (lambda p: {"cost": {"k1": 1.0, "targets": {"from_run": {"u": "u.cgw"}}}},
+     "cost.targets.from_run.u: not a field spec: 'u.cgw'"),
+    (lambda p: {"admissible": {"u_lo": True}}, "admissible.u_lo: not a field spec: True"),
+    (lambda p: {"initial": {"w0": {"snapshot": str(p / "missing.cgw")}}},
+     "initial.w0: FileNotFoundError"),
+    (lambda p: {"initial": {"phi0": 10**400}}, "initial.phi0: not a field spec: 1000"),
+    (lambda p: {"params": {"alpha": 10**400}}, "params.alpha must be a finite number"),
     *[(lambda p, b=block, k=key, v=value: {b: {k: v}}, f"{block}: unknown keys ['{key}']")
       for block, key, value in RETIRED_KEYS],
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
         "n_directions_string", "cg_tol_bool", "alpha_bool", "nx_float", "levels_flat",
         "epsilons_pairs", "deltas_pairs", "epsilons_single", "n_directions_zero",
         "fd_steps_single", "n_trials_zero", "deltas_single", "deltas_empty",
-        "lap_levels_single", "spatial_levels_single", "temporal_ref_not_multiple",
+        "spatial_levels_single", "temporal_ref_not_multiple",
         "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated",
-        "admissible_set_empty", "lap_levels_floats", "levels_float_pairs",
-        "spatial_levels_float", "lap_levels_degenerate", "mean_zero_nx_degenerate",
-        "spatial_nt_zero", "lap_level_nonsquare_on_2x1", "default_lap_levels_on_1.5x1",
-        "adjoint_level_nonsquare_on_1.5x1",
+        "admissible_set_empty", "levels_float_pairs", "spatial_levels_float",
+        "spatial_nt_zero", "adjoint_level_nonsquare_on_1.5x1", "snapshot_dir_without_path",
+        "snapshot_dir_path_not_string", "cosine_non_finite", "snapshot_dir_on_v0",
+        "cosine_unknown_key", "from_run_u_string", "bound_bool", "snapshot_missing",
+        "phi0_int_beyond_float", "alpha_int_beyond_float",
         *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
@@ -388,9 +393,8 @@ def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, cmd
         "initial": {"phi0": {"cosine": {"amplitude": 0.4}}, "w0": 0.0},
         "grad_check": {"n_directions": 1}, "solver": {"max_iters": 2, "vi_samples": 0},
         "adjoint_test": {"n_trials": 1, "levels": [[8, 4], [16, 8]]},
-        "convergence": {"lap_levels": [8, 16], "spatial_levels": [4, 8], "spatial_ref_nx": 16,
-                        "spatial_nt": 2, "temporal_nts": [2, 4], "temporal_ref_nt": 8,
-                        "temporal_nx": 8}})
+        "convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16, "spatial_nt": 2,
+                        "temporal_nts": [2, 4], "temporal_ref_nt": 8, "temporal_nx": 8}})
     out = tmp_path / "o"
     run_command(cmd, cfg, out_dir=str(out))
     assert len(list(out.rglob("*"))) > 2  # more than effective_config.json and summary.txt
@@ -463,7 +467,6 @@ def test_convergence_driver_solver_orders(tmp_path):
         "control": {"u": {"cosine": {"amplitude": 0.5}},
                     "v0": {"cosine": {"amplitude": 0.3, "kx": 0}}},
         "convergence": {
-            "lap_levels": [32, 64, 128], "mean_zero_nx": 16,
             "spatial_levels": [16, 32], "spatial_ref_nx": 128, "spatial_nt": 16,
             "temporal_nts": [5, 10, 20], "temporal_ref_nt": 160, "temporal_nx": 32},
     })
@@ -485,12 +488,17 @@ def test_convergence_driver_solver_orders(tmp_path):
     assert min(orders["laplacian"][1:]) == values["laplacian_order"].value
 
 
-@pytest.mark.parametrize("lap_levels", [[32, 128], [16, 48]])
+@pytest.mark.parametrize("lap_levels", [[32, 64, 128], [24, 48, 96]])
 def test_laplacian_order_uses_the_level_ratio(tmp_path, lap_levels):
-    cfg = parse_config_dict({**MINIMAL, "convergence": {"lap_levels": lap_levels}})
-    rep = run_command("convergence", cfg, out_dir=str(tmp_path / "conv"))
+    # the study refines the run's grid (nx = lap_levels[0] / 2, square cells) 2x, 4x and 8x
+    nx = lap_levels[0] // 2
+    cfg = parse_config_dict({**MINIMAL, "grid": {"lx": nx / 8, "ly": 1.0, "nx": nx, "ny": 8}})
+    out = tmp_path / "conv"
+    rep = run_command("convergence", cfg, out_dir=str(out))
     order = {c.name: c.value for c in rep.criteria}["laplacian_order"]
     assert abs(order - 2.0) <= 0.05
+    rows = [row.split(",") for row in (out / "convergence.csv").read_text().splitlines()]
+    assert [int(level) for study, level, *_ in rows if study == "laplacian"] == lap_levels
 
 
 def test_convergence_runs_on_a_two_by_one_domain(tmp_path):
@@ -499,15 +507,47 @@ def test_convergence_runs_on_a_two_by_one_domain(tmp_path):
         "grid": {"lx": 2.0, "ly": 1.0, "nx": 16, "ny": 8}, "time": {"t_final": 0.05, "nt": 4},
         "initial": {"phi0": {"cosine": {"amplitude": 0.4}}, "w0": 0.0},
         "control": {"u": {"cosine": {"amplitude": 0.5}}},
-        "convergence": {"lap_levels": [16, 32], "mean_zero_nx": 8,
-                        "spatial_levels": [8, 16], "spatial_ref_nx": 64, "spatial_nt": 4,
+        "convergence": {"spatial_levels": [8, 16], "spatial_ref_nx": 64, "spatial_nt": 4,
                         "temporal_nts": [2, 4], "temporal_ref_nt": 32, "temporal_nx": 8}})
     out = tmp_path / "conv"
     assert run_command("convergence", cfg, out_dir=str(out)).code == 0
     rows = [row.split(",")[:2] for row in (out / "convergence.csv").read_text().splitlines()]
-    assert rows == [["study", "level"], ["laplacian", "16"], ["laplacian", "32"],
-                    ["mean_zero", "8"], ["spatial", "8"], ["spatial", "16"],
-                    ["temporal", "2"], ["temporal", "4"]]
+    assert rows == [["study", "level"], ["laplacian", "32"], ["laplacian", "64"],
+                    ["laplacian", "128"], ["mean_zero", "16"], ["spatial", "8"],
+                    ["spatial", "16"], ["temporal", "2"], ["temporal", "4"]]
+
+
+def test_one_and_a_half_by_one_domain_runs_without_a_convergence_block(tmp_path, capsys):
+    # the Laplacian study refines the run's 12 x 8 grid to 24, 48 and 96 cells across
+    # and the mean-zero check runs on it, so no study level is left to misfit the domain
+    path = _write(tmp_path, {"grid": {"lx": 1.5, "ly": 1.0, "nx": 12, "ny": 8},
+                             "time": {"t_final": 0.1, "nt": 4}})
+    for cmd in ("simulate", "convergence"):
+        assert main([cmd, "--config", path, "--out", str(tmp_path / cmd)]) == 0, cmd
+    assert capsys.readouterr().err == ""
+    rows = [row.split(",")[:2]
+            for row in (tmp_path / "convergence" / "convergence.csv").read_text().splitlines()]
+    assert rows == [["study", "level"], ["laplacian", "24"], ["laplacian", "48"],
+                    ["laplacian", "96"], ["mean_zero", "12"]]
+
+
+def test_zero_errors_omit_the_order_criteria_with_a_note(tmp_path, capsys):
+    # phi0 = u = v0 = 0 keeps the state at 0 on every level: each study error is
+    # exactly 0, where no order can be observed, so the run names why it has no
+    # order criterion instead of fitting a slope to log(0)
+    path = _write(tmp_path, {**MINIMAL, "convergence": {
+        "spatial_levels": [4, 8], "spatial_ref_nx": 16, "spatial_nt": 2,
+        "temporal_nts": [2, 4], "temporal_ref_nt": 8, "temporal_nx": 8}})
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", path, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert [line.split()[0] for line in summary if "status=" in line] == [
+        "laplacian_order", "laplacian_mean_zero"]
+    assert summary[-3:] == [
+        "spatial_order omitted: a value is 0, so no order can be observed",
+        "temporal_order omitted: a value is 0, so no order can be observed",
+        "overall PASS"]
 
 
 def test_optimize_control_snapshots_roundtrip_as_config_input(tmp_path):
@@ -562,6 +602,9 @@ def test_adjoint_test_zero_gaps_give_nan_order(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     rows = (tmp_path / "adj" / "gap.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3:] for row in rows] == [["0.0", "nan"], ["0.0", "nan"]]
+    summary = (tmp_path / "adj" / "summary.txt").read_text()
+    assert "adjoint_gap_order omitted: a value is 0, so no order can be observed" in summary
+    assert "adjoint_gap_order value" not in summary
 
 
 def test_orders_nan_for_first_level_zero_value_and_equal_steps():
@@ -570,6 +613,9 @@ def test_orders_nan_for_first_level_zero_value_and_equal_steps():
     assert all(map(math.isnan, _orders([0.1, 0.01, 0.001], [1.0, 0.0, 1.0])))
     orders = _orders([0.1, 0.1, 0.05], [1.0, 0.5, 0.25])
     assert math.isnan(orders[1]) and orders[2] == pytest.approx(1.0, rel=1e-15)
+    # steps that shrink 4x then 2x: each order divides by its own step ratio
+    orders = _orders([1 / 16, 1 / 64, 1 / 128], [1.0, 1 / 16, 1 / 64])
+    assert orders[1:] == pytest.approx([2.0, 2.0], rel=1e-15)
 
 
 @pytest.mark.parametrize("name,csv,step,value", [

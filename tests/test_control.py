@@ -10,15 +10,16 @@ from conftest import CONFIGS, small_problem, smooth_control, zero_target_cost
 from oracles import check_vi_per_sample
 
 from thermophase import control as control_module
-from thermophase.control import (AdmissibleSet, ControlPair, GradientPair,
+from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, GradientPair,
                                  OptimizeOptions, ReducedProblem, _bb_step, check_vi,
                                  clamp_formula_residual, cost_eval, optimize,
                                  project_admissible, stationarity_residual, u_inner, u_norm,
                                  v0_inner, v0_norm)
 from thermophase.config import parse_config_dict
-from thermophase.errors import BadParameter
+from thermophase.errors import BadParameter, ShapeMismatch
 from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
+from thermophase.sensitivity import adjoint_solve_continuous
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions,
                                StateTrajectory, TimeGrid, solve_state)
 
@@ -83,6 +84,43 @@ def test_cost_invariant_under_grid_symmetry(rng):
     ctrl2 = ControlPair(rot(ctrl.u), rot(ctrl.v0))
     j2 = cost_eval(traj2, ctrl2, cost2, g, tg)
     assert j1 == j2
+
+
+def test_spatial_distributed_target_rejected_by_cost_gradient_and_adjoint():
+    # a (ny, nx) phi_q where the k1 term needs one field per node: every reader of
+    # the target rejects it, none takes row n of the field as node n's target
+    problem = small_problem(nx=8, nt=4)
+    cost = CostSpec(k1=1.0, phi_q=np.zeros(problem.grid.shape))
+    ctrl = smooth_control(problem)
+    with pytest.raises(ShapeMismatch, match="phi_q"):
+        ReducedProblem(problem, cost).cost(ctrl)
+    with pytest.raises(ShapeMismatch, match="phi_q"):
+        ReducedProblem(problem, cost).gradient(ctrl)
+    with pytest.raises(ShapeMismatch, match="phi_q"):
+        adjoint_solve_continuous(solve_state(problem, ctrl), problem, cost)
+
+
+def test_zero_weight_targets_are_never_read(rng):
+    # only phi_q given: the cost, the gradient and the continuous adjoint are those
+    # of the same cost whose five zero-weight targets hold arbitrary fields
+    problem = small_problem(nx=8, nt=4)
+    space_time, spatial = (problem.time.nt + 1, *problem.grid.shape), problem.grid.shape
+    phi_q = 0.1 * rng.standard_normal(space_time)
+    only = CostSpec(k1=1.0, phi_q=phi_q)
+    full = CostSpec(k1=1.0, phi_q=phi_q, w_q=rng.standard_normal(space_time),
+                    wprime_q=rng.standard_normal(space_time),
+                    phi_omega=rng.standard_normal(spatial), w_omega=rng.standard_normal(spatial),
+                    wprime_omega=rng.standard_normal(spatial))
+    ctrl = smooth_control(problem)
+    rp_only, rp_full = ReducedProblem(problem, only), ReducedProblem(problem, full)
+    assert rp_only.cost(ctrl) == rp_full.cost(ctrl) > 0.0
+    g_only, g_full = rp_only.gradient(ctrl), rp_full.gradient(ctrl)
+    assert np.array_equal(g_only.g_u, g_full.g_u) and np.array_equal(g_only.g_v, g_full.g_v)
+    base = rp_only.state(ctrl)
+    adj_only = adjoint_solve_continuous(base, problem, only)
+    adj_full = adjoint_solve_continuous(base, problem, full)
+    assert np.array_equal(adj_only.p, adj_full.p) and np.array_equal(adj_only.q, adj_full.q)
+    assert np.any(adj_only.p != 0.0)
 
 
 def test_cost_spec_rejects_all_zero_weights():

@@ -1,6 +1,6 @@
 """Source hygiene: every imported name in the package modules and the tests is used, every
-function and method of the package is referenced somewhere, and every field of a package
-dataclass is read somewhere."""
+function and method of the package is referenced somewhere, every field of a package
+dataclass is read somewhere, and each format is written or read in one place."""
 
 import ast
 import glob
@@ -152,6 +152,15 @@ def test_files_reach_disk_through_one_writer():
 def test_series_name_formed_in_one_function():
     # prefix_%06d.cgw is built only by the snapshots series helper
     assert _sites(_formats_cgw_name) == ["snapshots._series_path"]
+
+
+def test_field_spec_kinds_named_in_one_function():
+    # config.build_field is the one reader of the field-spec grammar: no other code
+    # of the package names a spec kind, so no second grammar can grow beside it
+    kinds = {"const", "cosine", "snapshot", "snapshot_dir"}
+    named = set(_sites(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+                       and n.value in kinds))
+    assert named == {"config.build_field"}
 
 
 def _is_dataclass(node) -> bool:
