@@ -482,7 +482,11 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
     seed = int(cfg.raw["solver"]["seed"] if seed is None else seed)
     if seed < 0:
         raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"output directory {out_dir!r}: {type(exc).__name__}: {exc}") from exc
     echo_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
     for name in ARTEFACTS:  # an earlier run's, into this directory
         if os.path.isfile(os.path.join(out_dir, name)):

@@ -235,6 +235,8 @@ def _validated(raw: dict) -> dict:
             raise ValidationError("cost.targets: must be an object")
         if "from_run" in targets:
             _reject_unknown(targets, ("from_run",), "cost.targets")
+            if not isinstance(targets["from_run"], dict):
+                raise ValidationError("cost.targets.from_run: must be an object")
             _reject_unknown(targets["from_run"], ("u", "v0"), "cost.targets.from_run")
         else:
             _reject_unknown(targets, [key for _, _, key, _ in TRACKING_TERMS], "cost.targets")

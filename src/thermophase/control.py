@@ -286,18 +286,15 @@ def _into_ball(v: Field, aset: AdmissibleSet, grid: GridSpec) -> Field:
 
 
 def stationarity_residual(control: ControlPair, grad: GradientPair, aset: AdmissibleSet,
-                          grid: GridSpec, timegrid: TimeGrid, s: float = 1.0) -> float:
-    """Projected-gradient fixed-point defect, scaled by the trial step.
+                          grid: GridSpec, timegrid: TimeGrid) -> float:
+    """Projected-gradient fixed-point defect of a unit step.
 
-    ||u - P(u - s g_u)||_L2(Q)/s + ||v0 - P(v0 - s g_v)||_V/s.
+    ||u - P(u - g_u)||_L2(Q) + ||v0 - P(v0 - g_v)||_V.
     """
-    if not s > 0.0:
-        raise BadParameter(f"step scale must be positive, got {s}")
-    trial = ControlPair(control.u - s * grad.g_u, control.v0 - s * grad.g_v)
-    proj = project_admissible(trial, aset, grid)
-    du = u_norm(grid, timegrid.tau, control.u - proj.u)
-    dv = v0_norm(grid, control.v0 - proj.v0)
-    return (du + dv) / s
+    proj = project_admissible(ControlPair(control.u - grad.g_u, control.v0 - grad.g_v),
+                              aset, grid)
+    return (u_norm(grid, timegrid.tau, control.u - proj.u)
+            + v0_norm(grid, control.v0 - proj.v0))
 
 
 def clamp_formula_residual(control: ControlPair, grad: GradientPair, aset: AdmissibleSet,

@@ -14,13 +14,15 @@ cells in 2-D the h factors cancel, so each interior face contributes
 
 The orthonormal 2-D DCT-II (``_to_cosine``, inverse ``_from_cosine``) diagonalises
 the stencil; the exact ``cosine_solve`` and the phase-Jacobian CG in ``state``
-both run through these two transforms.
+both run through these two transforms.  ``cg_solve`` returns the solution and
+its iteration count; a solve that misses its target raises ``NoConvergence``
+carrying the last residual norm, the only residual any caller reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -64,10 +66,6 @@ class GridSpec:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.ny, self.nx)
-
-    @property
-    def cell_count(self) -> int:
-        return self.nx * self.ny
 
     @property
     def cell_volume(self) -> float:
@@ -189,15 +187,10 @@ def norm(grid: GridSpec, a: Field, metric: str = "l2") -> float:
 
 @dataclass
 class CGResult:
-    """Solution plus convergence report of one conjugate-gradient solve."""
+    """Solution and iteration count of one conjugate-gradient solve."""
 
     x: Field
     iterations: int
-    residuals: list[float] = field(repr=False, default_factory=list)
-
-    @property
-    def residual(self) -> float:
-        return self.residuals[-1] if self.residuals else 0.0
 
 
 def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult:
@@ -210,40 +203,40 @@ def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult
     `precond`, if given, applies an SPD approximation of the inverse.
     """
     rhs = grid.check_field(rhs, "rhs")
-    bnorm = float(np.sqrt(np.dot(rhs.ravel(), rhs.ravel())))
-    if bnorm == 0.0:
-        return CGResult(x=np.zeros_like(rhs), iterations=0, residuals=[0.0])
-    x, r, residuals = grid.zeros(), rhs.copy(), [bnorm]
-    target = tol * bnorm
+    rnorm = float(np.sqrt(np.dot(rhs.ravel(), rhs.ravel())))
+    if rnorm == 0.0:
+        return CGResult(x=np.zeros_like(rhs), iterations=0)
+    x, r = grid.zeros(), rhs.copy()
+    target = tol * rnorm
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(np.dot(r.ravel(), z.ravel()))
     for k in range(int(maxit)):
-        if residuals[-1] <= target:
-            return CGResult(x=x, iterations=k, residuals=residuals)
+        if rnorm <= target:
+            return CGResult(x=x, iterations=k)
         ap = apply(p)
         pap = float(np.dot(p.ravel(), ap.ravel()))
         if not np.isfinite(pap) or pap <= 0.0:
             raise NoConvergence(
                 f"operator not positive definite along search direction (p.Ap={pap})",
-                residual=residuals[-1],
+                residual=rnorm,
                 iterations=k,
             )
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        residuals.append(float(np.sqrt(np.dot(r.ravel(), r.ravel()))))
+        rnorm = float(np.sqrt(np.dot(r.ravel(), r.ravel())))
         z = precond(r) if precond is not None else r
         rz_new = float(np.dot(r.ravel(), z.ravel()))
         p *= rz_new / rz
         p += z
         rz = rz_new
-    if residuals[-1] <= target:
-        return CGResult(x=x, iterations=int(maxit), residuals=residuals)
+    if rnorm <= target:
+        return CGResult(x=x, iterations=int(maxit))
     raise NoConvergence(
         f"CG did not reach tol {tol:g} in {maxit} iterations "
-        f"(residual {residuals[-1]:.3e}, target {target:.3e})",
-        residual=residuals[-1],
+        f"(residual {rnorm:.3e}, target {target:.3e})",
+        residual=rnorm,
         iterations=int(maxit),
     )
 

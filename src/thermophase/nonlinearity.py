@@ -2,7 +2,10 @@
 
 The phase equation carries a monotone nonlinearity gamma, the derivative of a
 convex potential gamma_hat with gamma_hat(0) = 0, plus a globally Lipschitz
-coupling pi whose primitive pi_hat is normalised to pi_hat(0) = 0.
+coupling pi whose primitive pi_hat is normalised to pi_hat(0) = 0.  The
+scheme and its sensitivities evaluate gamma, gamma', pi_hat, pi and pi'; no
+second derivative is needed (the optimizer is Gauss-Newton), and gamma_hat
+appears only in the closed forms below.
 
 Closed forms:
 
@@ -44,7 +47,7 @@ COUPLING_KINDS = (AFFINE, BOUNDED_SMOOTH)
 
 @dataclass(frozen=True)
 class Potential:
-    """Convex potential gamma_hat with derivatives gamma, gamma', gamma''."""
+    """Convex potential gamma_hat, evaluated through its derivatives gamma and gamma'."""
 
     kind: str = REGULAR
     kappa: float = 1.0
@@ -92,18 +95,6 @@ class Potential:
                 f"({self.r_minus + m:.12g}, {self.r_plus - m:.12g})"
             )
 
-    # The quartic family uses products, not r**3 or r**4: numpy's pow takes a
-    # slow path for negative bases.
-    def gamma_hat(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == REGULAR:
-            return 0.25 * (r * r) * (r * r)
-        if self.kind == LOGARITHMIC:
-            self._require_interior(r)
-            return 0.5 * self.kappa * ((1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r))
-        excess = np.maximum(np.abs(r) - 1.0, 0.0)
-        return excess**2 / (2.0 * self.eps_pen)
-
     def gamma(self, r):
         r = np.asarray(r, dtype=float)
         self._require_interior(r)
@@ -116,7 +107,8 @@ class Potential:
 
     # Unchecked gamma and gamma' on a float array that the caller has found
     # inside the domain (``contains``): the Newton loop of ``state.phi_step``
-    # checks each trial once and then evaluates here.
+    # checks each trial once and then evaluates here.  The cube is a product,
+    # not r**3: numpy's pow takes a slow path for negative bases.
     def _gamma(self, r):
         if self.kind == REGULAR:
             return r * r * r
@@ -130,15 +122,6 @@ class Potential:
         if self.kind == LOGARITHMIC:
             return self.kappa / ((1.0 + r) * (1.0 - r))
         return np.where(np.abs(r) > 1.0, 1.0 / self.eps_pen, 0.0)
-
-    def d2gamma(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == REGULAR:
-            return 6.0 * r
-        if self.kind == LOGARITHMIC:
-            self._require_interior(r)
-            return self.kappa * 2.0 * r / ((1.0 + r) * (1.0 - r)) ** 2
-        return np.zeros_like(r)
 
 
 def _log_cosh(r):
@@ -184,10 +167,3 @@ class Coupling:
         if self.kind == AFFINE:
             return np.full_like(r, self.a)
         return self.c / np.cosh(r) ** 2
-
-    def d2pi(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == AFFINE:
-            return np.zeros_like(r)
-        t = np.tanh(r)
-        return -2.0 * self.c * t * (1.0 - t**2)

@@ -7,14 +7,15 @@ little-endian 64-bit floats, row-major over cell centers.  A series is one
 snapshot per time node, ``<prefix>_<node:06d>.cgw``, a name that only
 ``write_series``, ``read_series`` and ``remove_series`` form.  A persisted
 trajectory is the phi/w/v series at a node stride (the final node always
-included) plus a plain-text index file recording node count, stride and tau.
+included) plus a plain-text index file recording node count, stride and tau;
+the package only writes trajectories, and ``read_series`` over ``stored_nodes``
+of the index reads one back.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,46 +93,14 @@ def stored_nodes(nt: int, stride: int) -> list[int]:
     return nodes
 
 
-@dataclass
-class LoadedTrajectory:
-    """Exactly the stored nodes of a persisted trajectory."""
-
-    nodes: list[int]
-    tau: float
-    phi: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-
-
 def persist_trajectory(traj, directory: str, stride: int = 1) -> list[int]:
     """Write phi/w/v snapshots at the given node stride plus an index file."""
     if stride < 1:
         raise FormatError(f"stride must be >= 1, got {stride}")
-    nt = traj.phi.shape[0] - 1
-    nodes = stored_nodes(nt, stride)
+    nodes = stored_nodes(traj.nt, stride)
     for name in TRAJECTORY_SERIES:
         series = getattr(traj, name)
         write_series(directory, name, ((n, series[n]) for n in nodes))
     write_atomic(os.path.join(directory, INDEX_NAME),
-                 f"nodes {nt + 1}\nstride {stride}\ntau {traj.tau!r}\n")
+                 f"nodes {traj.nt + 1}\nstride {stride}\ntau {traj.tau!r}\n")
     return nodes
-
-
-def load_trajectory(directory: str) -> LoadedTrajectory:
-    index_path = os.path.join(directory, INDEX_NAME)
-    entries = {}
-    with open(index_path) as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{index_path}: malformed line {line!r}")
-            entries[parts[0]] = parts[1]
-    try:
-        node_count = int(entries["nodes"])
-        stride = int(entries["stride"])
-        tau = float(entries["tau"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{index_path}: {exc}") from exc
-    nodes = stored_nodes(node_count - 1, stride)
-    return LoadedTrajectory(nodes=nodes, tau=tau, **{name: read_series(directory, name, nodes)
-                                                     for name in TRAJECTORY_SERIES})

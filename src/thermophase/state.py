@@ -172,12 +172,8 @@ class StateTrajectory:
 class Diagnostics:
     """Run-level summary assembled from a complete trajectory."""
 
-    r_star_low: float
-    r_star_high: float
-    separation_margin: float
-    separation_breach: bool
+    separation_margin: float  # distance of phi from the domain's ends; inf if unbounded
     domain_guard_fired: bool
-    max_energy_residual: float
     max_scaled_energy_residual: float
 
 
@@ -193,11 +189,11 @@ def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
     The preconditioned step X = P R, R = C rhs, leaves the residual
     R - A X = -C((gamma' - m) C^T X), so its relative residual is at most
     theta = max|gamma' - m| / (1/tau + m).  When theta <= tol that step is
-    returned with 0 iterations (``residuals`` then holds the bound theta ||R||);
-    at ``cg_tol`` this happens only for gamma' constant to that level, where P
-    is the exact inverse.  Otherwise CG runs from zero.  C is orthonormal, so
-    residual norms and the stopping rule are those of the physical system; the
-    solution is transformed back once, into ``x``.
+    returned with 0 iterations; at ``cg_tol`` this happens only for gamma'
+    constant to that level, where P is the exact inverse.  Otherwise CG runs
+    from zero.  C is orthonormal, so residual norms and the stopping rule are
+    those of the physical system; the solution is transformed back once, into
+    ``x``.
     """
     rhs = grid.check_field(rhs, "rhs")
     tol = opts.cg_tol if tol is None else tol
@@ -209,8 +205,7 @@ def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
     coeffs = _to_cosine(grid, rhs)
     theta = max(float(np.max(gp)) - m, m - float(np.min(gp))) / shift
     if theta <= tol:
-        return CGResult(x=_from_cosine(grid, coeffs * inv_pre), iterations=0,
-                        residuals=[theta * float(np.linalg.norm(coeffs))])
+        return CGResult(x=_from_cosine(grid, coeffs * inv_pre), iterations=0)
     diag = 1.0 / tau + eig
     res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
                    coeffs, tol=tol, maxit=opts.cg_maxit, precond=lambda r: r * inv_pre)
@@ -408,7 +403,7 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
     dphi = trajA.phi - trajB.phi
     dw = trajA.w - trajB.w
     dv = trajA.v - trajB.v
-    nt = dphi.shape[0] - 1
+    nt = trajA.nt
     sup_v_phi = max(norm(grid, dphi[n], "v") for n in range(nt + 1))
     sup_lap_phi = max(norm(grid, laplacian_neumann(grid, dphi[n])) for n in range(nt + 1))
     sup_dt_phi = max(norm(grid, (dphi[n + 1] - dphi[n]) / tau) for n in range(nt))
@@ -420,22 +415,15 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
 
 
 def run_diagnostics(traj: StateTrajectory, potential: Potential) -> Diagnostics:
-    """Run-level summary: separation bounds, guard hits, balance residuals."""
-    r_low = float(np.min(traj.phi))
-    r_high = float(np.max(traj.phi))
+    """Run-level summary: separation margin, guard hits, scaled balance residual."""
     if potential.bounded_domain:
-        sep_margin = min(r_low - potential.r_minus, potential.r_plus - r_high)
-        breach = sep_margin <= potential.interior_margin
+        sep_margin = min(float(np.min(traj.phi)) - potential.r_minus,
+                         potential.r_plus - float(np.max(traj.phi)))
     else:
         sep_margin = math.inf
-        breach = False
     recs = traj.steps
     return Diagnostics(
-        r_star_low=r_low,
-        r_star_high=r_high,
         separation_margin=sep_margin,
-        separation_breach=breach,
         domain_guard_fired=any(r.domain_guard_hits > 0 for r in recs),
-        max_energy_residual=max(abs(r.energy_residual) for r in recs),
         max_scaled_energy_residual=max(abs(r.energy_residual) / r.balance_scale for r in recs),
     )

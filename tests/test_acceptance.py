@@ -122,7 +122,7 @@ def test_criterion_04_separation():
     diag = run_diagnostics(traj, problem.potential)
     ok = diag.separation_margin >= 0.01 and not diag.domain_guard_fired
     _report(4, "separation", ok,
-            f"bounds=[{diag.r_star_low:.4f},{diag.r_star_high:.4f}] "
+            f"bounds=[{np.min(traj.phi):.4f},{np.max(traj.phi):.4f}] "
             f"margin={diag.separation_margin:.4f} guard_fired={diag.domain_guard_fired}")
 
 

@@ -267,6 +267,8 @@ def _truncated_phi0(tmp_path):
      "cost.targets.phi_omega.cosine: unknown keys ['phase']"),
     (lambda p: {"cost": {"k1": 1.0, "targets": {"from_run": {"u": "u.cgw"}}}},
      "cost.targets.from_run.u: not a field spec: 'u.cgw'"),
+    (lambda p: {"cost": {"k1": 1.0, "targets": {"from_run": 5}}},
+     "cost.targets.from_run: must be an object"),
     (lambda p: {"admissible": {"u_lo": True}}, "admissible.u_lo: not a field spec: True"),
     (lambda p: {"initial": {"w0": {"snapshot": str(p / "missing.cgw")}}},
      "initial.w0: FileNotFoundError"),
@@ -283,8 +285,8 @@ def _truncated_phi0(tmp_path):
         "admissible_set_empty", "levels_float_pairs", "spatial_levels_float",
         "spatial_nt_zero", "adjoint_level_nonsquare_on_1.5x1", "snapshot_dir_without_path",
         "snapshot_dir_path_not_string", "cosine_non_finite", "snapshot_dir_on_v0",
-        "cosine_unknown_key", "from_run_u_string", "bound_bool", "snapshot_missing",
-        "phi0_int_beyond_float", "alpha_int_beyond_float",
+        "cosine_unknown_key", "from_run_u_string", "from_run_not_object", "bound_bool",
+        "snapshot_missing", "phi0_int_beyond_float", "alpha_int_beyond_float",
         *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
@@ -303,6 +305,21 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, cmd):
     with pytest.raises(ValidationError, match="--seed"):
         run_command(cmd, parse_config(path), out_dir=str(out), seed=-1)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["config_empty", "out_under_file"])
+def test_unusable_output_directory_is_usage_error(tmp_path, capsys, monkeypatch, where):
+    # a directory that cannot be made exits 2 naming it, before anything is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("x")
+    if where == "config_empty":
+        path, out = _write(tmp_path, {**MINIMAL, "output": {"directory": ""}}), ""
+        assert main(["simulate", "--config", path]) == 2
+    else:
+        path, out = _write(tmp_path, MINIMAL), str(tmp_path / "file" / "o")
+        assert main(["simulate", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: output directory {out!r}: ")
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "file"]
 
 
 def test_optimize_recovery_converges_within_iteration_budget(tmp_path):

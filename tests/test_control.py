@@ -225,20 +225,21 @@ def test_stationarity_zero_at_interior_zero_gradient():
     aset = AdmissibleSet(u_lo=-1, u_hi=1, v_lo=-1, v_hi=1)
     ctrl = ControlPair(np.zeros((4, 8, 8)), g.zeros())
     grad = GradientPair(np.zeros((4, 8, 8)), g.zeros())
-    assert stationarity_residual(ctrl, grad, aset, g, tg, s=1.0) == 0.0
+    assert stationarity_residual(ctrl, grad, aset, g, tg) == 0.0
 
 
 def test_stationarity_projection_formula_fixed_point(rng):
-    # u = clamp(-q/nu1) is a fixed point of the projected step with s = 1/nu1
+    # u = clamp(-q/nu1) is a fixed point of the projected step of length 1/nu1,
+    # the unit step that stationarity_residual takes when nu1 = 1
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.4, nt=4)
-    nu1 = 0.25
+    nu1 = 1.0
     aset = AdmissibleSet(u_lo=-1.0, u_hi=1.0, v_lo=0.0, v_hi=0.0)
     q = rng.standard_normal((4, 8, 8))
     u = np.clip(-q / nu1, -1.0, 1.0)
     ctrl = ControlPair(u, g.zeros())
     grad = GradientPair(q + nu1 * u, g.zeros())
-    res = stationarity_residual(ctrl, grad, aset, g, tg, s=1.0 / nu1)
+    res = stationarity_residual(ctrl, grad, aset, g, tg)
     assert res <= 1e-10
     assert clamp_formula_residual(ctrl, grad, aset, g, tg, nu1) <= 1e-12
 

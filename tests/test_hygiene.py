@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the package modules and the tests is used, every
-function and method of the package is referenced somewhere, every field of a package
-dataclass is read somewhere, and each format is written or read in one place."""
+function and method of the package is referenced by the package or the benchmark, every
+field of a package dataclass is read there, and each format is written or read in one
+place.  A test alone keeps a definition only through ``TEST_ONLY``."""
 
 import ast
 import glob
@@ -78,9 +79,17 @@ def _definitions(tree):
 NDARRAY_NAMED = {"GridSpec.shape": "grid.GridSpec.zeros"}
 
 
+# Definitions that only tests read, each kept for the reason given.
+TEST_ONLY = {
+    "Potential.gamma": "the checked evaluation of gamma that the 0-D oracle calls",
+    "AdjointPair.q_conv": "a term the adjoint-equation residual test substitutes",
+    "AdjointPair.f_q": "a term the adjoint-equation residual test substitutes",
+}
+
+
 def test_no_unreferenced_definitions():
     referenced = set()
-    for path in PACKAGE + TESTS + BENCHMARK:
+    for path in PACKAGE + BENCHMARK:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -91,8 +100,9 @@ def test_no_unreferenced_definitions():
     unreferenced = [f"{os.path.relpath(path, ROOT)}:{line} {qualname}"
                     for path in PACKAGE
                     for name, qualname, line in _definitions(_parse(path))
-                    if name not in referenced
-                    or (name in array_names and qualname not in NDARRAY_NAMED)]
+                    if qualname not in TEST_ONLY
+                    and (name not in referenced
+                         or (name in array_names and qualname not in NDARRAY_NAMED))]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
 
 
@@ -175,7 +185,7 @@ def test_no_unread_dataclass_fields():
     # a field is read where some code loads it as an attribute or a string names it
     # (getattr, a CSV column, a config key); assignments alone do not count
     read = set()
-    for path in PACKAGE + TESTS + BENCHMARK:
+    for path in PACKAGE + BENCHMARK:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
@@ -186,5 +196,18 @@ def test_no_unread_dataclass_fields():
               if isinstance(node, ast.ClassDef) and _is_dataclass(node)
               for item in node.body
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-              and item.target.id not in read]
+              and item.target.id not in read
+              and f"{node.name}.{item.target.id}" not in TEST_ONLY]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_test_only_entries_are_read_by_tests_alone():
+    # an entry that the package or the benchmark reads, or that no test reads, is stale
+    def attributes(paths):
+        return {node.attr for path in paths for node in ast.walk(_parse(path))
+                if isinstance(node, ast.Attribute)}
+    outside, tests = attributes(PACKAGE + BENCHMARK), attributes(TESTS)
+    for qualname in TEST_ONLY:
+        name = qualname.rsplit(".", 1)[1]
+        assert name not in outside, f"{qualname} is read outside tests"
+        assert name in tests, f"{qualname}: no test reads it"

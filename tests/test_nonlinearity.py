@@ -11,23 +11,20 @@ from thermophase.nonlinearity import Coupling, Potential
 
 def test_regular_closed_forms():
     pot = Potential("regular")
-    assert pot.gamma_hat(2.0) == pytest.approx(4.0)
     assert pot.gamma(2.0) == pytest.approx(8.0)
     assert pot.dgamma(2.0) == pytest.approx(12.0)
-    assert pot.d2gamma(2.0) == pytest.approx(12.0)
 
 
 def test_logarithmic_closed_forms():
     pot = Potential("logarithmic", kappa=1.0)
-    assert pot.gamma_hat(0.0) == 0.0
+    assert pot.gamma(0.0) == 0.0
     assert pot.gamma(0.5) == pytest.approx(0.5 * math.log(3.0))
     assert pot.dgamma(0.0) == pytest.approx(1.0)
 
 
 def test_obstacle_penalized_envelope():
     pot = Potential("obstacle_penalized", eps_pen=0.1)
-    assert pot.gamma_hat(1.1) == pytest.approx(0.05)
-    assert pot.gamma_hat(0.7) == 0.0
+    assert pot.gamma(0.7) == 0.0
     assert pot.gamma(1.1) == pytest.approx(1.0)
     assert pot.gamma(-1.1) == pytest.approx(-1.0)
 
@@ -66,7 +63,7 @@ def test_logarithmic_gamma_matches_log1p_form(rng, kappa):
             pot.gamma(np.array([0.0, bad]))
 
 
-@pytest.mark.parametrize("method", ["gamma_hat", "gamma", "dgamma", "d2gamma"])
+@pytest.mark.parametrize("method", ["gamma", "dgamma"])
 def test_logarithmic_rejects_nan(method):
     pot = Potential("logarithmic")
     with pytest.raises(DomainViolation, match="leaves"):
@@ -92,13 +89,12 @@ def test_bounded_smooth_coupling_values():
 
 
 def test_regular_products_match_pow(rng):
-    # gamma and gamma_hat are evaluated as products; they agree with pow to rounding
+    # gamma is evaluated as a product; it agrees with pow to rounding
     pot = Potential("regular")
     r = np.concatenate([rng.uniform(-3.0, 3.0, 2000), -np.logspace(-6, 3, 50),
                         np.logspace(-6, 3, 50)])
     assert np.any(r < 0) and np.any(r > 0)
     assert np.max(np.abs(pot.gamma(r) - r**3) / np.abs(r**3)) <= 5e-16
-    assert np.max(np.abs(pot.gamma_hat(r) - 0.25 * r**4) / (0.25 * r**4)) <= 5e-16
 
 
 _CASES = [
@@ -109,13 +105,20 @@ _CASES = [
 ]
 
 
+def _gamma_hat(pot, r):
+    # the potential's closed form, as the nonlinearity module documents it
+    if pot.kind == "regular":
+        return r**4 / 4
+    return 0.5 * pot.kappa * ((1 + r) * np.log1p(r) + (1 - r) * np.log1p(-r))
+
+
 @pytest.mark.parametrize("spec,interval", _CASES)
-@pytest.mark.parametrize("orders", [("hat", "d0"), ("d0", "d1"), ("d1", "d2")])
+@pytest.mark.parametrize("orders", [("hat", "d0"), ("d0", "d1")])
 def test_finite_difference_consistency(spec, interval, orders):
-    # the function and its derivatives, in the order hat, d0, d1, d2
-    chain = ((spec.gamma_hat, spec.gamma, spec.dgamma, spec.d2gamma)
-             if isinstance(spec, Potential) else (spec.pi_hat, spec.pi, spec.dpi, spec.d2pi))
-    low, high = (chain[("hat", "d0", "d1", "d2").index(o)] for o in orders)
+    # the primitive, the function and its derivative, in the order hat, d0, d1
+    chain = ((lambda r: _gamma_hat(spec, r), spec.gamma, spec.dgamma)
+             if isinstance(spec, Potential) else (spec.pi_hat, spec.pi, spec.dpi))
+    low, high = (chain[("hat", "d0", "d1").index(o)] for o in orders)
     rs = np.linspace(interval[0], interval[1], 7)
     errs = []
     for h in (1e-3, 5e-4):
@@ -145,21 +148,25 @@ def test_gamma_monotone_sampled(rng):
 
 
 def test_gamma_hat_nonnegative_and_zero_at_origin(rng):
+    # gamma_hat(r) is the integral of gamma from 0 to r, so it is >= 0 with its
+    # minimum 0 at the origin exactly when gamma(0) = 0 and r gamma(r) >= 0
     for pot, box in ((Potential("regular"), 3.0),
                      (Potential("logarithmic", kappa=1.0), 0.999),
                      (Potential("obstacle_penalized", eps_pen=0.1), 3.0)):
         r = rng.uniform(-box, box, 10_000)
-        assert np.all(pot.gamma_hat(r) >= 0.0)
-        assert pot.gamma_hat(0.0) == 0.0
+        assert np.all(r * pot.gamma(r) >= 0.0)
+        assert pot.gamma(0.0) == 0.0
 
 
 def test_yosida_pointwise_limit():
-    # inside [-1, 1] the envelope vanishes; outside it scales like dist^2/(2 eps)
+    # inside [-1, 1] the envelope dist^2/(2 eps) is flat; outside its slope is
+    # the signed distance over eps
     for eps in (1e-1, 1e-2, 1e-3):
         pot = Potential("obstacle_penalized", eps_pen=eps)
-        assert pot.gamma_hat(0.8) == 0.0
-        assert pot.gamma_hat(-1.0) == 0.0
-        assert pot.gamma_hat(1.5) * (2 * eps) == pytest.approx(0.25)
+        assert pot.gamma(0.8) == 0.0
+        assert pot.gamma(-1.0) == 0.0
+        assert pot.gamma(1.5) * eps == pytest.approx(0.5)
+        assert pot.gamma(-1.5) * eps == pytest.approx(-0.5)
 
 
 def test_pi_hat_normalization_and_relation(rng):

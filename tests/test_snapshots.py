@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from thermophase.errors import FormatError
-from thermophase.snapshots import (load_trajectory, persist_trajectory, read_field,
-                                   read_series, write_atomic, write_field, write_series)
+from thermophase.snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_trajectory,
+                                   read_field, read_series, stored_nodes, write_atomic,
+                                   write_field, write_series)
 from thermophase.state import StateTrajectory
 
 
@@ -49,25 +50,32 @@ def _traj(rng, nt, shape=(6, 6), tau=0.01):
                            v=rng.standard_normal(dims), tau=tau)
 
 
+def _index(directory):
+    # index.txt holds one "key value" pair per line: nodes, stride, tau
+    with open(os.path.join(directory, INDEX_NAME)) as fh:
+        return dict(line.split() for line in fh)
+
+
 def test_persist_stride_counts(tmp_path, rng):
     traj = _traj(rng, nt=100)
-    nodes = persist_trajectory(traj, str(tmp_path / "t"), stride=10)
+    directory = str(tmp_path / "t")
+    nodes = persist_trajectory(traj, directory, stride=10)
     assert len(nodes) == 11
-    loaded = load_trajectory(str(tmp_path / "t"))
-    assert loaded.nodes == nodes
-    assert loaded.phi.shape[0] == 11
+    assert _index(directory) == {"nodes": "101", "stride": "10", "tau": "0.01"}
+    assert len(os.listdir(directory)) == len(TRAJECTORY_SERIES) * 11 + 1
+    assert read_series(directory, "phi", nodes).shape[0] == 11
 
 
 def test_persist_load_roundtrip_exact(tmp_path, rng):
     traj = _traj(rng, nt=7, tau=0.0125)
-    nodes = persist_trajectory(traj, str(tmp_path / "t"), stride=3)
+    directory = str(tmp_path / "t")
+    nodes = persist_trajectory(traj, directory, stride=3)
     assert nodes == [0, 3, 6, 7]  # final node always stored
-    loaded = load_trajectory(str(tmp_path / "t"))
-    assert loaded.tau == traj.tau
-    for i, n in enumerate(nodes):
-        assert np.array_equal(loaded.phi[i], traj.phi[n])
-        assert np.array_equal(loaded.w[i], traj.w[n])
-        assert np.array_equal(loaded.v[i], traj.v[n])
+    index = _index(directory)
+    assert float(index["tau"]) == traj.tau
+    assert stored_nodes(int(index["nodes"]) - 1, int(index["stride"])) == nodes
+    for name in TRAJECTORY_SERIES:
+        assert np.array_equal(read_series(directory, name, nodes), getattr(traj, name)[nodes])
 
 
 def test_persist_rejects_bad_stride(tmp_path, rng):
