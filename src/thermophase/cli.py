@@ -307,7 +307,7 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
 def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
     init = cfg.control()
-    opts = cfg.optimize_options(seed)
+    opts = cfg.optimize_options()
     cost = cfg.cost_spec(problem)
     aset = cfg.admissible_set()
     blk = cfg.raw["optimize"]

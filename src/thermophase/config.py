@@ -24,6 +24,8 @@ The ``params``, ``potential``, ``coupling``, ``admissible`` and ``solver``
 blocks take their defaults from the constructors of ``PhysParams``,
 ``Potential``, ``Coupling``, ``AdmissibleSet``, ``SolverOptions`` and
 ``OptimizeOptions``, and the cost targets follow ``sensitivity.TRACKING_TERMS``.
+``solver.seed`` (default 0) seeds the random directions of ``grad_check``,
+``adjoint_test`` and ``convergence``; ``optimize`` draws no random numbers.
 
 The Newton and Armijo limits (in ``state.phi_step`` and ``control.optimize``)
 and the pass thresholds of the experiment criteria (in ``cli``) are constants,
@@ -86,7 +88,7 @@ _DEFAULTS: dict[str, Any] = {
     "initial": {"phi0": 0.0, "w0": 0.0},
     "control": {"u": 0.0, "v0": 0.0},
     "admissible": _defaults_of(AdmissibleSet),
-    "solver": _defaults_of(SolverOptions, OptimizeOptions),
+    "solver": {**_defaults_of(SolverOptions, OptimizeOptions), "seed": 0},
     "output": {"directory": "out", "snapshot_stride": 0},
     "grad_check": {
         "epsilons": [1e-1, 1e-2, 1e-3], "n_directions": 5, "fd_steps": [1e-2, 1e-3, 1e-4],
@@ -116,16 +118,17 @@ def _reject_unknown(block: dict, allowed, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {unknown}")
 
 
-def _is_number(value) -> bool:  # a JSON integer can exceed the float range
-    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
+def _is_number(value) -> bool:
+    return isinstance(value, float) or _is_int(value)
 
 
 def _is_finite(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_int(value) -> bool:  # a JSON integer can exceed the float range
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _check_type(value, default, where: str) -> None:
@@ -380,8 +383,8 @@ class ProblemConfig:
     def solver_options(self) -> SolverOptions:
         return self._solver
 
-    def optimize_options(self, seed: int | None = None) -> OptimizeOptions:
-        return self._optimize if seed is None else replace(self._optimize, seed=int(seed))
+    def optimize_options(self) -> OptimizeOptions:
+        return self._optimize
 
     def has_cost(self) -> bool:
         return self._cost is not None

@@ -22,8 +22,8 @@ projection).  For v0 the exact projection in the V metric would be an
 obstacle problem; instead v0 is clamped pointwise and, if the V-norm ball is
 violated, scaled toward the box-feasible anchor clamp(0) onto the ball's
 sphere.  Optimality is certified through the stationarity residual and the
-sampled variational inequality rather than through exactness of that
-projection.
+closed-form variational inequality (``check_vi``) rather than through
+exactness of that projection.
 
 Cost reductions use exact (order-independent) float summation so that grid
 symmetries of the data leave the cost value bit-identical.
@@ -310,86 +310,52 @@ def clamp_formula_residual(control: ControlPair, grad: GradientPair, aset: Admis
     return u_norm(grid, timegrid.tau, control.u - target)
 
 
-# bytes of the sample block check_vi draws into; a larger sample fills it alone
-_VI_BLOCK_BYTES = 1 << 18
-
-
-def _v0_norms(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    """V norms of a stack of fields of shape (k, ny, nx)."""
-    dx = v[:, :, 1:] - v[:, :, :-1]
-    dy = v[:, 1:, :] - v[:, :-1, :]
-    sq = (grid.cell_volume * np.einsum("kji,kji->k", v, v)
-          + np.einsum("kji,kji->k", dx, dx) + np.einsum("kji,kji->k", dy, dy))
-    return np.sqrt(np.maximum(sq, 0.0))
-
-
 def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid: GridSpec,
-             timegrid: TimeGrid, n_samples: int = 100, seed: int = 0) -> tuple[float, float]:
-    """Sampled variational inequality: (vi_min, vi_scale) from one pass over feasible samples.
+             timegrid: TimeGrid) -> tuple[float, float]:
+    """Variational inequality in closed form: (vi_min, vi_scale).
 
-    vi_min is the minimum of <g_u, u - u_bar>_L2(Q) + <g_v, v0 - v0_bar>_V;
-    at a constrained minimizer with an accurate gradient it is nonnegative up
-    to gradient error times the sample distance.  vi_scale is the largest
-    sample distance (at least 1), the natural scale for vi_min.
+    vi_min is a lower bound on the Frank-Wolfe gap (Jaggi, ICML 2013)
+    min over y in K of <g_u, y_u - u>_L2(Q) + <g_v, y_v - v0>_V; at a
+    constrained minimizer with an accurate gradient it is zero up to gradient
+    error.  The pairings are taken with the L2 weights c_u = tau vol g_u and
+    c_v = vol (g_v - lap g_v), so that <g_v, h>_V = <c_v, h>.
 
-    The samples alternate box-vertex patterns and box-clamped Gaussians (u,
-    then v0, from one RNG stream seeded by ``seed``); a sample whose v0 leaves
-    the V-ball is pulled into it as by ``project_admissible``.  They are
-    drawn, one row each, into a block of at most _VI_BLOCK_BYTES, and each
-    block is paired with the gradient in one matrix-vector product:
-    <g_v, h>_V = vol <g_v - lap g_v, h>.
+    - The u part is exact: each entry's minimizer is u_lo where c_u > 0, u_hi
+      where c_u < 0, and the entry itself where c_u = 0.
+    - The v0 part is the larger of two minima over supersets of K: over the v0
+      box, by the same rule with c_v, and over the V-ball,
+      -M ||g_v||_V - <g_v, v0>_V at y_v = -M g_v / ||g_v||_V.  It is exact
+      when the box minimizer lies in the ball or the ball minimizer in the box.
+
+    vi_scale is the control-metric distance from the control to the minimizer
+    that gave vi_min (at least 1), the natural scale for vi_min.
     """
-    if n_samples < 1:
-        raise BadParameter("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
     tau, vol, M = timegrid.tau, grid.cell_volume, aset.ball_radius
-    m_u = control.u.size
-    u_scale = 1.0 + float(np.max(np.abs(control.u), initial=0.0))
-    v_scale = 1.0 + float(np.max(np.abs(control.v0), initial=0.0))
+    u, v0 = control.u, control.v0
 
-    def flat(u_part, v_part):
-        return np.concatenate([np.broadcast_to(u_part, control.u.shape).ravel(),
-                               np.broadcast_to(v_part, grid.shape).ravel()])
+    def box_min(x, c, lo, hi):
+        y = np.where(c > 0.0, lo, np.where(c < 0.0, hi, x))
+        return y, float(np.dot(c.ravel(), (y - x).ravel()))
 
-    lo, hi = flat(aset.u_lo, aset.v_lo), flat(aset.u_hi, aset.v_hi)
-    center = flat(control.u, control.v0)
-    weight = flat((tau * vol) * grad.g_u, vol * (grad.g_v - laplacian_neumann(grid, grad.g_v)))
-    rows = max(1, min(n_samples, _VI_BLOCK_BYTES // (8 * center.size)))
-    block = np.empty((rows, center.size))
-    best, dist = math.inf, 1.0
-    for start in range(0, n_samples, rows):
-        b = block[:min(rows, n_samples - start)]
-        for i, row in enumerate(b):
-            if (start + i) % 2 == 0:
-                rng.random(out=row)
-                row[...] = np.where(row < 0.5, lo, hi)
-            else:
-                rng.standard_normal(out=row)
-                row[:m_u] *= u_scale
-                row[m_u:] *= v_scale
-                np.clip(row, lo, hi, out=row)
-        v = b[:, m_u:].reshape(len(b), *grid.shape)
-        for i in np.flatnonzero(_v0_norms(grid, v) > M * (1.0 + 1e-10)):
-            v[i] = _into_ball(v[i], aset, grid)
-        b -= center
-        best = min(best, float(np.min(b @ weight)))
-        du = b[:, :m_u]
-        du_norm = np.sqrt(np.maximum((tau * vol) * np.einsum("ki,ki->k", du, du), 0.0))
-        dist = max(dist, float(np.max(du_norm + _v0_norms(grid, v))))
-    return best, dist
+    y_u, vi_u = box_min(u, (tau * vol) * grad.g_u, aset.u_lo, aset.u_hi)
+    c_v = vol * (grad.g_v - laplacian_neumann(grid, grad.g_v))
+    y_v, vi_v = box_min(v0, c_v, aset.v_lo, aset.v_hi)
+    g_norm = math.sqrt(max(float(np.dot(c_v.ravel(), grad.g_v.ravel())), 0.0))
+    vi_ball = -M * g_norm - float(np.dot(c_v.ravel(), v0.ravel()))
+    if g_norm > 0.0 and vi_ball > vi_v:
+        y_v, vi_v = (-M / g_norm) * grad.g_v, vi_ball
+    return vi_u + vi_v, max(1.0, u_norm(grid, tau, y_u - u) + v0_norm(grid, y_v - v0))
 
 
 @dataclass
 class OptimizeOptions:
     stationarity_tol: float = 1e-6
     max_iters: int = 200
-    vi_samples: int = 16
-    seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         _check_ranges(self, positive=("stationarity_tol",),
-                      nonnegative=("max_iters", "vi_samples", "seed"))
+                      nonnegative=("max_iters",))
 
 
 @dataclass
@@ -407,7 +373,7 @@ class IterateRecord:
 
 @dataclass
 class OptimizeReport:
-    """Iterates (the last is ``final``'s record) and ``check_vi`` at ``final``, >= 100 samples."""
+    """Iterates (the last is ``final``'s record) and ``check_vi`` at ``final``."""
 
     iterates: list[IterateRecord]
     final: ControlPair
@@ -528,8 +494,9 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     Barzilai-Borwein quotient of the last accepted step (_bb_step; 1 before
     any).  Stops when the stationarity residual (at unit step scale) falls
     below the tolerance or after max_iters.  Records per-iterate certificates
-    (stationarity, projection formula defect where nu1 > 0, sampled
-    variational inequality) and the final sampled variational inequality.
+    (stationarity, projection formula defect where nu1 > 0, ``check_vi``'s
+    vi_min) and reports ``check_vi`` at the final iterate.  Draws no random
+    numbers.
     """
     armijo_c, shrink, max_backtracks = 1e-4, 0.5, 60
     grid, tg = problem.grid, problem.time
@@ -546,12 +513,11 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     last_step, last_bt = 0.0, 0
     for it in range(opts.max_iters + 1):
         stat = stationarity_residual(x, g, aset, grid, tg)
-        vi = check_vi(x, g, aset, grid, tg, n_samples=opts.vi_samples,
-                      seed=opts.seed + 7919 * it)[0] if opts.vi_samples > 0 else math.nan
+        vi_min, vi_scale = check_vi(x, g, aset, grid, tg)
         cfr = clamp_formula_residual(x, g, aset, grid, tg, cost.nu1)
         box_ok, ball_ok = _feasible_flags(x, aset, grid)
         records.append(IterateRecord(iter=it, j=j, stationarity=stat, step=last_step,
-                                     armijo_backtracks=last_bt, vi_min=vi,
+                                     armijo_backtracks=last_bt, vi_min=vi_min,
                                      clamp_formula_residual=cfr, feasible_box=box_ok,
                                      feasible_ball=ball_ok))
         if stat <= opts.stationarity_tol:
@@ -601,9 +567,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         x, j, g = trial, j_trial, g_new
         last_step, last_bt = s, backtracks
 
-    # every exit leaves the loop before x and g change: the last record holds their values
-    vi_min, vi_scale = check_vi(x, g, aset, grid, tg,
-                                n_samples=max(opts.vi_samples, 100), seed=opts.seed)
+    # every exit leaves the loop before x and g change: the last record and check_vi hold theirs
     return OptimizeReport(iterates=records, final=x, vi_min=vi_min, vi_scale=vi_scale,
                           converged=converged, reason=reason,
                           forward_solves=rp.forward_solves, gradients=rp.gradients,

@@ -3,19 +3,12 @@
 The scalar ones avoid the package's solver path: roots come from bisection,
 and the 0-D recursions below implement the same time-stepping formulas with
 plain floats, so spatially homogeneous runs of the field solver must agree
-with them to solver tolerance.  ``check_vi_per_sample`` is the sampled
-variational inequality evaluated one sample at a time, the reference for the
-block evaluation in ``control.check_vi``.  ``laplacian_strided`` is the
-five-point stencil taken on 2-D slices, the reference that the flattened
+with them to solver tolerance.  ``laplacian_strided`` is the five-point
+stencil taken on 2-D slices, the reference that the flattened
 ``grid.laplacian_neumann`` must match bit for bit.
 """
 
-import math
-
 import numpy as np
-
-from thermophase.control import (ControlPair, project_admissible, u_inner, u_norm, v0_inner,
-                                 v0_norm)
 
 
 def bisect(f, lo, hi, tol=1e-15, maxit=500):
@@ -121,34 +114,3 @@ def scalar_adjoint_backward(potential, coupling, params, phis, ws, vs, cost_scal
                  + k["k1"] * (phis[n] - k["phi_q"][n]))
         p[n] = rhs_p / (1.0 / tau + float(potential.dgamma(phis[n])))
     return p, q
-
-
-def check_vi_per_sample(control, grad, aset, grid, timegrid, n_samples, seed):
-    """(vi_min, vi_scale) of ``control.check_vi``, one projected sample at a time.
-
-    Draws box-vertex patterns alternating with clamped Gaussians (u, then v0)
-    from one RNG stream, projects each onto the admissible set, and pairs the
-    difference to ``control`` with the gradient in L2(Q) and V.
-    """
-    rng = np.random.default_rng(seed)
-    nt, tau = timegrid.nt, timegrid.tau
-    u_shape = (nt, grid.ny, grid.nx)
-    u_scale = 1.0 + float(np.max(np.abs(control.u), initial=0.0))
-    v_scale = 1.0 + float(np.max(np.abs(control.v0), initial=0.0))
-    u_lo = np.broadcast_to(np.asarray(aset.u_lo, dtype=float), u_shape)
-    u_hi = np.broadcast_to(np.asarray(aset.u_hi, dtype=float), u_shape)
-    v_lo = np.broadcast_to(np.asarray(aset.v_lo, dtype=float), grid.shape)
-    v_hi = np.broadcast_to(np.asarray(aset.v_hi, dtype=float), grid.shape)
-    best, dist = math.inf, 1.0
-    for i in range(n_samples):
-        if i % 2 == 0:
-            u = np.where(rng.random(u_shape) < 0.5, u_lo, u_hi)
-            v = np.where(rng.random(grid.shape) < 0.5, v_lo, v_hi)
-        else:
-            u = np.clip(rng.normal(0.0, u_scale, u_shape), aset.u_lo, aset.u_hi)
-            v = np.clip(rng.normal(0.0, v_scale, grid.shape), aset.v_lo, aset.v_hi)
-        sample = project_admissible(ControlPair(u, v), aset, grid)
-        du, dv = sample.u - control.u, sample.v0 - control.v0
-        best = min(best, u_inner(grid, tau, grad.g_u, du) + v0_inner(grid, grad.g_v, dv))
-        dist = max(dist, u_norm(grid, tau, du) + v0_norm(grid, dv))
-    return best, dist

@@ -236,8 +236,7 @@ def test_criterion_09_certificates(tmp_path):
         "cost": {"k5": 1.0, "nu1": 1e-3,
                  "targets": {"from_run": {"u": {"cosine": {"amplitude": 0.4, "ky": 0}},
                                           "v0": 0.0}}},
-        "solver": {"stationarity_tol": 1e-10, "max_iters": 200, "vi_samples": 8,
-                   "cg_tol": 1e-13, "seed": 3},
+        "solver": {"stationarity_tol": 1e-10, "max_iters": 200, "cg_tol": 1e-13, "seed": 3},
         "optimize": {"clamp_formula_tol": 1e-6, "vi_tol": 1e-6},
     })
     report = run_command("optimize", cfg, out_dir=str(tmp_path / "opt"))
@@ -273,7 +272,7 @@ def test_criterion_10_target_recovery():
     cost.phi_omega = traj.phi[-1].copy()
     cost.wprime_omega = traj.v[-1].copy()
     aset = AdmissibleSet(u_lo=-2.0, u_hi=2.0, v_lo=-1.0, v_hi=1.0)
-    opts = OptimizeOptions(stationarity_tol=1e-9, max_iters=200, vi_samples=0, seed=1)
+    opts = OptimizeOptions(stationarity_tol=1e-9, max_iters=200)
     report = optimize(problem, cost, aset, ControlPair.zeros(grid, tg.nt), opts)
     js = report.j_history
     monotone = all(js[i + 1] <= js[i] for i in range(len(js) - 1))
@@ -328,7 +327,7 @@ def _determinism_configs():
            "admissible": {"u_lo": -5.0, "u_hi": 5.0, "v_lo": 0.0, "v_hi": 0.0},
            "cost": {"k5": 1.0, "nu1": 1e-3,
                     "targets": {"from_run": {"u": 0.3, "v0": 0.0}}},
-           "solver": {"seed": 13, "max_iters": 5, "vi_samples": 4}}
+           "solver": {"seed": 13, "max_iters": 5}}
     conv = {**base, "convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16,
                                     "spatial_nt": 3,
                                     "temporal_nts": [2, 4], "temporal_ref_nt": 8,

@@ -42,6 +42,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.problem().coupling == Coupling()
     assert cfg.solver_options() == SolverOptions()
     assert cfg.optimize_options() == OptimizeOptions()
+    assert cfg.raw["solver"]["seed"] == 0
     adm, default = cfg.admissible_set(), AdmissibleSet()
     assert all(getattr(adm, f.name) == getattr(default, f.name) for f in fields(AdmissibleSet))
 
@@ -196,8 +197,8 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-# keys that solver internals and criterion thresholds had before they became
-# constants of the code, with their old default values
+# keys the config once had, with their old default values: solver internals and
+# criterion thresholds that became constants of the code, and keys whose subject is gone
 RETIRED_KEYS = [
     ("solver", "newton_maxit", 30), ("solver", "newton_max_damping", 40),
     ("solver", "armijo_c", 1e-4), ("solver", "armijo_shrink", 0.5),
@@ -208,6 +209,7 @@ RETIRED_KEYS = [
     ("convergence", "spatial_order_min", 1.9), ("convergence", "temporal_order_min", 0.9),
     ("cont_dependence", "slope_min", 0.9), ("cont_dependence", "slope_max", 1.1),
     ("convergence", "lap_levels", [32, 64, 128]), ("convergence", "mean_zero_nx", 16),
+    ("solver", "vi_samples", 16),
 ]
 
 
@@ -274,6 +276,9 @@ def _truncated_phi0(tmp_path):
      "initial.w0: FileNotFoundError"),
     (lambda p: {"initial": {"phi0": 10**400}}, "initial.phi0: not a field spec: 1000"),
     (lambda p: {"params": {"alpha": 10**400}}, "params.alpha must be a finite number"),
+    (lambda p: {"grid": {"lx": 1.0, "ly": 1.0, "nx": 10**400, "ny": 8}},
+     "grid.nx must be an integer"),
+    (lambda p: {"time": {"t_final": 0.1, "nt": 10**400}}, "time.nt must be an integer"),
     *[(lambda p, b=block, k=key, v=value: {b: {k: v}}, f"{block}: unknown keys ['{key}']")
       for block, key, value in RETIRED_KEYS],
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
@@ -287,6 +292,7 @@ def _truncated_phi0(tmp_path):
         "snapshot_dir_path_not_string", "cosine_non_finite", "snapshot_dir_on_v0",
         "cosine_unknown_key", "from_run_u_string", "from_run_not_object", "bound_bool",
         "snapshot_missing", "phi0_int_beyond_float", "alpha_int_beyond_float",
+        "nx_int_beyond_float", "nt_int_beyond_float",
         *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
@@ -408,7 +414,7 @@ def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, cmd
     cfg = parse_config_dict({
         **MINIMAL, "cost": {"k1": 1.0, "nu1": 1e-2}, "output": {"snapshot_stride": 2},
         "initial": {"phi0": {"cosine": {"amplitude": 0.4}}, "w0": 0.0},
-        "grad_check": {"n_directions": 1}, "solver": {"max_iters": 2, "vi_samples": 0},
+        "grad_check": {"n_directions": 1}, "solver": {"max_iters": 2},
         "adjoint_test": {"n_trials": 1, "levels": [[8, 4], [16, 8]]},
         "convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16, "spatial_nt": 2,
                         "temporal_nts": [2, 4], "temporal_ref_nt": 8, "temporal_nx": 8}})
@@ -445,6 +451,22 @@ def test_determinism_byte_identical_csvs(tmp_path):
     assert a == b
 
 
+def test_optimize_does_not_depend_on_the_seed(tmp_path):
+    # optimize draws no random numbers: --seed changes none of its output bytes
+    path = _write(tmp_path, {
+        **MINIMAL, "admissible": {"u_lo": -0.2, "u_hi": 0.2, "v_lo": -0.1, "v_hi": 0.1},
+        "cost": {"k1": 1.0, "k5": 1.0, "nu1": 1e-3,
+                 "targets": {"from_run": {"u": {"cosine": {"amplitude": 0.5}}, "v0": 0.2}}},
+        "solver": {"max_iters": 3}})
+    outs = [tmp_path / f"seed{seed}" for seed in (1, 2)]
+    for seed, out in zip((1, 2), outs):
+        main(["optimize", "--config", path, "--out", str(out), "--seed", str(seed)])
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1] and {"history.csv", "control"} <= {n.parts[0] for n in files[0]}
+    for name in files[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_unknown_command_rejected(tmp_path):
     cfg = parse_config(_write(tmp_path, MINIMAL))
     with pytest.raises(ValidationError):
@@ -458,7 +480,7 @@ def test_criterion_failure_exits_one(tmp_path):
         "control": {"u": 0.0, "v0": 0.0},
         "cost": {"k5": 1.0, "nu1": 1e-3,
                  "targets": {"wprime_q": {"cosine": {"amplitude": 0.5}}}},
-        "solver": {"stationarity_tol": 1e-14, "max_iters": 2, "vi_samples": 0},
+        "solver": {"stationarity_tol": 1e-14, "max_iters": 2},
     })
     path = tmp_path / "crit.json"
     path.write_text(json.dumps(cfg.raw))
@@ -574,7 +596,7 @@ def test_optimize_control_snapshots_roundtrip_as_config_input(tmp_path):
         "admissible": {"u_lo": -5.0, "u_hi": 5.0, "v_lo": 0.0, "v_hi": 0.0},
         "cost": {"k5": 1.0, "nu1": 1e-3,
                  "targets": {"from_run": {"u": 0.3, "v0": 0.0}}},
-        "solver": {"max_iters": 8, "vi_samples": 0, "seed": 4},
+        "solver": {"max_iters": 8, "seed": 4},
     }
     cfg = parse_config_dict(raw)
     rep = run_command("optimize", cfg, out_dir=str(tmp_path / "opt"))

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS, small_problem, smooth_control, zero_target_cost
-from oracles import check_vi_per_sample
 
-from thermophase import control as control_module
 from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, GradientPair,
                                  OptimizeOptions, ReducedProblem, _bb_step, check_vi,
                                  clamp_formula_residual, cost_eval, optimize,
@@ -259,7 +257,7 @@ def test_check_vi_zero_gradient_returns_zero():
     aset = AdmissibleSet(u_lo=-1, u_hi=1, v_lo=-1, v_hi=1, ball_radius=10.0)
     ctrl = ControlPair(np.zeros((4, 8, 8)), g.zeros())
     grad = GradientPair(np.zeros((4, 8, 8)), g.zeros())
-    vi_min, vi_scale = check_vi(ctrl, grad, aset, g, tg, n_samples=20, seed=3)
+    vi_min, vi_scale = check_vi(ctrl, grad, aset, g, tg)
     assert vi_min == 0.0
     assert vi_scale >= 1.0
 
@@ -274,53 +272,56 @@ def test_check_vi_clamped_quadratic_oracle():
     u_bar = np.clip(np.full((4, 8, 8), c), -1.0, 1.0)
     grad = GradientPair(u_bar - c, g.zeros())
     ctrl = ControlPair(u_bar, g.zeros())
-    value, scale = check_vi(ctrl, grad, aset, g, tg, n_samples=40, seed=11)
+    value, scale = check_vi(ctrl, grad, aset, g, tg)
     assert value >= 0.0
     assert scale >= 1.0
 
 
-BOX = {"u_lo": -2.0, "u_hi": 2.0, "v_lo": -1.0, "v_hi": 1.0}
-VI_CASES = {
-    # name: (nx, nt, n_samples, admissible set, whether samples leave the ball);
-    # |v| <= 1 gives ||v||_V^2 <= 1 + 8 nx (nx - 1), far inside the default radius
-    "default_ball": (8, 4, 37, BOX, False),
-    "ball_active": (8, 4, 37, {**BOX, "ball_radius": 0.5}, True),
-    "array_bounds": (8, 4, 37, "arrays", True),
-    "one_sample": (8, 4, 1, BOX, False),
-    "partial_last_block": (8, 4, 450, {**BOX, "ball_radius": 2.0}, True),
-    "sample_fills_block": (16, 127, 3, {**BOX, "ball_radius": 0.5}, True),
-}
+def _vertex_values(pairing, x, lo, hi, project=lambda y: y):
+    """<g, P(y) - x> at every vertex y of the box [lo, hi] (2**x.size of them), as an
+    array, with the vertices; ``pairing`` is the control metric's pairing with g."""
+    bits = (np.arange(2**x.size)[:, None] >> np.arange(x.size)) & 1
+    lo, hi = np.broadcast_to(lo, x.shape).ravel(), np.broadcast_to(hi, x.shape).ravel()
+    ys = [project(np.where(b, hi, lo).reshape(x.shape)) for b in bits]
+    return np.array([pairing(y - x) for y in ys]), ys
 
 
-@pytest.mark.parametrize("case", sorted(VI_CASES))
-def test_check_vi_matches_per_sample_reference(case, rng, monkeypatch):
-    nx, nt, n_samples, bounds, leaves_ball = VI_CASES[case]
-    rows = control_module._VI_BLOCK_BYTES // (8 * (nt + 1) * nx * nx)  # samples a block
-    if case == "partial_last_block":
-        assert n_samples > rows and n_samples % rows
-    if case == "sample_fills_block":
-        assert rows == 1 and control_module._VI_BLOCK_BYTES == 8 * (nt + 1) * nx * nx
-    g = build_grid(1, 1, nx, nx)
-    tg = TimeGrid(t_final=0.4, nt=nt)
-    if bounds == "arrays":
-        bounds = {"u_lo": -1.0 - rng.random(g.shape), "u_hi": 1.0 + rng.random((nt, *g.shape)),
-                  "v_lo": -0.5 - rng.random(g.shape), "v_hi": rng.random(g.shape),
-                  "ball_radius": 0.7}
-    aset = AdmissibleSet(**bounds)
-    ctrl = project_admissible(ControlPair(0.5 * rng.standard_normal((nt, *g.shape)),
-                                          0.5 * rng.standard_normal(g.shape)), aset, g)
-    grad = GradientPair(rng.standard_normal((nt, *g.shape)), rng.standard_normal(g.shape))
-    pulled = []
-    into_ball = control_module._into_ball
-    monkeypatch.setattr(control_module, "_into_ball",
-                        lambda v, *args: pulled.append(1) or into_ball(v, *args))
-    vi_min, vi_scale = check_vi(ctrl, grad, aset, g, tg, n_samples=n_samples, seed=5)
-    monkeypatch.undo()
-    ref_min, ref_scale = check_vi_per_sample(ctrl, grad, aset, g, tg, n_samples, seed=5)
-    assert vi_min == pytest.approx(ref_min, rel=1e-12, abs=0.0)
-    assert vi_scale == pytest.approx(ref_scale, rel=1e-12, abs=0.0)
-    # the ball pass runs only for samples that leave the ball
-    assert bool(pulled) == leaves_ball
+@pytest.mark.parametrize("case", ["scalar_bounds", "array_bounds", "ball_active"])
+def test_check_vi_matches_vertex_enumeration(case, rng):
+    # a linear function takes its minimum over a box at a vertex: on a 3x3 grid with
+    # nt = 1, the u and v0 parts each have 2**9 vertices to enumerate
+    g, tg = build_grid(1, 1, 3, 3), TimeGrid(t_final=0.4, nt=1)
+    bounds = {"u_lo": -2.0, "u_hi": 2.0, "v_lo": -1.0, "v_hi": 1.0}
+    if case == "array_bounds":
+        bounds = {"u_lo": -1.0 - rng.random(g.shape), "u_hi": 1.0 + rng.random((1, *g.shape)),
+                  "v_lo": -0.5 - rng.random(g.shape), "v_hi": rng.random(g.shape)}
+    aset = AdmissibleSet(**bounds, ball_radius=0.2 if case == "ball_active" else 1e6)
+    ctrl = project_admissible(ControlPair(0.1 * rng.standard_normal((1, *g.shape)),
+                                          0.1 * rng.standard_normal(g.shape)), aset, g)
+    grad = GradientPair(rng.standard_normal((1, *g.shape)), rng.standard_normal(g.shape))
+    vi_min, vi_scale = check_vi(ctrl, grad, aset, g, tg)
+
+    u_vals, u_ys = _vertex_values(lambda h: u_inner(g, tg.tau, grad.g_u, h), ctrl.u,
+                                  aset.u_lo, aset.u_hi)
+    v_vals, v_ys = _vertex_values(lambda h: v0_inner(g, grad.g_v, h), ctrl.v0,
+                                  aset.v_lo, aset.v_hi)
+    box_min = u_vals.min() + v_vals.min()
+    if case != "ball_active":
+        assert vi_min == pytest.approx(box_min, rel=1e-14, abs=0.0)
+        iu, iv = np.argmin(u_vals), np.argmin(v_vals)
+        dist = u_norm(g, tg.tau, u_ys[iu] - ctrl.u) + v0_norm(g, v_ys[iv] - ctrl.v0)
+        assert vi_scale == pytest.approx(max(1.0, dist), rel=1e-12, abs=0.0)
+        return
+    # the box minimizer leaves the ball, so the ball's bound is the tighter one;
+    # no feasible point, here the projected vertices, does better than vi_min
+    assert v0_norm(g, v_ys[np.argmin(v_vals)]) > aset.ball_radius
+    def into_k(y):
+        return project_admissible(ControlPair(ctrl.u, y), aset, g).v0
+
+    feasible, _ = _vertex_values(lambda h: v0_inner(g, grad.g_v, h), ctrl.v0, aset.v_lo,
+                                 aset.v_hi, into_k)
+    assert box_min < vi_min <= u_vals.min() + feasible.min()
+    assert vi_scale >= 1.0
 
 
 def _convex_reference():
@@ -340,7 +341,7 @@ def _convex_reference():
 
 def test_optimize_convex_reaches_projection_formula():
     problem, cost, aset = _convex_reference()
-    opts = OptimizeOptions(stationarity_tol=1e-10, max_iters=120, vi_samples=6,
+    opts = OptimizeOptions(stationarity_tol=1e-10, max_iters=120,
                            solver=SolverOptions(cg_tol=1e-13))
     report = optimize(problem, cost, aset, ControlPair.zeros(problem.grid, problem.time.nt),
                       opts)
@@ -359,14 +360,14 @@ def test_optimize_projects_infeasible_init():
     problem, cost, aset = _convex_reference()
     bad = ControlPair(np.full((problem.time.nt, *problem.grid.shape), 50.0),
                       np.full(problem.grid.shape, 3.0))
-    opts = OptimizeOptions(stationarity_tol=1e-6, max_iters=5, vi_samples=0)
+    opts = OptimizeOptions(stationarity_tol=1e-6, max_iters=5)
     report = optimize(problem, cost, aset, bad, opts)
     assert all(r.feasible_box and r.feasible_ball for r in report.iterates)
 
 
 def test_optimize_reports_its_work():
     problem, cost, aset = _convex_reference()
-    opts = OptimizeOptions(stationarity_tol=1e-10, max_iters=6, vi_samples=0)
+    opts = OptimizeOptions(stationarity_tol=1e-10, max_iters=6)
     report = optimize(problem, cost, aset, ControlPair.zeros(problem.grid, problem.time.nt),
                       opts)
     iters = len(report.iterates) - 1
@@ -469,7 +470,7 @@ def test_optimize_outer_iterations_mesh_independent():
     iters = []
     for n in (16, 32, 64):
         problem, cost, aset = _recovery_problem(n, nt=10)
-        opts = OptimizeOptions(stationarity_tol=1e-6, max_iters=20, vi_samples=0)
+        opts = OptimizeOptions(stationarity_tol=1e-6, max_iters=20)
         report = optimize(problem, cost, aset, ControlPair.zeros(problem.grid, 10), opts)
         assert report.converged
         iters.append(len(report.iterates) - 1)
@@ -504,7 +505,7 @@ def test_optimize_falls_back_to_bb_step_without_positive_curvature(monkeypatch):
         return GradientPair(-d.u, -d.v0)
 
     monkeypatch.setattr(ReducedProblem, "hessian_vector", negative_curvature)
-    opts = OptimizeOptions(stationarity_tol=1e-8, max_iters=120, vi_samples=0)
+    opts = OptimizeOptions(stationarity_tol=1e-8, max_iters=120)
     report = optimize(problem, cost, aset, ControlPair.zeros(problem.grid, problem.time.nt),
                       opts)
     assert report.converged
