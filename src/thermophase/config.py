@@ -42,6 +42,9 @@ Field specs (initial data, controls, targets, bounds) are either a number
   {"snapshot_dir": {"path": dir, "prefix": "u"}}   (space-time only; reads
       prefix_%06d.cgw per node)
 
+A space-time spec that does not vary in time (all but a ramped cosine and
+snapshot_dir) is stored as one (ny, nx) field, broadcast read-only over the nodes.
+
 Cost targets may instead be generated from a known control run:
 
   "targets": {"from_run": {"u": <spec>, "v0": <spec>}}
@@ -153,50 +156,57 @@ def _check_type(value, default, where: str) -> None:
 
 def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
                 where: str = "field") -> np.ndarray:
-    """Check and materialize a field spec: spatial (ny, nx) when ``nodes`` is None, else
-    space-time (len(nodes), ny, nx) at the times ``n * tau`` of the given nodes.  The one
-    reader of the field-spec grammar; each error it raises starts with ``where``, the key."""
+    """Check and build a field spec: spatial (ny, nx) when ``nodes`` is None, else
+    space-time (len(nodes), ny, nx) at the times ``n * tau`` of the given nodes.
+
+    A space-time spec that does not vary in time (``const``, ``cosine`` with ramp 0,
+    ``snapshot``) is built as one (ny, nx) field and returned as a read-only view of it
+    with stride 0 along the node axis; a ramped ``cosine`` and ``snapshot_dir`` are
+    materialized.  The one reader of the field-spec grammar; each error it raises starts
+    with ``where``, the key, also when the field cannot be formed (too large, unreadable)."""
     if _is_number(spec):
         spec = {"const": spec}
     key, body = list(spec.items())[0] if isinstance(spec, dict) and len(spec) == 1 else (None, None)
-    t = np.zeros(1) if nodes is None else np.asarray(nodes) * tau
-    if key == "const":
-        if not _is_number(body):
-            raise ValidationError(f"{where}: const takes a number, got {body!r}")
-        out = np.full((len(t),) + grid.shape, float(body))
-    elif key == "cosine":
-        if not (isinstance(body, dict) and all(map(_is_number, body.values()))):
-            raise ValidationError(f"{where}: cosine takes an object of numbers, got {body!r}")
-        _reject_unknown(body, _COSINE_DEFAULTS, f"{where}.cosine")
-        c = {**_COSINE_DEFAULTS, **body}
-        x, y = grid.cell_centers()
-        mode = np.cos(c["kx"] * np.pi * x / grid.lx) * np.cos(c["ky"] * np.pi * y / grid.ly)
-        out = (c["amplitude"] * (1.0 + c["ramp"] * t))[:, None, None] * mode
-        out += c["offset"]
-    if key in ("const", "cosine"):
-        if not np.all(np.isfinite(out)):
-            raise ValidationError(f"{where}: {spec!r} produced non-finite entries")
-        return out[0] if nodes is None else out
-    if key == "snapshot" and not isinstance(body, str):
-        raise ValidationError(f"{where}: snapshot takes a path string, got {body!r}")
-    if key == "snapshot_dir":
-        if nodes is None:
-            raise ValidationError(f"{where}: snapshot_dir only applies to space-time fields")
-        if not (isinstance(body, dict) and isinstance(body.get("path"), str)
-                and isinstance(body.get("prefix", "u"), str)):
-            raise ValidationError(f"{where}: snapshot_dir takes an object with a path string "
-                                  f"and an optional prefix string, got {body!r}")
-        _reject_unknown(body, ("path", "prefix"), f"{where}.snapshot_dir")
-    elif key != "snapshot":
-        raise ValidationError(f"{where}: not a field spec: {spec!r}")
     try:
-        if key == "snapshot_dir":
-            return grid.check_field(read_series(body["path"], body.get("prefix", "u"), nodes),
-                                    body["path"], len(nodes))
-        f = grid.check_field(read_field(body), body)
-    except (ThermophaseError, OSError) as exc:
+        if key == "const":
+            if not _is_number(body):
+                raise ValidationError(f"{where}: const takes a number, got {body!r}")
+            f = np.full(grid.shape, float(body))
+        elif key == "cosine":
+            if not (isinstance(body, dict) and all(map(_is_number, body.values()))):
+                raise ValidationError(f"{where}: cosine takes an object of numbers, got {body!r}")
+            _reject_unknown(body, _COSINE_DEFAULTS, f"{where}.cosine")
+            c = {**_COSINE_DEFAULTS, **body}
+            x, y = grid.cell_centers()
+            mode = np.cos(c["kx"] * np.pi * x / grid.lx) * np.cos(c["ky"] * np.pi * y / grid.ly)
+            ramped = nodes is not None and c["ramp"] != 0.0
+            t = np.asarray(nodes)[:, None, None] * tau if ramped else 0.0
+            f = c["amplitude"] * (1.0 + c["ramp"] * t) * mode + c["offset"]
+        elif key == "snapshot":
+            if not isinstance(body, str):
+                raise ValidationError(f"{where}: snapshot takes a path string, got {body!r}")
+            f = grid.check_field(read_field(body), body)
+        elif key == "snapshot_dir":
+            if nodes is None:
+                raise ValidationError(f"{where}: snapshot_dir only applies to space-time fields")
+            if not (isinstance(body, dict) and isinstance(body.get("path"), str)
+                    and isinstance(body.get("prefix", "u"), str)):
+                raise ValidationError(f"{where}: snapshot_dir takes an object with a path "
+                                      f"string and an optional prefix string, got {body!r}")
+            _reject_unknown(body, ("path", "prefix"), f"{where}.snapshot_dir")
+            f = grid.check_field(read_series(body["path"], body.get("prefix", "u"), nodes),
+                                 body["path"], len(nodes))
+        else:
+            raise ValidationError(f"{where}: not a field spec: {spec!r}")
+        # a (ny, nx) f does not vary in time
+        out = f if nodes is None or f.ndim == 3 else np.broadcast_to(f, (len(nodes),) + f.shape)
+    except ValidationError:
+        raise
+    except (ThermophaseError, OSError, ValueError, MemoryError) as exc:
         raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
-    return f if nodes is None else np.broadcast_to(f, (len(t),) + f.shape).copy()
+    if not np.all(np.isfinite(f)):
+        raise ValidationError(f"{where}: {spec!r} produced non-finite entries")
+    return out
 
 
 def _validated(raw: dict) -> dict:
@@ -307,8 +317,11 @@ class ProblemConfig:
 
     Construction builds the problem, control, admissible set, solver and
     optimizer options and the cost, so their range checks run at parse time;
-    the accessors return these objects, whose arrays are read-only.  Targets
-    generated ``from_run`` are solved for on each ``cost_spec`` call.
+    the accessors return these objects, whose arrays are read-only.  A
+    space-time field that does not vary in time is stored once, as a
+    ``build_field`` view.  Targets generated ``from_run`` are solved for on
+    each ``cost_spec`` call; a target of zero weight is then None, so no
+    trajectory the cost does not read is kept.
     """
 
     raw: dict
@@ -398,9 +411,10 @@ class ProblemConfig:
         traj = solve_state(problem if problem is not None else self._problem, self._from_run,
                            self._solver)
         nt = self.timegrid.nt
-        return replace(self._cost, **{key: getattr(traj, state)[nt] if terminal
-                                      else getattr(traj, state)
-                                      for _, state, key, terminal in TRACKING_TERMS})
+        return replace(self._cost, **{
+            key: None if getattr(self._cost, weight) == 0.0
+            else getattr(traj, state)[nt] if terminal else getattr(traj, state)
+            for weight, state, key, terminal in TRACKING_TERMS})
 
 
 def _build(raw, source: str) -> ProblemConfig:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,7 +16,7 @@ from thermophase.control import AdmissibleSet, OptimizeOptions
 from thermophase.errors import NewtonDivergence, ParseError, StepError, ValidationError
 from thermophase.grid import build_grid, norm
 from thermophase.nonlinearity import Coupling, Potential
-from thermophase.snapshots import read_field, write_field
+from thermophase.snapshots import read_field, write_field, write_series
 from thermophase.state import PhysParams, SolverOptions, solve_state
 
 
@@ -82,6 +83,67 @@ def test_space_time_snapshot_is_read_once(tmp_path, rng, monkeypatch):
     cfg = parse_config_dict({**MINIMAL, "control": {"u": {"snapshot": snap}}})
     assert reads == [snap]
     assert np.array_equal(cfg.control().u, np.stack([read_field(snap)] * 4))
+
+
+def test_time_invariant_space_time_fields_are_stored_once(tmp_path, rng):
+    grid, tau, nodes = build_grid(1.5, 1.0, 12, 8), 0.03, range(1, 6)
+    snap = str(tmp_path / "f.cgw")
+    write_field(snap, rng.standard_normal(grid.shape))
+    for spec in (-0.375, {"const": 0.5}, {"cosine": {"amplitude": 0.7, "kx": 2, "offset": 0.25}},
+                 {"snapshot": snap}):
+        built = build_field(spec, grid, nodes, tau)
+        assert built.strides[0] == 0 and not built.flags.writeable, spec
+        assert np.array(built).tobytes() == np.stack([build_field(spec, grid)] * 5).tobytes()
+    write_series(str(tmp_path / "series"), "u", ((n, rng.standard_normal(grid.shape))
+                                                 for n in nodes))
+    for spec in ({"cosine": {"amplitude": 0.7, "ramp": -1.5}},
+                 {"snapshot_dir": {"path": str(tmp_path / "series")}}):
+        built = build_field(spec, grid, nodes, tau)
+        assert built.flags.c_contiguous and built.strides[0] != 0, spec
+
+
+def test_parse_retains_no_space_time_copy_of_an_unramped_control(tmp_path):
+    with open(os.path.join(CONFIGS, "simulate_logarithmic.json")) as fh:
+        raw = json.load(fh)
+    raw["grid"].update(nx=64, ny=64)
+    raw["time"]["nt"] = 80
+    path = _write(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cfg = parse_config(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cfg.control().u.shape == (80, 64, 64)
+    assert retained < 8 * 81 * 64 * 64  # one (nt+1, ny, nx) float64 array
+
+
+def test_from_run_cost_keeps_only_the_weighted_targets():
+    cfg = parse_config(os.path.join(CONFIGS, "optimize_recovery.json"))
+    cost = cfg.cost_spec()
+    assert cost.w_q is None and cost.w_omega is None  # k3 = k4 = 0
+    assert cost.phi_q.shape == (cfg.timegrid.nt + 1,) + cfg.grid.shape
+    assert cost.wprime_omega.shape == cfg.grid.shape
+
+
+@pytest.mark.parametrize("cmd,name", [("simulate", "simulate_logarithmic"),
+                                      ("grad_check", "grad_check"),
+                                      ("optimize", "optimize_recovery")])
+def test_broadcast_fields_change_no_output_byte(tmp_path, monkeypatch, cmd, name):
+    with open(os.path.join(CONFIGS, f"{name}.json")) as fh:
+        raw = json.load(fh)
+    raw["grid"].update(nx=8, ny=8)
+    raw["time"]["nt"] = 4
+    outs = [tmp_path / "views", tmp_path / "copies"]
+    run_command(cmd, parse_config_dict(raw), out_dir=str(outs[0]), seed=3)
+    views = build_field
+    monkeypatch.setattr(config, "build_field", lambda *a, **k: np.array(views(*a, **k)))
+    run_command(cmd, parse_config_dict(raw), out_dir=str(outs[1]), seed=3)
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1] and files[0]
+    for rel in files[0]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
 def test_malformed_json_is_parse_error(tmp_path):
@@ -279,6 +341,8 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"grid": {"lx": 1.0, "ly": 1.0, "nx": 10**400, "ny": 8}},
      "grid.nx must be an integer"),
     (lambda p: {"time": {"t_final": 0.1, "nt": 10**400}}, "time.nt must be an integer"),
+    # a node count past the index range: the first space-time field cannot be formed
+    (lambda p: {"time": {"t_final": 0.1, "nt": 2**62}}, "control.u:"),
     *[(lambda p, b=block, k=key, v=value: {b: {k: v}}, f"{block}: unknown keys ['{key}']")
       for block, key, value in RETIRED_KEYS],
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
@@ -292,7 +356,7 @@ def _truncated_phi0(tmp_path):
         "snapshot_dir_path_not_string", "cosine_non_finite", "snapshot_dir_on_v0",
         "cosine_unknown_key", "from_run_u_string", "from_run_not_object", "bound_bool",
         "snapshot_missing", "phi0_int_beyond_float", "alpha_int_beyond_float",
-        "nx_int_beyond_float", "nt_int_beyond_float",
+        "nx_int_beyond_float", "nt_int_beyond_float", "nt_beyond_index",
         *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
