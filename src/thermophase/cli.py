@@ -137,7 +137,7 @@ def _level(cfg: ProblemConfig, nx: int, nt: int):
     """``cfg`` resized to ``level_grid``'s grid of nx cells across and nt steps:
     the resized config, its problem and the state solved on it."""
     raw = copy.deepcopy(cfg.raw)
-    raw["grid"].update(nx=nx, ny=level_grid(cfg.raw["grid"], nx).ny)
+    raw["grid"].update(nx=nx, ny=level_grid(cfg.grid, nx).ny)
     raw["time"]["nt"] = nt
     lcfg = parse_config_dict(raw)
     problem = lcfg.problem()
@@ -153,8 +153,8 @@ def _unit_direction(rng, grid, tg):
 
 def _sup_node_norm(grid, phi, w, v) -> float:
     """sup over nodes of (L2 of phi + L2 of w + L2 of v) for node-stacked fields."""
-    return max(norm(grid, phi[n]) + norm(grid, w[n]) + norm(grid, v[n])
-               for n in range(phi.shape[0]))
+    return np.max([norm(grid, phi[n]) + norm(grid, w[n]) + norm(grid, v[n])
+                   for n in range(phi.shape[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     h, h0 = _unit_direction(rng, grid, tg)
     lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
     tangent_norm = _sup_node_norm(grid, lin.xi, lin.eta, lin.eta_t)
-    eps_list = [float(e) for e in blk["epsilons"]]
+    eps_list = blk["epsilons"]
     rows = []
     for eps in eps_list:
         pert_ctrl = ControlPair(control.u + eps * h, control.v0 + eps * h0)
@@ -218,10 +218,9 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     # adjoint gradient against tuned central differences
     rp = ReducedProblem(problem, cost, opts)
     gpair = rp.gradient(control)
-    fd_steps = [float(s) for s in blk["fd_steps"]]
+    fd_steps = blk["fd_steps"]
     fd_rows = []
-    worst = 0.0
-    for d in range(int(blk["n_directions"])):
+    for d in range(blk["n_directions"]):
         hd, h0d = _unit_direction(rng, grid, tg)
         pairing = u_inner(grid, tg.tau, gpair.g_u, hd) + v0_inner(grid, gpair.g_v, h0d)
         fds = []
@@ -234,13 +233,12 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         best = int(np.argmin(gaps))
         fd = fds[best + 1]
         rel = abs(fd - pairing) / max(abs(pairing), 1e-300)
-        worst = max(worst, rel)
         fd_rows.append((d, fd_steps[best + 1], fd, pairing, rel))
     write_csv(os.path.join(out_dir, "fd_check.csv"),
               ["direction", "fd_step", "fd", "adjoint", "rel_err"], fd_rows)
     return [
         CriterionResult("taylor_slope", slope, ">=", 1.8),
-        CriterionResult("fd_vs_adjoint", worst, "<=", 1e-6),
+        CriterionResult("fd_vs_adjoint", np.max([row[-1] for row in fd_rows]), "<=", 1e-6),
     ], []
 
 
@@ -256,8 +254,7 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     vol = grid.cell_volume
 
     rows, notes = [], []
-    worst = 0.0
-    for trial in range(int(blk["n_trials"])):
+    for trial in range(blk["n_trials"]):
         h = rng.standard_normal((tg.nt, grid.ny, grid.nx))
         h0 = rng.standard_normal(grid.shape)
         wxi = rng.standard_normal(base.phi.shape)
@@ -269,10 +266,9 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
                           + np.sum(wth * lin.eta_t))
         rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, rel)
         rows.append((trial, lhs, rhs, rel))
     write_csv(os.path.join(out_dir, "dot_test.csv"), ["trial", "lhs", "rhs", "rel_err"], rows)
-    criteria = [CriterionResult("dot_test", worst, "<=", 1e-10)]
+    criteria = [CriterionResult("dot_test", np.max([row[-1] for row in rows]), "<=", 1e-10)]
 
     levels = blk["levels"]
     if levels:
@@ -325,22 +321,21 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     feasible = all(r.feasible_box and r.feasible_ball for r in report.iterates)
     last = report.iterates[-1]  # the record of report.final
     criteria = [
-        CriterionResult("stationarity", last.stationarity, "<=",
-                        cfg.raw["solver"]["stationarity_tol"]),
+        CriterionResult("stationarity", last.stationarity, "<=", opts.stationarity_tol),
         CriterionResult("j_monotone", 1.0 if monotone else 0.0, ">=", 1.0),
         CriterionResult("feasible_iterates", 1.0 if feasible else 0.0, ">=", 1.0),
     ]
-    if float(blk["clamp_formula_tol"]) > 0.0 and cost.nu1 > 0.0:
+    if blk["clamp_formula_tol"] > 0.0 and cost.nu1 > 0.0:
         criteria.append(CriterionResult(
             "clamp_formula_residual", last.clamp_formula_residual, "<=",
-            float(blk["clamp_formula_tol"]) * (1.0 + u_norm(problem.grid, problem.time.tau,
-                                                            report.final.u))))
-    if float(blk["vi_tol"]) > 0.0:
+            blk["clamp_formula_tol"] * (1.0 + u_norm(problem.grid, problem.time.tau,
+                                                     report.final.u))))
+    if blk["vi_tol"] > 0.0:
         criteria.append(CriterionResult("vi_min", report.vi_min, ">=",
-                                        -float(blk["vi_tol"]) * report.vi_scale))
-    if float(blk["recovery_factor"]) > 0.0:
+                                        -blk["vi_tol"] * report.vi_scale))
+    if blk["recovery_factor"] > 0.0:
         criteria.append(CriterionResult("j_reduction", js[-1], "<=",
-                                        js[0] / float(blk["recovery_factor"])))
+                                        js[0] / blk["recovery_factor"]))
     return criteria, [f"optimizer converged={_fmt(report.converged)} reason={report.reason} "
                       f"iters={len(report.iterates) - 1} "
                       f"forward_solves={report.forward_solves} gradients={report.gradients} "
@@ -355,14 +350,14 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     lap_levels = [factor * cfg.grid.nx for factor in (2, 4, 8)]
     errs = []
     for nx in lap_levels:
-        g = level_grid(cfg.raw["grid"], nx)
+        g = level_grid(cfg.grid, nx)
         x, y = g.cell_centers()
         f = np.cos(np.pi * x / g.lx) * np.cos(np.pi * y / g.ly)
         lam = (np.pi / g.lx) ** 2 + (np.pi / g.ly) ** 2
         errs.append(norm(g, laplacian_neumann(g, f) + lam * f))
     orders = _orders([1.0 / nx for nx in lap_levels], errs)
     rows += [("laplacian", nx, err, order) for nx, err, order in zip(lap_levels, errs, orders)]
-    criteria.append(CriterionResult("laplacian_order", min(orders[1:]), ">=", 1.9))
+    criteria.append(CriterionResult("laplacian_order", np.min(orders[1:]), ">=", 1.9))
 
     # mean of the Laplacian of a random field (flux telescoping)
     g = cfg.grid
@@ -385,7 +380,7 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
                 {nx: (nx, nt_h) for nx in spatial}, [1.0 / nx for nx in spatial], 1.9),
                ("temporal", (nx_tau, blk["temporal_ref_nt"]),
                 {nt: (nx_tau, nt) for nt in temporal},
-                [cfg.raw["time"]["t_final"] / nt for nt in temporal], 0.9)]
+                [cfg.timegrid.t_final / nt for nt in temporal], 0.9)]
     for study, (ref_nx, ref_nt), levels, steps, threshold in studies:
         if not levels:
             continue
@@ -394,10 +389,10 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         for nx, nt in levels.values():
             _, lproblem, traj = _level(cfg, nx, nt)
             factor, stride = ref_nx // nx, ref_nt // nt
-            errs.append(max(
+            errs.append(np.max([
                 norm(lproblem.grid, _restrict(ref.phi[n * stride], factor) - traj.phi[n])
                 + norm(lproblem.grid, _restrict(ref.v[n * stride], factor) - traj.v[n])
-                for n in range(nt + 1)))
+                for n in range(nt + 1)]))
         rows += [(study, level, err, order)
                  for level, err, order in zip(levels, errs, _orders(steps, errs))]
         fit, note = _order_fit(f"{study}_order", steps, errs, threshold)
@@ -421,7 +416,7 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     g_u = np.broadcast_to(g_phi, (tg.nt, grid.ny, grid.nx))
 
     base = solve_state(problem, control, opts)
-    deltas = [float(d) for d in blk["deltas"]]
+    deltas = blk["deltas"]
     norms = []
     for delta in deltas:
         pert_problem = copy.copy(problem)
@@ -479,7 +474,7 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
     if cmd not in _COMMANDS:
         raise ValidationError(f"unknown command {cmd!r}")
     out_dir = out_dir if out_dir is not None else cfg.raw["output"]["directory"]
-    seed = int(cfg.raw["solver"]["seed"] if seed is None else seed)
+    seed = cfg.raw["solver"]["seed"] if seed is None else seed
     if seed < 0:
         raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
     try:

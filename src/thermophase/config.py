@@ -3,11 +3,13 @@
 A config file is a JSON object with the blocks below; only ``grid`` and
 ``time`` are required.  Validation has one owner per decision:
 
-- this module owns the JSON shape: unknown keys are rejected at every level,
-  and every value that is not a field spec must have its default's JSON type
-  (an int default takes integers only, a float default finite numbers, a
-  list default a list of numbers, of integers for the study levels, or of
-  integer pairs for ``adjoint_test.levels``; a bool is never a number);
+- this module owns the JSON shape, on one path for every block: unknown keys
+  are rejected at every level, and every value that is not a field spec must
+  have its default's JSON type (an int default takes integers only, a float
+  default finite numbers, a list default a list of numbers, of integers for
+  the study levels, or of integer pairs for ``adjoint_test.levels``; a bool
+  is never a number) and is stored as that type (an integer ``1`` given for
+  a float as ``1.0``); only ``cost.targets`` has its own structure check;
 - ``build_field`` owns the field-spec grammar below; each of its errors names the key;
 - the domain types own value ranges.  ``ProblemConfig`` builds the problem,
   control, admissible set, options and cost once, at parse time, and a
@@ -23,7 +25,8 @@ A config file is a JSON object with the blocks below; only ``grid`` and
 The ``params``, ``potential``, ``coupling``, ``admissible`` and ``solver``
 blocks take their defaults from the constructors of ``PhysParams``,
 ``Potential``, ``Coupling``, ``AdmissibleSet``, ``SolverOptions`` and
-``OptimizeOptions``, and the cost targets follow ``sensitivity.TRACKING_TERMS``.
+``OptimizeOptions``, the ``cost`` weights from ``CostSpec``, and the cost
+targets follow ``sensitivity.TRACKING_TERMS``.
 ``solver.seed`` (default 0) seeds the random directions of ``grad_check``,
 ``adjoint_test`` and ``convergence``; ``optimize`` draws no random numbers.
 
@@ -60,7 +63,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -76,10 +79,11 @@ from .state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
 
 
 def _defaults_of(*classes) -> dict:
-    """The constructor defaults of the given dataclasses, one key per field that
-    has a plain default (``OptimizeOptions.solver`` has a default factory)."""
+    """The constructor defaults of the given dataclasses, one key per field whose default
+    is a number or a string (``OptimizeOptions.solver`` has a default factory, and
+    ``CostSpec``'s targets default to None)."""
     return {f.name: f.default for cls in classes for f in fields(cls)
-            if f.default is not MISSING}
+            if isinstance(f.default, (int, float, str))}
 
 
 _DEFAULTS: dict[str, Any] = {
@@ -103,22 +107,28 @@ _DEFAULTS: dict[str, Any] = {
         "temporal_nts": [], "temporal_ref_nt": 0, "temporal_nx": 32,
     },
     "cont_dependence": {"deltas": [1e-1, 1e-2, 1e-3, 1e-4]},
+    "cost": {**_defaults_of(CostSpec), "targets": {}},  # only when a config has one
 }
 
 # list keys whose elements are integers (cell or step counts), and the one of pairs
 _INT_LISTS = ("convergence.spatial_levels", "convergence.temporal_nts")
 _PAIR_LIST = "adjoint_test.levels"
-_COST_KEYS = ("k1", "k2", "k3", "k4", "k5", "k6", "nu1", "nu2")
 _COSINE_DEFAULTS = {"amplitude": 1.0, "kx": 1, "ky": 1, "offset": 0.0, "ramp": 0.0}
-# field-spec entries of the blocks: build_field checks them, not _check_type
+# field-spec entries of the blocks: build_field checks them, not _typed
 _FIELD_SPECS = {"initial": ("phi0", "w0"), "control": ("u", "v0"),
-                "admissible": ("u_lo", "u_hi", "v_lo", "v_hi")}
+                "admissible": ("u_lo", "u_hi", "v_lo", "v_hi"), "cost": ("targets",)}
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ValidationError(f"{where}: unknown keys {unknown}")
+
+
+def _check_object(value, allowed, where: str) -> None:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: must be an object")
+    _reject_unknown(value, allowed, where)
 
 
 def _is_number(value) -> bool:
@@ -134,8 +144,9 @@ def _is_int(value) -> bool:  # a JSON integer can exceed the float range
             and abs(value) <= sys.float_info.max)
 
 
-def _check_type(value, default, where: str) -> None:
-    """A value must have its default's JSON type; a bool is never a number."""
+def _typed(value, default, where: str):
+    """``value`` checked to have its default's JSON type, and stored as that type: a float
+    default stores a float, a list of numbers a list of floats.  A bool is never a number."""
     if isinstance(default, str):
         ok, want = isinstance(value, str), "a string"
     elif isinstance(default, int):
@@ -152,6 +163,9 @@ def _check_type(value, default, where: str) -> None:
         ok, want = isinstance(value, list) and all(map(_is_finite, value)), "a list of numbers"
     if not ok:
         raise ValidationError(f"{where} must be {want}, got {value!r}")
+    if want == "a finite number":
+        return float(value)
+    return [float(x) for x in value] if want == "a list of numbers" else value
 
 
 def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
@@ -217,44 +231,26 @@ def _validated(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ValidationError("top-level config must be an object")
-    _reject_unknown(raw, list(_DEFAULTS) + ["cost"], "config")
+    _reject_unknown(raw, _DEFAULTS, "config")
     for required in ("grid", "time"):
         if required not in raw:
             raise ValidationError(f"config: missing required block {required!r}")
-    cfg = copy.deepcopy(_DEFAULTS)
+    cfg = copy.deepcopy({name: block for name, block in _DEFAULTS.items()
+                         if name != "cost" or name in raw})
     for name, block in raw.items():
-        if name == "cost":
-            continue
-        if not isinstance(block, dict):
-            raise ValidationError(f"{name}: must be an object")
-        _reject_unknown(block, cfg[name], name)
+        _check_object(block, cfg[name], name)
         cfg[name].update(copy.deepcopy(block))
     for name, block in cfg.items():
         for key, value in block.items():
             if key not in _FIELD_SPECS.get(name, ()):
-                _check_type(value, _DEFAULTS[name][key], f"{name}.{key}")
-
-    if "cost" in raw:
-        cost_raw = raw["cost"]
-        if not isinstance(cost_raw, dict):
-            raise ValidationError("cost: must be an object")
-        _reject_unknown(cost_raw, list(_COST_KEYS) + ["targets"], "cost")
-        cost = {}
-        for k in _COST_KEYS:
-            _check_type(cost_raw.get(k, 0.0), 0.0, f"cost.{k}")
-            cost[k] = float(cost_raw.get(k, 0.0))
-        targets = cost_raw.get("targets", {})
-        if not isinstance(targets, dict):
-            raise ValidationError("cost.targets: must be an object")
-        if "from_run" in targets:
-            _reject_unknown(targets, ("from_run",), "cost.targets")
-            if not isinstance(targets["from_run"], dict):
-                raise ValidationError("cost.targets.from_run: must be an object")
-            _reject_unknown(targets["from_run"], ("u", "v0"), "cost.targets.from_run")
-        else:
-            _reject_unknown(targets, [key for _, _, key, _ in TRACKING_TERMS], "cost.targets")
-        cost["targets"] = copy.deepcopy(targets)
-        cfg["cost"] = cost
+                block[key] = _typed(value, _DEFAULTS[name][key], f"{name}.{key}")
+    if "cost" in cfg:  # the targets' own structure; build_field checks each spec
+        targets = cfg["cost"]["targets"]
+        from_run = isinstance(targets, dict) and "from_run" in targets
+        _check_object(targets, ["from_run"] if from_run else
+                      [key for _, _, key, _ in TRACKING_TERMS], "cost.targets")
+        if from_run:
+            _check_object(targets["from_run"], ("u", "v0"), "cost.targets.from_run")
     return cfg
 
 
@@ -265,12 +261,12 @@ _FIT_LISTS = ("grad_check.epsilons", "grad_check.fd_steps", "cont_dependence.del
 _REFINEMENT_REFS = {"spatial_levels": "spatial_ref_nx", "temporal_nts": "temporal_ref_nt"}
 
 
-def level_grid(grid: dict, nx: int) -> GridSpec:
-    """A study level's grid: nx cells across the ``grid`` block's domain, ny = round(nx ly / lx)."""
-    return build_grid(grid["lx"], grid["ly"], nx, round(nx * grid["ly"] / grid["lx"]))
+def level_grid(grid: GridSpec, nx: int) -> GridSpec:
+    """A study level's grid: nx cells across the run's domain, ny = round(nx ly / lx)."""
+    return build_grid(grid.lx, grid.ly, nx, round(nx * grid.ly / grid.lx))
 
 
-def _check_studies(raw: dict) -> None:
+def _check_studies(raw: dict, grid: GridSpec) -> None:
     """Every slope fit gets two distinct positive points or more; a level divides its
     reference; every level's grid and time grid can be built."""
     for where in _FIT_LISTS:
@@ -299,8 +295,8 @@ def _check_studies(raw: dict) -> None:
               + [("adjoint_test.levels", nx, nt) for nx, nt in raw["adjoint_test"]["levels"]])
     for where, nx, nt in levels:
         try:
-            level_grid(raw["grid"], nx)
-            TimeGrid(float(raw["time"]["t_final"]), nt)
+            level_grid(grid, nx)
+            TimeGrid(raw["time"]["t_final"], nt)
         except ThermophaseError as exc:
             raise ValidationError(f"{where}: level nx={nx}: {type(exc).__name__}: {exc}") from exc
 
@@ -331,7 +327,7 @@ class ProblemConfig:
     def __post_init__(self):
         raw = self.raw
         self.grid = build_grid(**raw["grid"])
-        self.timegrid = TimeGrid(t_final=float(raw["time"]["t_final"]), nt=raw["time"]["nt"])
+        self.timegrid = TimeGrid(**raw["time"])
         init = raw["initial"]
         self._problem = Problem(
             grid=self.grid, time=self.timegrid, params=PhysParams(**raw["params"]),
@@ -342,7 +338,7 @@ class ProblemConfig:
         self._control = self._control_pair(raw["control"], "control")
         adm = raw["admissible"]
         bounds = {k: self._bound(adm[k], f"admissible.{k}") for k in _FIELD_SPECS["admissible"]}
-        self._admissible = AdmissibleSet(**bounds, ball_radius=float(adm["ball_radius"]))
+        self._admissible = AdmissibleSet(**bounds, ball_radius=adm["ball_radius"])
         self._admissible.v0_anchor(self.grid)  # raises when the set is empty
         s = raw["solver"]
         self._solver = SolverOptions(**{f.name: s[f.name] for f in fields(SolverOptions)})
@@ -351,7 +347,7 @@ class ProblemConfig:
             solver=self._solver)
         if raw["output"]["snapshot_stride"] < 0:
             raise ValidationError("output.snapshot_stride must be >= 0")
-        _check_studies(raw)
+        _check_studies(raw, self.grid)
         self._cost = self._from_run = None
         if "cost" in raw:
             self._build_cost(raw["cost"])
@@ -369,7 +365,7 @@ class ProblemConfig:
         return float(spec) if _is_number(spec) else build_field(spec, self.grid, where=where)
 
     def _build_cost(self, blk: dict) -> None:
-        weights = {k: blk[k] for k in _COST_KEYS}
+        weights = {k: v for k, v in blk.items() if k != "targets"}
         if "from_run" in blk["targets"]:
             self._cost = CostSpec(**weights)
             self._from_run = self._control_pair(blk["targets"]["from_run"],

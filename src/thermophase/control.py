@@ -492,11 +492,12 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     not predict descent (<g, trial - x> > 0, which the projection onto the
     V-ball can cause), the direction is -g and s starts at the
     Barzilai-Borwein quotient of the last accepted step (_bb_step; 1 before
-    any).  Stops when the stationarity residual (at unit step scale) falls
-    below the tolerance or after max_iters.  Records per-iterate certificates
-    (stationarity, projection formula defect where nu1 > 0, ``check_vi``'s
-    vi_min) and reports ``check_vi`` at the final iterate.  Draws no random
-    numbers.
+    any).  That switch is not a halving: ``armijo_backtracks`` counts the
+    halvings along the path taken.  Stops when the stationarity residual (at
+    unit step scale) falls below the tolerance or after max_iters.  Records
+    per-iterate certificates (stationarity, projection formula defect where
+    nu1 > 0, ``check_vi``'s vi_min) and reports ``check_vi`` at the final
+    iterate.  Draws no random numbers.
     """
     armijo_c, shrink, max_backtracks = 1e-4, 0.5, 60
     grid, tg = problem.grid, problem.time
@@ -535,9 +536,8 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         else:
             d, s = ControlPair(np.where(active_u, -g.g_u, newton.u),
                                np.where(active_v, -g.g_v, newton.v0)), 1.0
-        accepted = False
         backtracks = 0
-        for backtracks in range(max_backtracks + 1):
+        while backtracks <= max_backtracks:
             trial = project_admissible(ControlPair(x.u + s * d.u, x.v0 + s * d.v0), aset, grid)
             pred = (u_inner(grid, tau, g.g_u, trial.u - x.u)
                     + v0_inner(grid, g.g_v, trial.v0 - x.v0))
@@ -549,16 +549,16 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
             if pred <= 0.0:
                 j_trial = rp.cost(trial)
                 if j_trial <= j + armijo_c * pred:
-                    accepted = True
                     break
             elif newton is not None and backtracks == 0:
                 # the projection of the Newton path onto the ball need not descend
-                d, s = ControlPair(-g.g_u, -g.g_v), bb_step
+                d, s, newton = ControlPair(-g.g_u, -g.g_v), bb_step, None
                 continue
             s *= shrink
+            backtracks += 1
         if converged:
             break
-        if not accepted:
+        if backtracks > max_backtracks:
             raise LineSearchFailure(
                 f"no Armijo decrease after {max_backtracks} backtracks "
                 f"(iteration {it}, stationarity {stat:.3e})")

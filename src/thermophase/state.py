@@ -122,9 +122,11 @@ class Problem:
 
     def check_initial(self) -> None:
         """phi0 must lie strictly inside the potential's domain (strong-solution data);
-        for a potential defined on all reals, that means finite."""
+        for a potential defined on all reals, that means finite.  w0 must be finite."""
         if not self.potential.contains(self.initial.phi0):
             raise DomainViolation("phi0 must be strictly interior to the potential domain")
+        if not np.all(np.isfinite(self.initial.w0)):
+            raise BadParameter("w0 must be finite")
 
 
 @dataclass
@@ -237,7 +239,8 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     (||G_k|| / ||G_{k-1}||)^2), and the floor that keeps the last solve from
     reaching below the stop (Kelley, 1995, sec. 6.3).  Damping by step
     halving keeps iterates interior to the potential's domain.  At most 30
-    Newton iterations, each with at most 40 halvings.
+    Newton iterations, each with at most 40 halvings.  A non-finite tol_N or
+    first ||G||, which no stop test can compare, raises ``NewtonDivergence``.
 
     Each Newton point is evaluated once: a trial is checked against the domain
     by one ``contains`` (which drives the damping), and gamma and gamma' at
@@ -264,6 +267,9 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     phi, a = phi_n.copy(), a_n
     r = phi / tau + a - b
     rnorm = norm(grid, r)
+    if not (math.isfinite(tol_n) and math.isfinite(rnorm)):
+        raise NewtonDivergence(f"non-finite phase step: residual {rnorm:.3e}, stop {tol_n:.3e}",
+                               residual=rnorm, iterations=0)
     eta = 0.5
     while rnorm > tol_n:
         if info.newton_iters >= maxit:
@@ -344,8 +350,9 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
 def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
     """March the full trajectory; fails fast with the step index on any error.
 
-    Wrongly shaped data (``ShapeMismatch``) and a phi0 outside the potential's
-    domain (``DomainViolation``) fail before step 1; step n fails as ``StepError(n, error)``.
+    Wrongly shaped data (``ShapeMismatch``), a phi0 outside the potential's
+    domain (``DomainViolation``) and a non-finite w0 (``BadParameter``) fail before
+    step 1; step n fails as ``StepError(n, error)``.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
@@ -404,11 +411,11 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
     dw = trajA.w - trajB.w
     dv = trajA.v - trajB.v
     nt = trajA.nt
-    sup_v_phi = max(norm(grid, dphi[n], "v") for n in range(nt + 1))
-    sup_lap_phi = max(norm(grid, laplacian_neumann(grid, dphi[n])) for n in range(nt + 1))
-    sup_dt_phi = max(norm(grid, (dphi[n + 1] - dphi[n]) / tau) for n in range(nt))
-    sup_v_v = max(norm(grid, dv[n], "v") for n in range(nt + 1))
-    sup_dt_v = max(norm(grid, (dv[n + 1] - dv[n]) / tau) for n in range(nt))
+    sup_v_phi = np.max([norm(grid, dphi[n], "v") for n in range(nt + 1)])
+    sup_lap_phi = np.max([norm(grid, laplacian_neumann(grid, dphi[n])) for n in range(nt + 1)])
+    sup_dt_phi = np.max([norm(grid, (dphi[n + 1] - dphi[n]) / tau) for n in range(nt)])
+    sup_v_v = np.max([norm(grid, dv[n], "v") for n in range(nt + 1)])
+    sup_dt_v = np.max([norm(grid, (dv[n + 1] - dv[n]) / tau) for n in range(nt)])
     l2t_lap_w = math.sqrt(sum(tau * norm(grid, laplacian_neumann(grid, dw[n])) ** 2
                               for n in range(nt + 1)))
     return sup_v_phi + sup_lap_phi + sup_dt_phi + sup_v_v + sup_dt_v + l2t_lap_w
@@ -425,5 +432,5 @@ def run_diagnostics(traj: StateTrajectory, potential: Potential) -> Diagnostics:
     return Diagnostics(
         separation_margin=sep_margin,
         domain_guard_fired=any(r.domain_guard_hits > 0 for r in recs),
-        max_scaled_energy_residual=max(abs(r.energy_residual) / r.balance_scale for r in recs),
+        max_scaled_energy_residual=np.max([abs(r.energy_residual) / r.balance_scale for r in recs]),
     )

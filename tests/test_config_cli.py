@@ -16,6 +16,7 @@ from thermophase.control import AdmissibleSet, OptimizeOptions
 from thermophase.errors import NewtonDivergence, ParseError, StepError, ValidationError
 from thermophase.grid import build_grid, norm
 from thermophase.nonlinearity import Coupling, Potential
+from thermophase.sensitivity import tangent_transpose
 from thermophase.snapshots import read_field, write_field, write_series
 from thermophase.state import PhysParams, SolverOptions, solve_state
 
@@ -206,6 +207,27 @@ def test_echo_roundtrip_fixpoint(tmp_path):
     rep = run_command("simulate", cfg, out_dir=str(tmp_path / "out"))
     echoed = parse_config(str(tmp_path / "out" / "effective_config.json"))
     assert echoed.raw == cfg.raw
+
+
+def test_float_keys_given_as_integers_are_stored_and_echoed_as_floats(tmp_path):
+    cfg = parse_config(_write(tmp_path, {
+        "grid": MINIMAL["grid"], "time": {"t_final": 1, "nt": 4},
+        "params": {"alpha": 1},
+        "grad_check": {"epsilons": [1, 2]},
+        "cost": {"k1": 1},
+    }))
+    values = [cfg.raw["time"]["t_final"], cfg.raw["params"]["alpha"],
+              *cfg.raw["grad_check"]["epsilons"], cfg.raw["cost"]["k1"]]
+    assert values == [1.0, 1.0, 1.0, 2.0, 1.0]
+    assert all(type(value) is float for value in values)
+    # integer keys and integer lists keep their type
+    assert type(cfg.raw["time"]["nt"]) is int and cfg.raw["adjoint_test"]["levels"] == []
+    run_command("simulate", cfg, out_dir=str(tmp_path / "out"))
+    text = (tmp_path / "out" / "effective_config.json").read_text()
+    assert '"t_final": 1.0' in text and '"alpha": 1.0' in text and '"k1": 1.0' in text
+    assert "1.0,\n      2.0\n" in text  # grad_check.epsilons
+    # a config without a cost block gets none
+    assert "cost" not in parse_config(_write(tmp_path, MINIMAL)).raw
 
 
 def test_from_run_targets_make_zero_cost(tmp_path):
@@ -472,6 +494,22 @@ def test_newton_divergence_exit_three(tmp_path, capsys):
     assert isinstance(info.value.cause, NewtonDivergence)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_phase_step_exits_three(tmp_path, capsys):
+    # u overflows the L2 norm of v at step 1, so step 2's right-hand side norm is inf,
+    # which no Newton stop test can compare: the step fails instead of returning phi_n
+    cfg = {**MINIMAL,
+           "initial": {"phi0": {"cosine": {"amplitude": 0.3}}},
+           "control": {"u": {"cosine": {"amplitude": 1e306}}}}
+    path = _write(tmp_path, cfg, "overflow.json")
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert "step 2: non-finite phase step" in capsys.readouterr().err
+    record = _failure(tmp_path / "o")
+    assert (record["error"], record["step"], record["cause"]) == ("StepError", 2,
+                                                                  "NewtonDivergence")
+    assert record["iterations"] == 0 and record["residual"] == math.inf
+
+
 @pytest.mark.parametrize("cmd", sorted(_COMMANDS))
 def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, cmd):
     # every file a command writes is in ARTEFACTS or a series of SERIES; other files stay
@@ -551,6 +589,27 @@ def test_criterion_failure_exits_one(tmp_path):
     assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     summary = open(tmp_path / "o" / "summary.txt").read()
     assert "overall FAIL" in summary and "stationarity" in summary
+
+
+def test_nan_dot_test_trial_fails_the_run(tmp_path, monkeypatch):
+    # one trial's transpose is NaN: max() would keep the other trials' worst error
+    calls = []
+
+    def nan_on_second_trial(*args, **kwargs):
+        result = tangent_transpose(*args, **kwargs)
+        calls.append(result)
+        if len(calls) == 2:
+            result.h0_bar = np.full_like(result.h0_bar, np.nan)
+        return result
+
+    monkeypatch.setattr("thermophase.cli.tangent_transpose", nan_on_second_trial)
+    path = _write(tmp_path, {**MINIMAL, "cost": {"k1": 1.0},
+                             "adjoint_test": {"n_trials": 3}})
+    out = tmp_path / "o"
+    assert main(["adjoint_test", "--config", path, "--out", str(out)]) == 1
+    rows = (out / "dot_test.csv").read_text().splitlines()
+    assert rows[2].startswith("1,") and rows[2].endswith(",nan")
+    assert "dot_test value=nan threshold=<=1e-10 status=FAIL" in (out / "summary.txt").read_text()
 
 
 def test_nan_in_config_rejected(tmp_path):

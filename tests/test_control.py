@@ -494,6 +494,21 @@ def test_optimize_converges_with_active_v0_ball(ball_radius):
     assert all(r.feasible_ball for r in report.iterates)
 
 
+def test_switch_to_the_gradient_path_is_not_a_backtrack():
+    # optimize_recovery.json with a V-ball of 0.1: at iteration 4 the Newton trial predicts
+    # ascent, and the unhalved Barzilai-Borwein step along -g is accepted
+    with open(os.path.join(CONFIGS, "optimize_recovery.json")) as fh:
+        raw = json.load(fh)
+    raw["admissible"]["ball_radius"] = 0.1
+    cfg = parse_config_dict(raw)
+    problem = cfg.problem()
+    report = optimize(problem, cfg.cost_spec(problem), cfg.admissible_set(), cfg.control(),
+                      replace(cfg.optimize_options(), max_iters=4))
+    record = report.iterates[4]
+    assert record.step == pytest.approx(23.5006, rel=1e-5)
+    assert record.armijo_backtracks == 0
+
+
 def test_optimize_falls_back_to_bb_step_without_positive_curvature(monkeypatch):
     # a Hessian with negative curvature everywhere: CG gives up on its first iteration
     # and every step is the projected-gradient step from the Barzilai-Borwein quotient

@@ -14,7 +14,7 @@ from oracles import bisect, scalar_forward
 from thermophase import state
 from thermophase.config import parse_config_dict
 from thermophase.control import ControlPair
-from thermophase.errors import DomainViolation, NoConvergence, ShapeMismatch
+from thermophase.errors import BadParameter, DomainViolation, NoConvergence, ShapeMismatch
 from thermophase.grid import build_grid, cg_solve, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
@@ -343,6 +343,14 @@ def test_run_diagnostics_zero_trajectory():
     assert max(norm(g, phi) for phi in traj.phi) == 0.0
 
 
+def test_run_diagnostics_propagates_a_nan_energy_residual():
+    # max() would keep the 0.0 of step 0 past a NaN; the gate must read NaN and fail
+    problem = small_problem(nx=8, nt=4)
+    traj = solve_state(problem, smooth_control(problem))
+    traj.steps[2].energy_residual = math.nan
+    assert math.isnan(run_diagnostics(traj, problem.potential).max_scaled_energy_residual)
+
+
 def test_separation_shrinks_with_smaller_source():
     problem = small_problem(nx=12, nt=10, potential_kind="logarithmic", phi_amp=0.6)
     ctrl = smooth_control(problem, u_amp=0.8)
@@ -366,6 +374,13 @@ def test_solve_state_rejects_exterior_phi0():
     problem = Problem(g, tg, PARAMS, REGULAR, PI_NEG, InitialData(phi0, g.zeros()))
     with pytest.raises(DomainViolation, match="phi0"):
         solve_state(problem, ControlPair.zeros(g, tg.nt))
+
+
+def test_solve_state_rejects_non_finite_w0_before_step_one():
+    problem = small_problem(nx=8, nt=4)
+    problem.initial.w0[2, 5] = np.nan
+    with pytest.raises(BadParameter, match="w0 must be finite"):
+        solve_state(problem, smooth_control(problem))
 
 
 def test_solve_state_rejects_wrong_control_shape_before_step_one():
