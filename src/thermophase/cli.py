@@ -37,7 +37,8 @@ import numpy as np
 
 from .config import (ProblemConfig, echo_effective_config, level_grid, parse_config,
                      parse_config_dict)
-from .control import ControlPair, ReducedProblem, optimize, u_inner, u_norm, v0_inner
+from .control import (ControlPair, ReducedProblem, exact_sum, optimize, u_inner, u_norm,
+                      v0_inner)
 from .errors import ParseError, SolverFailure, StepError, ThermophaseError, ValidationError
 from .grid import inner, laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
@@ -177,7 +178,10 @@ def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     if stride > 0:
         persist_trajectory(traj, os.path.join(out_dir, "snapshots"), stride)
     criteria = [CriterionResult("energy_balance", diag.max_scaled_energy_residual,
-                                "<=", 1e-10)]
+                                "<=", 1e-10),
+                CriterionResult("finite_diagnostics",
+                                int(np.count_nonzero(~np.isfinite(np.array(rows, dtype=float)))),
+                                "<=", 0)]
     if problem.potential.bounded_domain:
         criteria.append(CriterionResult("separation_margin", diag.separation_margin,
                                         ">=", 0.01))
@@ -351,8 +355,7 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     errs = []
     for nx in lap_levels:
         g = level_grid(cfg.grid, nx)
-        x, y = g.cell_centers()
-        f = np.cos(np.pi * x / g.lx) * np.cos(np.pi * y / g.ly)
+        f = g.cosine_mode(1, 1)
         lam = (np.pi / g.lx) ** 2 + (np.pi / g.ly) ** 2
         errs.append(norm(g, laplacian_neumann(g, f) + lam * f))
     orders = _orders([1.0 / nx for nx in lap_levels], errs)
@@ -363,7 +366,7 @@ def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     g = cfg.grid
     rng = np.random.default_rng(seed)
     f = rng.uniform(-1.0, 1.0, g.shape)
-    mean = g.cell_volume * math.fsum(laplacian_neumann(g, f).ravel().tolist())
+    mean = g.cell_volume * exact_sum(laplacian_neumann(g, f))
     bound = 1e-13 * norm(g, f)
     rows.append(("mean_zero", g.nx, abs(mean), math.nan))
     criteria.append(CriterionResult("laplacian_mean_zero", abs(mean), "<=", bound))
@@ -409,10 +412,7 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     opts = cfg.solver_options()
     blk = cfg.raw["cont_dependence"]
     grid, tg = problem.grid, problem.time
-    x, y = grid.cell_centers()
-    g_phi = np.cos(np.pi * x / grid.lx) * np.cos(np.pi * y / grid.ly)
-    g_w = np.cos(np.pi * x / grid.lx)
-    g_v = np.cos(np.pi * y / grid.ly)
+    g_phi, g_w, g_v = grid.cosine_mode(1, 1), grid.cosine_mode(1, 0), grid.cosine_mode(0, 1)
     g_u = np.broadcast_to(g_phi, (tg.nt, grid.ny, grid.nx))
 
     base = solve_state(problem, control, opts)

@@ -20,7 +20,9 @@ A config file is a JSON object with the blocks below; only ``grid`` and
   or more distinct positive entries, ``grad_check.n_directions`` and
   ``adjoint_test.n_trials`` are at least 1, each convergence refinement
   level is a proper divisor of its reference, and every study level's
-  ``level_grid`` (the grid the run builds) and time grid can be built.
+  ``level_grid`` (the grid the run builds) and time grid can be built;
+  once every field is built, it also checks that a trajectory (three
+  (nt+1, ny, nx) float64 arrays) fits in physical memory, naming ``time.nt``.
 
 The ``params``, ``potential``, ``coupling``, ``admissible`` and ``solver``
 blocks take their defaults from the constructors of ``PhysParams``,
@@ -45,8 +47,9 @@ Field specs (initial data, controls, targets, bounds) are either a number
   {"snapshot_dir": {"path": dir, "prefix": "u"}}   (space-time only; reads
       prefix_%06d.cgw per node)
 
-A space-time spec that does not vary in time (all but a ramped cosine and
-snapshot_dir) is stored as one (ny, nx) field, broadcast read-only over the nodes.
+A cosine's mode is ``GridSpec.cosine_mode``.  A space-time spec that does not vary in
+time (all but a ramped cosine and snapshot_dir) is stored as one (ny, nx) field,
+broadcast read-only over the nodes; ``ControlPair`` checks such a u on that one node.
 
 Cost targets may instead be generated from a known control run:
 
@@ -59,9 +62,9 @@ self-contained.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
@@ -165,7 +168,7 @@ def _typed(value, default, where: str):
         raise ValidationError(f"{where} must be {want}, got {value!r}")
     if want == "a finite number":
         return float(value)
-    return [float(x) for x in value] if want == "a list of numbers" else value
+    return [float(x) for x in value] if want == "a list of numbers" else _copied(value)
 
 
 def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
@@ -191,8 +194,7 @@ def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
                 raise ValidationError(f"{where}: cosine takes an object of numbers, got {body!r}")
             _reject_unknown(body, _COSINE_DEFAULTS, f"{where}.cosine")
             c = {**_COSINE_DEFAULTS, **body}
-            x, y = grid.cell_centers()
-            mode = np.cos(c["kx"] * np.pi * x / grid.lx) * np.cos(c["ky"] * np.pi * y / grid.ly)
+            mode = grid.cosine_mode(c["kx"], c["ky"])
             ramped = nodes is not None and c["ramp"] != 0.0
             t = np.asarray(nodes)[:, None, None] * tau if ramped else 0.0
             f = c["amplitude"] * (1.0 + c["ramp"] * t) * mode + c["offset"]
@@ -218,9 +220,19 @@ def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
         raise
     except (ThermophaseError, OSError, ValueError, MemoryError) as exc:
         raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValidationError(f"{where}: {spec!r} produced non-finite entries")
     return out
+
+
+def _copied(value):
+    """``copy.deepcopy`` of JSON data (dicts and lists copied, the rest shared), at about
+    a quarter of its cost: it keeps no memo of the objects it has copied.  Every value of
+    a validated config is such a copy or a new float, so it shares no container with the
+    input or ``_DEFAULTS``."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    return [_copied(item) for item in value] if isinstance(value, list) else value
 
 
 def _validated(raw: dict) -> dict:
@@ -235,15 +247,15 @@ def _validated(raw: dict) -> dict:
     for required in ("grid", "time"):
         if required not in raw:
             raise ValidationError(f"config: missing required block {required!r}")
-    cfg = copy.deepcopy({name: block for name, block in _DEFAULTS.items()
-                         if name != "cost" or name in raw})
+    cfg = {name: dict(block) for name, block in _DEFAULTS.items()
+           if name != "cost" or name in raw}
     for name, block in raw.items():
         _check_object(block, cfg[name], name)
-        cfg[name].update(copy.deepcopy(block))
+        cfg[name].update(block)
     for name, block in cfg.items():
         for key, value in block.items():
-            if key not in _FIELD_SPECS.get(name, ()):
-                block[key] = _typed(value, _DEFAULTS[name][key], f"{name}.{key}")
+            block[key] = (_copied(value) if key in _FIELD_SPECS.get(name, ())
+                          else _typed(value, _DEFAULTS[name][key], f"{name}.{key}"))
     if "cost" in cfg:  # the targets' own structure; build_field checks each spec
         targets = cfg["cost"]["targets"]
         from_run = isinstance(targets, dict) and "from_run" in targets
@@ -352,6 +364,13 @@ class ProblemConfig:
         if "cost" in raw:
             self._build_cost(raw["cost"])
         _readonly(self._problem.initial.phi0, self._problem.initial.w0, *bounds.values())
+        # the fields above are built (a node count past the index range names its field);
+        # a trajectory's three node-stacked states must fit in physical memory
+        nt, (ny, nx) = self.timegrid.nt, self.grid.shape
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 3 * 8 * (nt + 1) * ny * nx > memory:
+            raise ValidationError(f"time.nt = {nt}: a trajectory of 3 x {nt + 1} x {ny} x {nx} "
+                                  f"float64 values exceeds the {memory} bytes of physical memory")
 
     def _control_pair(self, blk: dict, where: str) -> ControlPair:
         nodes = range(1, self.timegrid.nt + 1)

@@ -44,8 +44,37 @@ from .sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_discrete, 
 from .state import Problem, SolverOptions, StateTrajectory, TimeGrid, _check_ranges, solve_state
 
 
-def _fsum(values: np.ndarray) -> float:
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+_HIGH_BITS = 26  # a value's high part: the top 26 of its 53 significand bits
+# values one np.bincount call may sum: in units of 2**(e-26), the high parts of exponent e
+# are integers below 2**26 and the remainders multiples of 2**-27 below 1, so the sum of
+# 2**26 of either is exact in float64
+_BUCKET_LIMIT = 2 ** 26
+_EXP_OFFSET = 1074  # frexp's exponents run from -1073 (subnormals) to 1024
+_BUCKETS = _EXP_OFFSET + 1025
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of the entries of ``values``, the same bits, without a Python list.
+
+    Each value m 2**e (``np.frexp``) splits into a high part, m's top 26 bits, and the
+    exact remainder; ``np.bincount`` sums each part per exponent e, exactly, and
+    ``math.fsum`` rounds the bucket sums once (Zhu and Hayes, SIAM J. Sci. Comput. 31(4),
+    2009).  Non-finite values, values large enough that a sum could overflow, and more
+    than ``_BUCKET_LIMIT`` values take ``math.fsum``'s own path, so its result, inf or
+    nan, OverflowError and ValueError stay the same too."""
+    a = np.asarray(values, dtype=float).ravel()
+    bound = 2.0 ** (1022 - a.size.bit_length())  # no sum of a.size values below it overflows
+    if not (0 < a.size <= _BUCKET_LIMIT and -bound < np.min(a) and np.max(a) < bound):
+        return math.fsum(a.tolist())
+    m, e = np.frexp(a)
+    scaled = np.ldexp(m, _HIGH_BITS, out=m)
+    high = np.trunc(scaled)
+    low = np.subtract(scaled, high, out=scaled)
+    index = np.add(e, _EXP_OFFSET, dtype=np.intp)
+    unit = np.arange(_BUCKETS) - (_EXP_OFFSET + _HIGH_BITS)  # bucket i counts 2**unit[i]
+    parts = np.concatenate([np.ldexp(np.bincount(index, part, _BUCKETS), unit)
+                            for part in (high, low)])
+    return math.fsum(parts[parts != 0.0].tolist())
 
 
 @dataclass
@@ -58,7 +87,9 @@ class ControlPair:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v0))):
+        # check the values u stores: one node when it is broadcast over the nodes (stride 0)
+        stored = self.u[:1] if self.u.ndim and self.u.strides[0] == 0 else self.u
+        if not (np.isfinite(stored).all() and np.isfinite(self.v0).all()):
             raise BadParameter("control entries must be finite")
 
     @staticmethod
@@ -112,11 +143,11 @@ class AdmissibleSet:
 
     def __post_init__(self):
         for name in ("u_lo", "u_hi", "v_lo", "v_hi"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise BadParameter(f"C4: {name} must be finite everywhere")
-        if np.any(np.asarray(self.u_lo) > np.asarray(self.u_hi)):
+        if (np.asarray(self.u_lo) > self.u_hi).any():
             raise BadParameter("C4: u_lo must be <= u_hi everywhere")
-        if np.any(np.asarray(self.v_lo) > np.asarray(self.v_hi)):
+        if (np.asarray(self.v_lo) > self.v_hi).any():
             raise BadParameter("C4: v_lo must be <= v_hi everywhere")
         if not self.ball_radius > 0.0:
             raise BadParameter("C4: ball radius M must be positive")
@@ -157,9 +188,9 @@ def v0_norm(grid: GridSpec, a: Field) -> float:
 
 def _v0_norm_sq_exact(grid: GridSpec, a: Field) -> float:
     # order-independent version used by the cost, exact under grid symmetries
-    parts = [grid.cell_volume * _fsum(a * a),
-             _fsum((a[:, 1:] - a[:, :-1]) ** 2),
-             _fsum((a[1:, :] - a[:-1, :]) ** 2)]
+    parts = [grid.cell_volume * exact_sum(a * a),
+             exact_sum((a[:, 1:] - a[:, :-1]) ** 2),
+             exact_sum((a[1:, :] - a[:-1, :]) ** 2)]
     return math.fsum(parts)
 
 
@@ -182,9 +213,9 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
         if name in targets:
             x, target = getattr(traj, state), targets[name]
             misfit = (x[nt] - target) ** 2 if terminal else w * (x - target) ** 2
-            terms.append(0.5 * getattr(cost, weight) * vol * _fsum(misfit))
+            terms.append(0.5 * getattr(cost, weight) * vol * exact_sum(misfit))
     if cost.nu1 > 0.0:
-        terms.append(0.5 * cost.nu1 * tau * vol * _fsum(control.u**2))
+        terms.append(0.5 * cost.nu1 * tau * vol * exact_sum(control.u**2))
     if cost.nu2 > 0.0:
         terms.append(0.5 * cost.nu2 * _v0_norm_sq_exact(grid, control.v0))
     return math.fsum(terms)

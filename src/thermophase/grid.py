@@ -3,6 +3,7 @@
 Fields live at the cell centers of a uniform nx-by-ny grid over
 [0, lx] x [0, ly] and are stored as numpy arrays of shape (ny, nx), row-major
 over cell centers: entry [j, i] belongs to the center ((i+0.5) hx, (j+0.5) hy).
+``GridSpec.cosine_mode`` forms a product cosine there from its two 1-D factors.
 
 The Laplacian is the finite-volume five-point stencil with zero-flux closure
 at boundary faces.  By construction it is exactly symmetric with respect to
@@ -100,11 +101,12 @@ class GridSpec:
             raise ShapeMismatch(f"{name} has shape {f.shape}, grid needs {shape}")
         return f
 
-    def cell_centers(self) -> tuple[Field, Field]:
-        """Coordinate arrays X, Y of shape (ny, nx)."""
+    def cosine_mode(self, kx: float, ky: float) -> Field:
+        """cos(kx pi x / lx) cos(ky pi y / ly) at the cell centers, an outer product."""
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
-        return np.meshgrid(x, y)
+        return np.multiply.outer(np.cos(ky * np.pi * y / self.ly),
+                                 np.cos(kx * np.pi * x / self.lx))
 
 
 def build_grid(lx: float, ly: float, nx: int, ny: int) -> GridSpec:

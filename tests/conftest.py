@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from oracles import cell_centers
 from thermophase.control import ControlPair, CostSpec
 from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
@@ -23,7 +24,7 @@ def small_problem(nx=16, nt=12, t_final=0.15, potential_kind="regular",
     potential = Potential(potential_kind)
     coupling = (Coupling("affine", a=-1.0, b=0.0) if coupling_kind == "affine"
                 else Coupling("bounded_smooth", c=1.0))
-    x, y = grid.cell_centers()
+    x, y = cell_centers(grid)
     phi0 = phi_amp * np.cos(np.pi * x) * np.cos(np.pi * y)
     w0 = 0.1 * np.cos(np.pi * x)
     return Problem(grid, tg, params, potential, coupling, InitialData(phi0, w0))
@@ -31,7 +32,7 @@ def small_problem(nx=16, nt=12, t_final=0.15, potential_kind="regular",
 
 def smooth_control(problem, u_amp=0.5, v0_amp=0.3):
     grid, tg = problem.grid, problem.time
-    x, y = grid.cell_centers()
+    x, y = cell_centers(grid)
     t = np.arange(1, tg.nt + 1) * tg.tau
     u = u_amp * (np.cos(np.pi * x) * np.cos(np.pi * y))[None, :, :] * (1.0 + t)[:, None, None]
     v0 = v0_amp * np.cos(np.pi * y)

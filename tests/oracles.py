@@ -5,7 +5,9 @@ and the 0-D recursions below implement the same time-stepping formulas with
 plain floats, so spatially homogeneous runs of the field solver must agree
 with them to solver tolerance.  ``laplacian_strided`` is the five-point
 stencil taken on 2-D slices, the reference that the flattened
-``grid.laplacian_neumann`` must match bit for bit.
+``grid.laplacian_neumann`` must match bit for bit.  ``cell_centers`` gives the
+coordinate arrays of the cell centers, from which the tests write their fields
+and the full-grid cosine formula that ``GridSpec.cosine_mode`` must match bit for bit.
 """
 
 import numpy as np
@@ -29,6 +31,13 @@ def bisect(f, lo, hi, tol=1e-15, maxit=500):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def cell_centers(grid):
+    """Coordinate arrays X, Y of shape (ny, nx)."""
+    x = (np.arange(grid.nx) + 0.5) * grid.hx
+    y = (np.arange(grid.ny) + 0.5) * grid.hy
+    return np.meshgrid(x, y)
 
 
 def laplacian_strided(grid, f):

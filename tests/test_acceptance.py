@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import zero_target_cost
-from oracles import scalar_forward
+from oracles import cell_centers, scalar_forward
 
 from thermophase.cli import run_command
 from thermophase.config import parse_config_dict
@@ -45,7 +45,7 @@ def test_criterion_01_laplacian_consistency():
     errs = []
     for nx in (32, 64, 128):
         g = build_grid(1, 1, nx, nx)
-        x, y = g.cell_centers()
+        x, y = cell_centers(g)
         f = np.cos(np.pi * x) * np.cos(np.pi * y)
         errs.append(norm(g, laplacian_neumann(g, f) + 2 * np.pi**2 * f))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -172,7 +172,7 @@ def test_criterion_06_dot_test_matrix():
             pot = Potential(pot_kind)
             cpl = (Coupling("affine", a=-1.0, b=0.0) if cpl_kind == "affine"
                    else Coupling("bounded_smooth", c=1.0))
-            x, y = g.cell_centers()
+            x, y = cell_centers(g)
             phi0 = 0.3 * np.cos(np.pi * x) * np.cos(np.pi * y)
             problem = Problem(g, tg, PhysParams(), pot, cpl,
                               InitialData(phi0, 0.1 * np.cos(np.pi * x)))
@@ -258,7 +258,7 @@ def test_criterion_09_certificates(tmp_path):
 def test_criterion_10_target_recovery():
     grid = build_grid(1.0, 1.0, 16, 16)
     tg = TimeGrid(t_final=0.2, nt=20)
-    x, y = grid.cell_centers()
+    x, y = cell_centers(grid)
     problem = Problem(grid, tg, PhysParams(), Potential("regular"),
                       Coupling("affine", a=-1.0, b=0.0),
                       InitialData(0.3 * np.cos(np.pi * x) * np.cos(np.pi * y), grid.zeros()))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS
+from oracles import cell_centers
 
 from thermophase import config
 from thermophase.cli import _COMMANDS, _orders, main, run_command
@@ -49,11 +50,27 @@ def test_minimal_config_defaults(tmp_path):
     assert all(getattr(adm, f.name) == getattr(default, f.name) for f in fields(AdmissibleSet))
 
 
+def test_parsed_config_shares_no_container_with_its_input_or_the_defaults():
+    raw = {**MINIMAL, "control": {"u": {"cosine": {"amplitude": 0.5}}},
+           "convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16},
+           "cost": {"k1": 1.0, "targets": {"phi_q": {"const": 0.25}}}}
+    given = json.dumps(raw, sort_keys=True)
+    cfg = parse_config_dict(raw)
+    cfg.raw["control"]["u"]["cosine"]["amplitude"] = 9.0
+    cfg.raw["convergence"]["spatial_levels"].append(2)
+    cfg.raw["cost"]["targets"]["phi_q"]["const"] = 9.0
+    cfg.raw["adjoint_test"]["levels"].append([8, 4])
+    cfg.raw["grid"]["nx"] = 99
+    assert json.dumps(raw, sort_keys=True) == given
+    assert config._DEFAULTS["adjoint_test"]["levels"] == []
+    assert config._DEFAULTS["cost"]["targets"] == {}
+
+
 def test_field_builder_matches_per_node_builds(tmp_path, rng):
     grid, tau, nodes = build_grid(1.5, 1.0, 12, 8), 0.03, range(1, 6)
     snap = str(tmp_path / "f.cgw")
     write_field(snap, rng.standard_normal(grid.shape))
-    x, y = grid.cell_centers()
+    x, y = cell_centers(grid)
     mode = np.cos(2.0 * np.pi * x / grid.lx) * np.cos(1.0 * np.pi * y / grid.ly)
     per_node = {
         "cosine": lambda t: 0.25 + 0.7 * (1.0 + -1.5 * t) * mode,
@@ -113,11 +130,45 @@ def test_parse_retains_no_space_time_copy_of_an_unramped_control(tmp_path):
     try:
         before = tracemalloc.get_traced_memory()[0]
         cfg = parse_config(path)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert cfg.control().u.shape == (80, 64, 64)
     assert retained < 8 * 81 * 64 * 64  # one (nt+1, ny, nx) float64 array
+    # the finiteness check of the broadcast u reads its one stored node
+    assert peak < 80 * 64 * 64  # one (nt, ny, nx) bool array
+
+
+def test_trajectory_beyond_memory_is_rejected_before_any_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="time.nt = 1099511627776"):
+            parse_config_dict({**MINIMAL, "time": {"t_final": 0.1, "nt": 2**40},
+                               "cost": {"k1": 1.0}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("lx,ly,nx,ny", [(1.0, 1.0, 8, 8), (1.5, 1.0, 12, 8),
+                                         (1.0, 2.5, 6, 15)])
+def test_cosine_preset_matches_the_full_grid_formula_bit_for_bit(lx, ly, nx, ny):
+    grid, tau, nodes = build_grid(lx, ly, nx, ny), 0.03, range(1, 6)
+    x, y = cell_centers(grid)
+    t = np.asarray(nodes)[:, None, None] * tau
+    for kx in (0, 1, 2):
+        for ky in (0, 1, 2.0):
+            for offset, ramp in ((0.0, 0.0), (-0.375, 0.0), (0.25, -1.5)):
+                mode = np.cos(kx * np.pi * x / lx) * np.cos(ky * np.pi * y / ly)
+                spec = {"cosine": {"amplitude": 0.7, "kx": kx, "ky": ky, "offset": offset,
+                                   "ramp": ramp}}
+                spatial = 0.7 * (1.0 + ramp * 0.0) * mode + offset
+                space_time = 0.7 * (1.0 + ramp * t) * mode + offset if ramp else spatial
+                assert build_field(spec, grid).tobytes() == spatial.tobytes(), spec
+                built = build_field(spec, grid, nodes, tau)
+                assert np.array(built).tobytes() == np.broadcast_to(
+                    space_time, built.shape).tobytes(), spec
 
 
 def test_from_run_cost_keeps_only_the_weighted_targets():
@@ -365,6 +416,8 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"time": {"t_final": 0.1, "nt": 10**400}}, "time.nt must be an integer"),
     # a node count past the index range: the first space-time field cannot be formed
     (lambda p: {"time": {"t_final": 0.1, "nt": 2**62}}, "control.u:"),
+    # a node count whose trajectory cannot fit in memory: every field is a broadcast view
+    (lambda p: {"time": {"t_final": 0.1, "nt": 2**40}}, "time.nt = 1099511627776: a trajectory"),
     *[(lambda p, b=block, k=key, v=value: {b: {k: v}}, f"{block}: unknown keys ['{key}']")
       for block, key, value in RETIRED_KEYS],
 ], ids=["interior_margin", "u_lo_above_u_hi", "nonsquare_cells", "truncated_snapshot",
@@ -378,7 +431,7 @@ def _truncated_phi0(tmp_path):
         "snapshot_dir_path_not_string", "cosine_non_finite", "snapshot_dir_on_v0",
         "cosine_unknown_key", "from_run_u_string", "from_run_not_object", "bound_bool",
         "snapshot_missing", "phi0_int_beyond_float", "alpha_int_beyond_float",
-        "nx_int_beyond_float", "nt_int_beyond_float", "nt_beyond_index",
+        "nx_int_beyond_float", "nt_int_beyond_float", "nt_beyond_index", "nt_beyond_memory",
         *[f"retired_{key}" for _, key, _ in RETIRED_KEYS]])
 def test_malformed_config_exits_two_naming_the_cause(tmp_path, capsys, blocks, cause):
     path = _write(tmp_path, {**MINIMAL, **blocks(tmp_path)}, "bad.json")
@@ -508,6 +561,20 @@ def test_non_finite_phase_step_exits_three(tmp_path, capsys):
     assert (record["error"], record["step"], record["cause"]) == ("StepError", 2,
                                                                   "NewtonDivergence")
     assert record["iterations"] == 0 and record["residual"] == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_diagnostics_fail_the_simulate_run(tmp_path, capsys):
+    # with phi0 = 0 the affine coupling keeps the phase step's right-hand side 0, so no
+    # step fails; v's L2 norm overflows, and the energy balance scale grows with |v|
+    cfg = {**MINIMAL, "control": {"u": {"cosine": {"amplitude": 1e306}}}}
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[0].startswith("energy_balance") and summary[0].endswith("status=PASS")
+    assert summary[1] == "finite_diagnostics value=4 threshold=<=0 status=FAIL"
+    assert "inf" in (out / "diagnostics.csv").read_text()
+    assert "finite_diagnostics: 4 (threshold <= 0) FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("cmd", sorted(_COMMANDS))

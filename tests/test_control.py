@@ -5,12 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIGS, small_problem, smooth_control, zero_target_cost
+from oracles import cell_centers
 
+from thermophase import control
 from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, GradientPair,
                                  OptimizeOptions, ReducedProblem, _bb_step, check_vi,
-                                 clamp_formula_residual, cost_eval, optimize,
+                                 clamp_formula_residual, cost_eval, exact_sum, optimize,
                                  project_admissible, stationarity_residual, u_inner, u_norm,
                                  v0_inner, v0_norm)
 from thermophase.config import parse_config_dict
@@ -82,6 +86,90 @@ def test_cost_invariant_under_grid_symmetry(rng):
     ctrl2 = ControlPair(rot(ctrl.u), rot(ctrl.v0))
     j2 = cost_eval(traj2, ctrl2, cost2, g, tg)
     assert j1 == j2
+
+
+def _sum_cases(rng):
+    x = rng.standard_normal(3000) * 1e10
+    return {
+        "uniform": rng.uniform(-1.0, 1.0, 20000),
+        "squared_normal": rng.standard_normal(20000) ** 2,
+        "spread_e40": np.exp(rng.uniform(-40.0, 40.0, 20000)) * rng.choice([-1.0, 1.0], 20000),
+        "cancelling": np.concatenate([x, -x, 1e-10 * rng.standard_normal(7)]),
+        "subnormal": 5e-310 * rng.uniform(-1.0, 1.0, 5000),
+        "subnormal_and_normal": np.concatenate([1e-320 * rng.uniform(-1.0, 1.0, 500),
+                                                1e-300 * rng.uniform(-1.0, 1.0, 500)]),
+        "near_the_overflow_guard": 1e300 * rng.uniform(-1.0, 1.0, 1000),
+        "negative_zeros": -np.zeros(4),
+        "empty": np.zeros(0),
+    }
+
+
+def test_exact_sum_equals_fsum_bit_for_bit(rng):
+    for name, values in _sum_cases(rng).items():
+        for shuffled in (values, rng.permutation(values), rng.permutation(values)):
+            got, want = exact_sum(shuffled), math.fsum(shuffled.tolist())
+            assert got.hex() == want.hex(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(-1e300, 1e300, allow_subnormal=True), max_size=60))
+def test_exact_sum_equals_fsum_property(values):
+    try:
+        want = math.fsum(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sum(np.array(values))
+        return
+    assert exact_sum(np.array(values)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308, -1e308], [1e308, 1e308],
+                                    [1e308, 1e308, 1e308, -1e308]])
+def test_exact_sum_overflows_where_fsum_does(values):
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    with pytest.raises(OverflowError):
+        exact_sum(np.array(values))
+
+
+@pytest.mark.parametrize("values", [[np.inf, 1.0], [np.nan, 2.0], [-np.inf, -1e308],
+                                    [1e308, -1e308, 1e308]])
+def test_exact_sum_non_finite_and_huge_values_follow_fsum(values):
+    got, want = exact_sum(np.array(values)), math.fsum(values)
+    assert got.hex() == want.hex()
+    with pytest.raises(ValueError, match="inf"):
+        exact_sum(np.array([np.inf, -np.inf]))
+
+
+def test_exact_sum_buckets_stay_below_the_exact_limit(monkeypatch, rng):
+    # 2**26 high parts below 2**26, or remainders below 1 in units of 2**-27, sum below
+    # 2**53 units: the largest bucket np.bincount is given is still an exact sum
+    assert control._BUCKET_LIMIT * (2 ** control._HIGH_BITS - 1) < 2 ** 53
+    assert control._BUCKET_LIMIT * (2 ** (53 - control._HIGH_BITS) - 1) < 2 ** 53
+    # a longer array takes math.fsum's own path, to the same bits
+    values = np.exp(rng.uniform(-5.0, 5.0, 1001)) * rng.choice([-1.0, 1.0], 1001)
+    monkeypatch.setattr(control, "_BUCKET_LIMIT", 1000)
+    monkeypatch.setattr(np, "bincount", None)  # no bucket is summed
+    assert exact_sum(values).hex() == math.fsum(values.tolist()).hex()
+
+
+def test_broadcast_control_is_checked_on_its_stored_node():
+    g = build_grid(1, 1, 8, 8)
+    node = g.zeros()
+    node[3, 5] = np.nan
+    row = np.zeros(8)
+    row[2] = np.inf
+    stored = np.zeros((6, 8, 8))
+    stored[5, 7, 7] = np.nan  # a materialized u is checked at every node
+    for u, v0 in ((np.broadcast_to(node, (6, 8, 8)), g.zeros()),
+                  (np.broadcast_to(row, (6, 8, 8)), g.zeros()),
+                  (stored, g.zeros()),
+                  (np.broadcast_to(g.zeros(), (6, 8, 8)), np.broadcast_to(row, (8, 8)))):
+        with pytest.raises(BadParameter, match="control entries must be finite"):
+            ControlPair(u, v0)
+    ctrl = ControlPair(np.broadcast_to(g.zeros(), (6, 8, 8)), g.zeros())
+    assert ctrl.u.strides[0] == 0  # the view is kept, not copied
 
 
 def test_spatial_distributed_target_rejected_by_cost_gradient_and_adjoint():
@@ -327,7 +415,7 @@ def test_check_vi_matches_vertex_enumeration(case, rng):
 def _convex_reference():
     grid = build_grid(1.0, 1.0, 12, 12)
     tg = TimeGrid(t_final=0.1, nt=10)
-    x, y = grid.cell_centers()
+    x, y = cell_centers(grid)
     problem = Problem(grid, tg, PhysParams(), Potential("regular"),
                       Coupling("affine", a=0.0, b=0.0),
                       InitialData(0.2 * np.cos(np.pi * x) * np.cos(np.pi * y), grid.zeros()))
@@ -453,7 +541,7 @@ def _recovery_problem(n, nt):
     """Criterion-10 physics: recover a heat source and an initial temperature, nu1 = 1e-4."""
     grid = build_grid(1.0, 1.0, n, n)
     tg = TimeGrid(t_final=0.2, nt=nt)
-    x, y = grid.cell_centers()
+    x, y = cell_centers(grid)
     problem = Problem(grid, tg, PhysParams(), Potential("regular"),
                       Coupling("affine", a=-1.0, b=0.0),
                       InitialData(0.3 * np.cos(np.pi * x) * np.cos(np.pi * y), grid.zeros()))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIGS, small_problem, smooth_control
-from oracles import bisect, scalar_forward
+from oracles import bisect, cell_centers, scalar_forward
 
 from thermophase import state
 from thermophase.config import parse_config_dict
@@ -67,7 +67,7 @@ def test_phi_step_requires_interior_start():
 def test_phase_preconditioner_near_separation_small_tau(rng, tau):
     # logarithmic potential close to its singularities: gamma' spans 1..95
     g = build_grid(1, 1, 24, 24)
-    x, y = g.cell_centers()
+    x, y = cell_centers(g)
     log_pot = Potential("logarithmic", kappa=1.0)
     phi = 0.999 * np.cos(np.pi * x) * np.cos(np.pi * y)
     opts = SolverOptions()
@@ -110,7 +110,7 @@ def test_phase_solve_true_stencil_residual(rng, cg_tol, kind, lx, nx, ny):
     # CG stops on its coefficient-space residual; back in physical space the
     # stencil residual must still meet the tolerance
     g = build_grid(lx, 1, nx, ny)
-    x, y = g.cell_centers()
+    x, y = cell_centers(g)
     pot = Potential(kind, kappa=1.0)
     phi = 0.9 * np.cos(np.pi * x / lx) * np.cos(np.pi * y) + 0.05 * rng.uniform(-1, 1, g.shape)
     rhs = rng.standard_normal(g.shape) + 0.5
@@ -131,7 +131,7 @@ def test_phase_solve_certified_preconditioner_step(rng, amp, tol, certified, bou
     # theta = max|gamma' - m| / (1/tau + m) bounds the relative residual of the
     # preconditioned step; here theta is about 0.2 with amp 0.9 and 0 with amp 0
     g = build_grid(1, 1, 16, 16)
-    x, y = g.cell_centers()
+    x, y = cell_centers(g)
     phi = 0.3 + amp * np.cos(np.pi * x) * np.cos(np.pi * y)
     tau = 0.1
     rhs = rng.standard_normal(g.shape) + 0.5
@@ -148,7 +148,7 @@ def test_phase_solve_certified_preconditioner_step(rng, amp, tol, certified, bou
 
 def test_phase_solve_iteration_cap_raises(rng):
     g = build_grid(1, 1, 16, 16)
-    x, y = g.cell_centers()
+    x, y = cell_centers(g)
     phi = 0.9 * np.cos(np.pi * x) * np.cos(np.pi * y)
     with pytest.raises(NoConvergence):
         _phi_solver(g, 0.01, REGULAR.dgamma(phi), rng.standard_normal(g.shape),
@@ -321,7 +321,7 @@ def test_energy_balance_holds_for_random_data(seed, u_amp, phi_amp):
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.1, nt=3)
     r = np.random.default_rng(seed)
-    x, y = g.cell_centers()
+    x, y = cell_centers(g)
     problem = Problem(g, tg, PARAMS, REGULAR, PI_NEG,
                       InitialData(phi_amp * np.cos(np.pi * x) * np.cos(np.pi * y),
                                   0.2 * r.standard_normal(g.shape)))
