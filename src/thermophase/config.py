@@ -62,6 +62,7 @@ self-contained.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -168,7 +169,7 @@ def _typed(value, default, where: str):
         raise ValidationError(f"{where} must be {want}, got {value!r}")
     if want == "a finite number":
         return float(value)
-    return [float(x) for x in value] if want == "a list of numbers" else _copied(value)
+    return [float(x) for x in value] if want == "a list of numbers" else value
 
 
 def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
@@ -220,19 +221,22 @@ def build_field(spec, grid: GridSpec, nodes=None, tau: float = 0.0,
         raise
     except (ThermophaseError, OSError, ValueError, MemoryError) as exc:
         raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
-    if not np.isfinite(f).all():
+    if not np.all(np.isfinite(f)):
         raise ValidationError(f"{where}: {spec!r} produced non-finite entries")
     return out
 
 
-def _copied(value):
-    """``copy.deepcopy`` of JSON data (dicts and lists copied, the rest shared), at about
-    a quarter of its cost: it keeps no memo of the objects it has copied.  Every value of
-    a validated config is such a copy or a new float, so it shares no container with the
-    input or ``_DEFAULTS``."""
-    if isinstance(value, dict):
-        return {key: _copied(item) for key, item in value.items()}
-    return [_copied(item) for item in value] if isinstance(value, list) else value
+def _physical_memory() -> int | None:
+    """The host's physical memory in bytes, or None where ``os.sysconf`` cannot tell
+    (no POSIX sysconf, as on Windows); the trajectory bound is then not checked.
+
+    Physical memory bounds every run, whatever limits its process has, and reading it
+    allocates nothing.  A tighter cgroup or ``ulimit -v`` limit is not seen: a trajectory
+    between that limit and physical memory fails when ``solve_state`` allocates it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _validated(raw: dict) -> dict:
@@ -247,15 +251,15 @@ def _validated(raw: dict) -> dict:
     for required in ("grid", "time"):
         if required not in raw:
             raise ValidationError(f"config: missing required block {required!r}")
-    cfg = {name: dict(block) for name, block in _DEFAULTS.items()
-           if name != "cost" or name in raw}
+    cfg = copy.deepcopy({name: block for name, block in _DEFAULTS.items()
+                         if name != "cost" or name in raw})
     for name, block in raw.items():
         _check_object(block, cfg[name], name)
-        cfg[name].update(block)
+        cfg[name].update(copy.deepcopy(block))
     for name, block in cfg.items():
         for key, value in block.items():
-            block[key] = (_copied(value) if key in _FIELD_SPECS.get(name, ())
-                          else _typed(value, _DEFAULTS[name][key], f"{name}.{key}"))
+            if key not in _FIELD_SPECS.get(name, ()):
+                block[key] = _typed(value, _DEFAULTS[name][key], f"{name}.{key}")
     if "cost" in cfg:  # the targets' own structure; build_field checks each spec
         targets = cfg["cost"]["targets"]
         from_run = isinstance(targets, dict) and "from_run" in targets
@@ -367,8 +371,8 @@ class ProblemConfig:
         # the fields above are built (a node count past the index range names its field);
         # a trajectory's three node-stacked states must fit in physical memory
         nt, (ny, nx) = self.timegrid.nt, self.grid.shape
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 3 * 8 * (nt + 1) * ny * nx > memory:
+        memory = _physical_memory()
+        if memory is not None and 3 * 8 * (nt + 1) * ny * nx > memory:
             raise ValidationError(f"time.nt = {nt}: a trajectory of 3 x {nt + 1} x {ny} x {nx} "
                                   f"float64 values exceeds the {memory} bytes of physical memory")
 

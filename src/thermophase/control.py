@@ -89,7 +89,7 @@ class ControlPair:
         self.v0 = np.asarray(self.v0, dtype=float)
         # check the values u stores: one node when it is broadcast over the nodes (stride 0)
         stored = self.u[:1] if self.u.ndim and self.u.strides[0] == 0 else self.u
-        if not (np.isfinite(stored).all() and np.isfinite(self.v0).all()):
+        if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(self.v0))):
             raise BadParameter("control entries must be finite")
 
     @staticmethod
@@ -143,11 +143,11 @@ class AdmissibleSet:
 
     def __post_init__(self):
         for name in ("u_lo", "u_hi", "v_lo", "v_hi"):
-            if not np.isfinite(getattr(self, name)).all():
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise BadParameter(f"C4: {name} must be finite everywhere")
-        if (np.asarray(self.u_lo) > self.u_hi).any():
+        if np.any(np.asarray(self.u_lo) > np.asarray(self.u_hi)):
             raise BadParameter("C4: u_lo must be <= u_hi everywhere")
-        if (np.asarray(self.v_lo) > self.v_hi).any():
+        if np.any(np.asarray(self.v_lo) > np.asarray(self.v_hi)):
             raise BadParameter("C4: v_lo must be <= v_hi everywhere")
         if not self.ball_radius > 0.0:
             raise BadParameter("C4: ball radius M must be positive")

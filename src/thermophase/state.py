@@ -125,7 +125,7 @@ class Problem:
         for a potential defined on all reals, that means finite.  w0 must be finite."""
         if not self.potential.contains(self.initial.phi0):
             raise DomainViolation("phi0 must be strictly interior to the potential domain")
-        if not np.isfinite(self.initial.w0).all():
+        if not np.all(np.isfinite(self.initial.w0)):
             raise BadParameter("w0 must be finite")
 
 
