@@ -19,8 +19,7 @@ from .state import (InitialData, PhysParams, Problem, SolverOptions, StateTrajec
                     TimeGrid, phi_step, run_diagnostics, solve_state, thermal_step)
 from .sensitivity import (AdjointPair, LinearizedPair, Perturbation, TransposeResult,
                           adjoint_solve_continuous, adjoint_solve_discrete,
-                          array_seed, circledast_accumulate, tangent_solve,
-                          tangent_transpose)
+                          array_seed, tangent_solve, tangent_transpose)
 from .control import (AdmissibleSet, ControlPair, CostSpec, GradientPair, OptimizeOptions,
                       OptimizeReport, ReducedProblem, check_vi, clamp_formula_residual,
                       cost_eval, optimize, project_admissible, stationarity_residual,

@@ -32,9 +32,10 @@ targets follow ``sensitivity.TRACKING_TERMS``.
 ``solver.seed`` (default 0) seeds the random directions of ``grad_check``,
 ``adjoint_test`` and ``convergence``; ``optimize`` draws no random numbers.
 
-The Newton and Armijo limits (in ``state.phi_step`` and ``control.optimize``)
-and the pass thresholds of the experiment criteria (in ``cli``) are constants,
-not keys: a config that names one is rejected as an unknown key.
+The Newton and Armijo limits (in ``state.phi_step`` and ``control.optimize``),
+the phase CG cap ``state.CG_MAXIT``, the interior margin ``nonlinearity.INTERIOR_MARGIN``
+and the criterion thresholds (in ``cli``) are constants, not keys: a config
+that names one is rejected as an unknown key.
 
 Field specs (initial data, controls, targets, bounds) are either a number
 (constant field), a preset object, or a snapshot reference:

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, BallProjectionStall, LineSearchFailure, ShapeMismatch
+from .errors import (BadParameter, BallProjectionStall, LineSearchFailure, ShapeMismatch,
+                     ThermophaseError)
 from .grid import Field, GridSpec, inner, laplacian_neumann, riesz_v
 from .sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_discrete, tangent_solve,
                           tangent_transpose, tracking_seeds, trapezoid_weights,
@@ -213,12 +214,19 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
         if name in targets:
             x, target = getattr(traj, state), targets[name]
             misfit = (x[nt] - target) ** 2 if terminal else w * (x - target) ** 2
-            terms.append(0.5 * getattr(cost, weight) * vol * exact_sum(misfit))
+            terms.append(0.5 * getattr(cost, weight) * vol * _summed(weight, exact_sum, misfit))
     if cost.nu1 > 0.0:
-        terms.append(0.5 * cost.nu1 * tau * vol * exact_sum(control.u**2))
+        terms.append(0.5 * cost.nu1 * tau * vol * _summed("nu1", exact_sum, control.u**2))
     if cost.nu2 > 0.0:
-        terms.append(0.5 * cost.nu2 * _v0_norm_sq_exact(grid, control.v0))
-    return math.fsum(terms)
+        terms.append(0.5 * cost.nu2 * _summed("nu2", _v0_norm_sq_exact, grid, control.v0))
+    return _summed("sum", math.fsum, terms)
+
+
+def _summed(term: str, total, *args) -> float:
+    try:
+        return total(*args)
+    except OverflowError as exc:  # an exact sum beyond the float range, named by its term
+        raise ThermophaseError(f"cost term {term} overflows: {exc}") from exc
 
 
 class ReducedProblem:

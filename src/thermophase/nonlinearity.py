@@ -20,10 +20,11 @@ The penalized obstacle is the Moreau-Yosida envelope of the hard constraint
 the model rather than approximating it at a known rate.
 
 Logarithmic evaluations never clamp: arguments at or beyond +-1 minus the
-configured interior margin, and NaN, raise DomainViolation, so a separation
-failure in a run is loud instead of silently saturated.  The one exception
-is the phase Newton loop, which checks each trial point once with
-``contains`` and then evaluates gamma and gamma' there without a second check.
+interior margin ``INTERIOR_MARGIN`` (1e-9), and NaN, raise DomainViolation,
+so a separation failure in a run is loud instead of silently saturated.  The
+one exception is the phase Newton loop, which checks each trial point once
+with ``contains`` and then evaluates gamma and gamma' there without a second
+check.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ REGULAR = "regular"
 LOGARITHMIC = "logarithmic"
 OBSTACLE_PENALIZED = "obstacle_penalized"
 POTENTIAL_KINDS = (REGULAR, LOGARITHMIC, OBSTACLE_PENALIZED)
+INTERIOR_MARGIN = 1e-9  # distance from the ends of a bounded domain that ``contains`` keeps
 
 AFFINE = "affine"
 BOUNDED_SMOOTH = "bounded_smooth"
@@ -52,7 +54,6 @@ class Potential:
     kind: str = REGULAR
     kappa: float = 1.0
     eps_pen: float = 0.1
-    interior_margin: float = 1e-9
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
@@ -61,9 +62,6 @@ class Potential:
             raise BadParameter(f"A2: logarithmic potential needs kappa > 0, got {self.kappa}")
         if self.kind == OBSTACLE_PENALIZED and not self.eps_pen > 0.0:
             raise BadParameter(f"A2: penalized obstacle needs eps_pen > 0, got {self.eps_pen}")
-        if not 0.0 < self.interior_margin < 1.0:
-            raise BadParameter(
-                f"A2: interior_margin must be in (0, 1), got {self.interior_margin}")
 
     @property
     def r_minus(self) -> float:
@@ -78,18 +76,18 @@ class Potential:
         return self.kind == LOGARITHMIC
 
     def contains(self, r) -> bool:
-        """True if every entry is inside (r_minus + m, r_plus - m), m = interior_margin.
+        """True if every entry is inside (r_minus + m, r_plus - m), m = INTERIOR_MARGIN.
 
         The bounded domain (-1, 1) is symmetric, so this is max|r| < 1 - m; max
         propagates NaN, so an array holding NaN is never inside."""
         if not self.bounded_domain:
             return bool(np.all(np.isfinite(r)))
         r = np.asarray(r, dtype=float)
-        return bool(np.max(np.abs(r)) < self.r_plus - self.interior_margin)
+        return bool(np.max(np.abs(r)) < self.r_plus - INTERIOR_MARGIN)
 
     def _require_interior(self, r):
         if self.bounded_domain and not self.contains(r):
-            m = self.interior_margin
+            m = INTERIOR_MARGIN
             raise DomainViolation(
                 f"argument range [{float(np.min(r)):.12g}, {float(np.max(r)):.12g}] leaves "
                 f"({self.r_minus + m:.12g}, {self.r_plus - m:.12g})"

@@ -16,9 +16,9 @@ Two routes to the same gradient, on purpose:
   to discretization error, which shrinks under refinement.
 
 Both sweeps reuse the forward solvers of the thermal operator and the phase
-Jacobian.  The accumulator ``circledast_accumulate`` realises the backward
-time integral (1 (*) g)(t_n) = integral of g from t_n to T by the backward
-rectangle rule out[n] = out[n+1] + tau * g[n+1], with out[nt] = 0.
+Jacobian.  The continuous march takes each backward time integral (1 (*) g)(t_n),
+the integral of g from t_n to T, by the rectangle rule c_n = c_{n+1} + tau g[n+1],
+c_nt = 0, as one (ny, nx) field that each backward step updates.
 """
 
 from __future__ import annotations
@@ -55,26 +55,10 @@ class LinearizedPair:
 
 @dataclass
 class AdjointPair:
-    """Adjoint states p, q with the backward accumulator and the q-source.
-
-    q_conv[n] approximates the integral of q over (t_n, T); it is identically
-    zero at the final node.  f_q collects the source of the q-equation.
-    """
+    """Adjoint states p, q, each of shape (nt+1, ny, nx)."""
 
     p: np.ndarray
     q: np.ndarray
-    q_conv: np.ndarray
-    f_q: np.ndarray
-
-
-def circledast_accumulate(series, tau: float) -> np.ndarray:
-    """Backward rectangle rule for the tail integral: out[n] = out[n+1] + tau*series[n+1]."""
-    series = np.asarray(series, dtype=float)
-    if series.shape[0] == 0:
-        raise ValueError("series must be nonempty")
-    out = np.zeros_like(series)
-    out[:-1] = np.cumsum((tau * series[1:])[::-1], axis=0)[::-1]
-    return out
 
 
 # The six tracking terms of the cost as (weight, state, target, terminal): a
@@ -285,10 +269,10 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
 
     Backward step at node n (everything at later nodes already known):
       q: implicit in (alpha + tau beta)(-lap), mirroring the forward thermal
-         operator; the beta lap(1 (*) q) term uses the accumulator over later
-         nodes; the p-coupling is lagged at p_{n+1}:
+         operator; beta lap(1 (*) q) uses conv_n = conv_{n+1} + tau q_{n+1};
+         the p-coupling is lagged at p_{n+1}:
         (I/tau + (alpha + tau beta)(-lap)) q_n = q_{n+1}/tau + beta lap(conv_n)
-            + (1/theta_c^2) pi(phi_n) p_{n+1} + f_q[n]
+            + (1/theta_c^2) pi(phi_n) p_{n+1} + f_q,n
 
     The q-equation is marched with -beta lap(1 (*) q) on its left-hand side.
     That sign is forced by duality: the exact transpose of the discrete
@@ -302,7 +286,8 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
             + k1 (phi_n - phi_q[n])
 
     The q-source is f_q = k3 (1 (*) (w - w_q)) + k5 (v - wprime_q)
-    + k4 (w(T) - w_omega), whose k4 part is constant in time.
+    + k4 (w(T) - w_omega), whose k4 part is constant in time; only p and q
+    are kept at every node.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
@@ -313,27 +298,27 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     dpi_of = problem.coupling.dpi
 
     target = weighted_targets(cost, base.phi.shape)  # a zero weight's term reads 0
-    f_q = np.zeros((nt + 1, grid.ny, grid.nx))
-    if cost.k3 > 0.0:
-        f_q += cost.k3 * circledast_accumulate(base.w - target["w_q"], tau)
-    if cost.k5 > 0.0:
-        f_q += cost.k5 * (base.v - target["wprime_q"])
-    if cost.k4 > 0.0:
-        f_q += cost.k4 * (base.w[nt] - target["w_omega"])
-
     p = np.zeros((nt + 1, grid.ny, grid.nx))
     q = np.zeros_like(p)
-    q_conv = np.zeros_like(p)
     vT_err = base.v[nt] - target.get("wprime_omega", 0.0)
     p[nt] = (cost.k2 * (base.phi[nt] - target.get("phi_omega", 0.0))
              - cost.k6 * pi_of(base.phi[nt]) * vT_err)
     q[nt] = cost.k6 * vT_err
 
+    q_conv = w_conv = np.zeros(grid.shape)  # 1 (*) q and 1 (*) (w - w_q) at node n
     for n in range(nt - 1, -1, -1):
-        q_conv[n] = q_conv[n + 1] + tau * q[n + 1]
+        q_conv = q_conv + tau * q[n + 1]
+        f_q = 0.0
+        if cost.k3 > 0.0:
+            w_conv = w_conv + tau * (base.w[n + 1] - target["w_q"][n + 1])
+            f_q = f_q + cost.k3 * w_conv
+        if cost.k5 > 0.0:
+            f_q = f_q + cost.k5 * (base.v[n] - target["wprime_q"][n])
+        if cost.k4 > 0.0:
+            f_q = f_q + cost.k4 * (base.w[nt] - target["w_omega"])
         pi_n = pi_of(base.phi[n])
-        rhs_q = (q[n + 1] / tau + beta * laplacian_neumann(grid, q_conv[n])
-                 + (pi_n * p[n + 1]) / thc**2 + f_q[n])
+        rhs_q = (q[n + 1] / tau + beta * laplacian_neumann(grid, q_conv)
+                 + (pi_n * p[n + 1]) / thc**2 + f_q)
         q[n] = _thermal_solve(grid, problem.params, tau, rhs_q)
         dpi_n = dpi_of(base.phi[n])
         rhs_p = (p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau
@@ -342,4 +327,4 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
         if cost.k1 > 0.0:
             rhs_p = rhs_p + cost.k1 * (base.phi[n] - target["phi_q"][n])
         p[n] = _phi_solver(grid, tau, dgamma(base.phi[n]), rhs_p, opts).x
-    return AdjointPair(p=p, q=q, q_conv=q_conv, f_q=f_q)
+    return AdjointPair(p=p, q=q)

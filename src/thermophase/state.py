@@ -47,6 +47,8 @@ from .nonlinearity import Coupling, Potential
 if TYPE_CHECKING:
     from .control import ControlPair
 
+CG_MAXIT = 50000  # iteration cap of every phase-Jacobian CG solve (``_phi_solver``)
+
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -102,11 +104,10 @@ def _check_ranges(opts, positive=(), nonnegative=()) -> None:
 @dataclass(frozen=True)
 class SolverOptions:
     cg_tol: float = 1e-12
-    cg_maxit: int = 50000
     newton_tol: float = 1e-11
 
     def __post_init__(self):
-        _check_ranges(self, positive=("cg_tol", "newton_tol"), nonnegative=("cg_maxit",))
+        _check_ranges(self, positive=("cg_tol", "newton_tol"))
 
 
 @dataclass
@@ -210,7 +211,7 @@ def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
         return CGResult(x=_from_cosine(grid, coeffs * inv_pre), iterations=0)
     diag = 1.0 / tau + eig
     res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
-                   coeffs, tol=tol, maxit=opts.cg_maxit, precond=lambda r: r * inv_pre)
+                   coeffs, tol=tol, maxit=CG_MAXIT, precond=lambda r: r * inv_pre)
     res.x = _from_cosine(grid, res.x)
     return res
 

@@ -8,9 +8,13 @@ stencil taken on 2-D slices, the reference that the flattened
 ``grid.laplacian_neumann`` must match bit for bit.  ``cell_centers`` gives the
 coordinate arrays of the cell centers, from which the tests write their fields
 and the full-grid cosine formula that ``GridSpec.cosine_mode`` must match bit for bit.
+``circledast_accumulate`` is the tail integral of a node series by its loop
+definition, from which the tests form the terms of the continuous adjoint's q-equation.
 """
 
 import numpy as np
+
+from thermophase.nonlinearity import INTERIOR_MARGIN
 
 
 def bisect(f, lo, hi, tol=1e-15, maxit=500):
@@ -65,7 +69,7 @@ def scalar_phi_step(potential, coupling, params, phi_n, v_n, tau):
 
     lo, hi = phi_n - 1.0, phi_n + 1.0
     if potential.bounded_domain:
-        m = 10.0 * potential.interior_margin
+        m = 10.0 * INTERIOR_MARGIN
         lo = max(lo, potential.r_minus + m)
         hi = min(hi, potential.r_plus - m)
     for _ in range(200):
@@ -92,6 +96,15 @@ def scalar_forward(potential, coupling, params, phi0, w0, v0, u_seq, tau):
         ws.append(w_new)
         vs.append(v_new)
     return phis, ws, vs
+
+
+def circledast_accumulate(series, tau):
+    """The tail integral (1 (*) g)(t_n) of the node series g = ``series`` by the backward
+    rectangle rule, node by node: out[n] = out[n+1] + tau * series[n+1], out[nt] = 0."""
+    out = np.zeros_like(series)
+    for n in range(len(series) - 2, -1, -1):
+        out[n] = out[n + 1] + tau * series[n + 1]
+    return out
 
 
 def scalar_adjoint_backward(potential, coupling, params, phis, ws, vs, cost_scalars, tau):

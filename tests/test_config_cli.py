@@ -10,14 +10,14 @@ import pytest
 from conftest import CONFIGS
 from oracles import cell_centers
 
-from thermophase import config
+from thermophase import cli, config, state
 from thermophase.cli import _COMMANDS, _orders, main, run_command
 from thermophase.config import build_field, parse_config, parse_config_dict
 from thermophase.control import AdmissibleSet, OptimizeOptions
 from thermophase.errors import NewtonDivergence, ParseError, StepError, ValidationError
 from thermophase.grid import build_grid, norm
 from thermophase.nonlinearity import Coupling, Potential
-from thermophase.sensitivity import tangent_transpose
+from thermophase.sensitivity import LinearizedPair, tangent_transpose
 from thermophase.snapshots import read_field, write_field, write_series
 from thermophase.state import PhysParams, SolverOptions, solve_state
 
@@ -194,6 +194,34 @@ def test_broadcast_fields_change_no_output_byte(tmp_path, monkeypatch, cmd, name
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
+def test_grad_check_passes_a_forward_map_affine_in_the_control(tmp_path, capsys):
+    # coupling a = b = 0 leaves phi free of the control and (w, v) affine in it: the
+    # Taylor remainders are rounding, their slope noise, and their size is the criterion
+    path = os.path.join(CONFIGS, "optimize_convex.json")
+    assert main(["grad_check", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("taylor_remainder: ") and lines[0].endswith("PASS")
+    assert not any(line.startswith("taylor_slope") for line in lines)
+
+
+@pytest.mark.parametrize("name", ["optimize_convex", "grad_check"])
+def test_grad_check_fails_a_wrong_tangent(tmp_path, monkeypatch, capsys, name):
+    # a tangent 1 % off leaves remainders of 1 % of lhs, first order in epsilon: it
+    # passes neither the rounding criterion of an affine map nor the slope criterion
+    exact = cli.tangent_solve
+
+    def scaled(*args):
+        lin = exact(*args)
+        return LinearizedPair(1.01 * lin.xi, 1.01 * lin.eta, 1.01 * lin.eta_t)
+
+    monkeypatch.setattr(cli, "tangent_solve", scaled)
+    path = os.path.join(CONFIGS, f"{name}.json")
+    assert main(["grad_check", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("taylor_slope: ") and lines[0].endswith("FAIL")
+    assert lines[1].startswith("fd_vs_adjoint: ") and lines[1].endswith("PASS")
+
+
 def test_malformed_json_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -340,7 +368,8 @@ RETIRED_KEYS = [
     ("convergence", "spatial_order_min", 1.9), ("convergence", "temporal_order_min", 0.9),
     ("cont_dependence", "slope_min", 0.9), ("cont_dependence", "slope_max", 1.1),
     ("convergence", "lap_levels", [32, 64, 128]), ("convergence", "mean_zero_nx", 16),
-    ("solver", "vi_samples", 16),
+    ("solver", "vi_samples", 16), ("solver", "cg_maxit", 50000),
+    ("potential", "interior_margin", 1e-9),
 ]
 
 
@@ -493,25 +522,25 @@ def _failure(out_dir):
     return record
 
 
-def _failing_config(tmp_path, rng):
-    """A simulate config whose first step fails: phase CG capped at one iteration."""
+def _failing_config(tmp_path, rng, monkeypatch):
+    """A simulate config whose first step fails, with the phase CG capped at one
+    iteration from here on."""
     snap = tmp_path / "phi0.cgw"
     # rough phi0: the phase Jacobian varies from cell to cell, so its CG needs
     # more than one iteration once Newton's forcing tightens
     write_field(str(snap), 0.5 * rng.standard_normal((8, 8)))
-    cfg = {**MINIMAL,
-           "solver": {"cg_maxit": 1},
-           "initial": {"phi0": {"snapshot": str(snap)}}}
+    monkeypatch.setattr(state, "CG_MAXIT", 1)
+    cfg = {**MINIMAL, "initial": {"phi0": {"snapshot": str(snap)}}}
     return _write(tmp_path, cfg, "hard.json")
 
 
-def test_main_numerical_failure_exit_three(tmp_path, capsys, rng):
-    path = _failing_config(tmp_path, rng)
+def test_main_numerical_failure_exit_three(tmp_path, capsys, rng, monkeypatch):
     # an earlier passing run into the same directory, with its snapshots
     out = tmp_path / "o3"
     passing = _write(tmp_path, {**MINIMAL, "output": {"snapshot_stride": 2}}, "easy.json")
     assert main(["simulate", "--config", passing, "--out", str(out)]) == 0
     assert {"summary.txt", "diagnostics.csv", "snapshots"} <= set(os.listdir(out))
+    path = _failing_config(tmp_path, rng, monkeypatch)
     assert main(["simulate", "--config", path, "--out", str(out)]) == 3
     assert "step 1: CG did not reach tol" in capsys.readouterr().err
     # nothing of the earlier run is left to read as this run's
@@ -541,6 +570,20 @@ def test_newton_divergence_exit_three(tmp_path, capsys):
     with pytest.raises(StepError) as info:
         solve_state(parsed.problem(), parsed.control(), parsed.solver_options())
     assert isinstance(info.value.cause, NewtonDivergence)
+
+
+def test_overflowing_cost_sum_exits_three(tmp_path, capsys):
+    # u^2 = 1e308 per cell: the exact sum of the nu1 term overflows, which is a numerical
+    # failure of the run with its failure.json, not a traceback
+    cfg = {**MINIMAL,
+           "control": {"u": {"cosine": {"amplitude": 1e154, "kx": 0, "ky": 0}}},
+           "cost": {"nu1": 1.0}}
+    path = _write(tmp_path, cfg, "overflow.json")
+    assert main(["grad_check", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: cost term nu1 overflows" in capsys.readouterr().err
+    record = _failure(tmp_path / "o")
+    assert (record["command"], record["step"]) == ("grad_check", None)
+    assert record["message"].startswith("cost term nu1 overflows")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -574,7 +617,7 @@ def test_non_finite_diagnostics_fail_the_simulate_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", sorted(_COMMANDS))
-def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, cmd):
+def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, monkeypatch, cmd):
     # every file a command writes is in ARTEFACTS or a series of SERIES; other files stay
     cfg = parse_config_dict({
         **MINIMAL, "cost": {"k1": 1.0, "nu1": 1e-2}, "output": {"snapshot_stride": 2},
@@ -591,7 +634,8 @@ def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, cmd
     for name in foreign:
         (out / name).parent.mkdir(exist_ok=True)
         (out / name).write_text("kept\n")
-    assert main(["simulate", "--config", _failing_config(tmp_path, rng), "--out", str(out)]) == 3
+    path = _failing_config(tmp_path, rng, monkeypatch)
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 3
     left = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
     assert left == sorted(["effective_config.json", "failure.json", *foreign])
 

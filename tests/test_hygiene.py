@@ -82,9 +82,16 @@ NDARRAY_NAMED = {"GridSpec.shape": "grid.GridSpec.zeros"}
 # Definitions that only tests read, each kept for the reason given.
 TEST_ONLY = {
     "Potential.gamma": "the checked evaluation of gamma that the 0-D oracle calls",
-    "AdjointPair.q_conv": "a term the adjoint-equation residual test substitutes",
-    "AdjointPair.f_q": "a term the adjoint-equation residual test substitutes",
 }
+
+
+def _fields(tree):
+    """(name, qualified name, line) of every annotated field of a module's dataclasses."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield item.target.id, f"{node.name}.{item.target.id}", item.lineno
 
 
 def test_no_unreferenced_definitions():
@@ -104,6 +111,12 @@ def test_no_unreferenced_definitions():
                     and (name not in referenced
                          or (name in array_names and qualname not in NDARRAY_NAMED))]
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+    # an exemption is stale once its definition is gone or the package or benchmark reads it
+    defined = {qualname for path in PACKAGE for found in (_definitions, _fields)
+               for _, qualname, _ in found(_parse(path))}
+    stale = [qualname for qualname in TEST_ONLY
+             if qualname not in defined or qualname.rsplit(".", 1)[1] in referenced]
+    assert not stale, f"TEST_ONLY entries that are gone or referenced: {stale}"
 
 
 def test_ndarray_named_definitions_are_read_where_listed():
@@ -191,13 +204,9 @@ def test_no_unread_dataclass_fields():
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)
-    unread = [f"{os.path.relpath(path, ROOT)}:{item.lineno} {node.name}.{item.target.id}"
-              for path in PACKAGE for node in _parse(path).body
-              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-              for item in node.body
-              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-              and item.target.id not in read
-              and f"{node.name}.{item.target.id}" not in TEST_ONLY]
+    unread = [f"{os.path.relpath(path, ROOT)}:{line} {qualname}"
+              for path in PACKAGE for name, qualname, line in _fields(_parse(path))
+              if name not in read and qualname not in TEST_ONLY]
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
 

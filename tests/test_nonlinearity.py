@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermophase.errors import BadParameter, DomainViolation
-from thermophase.nonlinearity import Coupling, Potential
+from thermophase.nonlinearity import INTERIOR_MARGIN, Coupling, Potential
 
 
 def test_regular_closed_forms():
@@ -57,7 +57,7 @@ def test_logarithmic_gamma_matches_log1p_form(rng, kappa):
     r = np.concatenate([rng.uniform(-1.0, 1.0, 20_000), 1.0 - gap, gap - 1.0])
     ref = 0.5 * kappa * (np.log1p(r) - np.log1p(-r))
     assert np.all(np.abs(pot.gamma(r) - ref) <= 2 * np.spacing(np.abs(ref)))
-    edge = 1.0 - pot.interior_margin
+    edge = 1.0 - INTERIOR_MARGIN
     for bad in (edge, -edge, np.nan):
         with pytest.raises(DomainViolation):
             pot.gamma(np.array([0.0, bad]))

@@ -1,52 +1,22 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import small_problem, smooth_control, zero_target_cost
-from oracles import scalar_adjoint_backward, scalar_forward
+from oracles import circledast_accumulate, scalar_adjoint_backward, scalar_forward
 
 from thermophase import sensitivity
 from thermophase.control import ControlPair, u_norm
 from thermophase.grid import build_grid, laplacian_neumann, norm
 from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
-                                     adjoint_solve_discrete, array_seed, circledast_accumulate,
-                                     tangent_solve, tangent_transpose, tracking_seeds,
-                                     trapezoid_weights)
-from thermophase.state import SolverOptions, _phi_solver, solve_state
+                                     adjoint_solve_discrete, array_seed, tangent_solve,
+                                     tangent_transpose, tracking_seeds, trapezoid_weights)
+from thermophase.state import SolverOptions, _phi_solver, _thermal_solve, solve_state
 
 TIGHT = SolverOptions(cg_tol=1e-13)
-
-
-def test_circledast_constant_series():
-    tau = 0.125
-    series = np.ones((9, 3, 3))
-    out = circledast_accumulate(series, tau)
-    for n in range(9):
-        assert np.allclose(out[n], 1.0 - n * tau, rtol=0, atol=1e-14)
-    assert np.all(out[-1] == 0.0)
-
-
-def test_circledast_matches_loop_definition_bitwise(rng):
-    tau = 0.037
-    for nt in (0, 1, 10):
-        series = rng.standard_normal((nt + 1, 4, 5))
-        expect = np.zeros_like(series)
-        for n in range(nt - 1, -1, -1):
-            expect[n] = expect[n + 1] + tau * series[n + 1]
-        assert np.array_equal(circledast_accumulate(series, tau), expect)
-
-
-def test_circledast_linear_series_first_order():
-    for nt in (64, 128):
-        tau = 1.0 / nt
-        t = np.arange(nt + 1) * tau
-        series = np.tile(t[:, None, None], (1, 3, 3))
-        out = circledast_accumulate(series, tau)
-        err = abs(out[0, 0, 0] - 0.5)
-        assert err <= 1.0 * tau  # backward rectangle: O(tau) quadrature
-    assert out[-1, 0, 0] == 0.0
 
 
 def test_trapezoid_weights_sum_to_horizon():
@@ -198,7 +168,73 @@ def test_adjoint_terminal_conditions_exact():
         - cost.k6 * problem.coupling.pi(base.phi[nt]) * vT_err
     assert np.array_equal(adj.q[nt], cost.k6 * vT_err)
     assert np.array_equal(adj.p[nt], p_T)
-    assert np.all(adj.q_conv[nt] == 0.0)
+
+
+def _q_source(base, cost, tau):
+    """The q-source k3 (1 (*) (w - w_q)) + k5 (v - wprime_q) + k4 (w(T) - w_omega) at
+    every node, each weight positive, summed in that order."""
+    f_q = np.zeros(base.w.shape)
+    f_q += cost.k3 * circledast_accumulate(base.w - cost.w_q, tau)
+    f_q += cost.k5 * (base.v - cost.wprime_q)
+    f_q += cost.k4 * (base.w[-1] - cost.w_omega)
+    return f_q
+
+
+def _continuous_adjoint_arrays(base, problem, cost, opts):
+    """The continuous adjoint march with 1 (*) q and the q-source held at every node
+    (the reference for the march that forms them one node at a time); every weight > 0."""
+    grid, nt, tau = problem.grid, problem.time.nt, problem.time.tau
+    params, coupling = problem.params, problem.coupling
+    thc = params.theta_c
+    f_q = _q_source(base, cost, tau)
+    p = np.zeros(base.phi.shape)
+    q = np.zeros_like(p)
+    q_conv = np.zeros_like(p)
+    vT_err = base.v[nt] - cost.wprime_omega
+    p[nt] = (cost.k2 * (base.phi[nt] - cost.phi_omega)
+             - cost.k6 * coupling.pi(base.phi[nt]) * vT_err)
+    q[nt] = cost.k6 * vT_err
+    for n in range(nt - 1, -1, -1):
+        q_conv[n] = q_conv[n + 1] + tau * q[n + 1]
+        pi_n = coupling.pi(base.phi[n])
+        rhs_q = (q[n + 1] / tau + params.beta * laplacian_neumann(grid, q_conv[n])
+                 + (pi_n * p[n + 1]) / thc**2 + f_q[n])
+        q[n] = _thermal_solve(grid, params, tau, rhs_q)
+        dpi_n = coupling.dpi(base.phi[n])
+        rhs_p = (p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau
+                 - (2.0 / thc) * dpi_n * p[n + 1]
+                 + (base.v[n] * dpi_n * p[n + 1]) / thc**2)
+        rhs_p = rhs_p + cost.k1 * (base.phi[n] - cost.phi_q[n])
+        p[n] = _phi_solver(grid, tau, problem.potential.dgamma(base.phi[n]), rhs_p, opts).x
+    return p, q
+
+
+def test_continuous_adjoint_matches_whole_array_march_bitwise(rng):
+    # the tail integrals and the q-source, formed one node at a time, keep every bit
+    problem = small_problem(nx=8, nt=9)
+    base = solve_state(problem, smooth_control(problem), TIGHT)
+    cost = _tracking_cost(problem)
+    cost.w_q += 0.1 * rng.standard_normal(cost.w_q.shape)
+    cost.w_omega += 0.1 * rng.standard_normal(cost.w_omega.shape)
+    assert min(cost.k3, cost.k4, cost.k5) > 0.0
+    adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
+    p_ref, q_ref = _continuous_adjoint_arrays(base, problem, cost, TIGHT)
+    assert np.array_equal(adj.p, p_ref) and np.array_equal(adj.q, q_ref)
+
+
+def test_continuous_adjoint_peak_memory():
+    # p and q are the only trajectory-sized arrays the march holds: holding 1 (*) q, the
+    # q-source and the tail integral of w - w_q at every node peaked near 5 trajectories
+    problem = small_problem(nx=32, nt=40)
+    base = solve_state(problem, smooth_control(problem), SolverOptions())
+    cost = _tracking_cost(problem)
+    tracemalloc.start()
+    try:
+        adjoint_solve_continuous(base, problem, cost, SolverOptions())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * base.phi.nbytes
 
 
 def test_continuous_adjoint_matches_scalar_oracle():
@@ -239,6 +275,7 @@ def test_continuous_adjoint_residual_shrinks_under_refinement():
         tau = problem.time.tau
         thc = problem.params.theta_c
         alpha, beta = problem.params.alpha, problem.params.beta
+        q_conv, f_q = circledast_accumulate(adj.q, tau), _q_source(base, cost, tau)
         total_p, total_q = 0.0, 0.0
         for n in range(nt):
             phi_n, v_n = base.phi[n], base.v[n]
@@ -253,8 +290,8 @@ def test_continuous_adjoint_residual_shrinks_under_refinement():
                   - cost.k1 * (phi_n - cost.phi_q[n]))
             rq = (-(adj.q[n + 1] - adj.q[n]) / tau
                   - alpha * laplacian_neumann(grid, adj.q[n])
-                  - beta * laplacian_neumann(grid, adj.q_conv[n])
-                  - pi_n * adj.p[n] / thc**2 - adj.f_q[n])
+                  - beta * laplacian_neumann(grid, q_conv[n])
+                  - pi_n * adj.p[n] / thc**2 - f_q[n])
             total_p += tau * norm(grid, rp) ** 2
             total_q += tau * norm(grid, rq) ** 2
         return math.sqrt(total_p) + math.sqrt(total_q)

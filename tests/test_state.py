@@ -146,16 +146,17 @@ def test_phase_solve_certified_preconditioner_step(rng, amp, tol, certified, bou
         assert np.linalg.norm(true_res) <= (theta + 1e-13) * np.linalg.norm(rhs)
 
 
-def test_phase_solve_iteration_cap_raises(rng):
+def test_phase_solve_iteration_cap_raises(rng, monkeypatch):
     g = build_grid(1, 1, 16, 16)
     x, y = cell_centers(g)
     phi = 0.9 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    monkeypatch.setattr(state, "CG_MAXIT", 1)
     with pytest.raises(NoConvergence):
         _phi_solver(g, 0.01, REGULAR.dgamma(phi), rng.standard_normal(g.shape),
-                    SolverOptions(cg_maxit=1))
+                    SolverOptions())
     with pytest.raises(NoConvergence):
         phi_step(g, REGULAR, PI_NEG, PARAMS, phi, np.full(g.shape, 1.0), 0.01,
-                 SolverOptions(cg_maxit=1))
+                 SolverOptions())
 
 
 @pytest.mark.parametrize("n,tau", [(64, 1e-6), (128, 1e-6), (128, 1e-4)])
