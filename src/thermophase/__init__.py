@@ -16,7 +16,7 @@ from .grid import (GridSpec, build_grid, cg_solve, cosine_solve, inner, laplacia
                    riesz_v)
 from .nonlinearity import Coupling, Potential
 from .state import (InitialData, PhysParams, Problem, SolverOptions, StateTrajectory,
-                    TimeGrid, phi_step, run_diagnostics, solve_state, thermal_step)
+                    TimeGrid, march, phi_step, run_diagnostics, solve_state, thermal_step)
 from .sensitivity import (AdjointPair, LinearizedPair, Perturbation, TransposeResult,
                           adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)

@@ -13,7 +13,10 @@ study refines the run's grid 2x, 4x and 8x through ``level_grid``, and the
 mean-zero check runs on the run's grid.  A numerical failure leaves
 ``failure.json`` (the command, the error and its cause, the failing step, and
 the cause's residual and iteration count where it has them) next to what the
-run had written.  Every run first removes an earlier run's ``ARTEFACTS`` and
+run had written: ``simulate`` streams ``state.march`` one node at a time, so a
+failure in step n leaves ``diagnostics.csv`` with the rows of nodes 0..n-1 and
+the snapshots of the stored nodes before n, but no ``index.txt`` and no
+``summary.txt``.  Every run first removes an earlier run's ``ARTEFACTS`` and
 ``SERIES`` files, and no other, so every result on disk is this run's.  Every
 file goes to disk through ``snapshots.write_atomic``.
 
@@ -43,9 +46,9 @@ from .errors import ParseError, SolverFailure, StepError, ThermophaseError, Vali
 from .grid import inner, laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)
-from .snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_trajectory, remove_series,
-                        stored_nodes, write_atomic, write_field, write_series)
-from .state import solve_state, run_diagnostics, trajectory_difference_norm
+from .snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_node, remove_series, stored_nodes,
+                        write_atomic, write_field, write_index, write_series)
+from .state import march, run_diagnostics, solve_state, trajectory_difference_norm
 
 DIAGNOSTICS_COLUMNS = ["step", "time", "min_phi", "max_phi", "l2_phi", "v_l2", "v_linf",
                        "newton_iters", "cg_iters", "energy_residual",
@@ -165,19 +168,28 @@ def _sup_node_norm(grid, phi, w, v) -> float:
 
 def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
-    control = cfg.control()
-    opts = cfg.solver_options()
-    traj = solve_state(problem, control, opts)
-    diag = run_diagnostics(traj, problem.potential)
-    grid = problem.grid
-    rows = [(r.step, r.time, float(np.min(phi)), float(np.max(phi)), norm(grid, phi),
-             norm(grid, v), float(np.max(np.abs(v))),
-             r.newton_iters, r.cg_iters, r.energy_residual, r.cumulative_balance_residual)
-            for r, phi, v in zip(traj.steps, traj.phi, traj.v)]
-    write_csv(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTICS_COLUMNS, rows)
+    grid, tg = problem.grid, problem.time
     stride = cfg.raw["output"]["snapshot_stride"]
-    if stride > 0:
-        persist_trajectory(traj, os.path.join(out_dir, "snapshots"), stride)
+    stored = set(stored_nodes(tg.nt, stride)) if stride > 0 else set()
+    snap_dir = os.path.join(out_dir, "snapshots")
+    csv_path = os.path.join(out_dir, "diagnostics.csv")
+    rows, steps = [], []
+    try:  # one node in hand at a time; no trajectory is stored
+        for phi, w, v, r in march(problem, cfg.control(), cfg.solver_options()):
+            rows.append((r.step, r.time, float(np.min(phi)), float(np.max(phi)), norm(grid, phi),
+                         norm(grid, v), float(np.max(np.abs(v))), r.newton_iters, r.cg_iters,
+                         r.energy_residual, r.cumulative_balance_residual))
+            steps.append(r)
+            if r.step in stored:
+                persist_node(snap_dir, r.step, (phi, w, v))
+    except StepError:  # leave the rows of the steps before the failing one
+        write_csv(csv_path, DIAGNOSTICS_COLUMNS, rows)
+        raise
+    write_csv(csv_path, DIAGNOSTICS_COLUMNS, rows)
+    if stored:
+        write_index(snap_dir, tg.nt, stride, tg.tau)
+    diag = run_diagnostics(steps, np.min([row[2] for row in rows]),
+                           np.max([row[3] for row in rows]), problem.potential)
     criteria = [CriterionResult("energy_balance", diag.max_scaled_energy_residual,
                                 "<=", 1e-10),
                 CriterionResult("finite_diagnostics",

@@ -22,7 +22,8 @@ A config file is a JSON object with the blocks below; only ``grid`` and
   level is a proper divisor of its reference, and every study level's
   ``level_grid`` (the grid the run builds) and time grid can be built;
   once every field is built, it also checks that a trajectory (three
-  (nt+1, ny, nx) float64 arrays) fits in physical memory, naming ``time.nt``.
+  (nt+1, ny, nx) float64 arrays) fits in physical memory, naming ``time.nt``;
+  the bound holds for every command, ``simulate`` too, though it holds one node.
 
 The ``params``, ``potential``, ``coupling``, ``admissible`` and ``solver``
 blocks take their defaults from the constructors of ``PhysParams``,
@@ -233,7 +234,8 @@ def _physical_memory() -> int | None:
 
     Physical memory bounds every run, whatever limits its process has, and reading it
     allocates nothing.  A tighter cgroup or ``ulimit -v`` limit is not seen: a trajectory
-    between that limit and physical memory fails when ``solve_state`` allocates it."""
+    between that limit and physical memory fails when ``solve_state`` allocates it, in
+    every command but ``simulate``, which streams ``state.march`` and stores none."""
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):

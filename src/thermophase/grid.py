@@ -195,7 +195,7 @@ class CGResult:
     iterations: int
 
 
-def cg_solve(grid, apply, rhs, tol=1e-12, maxit=50000, precond=None) -> CGResult:
+def cg_solve(grid, apply, rhs, tol, maxit, precond=None) -> CGResult:
     """Matrix-free conjugate gradients for an SPD operator.
 
     `apply` must be symmetric positive definite with respect to the L2 inner

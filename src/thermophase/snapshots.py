@@ -6,10 +6,12 @@ one field: magic bytes "CGW1", little-endian u32 nx, u32 ny, then nx*ny
 little-endian 64-bit floats, row-major over cell centers.  A series is one
 snapshot per time node, ``<prefix>_<node:06d>.cgw``, a name that only
 ``write_series``, ``read_series`` and ``remove_series`` form.  A persisted
-trajectory is the phi/w/v series at a node stride (the final node always
-included) plus a plain-text index file recording node count, stride and tau;
-the package only writes trajectories, and ``read_series`` over ``stored_nodes``
-of the index reads one back.
+trajectory is the phi/w/v series at the ``stored_nodes`` of a node stride (the
+final node always included), each node written by ``persist_node`` as a march
+reaches it, plus a plain-text index file recording node count, stride and tau.
+``write_index`` writes the index after the final node, so a directory without
+one holds the prefix of a march that failed.  The package only writes
+trajectories; ``read_series`` over ``stored_nodes`` of the index reads one back.
 """
 
 from __future__ import annotations
@@ -87,20 +89,22 @@ def remove_series(directory: str, prefixes) -> None:
 
 def stored_nodes(nt: int, stride: int) -> list[int]:
     """Every ``stride``-th node of 0..nt, and always the final node nt."""
+    if stride < 1:
+        raise FormatError(f"stride must be >= 1, got {stride}")
     nodes = list(range(0, nt + 1, stride))
     if nodes[-1] != nt:
         nodes.append(nt)
     return nodes
 
 
-def persist_trajectory(traj, directory: str, stride: int = 1) -> list[int]:
-    """Write phi/w/v snapshots at the given node stride plus an index file."""
-    if stride < 1:
-        raise FormatError(f"stride must be >= 1, got {stride}")
-    nodes = stored_nodes(traj.nt, stride)
-    for name in TRAJECTORY_SERIES:
-        series = getattr(traj, name)
-        write_series(directory, name, ((n, series[n]) for n in nodes))
+def persist_node(directory: str, node: int, fields) -> None:
+    """Write one stored node's phi/w/v snapshots, ``fields`` in ``TRAJECTORY_SERIES`` order."""
+    for name, values in zip(TRAJECTORY_SERIES, fields):
+        write_series(directory, name, [(node, values)])
+
+
+def write_index(directory: str, nt: int, stride: int, tau: float) -> None:
+    """The index of a trajectory of nodes 0..nt persisted at ``stride``; written after the
+    final node's snapshots, so it marks a complete trajectory."""
     write_atomic(os.path.join(directory, INDEX_NAME),
-                 f"nodes {traj.nt + 1}\nstride {stride}\ntau {traj.tau!r}\n")
-    return nodes
+                 f"nodes {nt + 1}\nstride {stride}\ntau {tau!r}\n")

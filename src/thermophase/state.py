@@ -29,6 +29,9 @@ pi_hat, which turns the lumped internal-energy balance
 
 into a per-step identity up to rounding: the zero-flux Laplacians drop out of
 the cell sum exactly, and the cosine solve keeps the cell sum of its rhs.
+
+The scheme is one-step, and ``march`` is the package's one forward time loop: it
+yields the nodes one at a time, and ``solve_state`` stores what it yields.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ class StateTrajectory:
 
 @dataclass
 class Diagnostics:
-    """Run-level summary assembled from a complete trajectory."""
+    """Run-level summary of a complete march."""
 
     separation_margin: float  # distance of phi from the domain's ends; inf if unbounded
     domain_guard_fired: bool
@@ -348,52 +351,56 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
     return w_np1, v_np1, residual, scale
 
 
-def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
-    """March the full trajectory; fails fast with the step index on any error.
+def march(problem: Problem, control: "ControlPair", opts=SolverOptions()):
+    """Yield (phi, w, v, StepRecord) at nodes 0..nt, one step at a time.
 
-    Wrongly shaped data (``ShapeMismatch``), a phi0 outside the potential's
-    domain (``DomainViolation``) and a non-finite w0 (``BadParameter``) fail before
-    step 1; step n fails as ``StepError(n, error)``.
+    The scheme is one-step, so only node n is held to reach node n+1; every
+    yielded array past node 0 is the step's own fresh array.  Wrongly shaped
+    data (``ShapeMismatch``), a phi0 outside the potential's domain
+    (``DomainViolation``) and a non-finite w0 (``BadParameter``) fail before
+    node 0; step n fails as ``StepError(n, error)``, after nodes 0..n-1.
     """
     grid, tg = problem.grid, problem.time
-    nt, tau = tg.nt, tg.tau
-    phi0 = grid.check_field(problem.initial.phi0, "phi0")
-    w0 = grid.check_field(problem.initial.w0, "w0")
-    v0 = grid.check_field(control.v0, "v0")
-    u = grid.check_field(control.u, "u", nt)
+    tau = tg.tau
+    phi = grid.check_field(problem.initial.phi0, "phi0")
+    w = grid.check_field(problem.initial.w0, "w0")
+    v = grid.check_field(control.v0, "v0")
+    u = grid.check_field(control.u, "u", tg.nt)
     problem.check_initial()
 
-    phi = np.empty((nt + 1, grid.ny, grid.nx))
-    w = np.empty_like(phi)
-    v = np.empty_like(phi)
-    phi[0], w[0], v[0] = phi0, w0, v0
-
-    steps = [StepRecord(step=0, time=0.0, newton_iters=0, cg_iters=0, energy_residual=0.0,
-                        cumulative_balance_residual=0.0)]
+    yield phi, w, v, StepRecord(step=0, time=0.0, newton_iters=0, cg_iters=0,
+                                energy_residual=0.0, cumulative_balance_residual=0.0)
     cumulative = 0.0
-    a_n = _phase_operator(grid, problem.potential, phi0)  # A(phi[n]), carried step to step
-    for n in range(nt):
+    a_n = _phase_operator(grid, problem.potential, phi)  # A(phi_n), carried step to step
+    for n in range(tg.nt):
         try:
             phi_next, pinfo = phi_step(
                 grid, problem.potential, problem.coupling, problem.params,
-                phi[n], v[n], tau, opts, a_n,
+                phi, v, tau, opts, a_n,
             )
-            w_next, v_next, residual, scale = thermal_step(
-                grid, problem.coupling, problem.params,
-                w[n], v[n], phi[n], phi_next, u[n], tau,
+            w, v, residual, scale = thermal_step(
+                grid, problem.coupling, problem.params, w, v, phi, phi_next, u[n], tau,
             )
         except ThermophaseError as exc:
             raise StepError(n + 1, exc) from exc
-        phi[n + 1], w[n + 1], v[n + 1] = phi_next, w_next, v_next
-        a_n = pinfo.operator
+        phi, a_n = phi_next, pinfo.operator
         cumulative += residual
-        steps.append(StepRecord(
+        yield phi, w, v, StepRecord(
             step=n + 1, time=(n + 1) * tau,
             newton_iters=pinfo.newton_iters, cg_iters=pinfo.cg_iters,
             energy_residual=residual, cumulative_balance_residual=cumulative,
             balance_scale=scale, domain_guard_hits=pinfo.domain_guard_hits,
-        ))
-    return StateTrajectory(phi=phi, w=w, v=v, tau=tau, steps=steps)
+        )
+
+
+def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
+    """The full trajectory of ``march``, stored; fails as ``march`` does."""
+    grid, tg = problem.grid, problem.time
+    phi, w, v = (np.empty((tg.nt + 1, grid.ny, grid.nx)) for _ in range(3))
+    traj = StateTrajectory(phi=phi, w=w, v=v, tau=tg.tau)
+    for n, (phi[n], w[n], v[n], record) in enumerate(march(problem, control, opts)):
+        traj.steps.append(record)
+    return traj
 
 
 def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
@@ -422,16 +429,17 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
     return sup_v_phi + sup_lap_phi + sup_dt_phi + sup_v_v + sup_dt_v + l2t_lap_w
 
 
-def run_diagnostics(traj: StateTrajectory, potential: Potential) -> Diagnostics:
-    """Run-level summary: separation margin, guard hits, scaled balance residual."""
+def run_diagnostics(steps: list[StepRecord], phi_min: float, phi_max: float,
+                    potential: Potential) -> Diagnostics:
+    """Run-level summary of a march's records and the range of phi over its nodes:
+    separation margin, guard hits, scaled balance residual."""
     if potential.bounded_domain:
-        sep_margin = min(float(np.min(traj.phi)) - potential.r_minus,
-                         potential.r_plus - float(np.max(traj.phi)))
+        sep_margin = min(float(phi_min) - potential.r_minus, potential.r_plus - float(phi_max))
     else:
         sep_margin = math.inf
-    recs = traj.steps
     return Diagnostics(
         separation_margin=sep_margin,
-        domain_guard_fired=any(r.domain_guard_hits > 0 for r in recs),
-        max_scaled_energy_residual=np.max([abs(r.energy_residual) / r.balance_scale for r in recs]),
+        domain_guard_fired=any(r.domain_guard_hits > 0 for r in steps),
+        max_scaled_energy_residual=np.max([abs(r.energy_residual) / r.balance_scale
+                                           for r in steps]),
     )

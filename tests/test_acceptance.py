@@ -119,7 +119,7 @@ def test_criterion_04_separation():
     assert float(np.max(np.abs(problem.initial.phi0))) <= 0.9
     assert float(np.max(np.abs(cfg.control().u))) <= 1.0
     traj = solve_state(problem, cfg.control(), cfg.solver_options())
-    diag = run_diagnostics(traj, problem.potential)
+    diag = run_diagnostics(traj.steps, np.min(traj.phi), np.max(traj.phi), problem.potential)
     ok = diag.separation_margin >= 0.01 and not diag.domain_guard_fired
     _report(4, "separation", ok,
             f"bounds=[{np.min(traj.phi):.4f},{np.max(traj.phi):.4f}] "

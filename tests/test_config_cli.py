@@ -524,14 +524,18 @@ def _failure(out_dir):
 
 def _failing_config(tmp_path, rng, monkeypatch):
     """A simulate config whose first step fails, with the phase CG capped at one
-    iteration from here on."""
+    iteration from here on; it stores snapshots at stride 2."""
     snap = tmp_path / "phi0.cgw"
     # rough phi0: the phase Jacobian varies from cell to cell, so its CG needs
     # more than one iteration once Newton's forcing tightens
     write_field(str(snap), 0.5 * rng.standard_normal((8, 8)))
     monkeypatch.setattr(state, "CG_MAXIT", 1)
-    cfg = {**MINIMAL, "initial": {"phi0": {"snapshot": str(snap)}}}
+    cfg = {**MINIMAL, "initial": {"phi0": {"snapshot": str(snap)}},
+           "output": {"snapshot_stride": 2}}
     return _write(tmp_path, cfg, "hard.json")
+
+
+NODE_0 = ["phi_000000.cgw", "v_000000.cgw", "w_000000.cgw"]
 
 
 def test_main_numerical_failure_exit_three(tmp_path, capsys, rng, monkeypatch):
@@ -543,14 +547,63 @@ def test_main_numerical_failure_exit_three(tmp_path, capsys, rng, monkeypatch):
     path = _failing_config(tmp_path, rng, monkeypatch)
     assert main(["simulate", "--config", path, "--out", str(out)]) == 3
     assert "step 1: CG did not reach tol" in capsys.readouterr().err
-    # nothing of the earlier run is left to read as this run's
-    assert sorted(os.listdir(out)) == ["effective_config.json", "failure.json", "snapshots"]
-    assert os.listdir(out / "snapshots") == []
+    # nothing of the earlier run is left to read as this run's: its nodes 2 and 4, its
+    # index.txt and summary.txt are gone; the failed run left its row 0 and node 0
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "effective_config.json",
+                                       "failure.json", "snapshots"]
+    assert sorted(os.listdir(out / "snapshots")) == NODE_0
+    assert np.array_equal(read_field(str(out / "snapshots" / "phi_000000.cgw")),
+                          read_field(str(tmp_path / "phi0.cgw")))
+    assert len((out / "diagnostics.csv").read_text().splitlines()) == 2  # header, node 0
     record = _failure(out)
     assert record["command"] == "simulate"
     assert (record["error"], record["step"], record["cause"]) == ("StepError", 1, "NoConvergence")
     assert record["message"].startswith("step 1: CG did not reach tol")
     assert record["iterations"] == 1 and record["residual"] > 0.0
+
+
+def test_failed_simulate_leaves_the_steps_it_completed(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, {**MINIMAL, "output": {"snapshot_stride": 2}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    phi_step, calls = state.phi_step, []
+
+    def third_step_fails(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NewtonDivergence("injected", residual=1.0, iterations=0)
+        return phi_step(*args)
+
+    monkeypatch.setattr(state, "phi_step", third_step_fails)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "step 3: injected" in capsys.readouterr().err
+    assert _failure(out)["step"] == 3
+    # rows of nodes 0..2, as the complete run wrote them
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert rows == (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()[:4]
+    # the stored nodes before step 3, and no index: the trajectory is not complete
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "effective_config.json",
+                                       "failure.json", "snapshots"]
+    assert sorted(os.listdir(out / "snapshots")) == sorted(
+        NODE_0 + ["phi_000002.cgw", "v_000002.cgw", "w_000002.cgw"])
+    for name in os.listdir(out / "snapshots"):
+        assert (out / "snapshots" / name).read_bytes() == \
+            (tmp_path / "full" / "snapshots" / name).read_bytes()
+
+
+def test_simulate_holds_one_node_not_the_trajectory(tmp_path):
+    nx, nt = 16, 400
+    cfg = parse_config_dict({"grid": {"lx": 1.0, "ly": 1.0, "nx": nx, "ny": nx},
+                             "time": {"t_final": 0.1, "nt": nt},
+                             "output": {"snapshot_stride": 10}})
+    tracemalloc.start()
+    try:
+        report = run_command("simulate", cfg, out_dir=str(tmp_path / "o"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.code == 0
+    assert peak < 3 * (nt + 1) * nx * nx * 8 / 2  # half of the stored trajectory
 
 
 def test_newton_divergence_exit_three(tmp_path, capsys):
@@ -637,7 +690,10 @@ def test_failing_run_removes_every_artefact_of_an_earlier_run(tmp_path, rng, mon
     path = _failing_config(tmp_path, rng, monkeypatch)
     assert main(["simulate", "--config", path, "--out", str(out)]) == 3
     left = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-    assert left == sorted(["effective_config.json", "failure.json", *foreign])
+    # what the failed run completed: the row and the snapshots of node 0
+    assert left == sorted(["effective_config.json", "failure.json", "diagnostics.csv",
+                           *(os.path.join("snapshots", name) for name in NODE_0), *foreign])
+    assert len((out / "diagnostics.csv").read_text().splitlines()) == 2  # header, node 0
 
 
 def test_run_removes_stale_failure_record(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import cell_centers, laplacian_strided
 
+from thermophase import state
 from thermophase.errors import AnisotropicCells, DegenerateGrid, NoConvergence, ShapeMismatch
 from thermophase.grid import (_from_cosine, _to_cosine, build_grid, cg_solve,
                               cosine_solve, inner, laplacian_neumann, norm, riesz_v)
@@ -108,7 +109,7 @@ def test_inner_v_cosine_analytic():
 def test_cg_identity_one_iteration():
     g = build_grid(1, 1, 8, 8)
     rhs = np.arange(64, dtype=float).reshape(g.shape)
-    res = cg_solve(g, lambda z: z, rhs, tol=1e-12)
+    res = cg_solve(g, lambda z: z, rhs, tol=1e-12, maxit=state.CG_MAXIT)
     assert res.iterations == 1
     assert np.allclose(res.x, rhs, rtol=0, atol=1e-13)
 
@@ -118,7 +119,8 @@ def test_cg_leaves_rhs_unchanged(rng):
     g = build_grid(1, 1, 16, 16)
     rhs = rng.standard_normal(g.shape)
     kept = rhs.copy()
-    res = cg_solve(g, lambda z: z - 0.01 * laplacian_neumann(g, z), rhs, tol=1e-12)
+    res = cg_solve(g, lambda z: z - 0.01 * laplacian_neumann(g, z), rhs, tol=1e-12,
+                   maxit=state.CG_MAXIT)
     assert res.iterations > 1
     assert np.array_equal(rhs, kept)
 
@@ -131,7 +133,7 @@ def test_cg_roundtrip_recovers_truth(rng):
     def apply(z):
         return z - tau * laplacian_neumann(g, z)
 
-    res = cg_solve(g, apply, apply(x_true), tol=1e-12)
+    res = cg_solve(g, apply, apply(x_true), tol=1e-12, maxit=state.CG_MAXIT)
     assert norm(g, res.x - x_true) <= 1e-10 * norm(g, x_true)
 
 
@@ -144,7 +146,7 @@ def test_cg_cap_at_the_needed_iteration_count_returns(rng):
         return z - tau * laplacian_neumann(g, z)
 
     rhs = rng.standard_normal(g.shape)
-    needed = cg_solve(g, apply, rhs, tol=1e-12).iterations
+    needed = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT).iterations
     capped = cg_solve(g, apply, rhs, tol=1e-12, maxit=needed)
     assert capped.iterations == needed
     assert np.linalg.norm(apply(capped.x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -200,7 +202,7 @@ def test_cg_residual_history_monotone_up_to_rounding(rng):
     # the residual a solve capped at k iterations reports, for k = 0 .. needed - 1
     rhs = apply(x_true)
     hist = []
-    for cap in range(cg_solve(g, apply, rhs, tol=1e-12).iterations):
+    for cap in range(cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT).iterations):
         with pytest.raises(NoConvergence) as info:
             cg_solve(g, apply, rhs, tol=1e-12, maxit=cap)
         hist.append(info.value.residual)
@@ -217,8 +219,8 @@ def test_cg_diagonal_preconditioner_matches_plain(rng):
         return weight * z - tau * laplacian_neumann(g, z)
 
     rhs = rng.standard_normal(g.shape)
-    plain = cg_solve(g, apply, rhs, tol=1e-12)
-    jacobi = cg_solve(g, apply, rhs, tol=1e-12,
+    plain = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT)
+    jacobi = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT,
                       precond=lambda r: r / (weight + 4 * tau / g.hx**2))
     assert jacobi.iterations <= plain.iterations
     assert norm(g, plain.x - jacobi.x) <= 1e-10 * norm(g, plain.x)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from thermophase.errors import FormatError
-from thermophase.snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_trajectory,
-                                   read_field, read_series, stored_nodes, write_atomic,
-                                   write_field, write_series)
+from thermophase.snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_node, read_field,
+                                   read_series, stored_nodes, write_atomic, write_field,
+                                   write_index, write_series)
 from thermophase.state import StateTrajectory
 
 
@@ -50,6 +50,15 @@ def _traj(rng, nt, shape=(6, 6), tau=0.01):
                            v=rng.standard_normal(dims), tau=tau)
 
 
+def _persist(traj, directory, stride):
+    # what simulate writes as the march reaches each node: the stored nodes, then the index
+    nodes = stored_nodes(traj.nt, stride)
+    for n in nodes:
+        persist_node(directory, n, (traj.phi[n], traj.w[n], traj.v[n]))
+    write_index(directory, traj.nt, stride, traj.tau)
+    return nodes
+
+
 def _index(directory):
     # index.txt holds one "key value" pair per line: nodes, stride, tau
     with open(os.path.join(directory, INDEX_NAME)) as fh:
@@ -59,7 +68,7 @@ def _index(directory):
 def test_persist_stride_counts(tmp_path, rng):
     traj = _traj(rng, nt=100)
     directory = str(tmp_path / "t")
-    nodes = persist_trajectory(traj, directory, stride=10)
+    nodes = _persist(traj, directory, stride=10)
     assert len(nodes) == 11
     assert _index(directory) == {"nodes": "101", "stride": "10", "tau": "0.01"}
     assert len(os.listdir(directory)) == len(TRAJECTORY_SERIES) * 11 + 1
@@ -69,7 +78,7 @@ def test_persist_stride_counts(tmp_path, rng):
 def test_persist_load_roundtrip_exact(tmp_path, rng):
     traj = _traj(rng, nt=7, tau=0.0125)
     directory = str(tmp_path / "t")
-    nodes = persist_trajectory(traj, directory, stride=3)
+    nodes = _persist(traj, directory, stride=3)
     assert nodes == [0, 3, 6, 7]  # final node always stored
     index = _index(directory)
     assert float(index["tau"]) == traj.tau
@@ -80,7 +89,7 @@ def test_persist_load_roundtrip_exact(tmp_path, rng):
 
 def test_persist_rejects_bad_stride(tmp_path, rng):
     with pytest.raises(FormatError):
-        persist_trajectory(_traj(rng, nt=4), str(tmp_path / "t"), stride=0)
+        _persist(_traj(rng, nt=4), str(tmp_path / "t"), stride=0)
 
 
 def test_series_roundtrip_and_names(tmp_path, rng):

@@ -74,7 +74,7 @@ def test_phase_preconditioner_near_separation_small_tau(rng, tau):
     gp = log_pot.dgamma(phi)
     rhs = rng.standard_normal(g.shape)
     plain = cg_solve(g, lambda z: z / tau - laplacian_neumann(g, z) + gp * z, rhs,
-                     tol=opts.cg_tol)
+                     tol=opts.cg_tol, maxit=state.CG_MAXIT)
     pre = _phi_solver(g, tau, gp, rhs, opts)
     assert pre.iterations < plain.iterations
     assert norm(g, pre.x - plain.x) <= 1e-10 * norm(g, plain.x)
@@ -333,12 +333,26 @@ def test_energy_balance_holds_for_random_data(seed, u_amp, phi_amp):
         assert abs(rec.energy_residual) <= 1e-10 * rec.balance_scale
 
 
+@pytest.mark.parametrize("kind,phi_amp", [("logarithmic", 0.6), ("regular", 0.3)])
+def test_solve_state_stores_the_nodes_march_yields(kind, phi_amp):
+    problem = small_problem(nx=12, nt=8, potential_kind=kind, phi_amp=phi_amp)
+    ctrl = smooth_control(problem, u_amp=0.8)
+    traj = solve_state(problem, ctrl)
+    nodes = list(state.march(problem, ctrl))
+    assert len(nodes) == traj.nt + 1
+    for n, (phi, w, v, record) in enumerate(nodes):
+        assert np.array_equal(phi, traj.phi[n]) and np.array_equal(w, traj.w[n])
+        assert np.array_equal(v, traj.v[n]) and record == traj.steps[n]
+    # past node 0 every yielded array is its step's own
+    assert len({id(a) for node in nodes[1:] for a in node[:3]}) == 3 * traj.nt
+
+
 def test_run_diagnostics_zero_trajectory():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.1, nt=4)
     problem = Problem(g, tg, PARAMS, REGULAR, PI_ZERO, InitialData(g.zeros(), g.zeros()))
     traj = solve_state(problem, ControlPair.zeros(g, tg.nt))
-    diag = run_diagnostics(traj, REGULAR)
+    diag = run_diagnostics(traj.steps, np.min(traj.phi), np.max(traj.phi), REGULAR)
     assert diag.separation_margin == math.inf and not diag.domain_guard_fired
     assert diag.max_scaled_energy_residual == 0.0
     assert max(norm(g, phi) for phi in traj.phi) == 0.0
@@ -349,7 +363,8 @@ def test_run_diagnostics_propagates_a_nan_energy_residual():
     problem = small_problem(nx=8, nt=4)
     traj = solve_state(problem, smooth_control(problem))
     traj.steps[2].energy_residual = math.nan
-    assert math.isnan(run_diagnostics(traj, problem.potential).max_scaled_energy_residual)
+    diag = run_diagnostics(traj.steps, np.min(traj.phi), np.max(traj.phi), problem.potential)
+    assert math.isnan(diag.max_scaled_energy_residual)
 
 
 def test_separation_shrinks_with_smaller_source():
