@@ -4,7 +4,7 @@ Subpackage map:
 
 - ``grid``: cell-centered grid, zero-flux Laplacian, inner products, cosine solve, CG.
 - ``nonlinearity``: convex potentials and Lipschitz couplings.
-- ``state``: semi-implicit forward solver and runtime diagnostics.
+- ``state``: semi-implicit forward solver and its per-step records.
 - ``sensitivity``: tangent map, exact transpose, continuous adjoint.
 - ``control``: cost, reduced gradient, projection, projected Gauss–Newton–CG.
 - ``snapshots``: field snapshot format and trajectory persistence.
@@ -16,7 +16,7 @@ from .grid import (GridSpec, build_grid, cg_solve, cosine_solve, inner, laplacia
                    riesz_v)
 from .nonlinearity import Coupling, Potential
 from .state import (InitialData, PhysParams, Problem, SolverOptions, StateTrajectory,
-                    TimeGrid, march, phi_step, run_diagnostics, solve_state, thermal_step)
+                    TimeGrid, march, phi_step, solve_state, thermal_step)
 from .sensitivity import (AdjointPair, LinearizedPair, Perturbation, TransposeResult,
                           adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)

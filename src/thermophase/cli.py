@@ -10,15 +10,17 @@ solves the config resized to a level's nt and ``config.level_grid``'s grid,
 first level, at a zero value and between equal steps), and ``_order_fit`` the
 least-squares order criterion, or a note where a value is zero.  The Laplacian
 study refines the run's grid 2x, 4x and 8x through ``level_grid``, and the
-mean-zero check runs on the run's grid.  A numerical failure leaves
+mean-zero check runs on the run's grid.  ``simulate`` streams ``state.march``
+one node at a time and reduces its criteria from the rows and records it
+streams; it stores no trajectory.  A numerical failure leaves
 ``failure.json`` (the command, the error and its cause, the failing step, and
 the cause's residual and iteration count where it has them) next to what the
-run had written: ``simulate`` streams ``state.march`` one node at a time, so a
-failure in step n leaves ``diagnostics.csv`` with the rows of nodes 0..n-1 and
-the snapshots of the stored nodes before n, but no ``index.txt`` and no
-``summary.txt``.  Every run first removes an earlier run's ``ARTEFACTS`` and
-``SERIES`` files, and no other, so every result on disk is this run's.  Every
-file goes to disk through ``snapshots.write_atomic``.
+run had written: a ``simulate`` failure in step n leaves ``diagnostics.csv``
+with the rows of nodes 0..n-1 and the snapshots of the stored nodes before n,
+but no ``index.txt`` and no ``summary.txt``.  Every run first removes an
+earlier run's ``ARTEFACTS`` and ``SERIES`` files, and no other, so every result
+on disk is this run's.  Every file goes to disk through
+``snapshots.write_atomic``.
 
 Exit codes: 0 pass, 1 criterion failure, 2 usage/config error, 3 numerical
 failure.  CSV files use '.' decimal, comma separators, a header row, and
@@ -48,7 +50,7 @@ from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_
                           array_seed, tangent_solve, tangent_transpose)
 from .snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_node, remove_series, stored_nodes,
                         write_atomic, write_field, write_index, write_series)
-from .state import march, run_diagnostics, solve_state, trajectory_difference_norm
+from .state import march, solve_state, trajectory_difference_norm
 
 DIAGNOSTICS_COLUMNS = ["step", "time", "min_phi", "max_phi", "l2_phi", "v_l2", "v_linf",
                        "newton_iters", "cg_iters", "energy_residual",
@@ -173,13 +175,14 @@ def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     stored = set(stored_nodes(tg.nt, stride)) if stride > 0 else set()
     snap_dir = os.path.join(out_dir, "snapshots")
     csv_path = os.path.join(out_dir, "diagnostics.csv")
-    rows, steps = [], []
+    rows, balance, guard_hits = [], [], 0
     try:  # one node in hand at a time; no trajectory is stored
         for phi, w, v, r in march(problem, cfg.control(), cfg.solver_options()):
             rows.append((r.step, r.time, float(np.min(phi)), float(np.max(phi)), norm(grid, phi),
                          norm(grid, v), float(np.max(np.abs(v))), r.newton_iters, r.cg_iters,
                          r.energy_residual, r.cumulative_balance_residual))
-            steps.append(r)
+            balance.append(abs(r.energy_residual) / r.balance_scale)
+            guard_hits += r.domain_guard_hits
             if r.step in stored:
                 persist_node(snap_dir, r.step, (phi, w, v))
     except StepError:  # leave the rows of the steps before the failing one
@@ -188,18 +191,17 @@ def cmd_simulate(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     write_csv(csv_path, DIAGNOSTICS_COLUMNS, rows)
     if stored:
         write_index(snap_dir, tg.nt, stride, tg.tau)
-    diag = run_diagnostics(steps, np.min([row[2] for row in rows]),
-                           np.max([row[3] for row in rows]), problem.potential)
-    criteria = [CriterionResult("energy_balance", diag.max_scaled_energy_residual,
-                                "<=", 1e-10),
-                CriterionResult("finite_diagnostics",
-                                int(np.count_nonzero(~np.isfinite(np.array(rows, dtype=float)))),
+    table = np.array(rows, dtype=float)
+    criteria = [CriterionResult("energy_balance", np.max(balance), "<=", 1e-10),  # NaN stays NaN
+                CriterionResult("finite_diagnostics", int(np.count_nonzero(~np.isfinite(table))),
                                 "<=", 0)]
-    if problem.potential.bounded_domain:
-        criteria.append(CriterionResult("separation_margin", diag.separation_margin,
-                                        ">=", 0.01))
-        criteria.append(CriterionResult("domain_guard_quiet",
-                                        0.0 if diag.domain_guard_fired else 1.0, ">=", 1.0))
+    pot = problem.potential
+    if pot.bounded_domain:  # distance of phi from the ends of the potential's domain
+        margin = min(float(np.min(table[:, 2])) - pot.r_minus,
+                     pot.r_plus - float(np.max(table[:, 3])))
+        criteria.append(CriterionResult("separation_margin", margin, ">=", 0.01))
+        criteria.append(CriterionResult("domain_guard_quiet", 0.0 if guard_hits else 1.0,
+                                        ">=", 1.0))
     return criteria, []
 
 
@@ -353,8 +355,8 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
             blk["clamp_formula_tol"] * (1.0 + u_norm(problem.grid, problem.time.tau,
                                                      report.final.u))))
     if blk["vi_tol"] > 0.0:
-        criteria.append(CriterionResult("vi_min", report.vi_min, ">=",
-                                        -blk["vi_tol"] * report.vi_scale))
+        criteria.append(CriterionResult("vi_min", last.vi_min, ">=",
+                                        -blk["vi_tol"] * last.vi_scale))
     if blk["recovery_factor"] > 0.0:
         criteria.append(CriterionResult("j_reduction", js[-1], "<=",
                                         js[0] / blk["recovery_factor"]))
@@ -443,7 +445,7 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         pert_problem.initial.w0 = problem.initial.w0 + delta * g_w
         pert_ctrl = ControlPair(control.u + delta * g_u, control.v0 + delta * g_v)
         traj = solve_state(pert_problem, pert_ctrl, opts)
-        norms.append(trajectory_difference_norm(grid, traj, base))
+        norms.append(trajectory_difference_norm(grid, tg.tau, traj, base))
     slope = _loglog_slope(deltas, norms)
     write_csv(os.path.join(out_dir, "cont_dep.csv"), ["delta", "diff_norm", "slope"],
               zip(deltas, norms, _orders(deltas, norms)))

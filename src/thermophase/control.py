@@ -405,6 +405,7 @@ class IterateRecord:
     step: float
     armijo_backtracks: int
     vi_min: float
+    vi_scale: float
     clamp_formula_residual: float
     feasible_box: bool = True
     feasible_ball: bool = True
@@ -412,12 +413,10 @@ class IterateRecord:
 
 @dataclass
 class OptimizeReport:
-    """Iterates (the last is ``final``'s record) and ``check_vi`` at ``final``."""
+    """Iterates, the last of which is ``final``'s record (with ``check_vi`` at ``final``)."""
 
     iterates: list[IterateRecord]
     final: ControlPair
-    vi_min: float
-    vi_scale: float
     converged: bool
     reason: str
     forward_solves: int
@@ -535,8 +534,8 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     halvings along the path taken.  Stops when the stationarity residual (at
     unit step scale) falls below the tolerance or after max_iters.  Records
     per-iterate certificates (stationarity, projection formula defect where
-    nu1 > 0, ``check_vi``'s vi_min) and reports ``check_vi`` at the final
-    iterate.  Draws no random numbers.
+    nu1 > 0, ``check_vi``'s vi_min and vi_scale); the last record is the final
+    iterate's.  Draws no random numbers.
     """
     armijo_c, shrink, max_backtracks = 1e-4, 0.5, 60
     grid, tg = problem.grid, problem.time
@@ -558,8 +557,8 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         box_ok, ball_ok = _feasible_flags(x, aset, grid)
         records.append(IterateRecord(iter=it, j=j, stationarity=stat, step=last_step,
                                      armijo_backtracks=last_bt, vi_min=vi_min,
-                                     clamp_formula_residual=cfr, feasible_box=box_ok,
-                                     feasible_ball=ball_ok))
+                                     vi_scale=vi_scale, clamp_formula_residual=cfr,
+                                     feasible_box=box_ok, feasible_ball=ball_ok))
         if stat <= opts.stationarity_tol:
             converged = True
             reason = "stationarity tolerance reached"
@@ -606,8 +605,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         x, j, g = trial, j_trial, g_new
         last_step, last_bt = s, backtracks
 
-    # every exit leaves the loop before x and g change: the last record and check_vi hold theirs
-    return OptimizeReport(iterates=records, final=x, vi_min=vi_min, vi_scale=vi_scale,
-                          converged=converged, reason=reason,
+    # every exit leaves the loop before x and g change: the last record holds theirs
+    return OptimizeReport(iterates=records, final=x, converged=converged, reason=reason,
                           forward_solves=rp.forward_solves, gradients=rp.gradients,
                           hessian_products=rp.hessian_products)

@@ -195,14 +195,14 @@ class CGResult:
     iterations: int
 
 
-def cg_solve(grid, apply, rhs, tol, maxit, precond=None) -> CGResult:
+def cg_solve(grid, apply, rhs, tol, maxit, precond) -> CGResult:
     """Matrix-free conjugate gradients for an SPD operator.
 
     `apply` must be symmetric positive definite with respect to the L2 inner
     product on the grid.  Stops once ||apply(x) - rhs||_L2 <= tol * ||rhs||_L2
     and raises NoConvergence (carrying the residual) when the ``maxit``-th
     iterate still misses that target.
-    `precond`, if given, applies an SPD approximation of the inverse.
+    `precond` applies an SPD approximation of the inverse.
     """
     rhs = grid.check_field(rhs, "rhs")
     rnorm = float(np.sqrt(np.dot(rhs.ravel(), rhs.ravel())))
@@ -210,7 +210,7 @@ def cg_solve(grid, apply, rhs, tol, maxit, precond=None) -> CGResult:
         return CGResult(x=np.zeros_like(rhs), iterations=0)
     x, r = grid.zeros(), rhs.copy()
     target = tol * rnorm
-    z = precond(r) if precond is not None else r
+    z = precond(r)
     p = z.copy()
     rz = float(np.dot(r.ravel(), z.ravel()))
     for k in range(int(maxit)):
@@ -228,7 +228,7 @@ def cg_solve(grid, apply, rhs, tol, maxit, precond=None) -> CGResult:
         x += alpha * p
         r -= alpha * ap
         rnorm = float(np.sqrt(np.dot(r.ravel(), r.ravel())))
-        z = precond(r) if precond is not None else r
+        z = precond(r)
         rz_new = float(np.dot(r.ravel(), z.ravel()))
         p *= rz_new / rz
         p += z

@@ -31,7 +31,9 @@ into a per-step identity up to rounding: the zero-flux Laplacians drop out of
 the cell sum exactly, and the cosine solve keeps the cell sum of its rhs.
 
 The scheme is one-step, and ``march`` is the package's one forward time loop: it
-yields the nodes one at a time, and ``solve_state`` stores what it yields.
+yields the nodes one at a time, each with its ``StepRecord``, and ``solve_state``
+stores the arrays it yields.  The records live only in the march: a caller that
+needs them (``simulate``'s criteria) reduces them as they stream by.
 """
 
 from __future__ import annotations
@@ -157,7 +159,7 @@ class StepRecord:
 
 @dataclass
 class StateTrajectory:
-    """Snapshots of (phi, w, v) at every node plus the per-step solver record.
+    """Snapshots of (phi, w, v) at every node.
 
     Arrays have shape (nt+1, ny, nx); v holds the time derivative of w, i.e.
     the temperature.  The update w[n+1] = w[n] + tau * v[n+1] is bit-exact.
@@ -166,21 +168,10 @@ class StateTrajectory:
     phi: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    tau: float
-    steps: list[StepRecord] = field(default_factory=list, repr=False)
 
     @property
     def nt(self) -> int:
         return self.phi.shape[0] - 1
-
-
-@dataclass
-class Diagnostics:
-    """Run-level summary of a complete march."""
-
-    separation_margin: float  # distance of phi from the domain's ends; inf if unbounded
-    domain_guard_fired: bool
-    max_scaled_energy_residual: float
 
 
 def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
@@ -394,16 +385,15 @@ def march(problem: Problem, control: "ControlPair", opts=SolverOptions()):
 
 
 def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
-    """The full trajectory of ``march``, stored; fails as ``march`` does."""
+    """The arrays of every node ``march`` yields, stored; fails as ``march`` does."""
     grid, tg = problem.grid, problem.time
-    phi, w, v = (np.empty((tg.nt + 1, grid.ny, grid.nx)) for _ in range(3))
-    traj = StateTrajectory(phi=phi, w=w, v=v, tau=tg.tau)
-    for n, (phi[n], w[n], v[n], record) in enumerate(march(problem, control, opts)):
-        traj.steps.append(record)
+    traj = StateTrajectory(*(np.empty((tg.nt + 1, grid.ny, grid.nx)) for _ in range(3)))
+    for n, (phi, w, v, _) in enumerate(march(problem, control, opts)):
+        traj.phi[n], traj.w[n], traj.v[n] = phi, w, v
     return traj
 
 
-def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
+def trajectory_difference_norm(grid: GridSpec, tau: float, trajA: StateTrajectory,
                                trajB: StateTrajectory) -> float:
     """Strong-norm monitor of the difference of two trajectories.
 
@@ -411,10 +401,10 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
     continuous-dependence estimate controls: sup-in-time of the V norm and of
     the Laplacian L2 norm of delta-phi, sup of the difference quotient of
     delta-phi, sup of the V norm and difference quotient of delta-v, and the
-    time-L2 of the Laplacian of delta-w.  Linear in the difference, so a
-    data perturbation of size delta must move it proportionally.
+    time-L2 of the Laplacian of delta-w, on nodes ``tau`` apart.  Linear in
+    the difference, so a data perturbation of size delta must move it
+    proportionally.
     """
-    tau = trajA.tau
     dphi = trajA.phi - trajB.phi
     dw = trajA.w - trajB.w
     dv = trajA.v - trajB.v
@@ -427,19 +417,3 @@ def trajectory_difference_norm(grid: GridSpec, trajA: StateTrajectory,
     l2t_lap_w = math.sqrt(sum(tau * norm(grid, laplacian_neumann(grid, dw[n])) ** 2
                               for n in range(nt + 1)))
     return sup_v_phi + sup_lap_phi + sup_dt_phi + sup_v_v + sup_dt_v + l2t_lap_w
-
-
-def run_diagnostics(steps: list[StepRecord], phi_min: float, phi_max: float,
-                    potential: Potential) -> Diagnostics:
-    """Run-level summary of a march's records and the range of phi over its nodes:
-    separation margin, guard hits, scaled balance residual."""
-    if potential.bounded_domain:
-        sep_margin = min(float(phi_min) - potential.r_minus, potential.r_plus - float(phi_max))
-    else:
-        sep_margin = math.inf
-    return Diagnostics(
-        separation_margin=sep_margin,
-        domain_guard_fired=any(r.domain_guard_hits > 0 for r in steps),
-        max_scaled_energy_residual=np.max([abs(r.energy_residual) / r.balance_scale
-                                           for r in steps]),
-    )

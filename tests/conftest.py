@@ -10,7 +10,7 @@ from oracles import cell_centers
 from thermophase.control import ControlPair, CostSpec
 from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
-from thermophase.state import InitialData, PhysParams, Problem, TimeGrid
+from thermophase.state import InitialData, PhysParams, Problem, SolverOptions, TimeGrid, march
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -37,6 +37,11 @@ def smooth_control(problem, u_amp=0.5, v0_amp=0.3):
     u = u_amp * (np.cos(np.pi * x) * np.cos(np.pi * y))[None, :, :] * (1.0 + t)[:, None, None]
     v0 = v0_amp * np.cos(np.pi * y)
     return ControlPair(u, v0)
+
+
+def march_records(problem, control, opts=SolverOptions()):
+    """The StepRecord of every node that ``march`` yields, node 0 first."""
+    return [record for *_, record in march(problem, control, opts)]
 
 
 def zero_target_cost(grid, nt, **weights):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import zero_target_cost
+from conftest import march_records, zero_target_cost
 from oracles import cell_centers, scalar_forward
 
 from thermophase.cli import run_command
@@ -21,7 +21,7 @@ from thermophase.grid import build_grid, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.sensitivity import Perturbation, array_seed, tangent_solve, tangent_transpose
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
-                               run_diagnostics, solve_state)
+                               solve_state)
 
 
 def _report(number, name, passed, detail):
@@ -75,9 +75,8 @@ def test_criterion_02_energy_balance(potential):
         "control": {"u": {"cosine": {"amplitude": 0.5, "ramp": 1.0}}, "v0": 0.1},
         "solver": {"cg_tol": 1e-12},
     })
-    problem = cfg.problem()
-    traj = solve_state(problem, cfg.control(), cfg.solver_options())
-    worst = max(abs(r.energy_residual) / r.balance_scale for r in traj.steps[1:])
+    records = march_records(cfg.problem(), cfg.control(), cfg.solver_options())
+    worst = max(abs(r.energy_residual) / r.balance_scale for r in records[1:])
     _report(2, f"energy_balance[{potential}]", worst <= 1e-10, f"max={worst:.2e}")
 
 
@@ -107,7 +106,7 @@ def test_criterion_03_homogeneous_oracle():
 # 4. Separation property of the reference logarithmic run
 # ---------------------------------------------------------------------------
 
-def test_criterion_04_separation():
+def test_criterion_04_separation(tmp_path):
     cfg = parse_config_dict({
         "grid": {"lx": 1.0, "ly": 1.0, "nx": 32, "ny": 32},
         "time": {"t_final": 0.25, "nt": 50},
@@ -118,12 +117,14 @@ def test_criterion_04_separation():
     problem = cfg.problem()
     assert float(np.max(np.abs(problem.initial.phi0))) <= 0.9
     assert float(np.max(np.abs(cfg.control().u))) <= 1.0
-    traj = solve_state(problem, cfg.control(), cfg.solver_options())
-    diag = run_diagnostics(traj.steps, np.min(traj.phi), np.max(traj.phi), problem.potential)
-    ok = diag.separation_margin >= 0.01 and not diag.domain_guard_fired
+    report = run_command("simulate", cfg, out_dir=str(tmp_path / "sim"))
+    margin, quiet = _get(report, "separation_margin"), _get(report, "domain_guard_quiet")
+    ok = margin.value >= 0.01 and quiet.value == 1.0
+    bounds = np.loadtxt(tmp_path / "sim" / "diagnostics.csv", delimiter=",", skiprows=1,
+                        usecols=(2, 3))  # min_phi, max_phi per node
     _report(4, "separation", ok,
-            f"bounds=[{np.min(traj.phi):.4f},{np.max(traj.phi):.4f}] "
-            f"margin={diag.separation_margin:.4f} guard_fired={diag.domain_guard_fired}")
+            f"bounds=[{bounds[:, 0].min():.4f},{bounds[:, 1].max():.4f}] "
+            f"margin={margin.value:.4f} guard_quiet={quiet.value:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,37 @@ def test_simulate_node_columns_come_from_the_trajectory(tmp_path):
             float(np.max(np.abs(v)))]
 
 
+def test_simulate_criteria_of_a_zero_run(tmp_path):
+    # zero data stay zero: the balance reads exactly 0, and the regular potential,
+    # defined on all reals, has no separation margin and no domain guard to report
+    cfg = parse_config_dict({**MINIMAL, "potential": {"kind": "regular"},
+                             "coupling": {"kind": "affine", "a": 0.0, "b": 0.0}})
+    report = run_command("simulate", cfg, out_dir=str(tmp_path / "o"))
+    assert report.code == 0
+    assert [c.name for c in report.criteria] == ["energy_balance", "finite_diagnostics"]
+    assert report.criteria[0].value == 0.0
+    with open(tmp_path / "o" / "diagnostics.csv") as fh:
+        rows = [line.strip().split(",") for line in fh][1:]
+    assert len(rows) == 5 and all(float(row[4]) == 0.0 for row in rows)  # l2_phi
+
+
+def test_simulate_energy_balance_reads_a_nan_residual(tmp_path, capsys, monkeypatch):
+    # max() would keep the 0.0 of step 0 past a NaN; the criterion must read NaN and fail
+    thermal_step, calls = state.thermal_step, []
+
+    def nan_at_step_two(*args):
+        calls.append(None)
+        w, v, residual, scale = thermal_step(*args)
+        return w, v, math.nan if len(calls) == 2 else residual, scale
+
+    monkeypatch.setattr(state, "thermal_step", nan_at_step_two)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _write(tmp_path, MINIMAL), "--out", str(out)]) == 1
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[0] == "energy_balance value=nan threshold=<=1e-10 status=FAIL"
+    assert "energy_balance: nan (threshold <= 1e-10) FAIL" in capsys.readouterr().out
+
+
 def test_main_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, MINIMAL)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "o1")]) == 0

@@ -109,7 +109,7 @@ def test_inner_v_cosine_analytic():
 def test_cg_identity_one_iteration():
     g = build_grid(1, 1, 8, 8)
     rhs = np.arange(64, dtype=float).reshape(g.shape)
-    res = cg_solve(g, lambda z: z, rhs, tol=1e-12, maxit=state.CG_MAXIT)
+    res = cg_solve(g, lambda z: z, rhs, tol=1e-12, maxit=state.CG_MAXIT, precond=lambda r: r)
     assert res.iterations == 1
     assert np.allclose(res.x, rhs, rtol=0, atol=1e-13)
 
@@ -120,7 +120,7 @@ def test_cg_leaves_rhs_unchanged(rng):
     rhs = rng.standard_normal(g.shape)
     kept = rhs.copy()
     res = cg_solve(g, lambda z: z - 0.01 * laplacian_neumann(g, z), rhs, tol=1e-12,
-                   maxit=state.CG_MAXIT)
+                   maxit=state.CG_MAXIT, precond=lambda r: r)
     assert res.iterations > 1
     assert np.array_equal(rhs, kept)
 
@@ -133,7 +133,8 @@ def test_cg_roundtrip_recovers_truth(rng):
     def apply(z):
         return z - tau * laplacian_neumann(g, z)
 
-    res = cg_solve(g, apply, apply(x_true), tol=1e-12, maxit=state.CG_MAXIT)
+    res = cg_solve(g, apply, apply(x_true), tol=1e-12, maxit=state.CG_MAXIT,
+                   precond=lambda r: r)
     assert norm(g, res.x - x_true) <= 1e-10 * norm(g, x_true)
 
 
@@ -146,12 +147,13 @@ def test_cg_cap_at_the_needed_iteration_count_returns(rng):
         return z - tau * laplacian_neumann(g, z)
 
     rhs = rng.standard_normal(g.shape)
-    needed = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT).iterations
-    capped = cg_solve(g, apply, rhs, tol=1e-12, maxit=needed)
+    needed = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT,
+                      precond=lambda r: r).iterations
+    capped = cg_solve(g, apply, rhs, tol=1e-12, maxit=needed, precond=lambda r: r)
     assert capped.iterations == needed
     assert np.linalg.norm(apply(capped.x) - rhs) <= 1e-12 * np.linalg.norm(rhs)
     with pytest.raises(NoConvergence):
-        cg_solve(g, apply, rhs, tol=1e-12, maxit=needed - 1)
+        cg_solve(g, apply, rhs, tol=1e-12, maxit=needed - 1, precond=lambda r: r)
 
 
 def test_cg_singular_neumann_inconsistent_rhs(rng):
@@ -159,7 +161,8 @@ def test_cg_singular_neumann_inconsistent_rhs(rng):
     rhs = rng.standard_normal(g.shape)
     rhs += 1.0 - rhs.mean()  # force a nonzero mean, incompatible with the kernel
     with pytest.raises(NoConvergence) as info:
-        cg_solve(g, lambda z: -laplacian_neumann(g, z), rhs, tol=1e-12, maxit=400)
+        cg_solve(g, lambda z: -laplacian_neumann(g, z), rhs, tol=1e-12, maxit=400,
+                 precond=lambda r: r)
     assert info.value.residual is not None and info.value.residual > 0
 
 
@@ -202,9 +205,11 @@ def test_cg_residual_history_monotone_up_to_rounding(rng):
     # the residual a solve capped at k iterations reports, for k = 0 .. needed - 1
     rhs = apply(x_true)
     hist = []
-    for cap in range(cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT).iterations):
+    needed = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT,
+                      precond=lambda r: r).iterations
+    for cap in range(needed):
         with pytest.raises(NoConvergence) as info:
-            cg_solve(g, apply, rhs, tol=1e-12, maxit=cap)
+            cg_solve(g, apply, rhs, tol=1e-12, maxit=cap, precond=lambda r: r)
         hist.append(info.value.residual)
     assert len(hist) > 5
     assert all(hist[i + 1] <= hist[i] * (1 + 1e-6) for i in range(len(hist) - 1))
@@ -219,7 +224,7 @@ def test_cg_diagonal_preconditioner_matches_plain(rng):
         return weight * z - tau * laplacian_neumann(g, z)
 
     rhs = rng.standard_normal(g.shape)
-    plain = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT)
+    plain = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT, precond=lambda r: r)
     jacobi = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT,
                       precond=lambda r: r / (weight + 4 * tau / g.hx**2))
     assert jacobi.iterations <= plain.iterations

@@ -194,13 +194,28 @@ def _is_dataclass(node) -> bool:
     return False
 
 
+# methods that change their receiver: x.f.append(...) fills x.f but does not read it
+MUTATORS = ("append", "extend", "insert", "update", "add")
+
+
+def _mutated_receivers(tree) -> set[int]:
+    """ids of the attribute loads that are the receiver of a mutating method call."""
+    return {id(node.func.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Attribute)}
+
+
 def test_no_unread_dataclass_fields():
     # a field is read where some code loads it as an attribute or a string names it
-    # (getattr, a CSV column, a config key); assignments alone do not count
+    # (getattr, a CSV column, a config key); assignments alone do not count, and
+    # neither does a load whose one use is to call a mutating method on it
     read = set()
     for path in PACKAGE + BENCHMARK:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        tree = _parse(path)
+        filled = _mutated_receivers(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in filled):
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, small_problem, smooth_control
+from conftest import CONFIGS, march_records, small_problem, smooth_control
 from oracles import bisect, cell_centers, scalar_forward
 
 from thermophase import state
@@ -18,8 +18,7 @@ from thermophase.errors import BadParameter, DomainViolation, NoConvergence, Sha
 from thermophase.grid import build_grid, cg_solve, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
-                               _phi_solver, phi_step, run_diagnostics, solve_state,
-                               thermal_step)
+                               _phi_solver, phi_step, solve_state, thermal_step)
 
 PARAMS = PhysParams()
 REGULAR = Potential("regular")
@@ -28,14 +27,14 @@ PI_NEG = Coupling("affine", a=-1.0, b=0.0)
 
 
 def _committed_run(name, n=None, tau=None, nt=None):
-    """Forward solve of a committed example config, optionally resized to n^2 x nt steps of tau."""
+    """Step records of a committed example config, optionally resized to n^2 x nt steps of tau."""
     with open(os.path.join(CONFIGS, name)) as fh:
         raw = json.load(fh)
     if n is not None:
         raw["grid"].update(nx=n, ny=n)
         raw["time"].update(t_final=nt * tau, nt=nt)
     cfg = parse_config_dict(raw)
-    return solve_state(cfg.problem(), cfg.control(), cfg.solver_options())
+    return march_records(cfg.problem(), cfg.control(), cfg.solver_options())
 
 
 def test_phi_step_zero_fixed_point():
@@ -74,7 +73,7 @@ def test_phase_preconditioner_near_separation_small_tau(rng, tau):
     gp = log_pot.dgamma(phi)
     rhs = rng.standard_normal(g.shape)
     plain = cg_solve(g, lambda z: z / tau - laplacian_neumann(g, z) + gp * z, rhs,
-                     tol=opts.cg_tol, maxit=state.CG_MAXIT)
+                     tol=opts.cg_tol, maxit=state.CG_MAXIT, precond=lambda r: r)
     pre = _phi_solver(g, tau, gp, rhs, opts)
     assert pre.iterations < plain.iterations
     assert norm(g, pre.x - plain.x) <= 1e-10 * norm(g, plain.x)
@@ -163,9 +162,9 @@ def test_phase_solve_iteration_cap_raises(rng, monkeypatch):
 def test_newton_stop_scales_with_small_tau(n, tau):
     # the residual's rounding floor grows like ||phi_n||/tau; an absolute
     # newton_tol of 1e-11 lies below it at 64^2 and 128^2 with tau = 1e-6
-    traj = _committed_run("simulate_logarithmic.json", n=n, tau=tau, nt=5)
-    assert traj.nt == 5
-    for rec in traj.steps[1:]:
+    records = _committed_run("simulate_logarithmic.json", n=n, tau=tau, nt=5)
+    assert len(records) == 6
+    for rec in records[1:]:
         assert 1 <= rec.newton_iters <= 3
         assert abs(rec.energy_residual) <= 1e-10 * rec.balance_scale
 
@@ -175,8 +174,7 @@ def test_inexact_newton_work_per_step(name):
     # the forcing terms keep inner solves loose until the last Newton iteration,
     # and a loose solve that the preconditioned step certifies takes no CG;
     # exact inner solves need about 6 CG iterations per step here
-    traj = _committed_run(name)
-    steps = traj.steps[1:]
+    steps = _committed_run(name)[1:]
     assert sum(rec.cg_iters for rec in steps) / len(steps) <= 1.5
     assert sum(rec.newton_iters for rec in steps) / len(steps) <= 2.15
 
@@ -218,11 +216,11 @@ def test_newton_points_evaluated_once(monkeypatch):
     monkeypatch.setattr(state, "laplacian_neumann",
                         counting("stencil", state.laplacian_neumann))
     monkeypatch.setattr(Potential, "contains", counting("contains", Potential.contains))
-    traj = _committed_run("simulate_logarithmic.json")
-    newton = sum(rec.newton_iters for rec in traj.steps[1:]) / traj.nt
+    steps = _committed_run("simulate_logarithmic.json")[1:]
+    newton = sum(rec.newton_iters for rec in steps) / len(steps)
     assert newton >= 2.0
-    assert calls["stencil"] / traj.nt <= 3.2
-    assert calls["contains"] / traj.nt <= 2.17
+    assert calls["stencil"] / len(steps) <= 3.2
+    assert calls["contains"] / len(steps) <= 2.17
 
 
 def test_thermal_step_zero_inputs():
@@ -311,8 +309,7 @@ def test_w_update_bit_exact_and_cumulative_balance():
 def test_energy_balance_identity_per_step():
     problem = small_problem(nx=12, nt=10, potential_kind="logarithmic")
     ctrl = smooth_control(problem, u_amp=0.4)
-    traj = solve_state(problem, ctrl, SolverOptions(cg_tol=1e-12))
-    for rec in traj.steps[1:]:
+    for rec in march_records(problem, ctrl, SolverOptions(cg_tol=1e-12))[1:]:
         assert abs(rec.energy_residual) <= 1e-10 * rec.balance_scale
 
 
@@ -328,8 +325,7 @@ def test_energy_balance_holds_for_random_data(seed, u_amp, phi_amp):
                                   0.2 * r.standard_normal(g.shape)))
     ctrl = ControlPair(u_amp * r.standard_normal((tg.nt, *g.shape)),
                        0.3 * r.standard_normal(g.shape))
-    traj = solve_state(problem, ctrl)
-    for rec in traj.steps[1:]:
+    for rec in march_records(problem, ctrl)[1:]:
         assert abs(rec.energy_residual) <= 1e-10 * rec.balance_scale
 
 
@@ -340,31 +336,11 @@ def test_solve_state_stores_the_nodes_march_yields(kind, phi_amp):
     traj = solve_state(problem, ctrl)
     nodes = list(state.march(problem, ctrl))
     assert len(nodes) == traj.nt + 1
-    for n, (phi, w, v, record) in enumerate(nodes):
+    for n, (phi, w, v, _) in enumerate(nodes):
         assert np.array_equal(phi, traj.phi[n]) and np.array_equal(w, traj.w[n])
-        assert np.array_equal(v, traj.v[n]) and record == traj.steps[n]
+        assert np.array_equal(v, traj.v[n])
     # past node 0 every yielded array is its step's own
     assert len({id(a) for node in nodes[1:] for a in node[:3]}) == 3 * traj.nt
-
-
-def test_run_diagnostics_zero_trajectory():
-    g = build_grid(1, 1, 8, 8)
-    tg = TimeGrid(t_final=0.1, nt=4)
-    problem = Problem(g, tg, PARAMS, REGULAR, PI_ZERO, InitialData(g.zeros(), g.zeros()))
-    traj = solve_state(problem, ControlPair.zeros(g, tg.nt))
-    diag = run_diagnostics(traj.steps, np.min(traj.phi), np.max(traj.phi), REGULAR)
-    assert diag.separation_margin == math.inf and not diag.domain_guard_fired
-    assert diag.max_scaled_energy_residual == 0.0
-    assert max(norm(g, phi) for phi in traj.phi) == 0.0
-
-
-def test_run_diagnostics_propagates_a_nan_energy_residual():
-    # max() would keep the 0.0 of step 0 past a NaN; the gate must read NaN and fail
-    problem = small_problem(nx=8, nt=4)
-    traj = solve_state(problem, smooth_control(problem))
-    traj.steps[2].energy_residual = math.nan
-    diag = run_diagnostics(traj.steps, np.min(traj.phi), np.max(traj.phi), problem.potential)
-    assert math.isnan(diag.max_scaled_energy_residual)
 
 
 def test_separation_shrinks_with_smaller_source():
@@ -408,9 +384,9 @@ def test_solve_state_rejects_wrong_control_shape_before_step_one():
 
 def test_single_step_run_allowed():
     problem = small_problem(nx=8, nt=1, t_final=0.05)
-    traj = solve_state(problem, smooth_control(problem))
-    assert traj.phi.shape[0] == 2
-    assert len(traj.steps) == 2
+    ctrl = smooth_control(problem)
+    assert solve_state(problem, ctrl).phi.shape[0] == 2
+    assert len(march_records(problem, ctrl)) == 2
 
 
 def test_obstacle_penalized_run_keeps_balance():
@@ -418,7 +394,6 @@ def test_obstacle_penalized_run_keeps_balance():
     problem = small_problem(nx=10, nt=8, potential_kind="regular")
     problem.potential = Potential("obstacle_penalized", eps_pen=0.05)
     ctrl = smooth_control(problem, u_amp=1.5)
-    traj = solve_state(problem, ctrl)
-    assert float(np.max(np.abs(traj.phi))) < 1.5
-    for rec in traj.steps[1:]:
+    assert float(np.max(np.abs(solve_state(problem, ctrl).phi))) < 1.5
+    for rec in march_records(problem, ctrl)[1:]:
         assert abs(rec.energy_residual) <= 1e-10 * rec.balance_scale
