@@ -21,8 +21,8 @@ A config file is a JSON object with the blocks below; only ``grid`` and
   ``adjoint_test.n_trials`` are at least 1, each convergence refinement
   level is a proper divisor of its reference, and every study level's
   ``level_grid`` (the grid the run builds) and time grid can be built;
-  once every field is built, it also checks that a trajectory (three
-  (nt+1, ny, nx) float64 arrays) fits in physical memory, naming ``time.nt``;
+  once every field is built, it also checks that a stored trajectory (two
+  (nt+1, ny, nx) float64 arrays, phi and v) fits in physical memory, naming ``time.nt``;
   the bound holds for every command, ``simulate`` too, though it holds one node.
 
 The ``params``, ``potential``, ``coupling``, ``admissible`` and ``solver``
@@ -70,6 +70,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -78,7 +79,7 @@ from .control import AdmissibleSet, ControlPair, CostSpec, OptimizeOptions
 from .errors import ParseError, ThermophaseError, ValidationError
 from .grid import GridSpec, build_grid
 from .nonlinearity import Coupling, Potential
-from .sensitivity import TRACKING_TERMS
+from .sensitivity import TRACKING_TERMS, tracked_fields
 from .snapshots import read_field, read_series, write_atomic
 from .state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
                     solve_state)
@@ -372,11 +373,11 @@ class ProblemConfig:
             self._build_cost(raw["cost"])
         _readonly(self._problem.initial.phi0, self._problem.initial.w0, *bounds.values())
         # the fields above are built (a node count past the index range names its field);
-        # a trajectory's three node-stacked states must fit in physical memory
+        # a trajectory's two stored node-stacked states must fit in physical memory
         nt, (ny, nx) = self.timegrid.nt, self.grid.shape
         memory = _physical_memory()
-        if memory is not None and 3 * 8 * (nt + 1) * ny * nx > memory:
-            raise ValidationError(f"time.nt = {nt}: a trajectory of 3 x {nt + 1} x {ny} x {nx} "
+        if memory is not None and 2 * 8 * (nt + 1) * ny * nx > memory:
+            raise ValidationError(f"time.nt = {nt}: a trajectory of 2 x {nt + 1} x {ny} x {nx} "
                                   f"float64 values exceeds the {memory} bytes of physical memory")
 
     def _control_pair(self, blk: dict, where: str) -> ControlPair:
@@ -433,9 +434,10 @@ class ProblemConfig:
         traj = solve_state(problem if problem is not None else self._problem, self._from_run,
                            self._solver)
         nt = self.timegrid.nt
+        states = tracked_fields(self._cost, partial(getattr, traj))
         return replace(self._cost, **{
             key: None if getattr(self._cost, weight) == 0.0
-            else getattr(traj, state)[nt] if terminal else getattr(traj, state)
+            else states[state][nt] if terminal else states[state]
             for weight, state, key, terminal in TRACKING_TERMS})
 
 

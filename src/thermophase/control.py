@@ -31,8 +31,10 @@ symmetries of the data leave the cost value bit-identical.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,8 +42,8 @@ from .errors import (BadParameter, BallProjectionStall, LineSearchFailure, Shape
                      ThermophaseError)
 from .grid import Field, GridSpec, inner, laplacian_neumann, riesz_v
 from .sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_discrete, tangent_solve,
-                          tangent_transpose, tracking_seeds, trapezoid_weights,
-                          weighted_targets)
+                          tangent_transpose, tracked_fields, tracking_seeds,
+                          trapezoid_weights, weighted_targets)
 from .state import Problem, SolverOptions, StateTrajectory, TimeGrid, _check_ranges, solve_state
 
 
@@ -209,10 +211,11 @@ def cost_eval(traj: StateTrajectory, control: ControlPair, cost: CostSpec,
     vol = grid.cell_volume
     w = trapezoid_weights(nt, tau)[:, None, None]
     targets = weighted_targets(cost, (nt + 1,) + grid.shape)
+    states = tracked_fields(cost, partial(getattr, traj))
     terms = []
     for weight, state, name, terminal in TRACKING_TERMS:
         if name in targets:
-            x, target = getattr(traj, state), targets[name]
+            x, target = states[state], targets[name]
             misfit = (x[nt] - target) ** 2 if terminal else w * (x - target) ** 2
             terms.append(0.5 * getattr(cost, weight) * vol * _summed(weight, exact_sum, misfit))
     if cost.nu1 > 0.0:
@@ -232,7 +235,10 @@ def _summed(term: str, total, *args) -> float:
 class ReducedProblem:
     """Reduced cost, gradient and Gauss-Newton Hessian with a one-deep trajectory cache.
 
-    Counts its forward solves (cache misses), gradients and Hessian products.
+    The cache is keyed by a digest of the control's bytes and dropped before a
+    new control is solved, so it holds one trajectory and no copy of the
+    control.  Counts its forward solves (cache misses), gradients and Hessian
+    products.
     """
 
     def __init__(self, problem: Problem, cost: CostSpec, opts: SolverOptions = SolverOptions()):
@@ -246,11 +252,14 @@ class ReducedProblem:
         self.hessian_products = 0
 
     def _key(self, control: ControlPair):
-        return (control.u.tobytes(), control.v0.tobytes())
+        # SHA-256 of each array's bytes, so the cache holds no copy of the control
+        return tuple(hashlib.sha256(np.ascontiguousarray(a)).digest()
+                     for a in (control.u, control.v0))
 
     def state(self, control: ControlPair) -> StateTrajectory:
         key = self._key(control)
         if key != self._cache_key:
+            self._cache_key = self._cache_traj = None  # never two trajectories at once
             self._cache_traj = solve_state(self.problem, control, self.opts)
             self._cache_key = key
             self.forward_solves += 1
@@ -279,7 +288,8 @@ class ReducedProblem:
             raise BadParameter("hessian_vector needs the cached trajectory of its control")
         traj, tau = self._cache_traj, self.problem.time.tau
         lin = tangent_solve(traj, self.problem, Perturbation(d.u, d.v0), self.opts)
-        seed = tracking_seeds(self.cost_spec, lin.xi, lin.eta, lin.eta_t, tau, targets=False)
+        seed = tracking_seeds(self.cost_spec, lin.xi, lambda: lin.eta, lin.eta_t, tau,
+                              targets=False)
         sweep = tangent_transpose(traj, self.problem, seed, self.opts)
         self.hessian_products += 1
         return self._representative(sweep.h_bar / tau, sweep.h0_bar, d)

@@ -19,6 +19,11 @@ Both sweeps reuse the forward solvers of the thermal operator and the phase
 Jacobian.  The continuous march takes each backward time integral (1 (*) g)(t_n),
 the integral of g from t_n to T, by the rectangle rule c_n = c_{n+1} + tau g[n+1],
 c_nt = 0, as one (ny, nx) field that each backward step updates.
+
+The displacements are not stored: the trajectory's w and the tangent's eta are
+exact running sums of v and eta_t, rebuilt on each read of ``.w`` or ``.eta``.
+Each read allocates one (nt+1, ny, nx) array, so the sweeps read one only for a
+tracking term that needs it (k3 or k4), once, and never inside a per-node loop.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .grid import laplacian_neumann
-from .state import Problem, SolverOptions, StateTrajectory, _phi_solver, _thermal_solve
+from .state import (Problem, SolverOptions, StateTrajectory, _phi_solver, _thermal_solve,
+                    running_sum)
 
 if TYPE_CHECKING:
     from .control import CostSpec
@@ -46,11 +52,21 @@ class Perturbation:
 
 @dataclass
 class LinearizedPair:
-    """Tangent trajectory (xi, eta, eta_t), each of shape (nt+1, ny, nx)."""
+    """Tangent trajectory: xi and eta_t, each of shape (nt+1, ny, nx), and tau.
+
+    ``eta`` is not stored: eta[0] = 0 and eta[n+1] = eta[n] + tau * eta_t[n+1]
+    is bit-exact, so each read of ``eta`` rebuilds all of it (``running_sum``),
+    bit for bit the sweep's.  Each read allocates one (nt+1, ny, nx) array, so
+    read it once into a local, never inside a per-node loop.
+    """
 
     xi: np.ndarray
-    eta: np.ndarray
     eta_t: np.ndarray
+    tau: float
+
+    @property
+    def eta(self) -> np.ndarray:
+        return running_sum(0.0, self.eta_t, self.tau)
 
 
 @dataclass
@@ -81,6 +97,13 @@ def weighted_targets(cost: "CostSpec", shape) -> dict[str, np.ndarray]:
                 raise ShapeMismatch(f"{name} has shape {target.shape}, expected {want}")
             out[name] = target
     return out
+
+
+def tracked_fields(cost: "CostSpec", read: Callable[[str], np.ndarray]) -> dict[str, np.ndarray]:
+    """``read(state)`` of each state that a term of positive weight tracks, called once
+    per state: a rebuilt w costs one array per read, and none when k3 = k4 = 0."""
+    states = {state for weight, state, _, _ in TRACKING_TERMS if getattr(cost, weight) > 0.0}
+    return {state: read(state) for state in states}
 
 
 def trapezoid_weights(nt: int, tau: float) -> np.ndarray:
@@ -118,7 +141,8 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
             - (pi(phi_{n+1}) xi_{n+1} - pi(phi_n) xi_n)/tau + h_{n+1}
       eta_{n+1} = eta_n + tau eta_t_{n+1}
 
-    with xi_0 = 0, eta_0 = 0, eta_t_0 = h0.
+    with xi_0 = 0, eta_0 = 0, eta_t_0 = h0.  Only xi and eta_t are stored;
+    eta is carried as one field, eta_n, and the result rebuilds it on read.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
@@ -127,9 +151,9 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
     beta = problem.params.beta
 
     xi = np.zeros((nt + 1, grid.ny, grid.nx))
-    eta = np.zeros_like(xi)
     eta_t = np.zeros_like(xi)
     eta_t[0] = h0
+    eta_n = np.zeros(grid.shape)
     pi_of = problem.coupling.pi
     dgamma = problem.potential.dgamma
     pi_n = pi_of(base.phi[0])
@@ -138,12 +162,12 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
         rhs_phi = xi[n] / tau + c1 * xi[n] + c2 * eta_t[n]
         xi[n + 1] = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), rhs_phi, opts).x
         pi_np1 = pi_of(base.phi[n + 1])
-        rhs_v = (eta_t[n] / tau + beta * laplacian_neumann(grid, eta[n])
+        rhs_v = (eta_t[n] / tau + beta * laplacian_neumann(grid, eta_n)
                  - (pi_np1 * xi[n + 1] - pi_n * xi[n]) / tau + h[n])
         eta_t[n + 1] = _thermal_solve(grid, problem.params, tau, rhs_v)
-        eta[n + 1] = eta[n] + tau * eta_t[n + 1]
+        eta_n = eta_n + tau * eta_t[n + 1]
         pi_n = pi_np1
-    return LinearizedPair(xi=xi, eta=eta, eta_t=eta_t)
+    return LinearizedPair(xi=xi, eta_t=eta_t, tau=tau)
 
 
 @dataclass
@@ -226,12 +250,17 @@ def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True
     misfit (the gradient); without, they are a tangent and the seed is the
     Gauss-Newton quadratic's (the Hessian product).  Control penalties are
     not included.
+
+    ``w`` is a function of no arguments that returns the w field, such as
+    ``lambda: traj.w`` or ``lambda: lin.eta``, each read of which allocates
+    one array.  It is called once, and only if k3 or k4 is positive.
     """
     fields = {"phi": phi, "w": w, "v": v}
     nt = phi.shape[0] - 1
     wts = trapezoid_weights(nt, tau)
     checked = weighted_targets(cost, phi.shape) if targets else {}
-    terms = [(state, getattr(cost, weight), fields[state], checked.get(target), terminal)
+    read = tracked_fields(cost, lambda state: w() if state == "w" else fields[state])
+    terms = [(state, getattr(cost, weight), read[state], checked.get(target), terminal)
              for weight, state, target, terminal in TRACKING_TERMS if getattr(cost, weight) > 0.0]
 
     def seed(n):
@@ -254,9 +283,8 @@ def adjoint_solve_discrete(base: StateTrajectory, problem: Problem, cost: "CostS
     Exact for the discrete reduced cost: dJ_tracking = <h_bar / tau, h>_L2(Q)
     + <h0_bar, h0>_L2, with plain L2 representatives (no Riesz lifting).
     """
-    tau = problem.time.tau
-    return tangent_transpose(base, problem, tracking_seeds(cost, base.phi, base.w, base.v, tau),
-                             opts)
+    seed = tracking_seeds(cost, base.phi, lambda: base.w, base.v, problem.time.tau)
+    return tangent_transpose(base, problem, seed, opts)
 
 
 def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "CostSpec",
@@ -287,7 +315,8 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
 
     The q-source is f_q = k3 (1 (*) (w - w_q)) + k5 (v - wprime_q)
     + k4 (w(T) - w_omega), whose k4 part is constant in time; only p and q
-    are kept at every node.
+    are kept at every node.  The trajectory's w is rebuilt once, and only
+    when k3 or k4 is positive; q is then written over it backward.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
@@ -299,26 +328,34 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
 
     target = weighted_targets(cost, base.phi.shape)  # a zero weight's term reads 0
     p = np.zeros((nt + 1, grid.ny, grid.nx))
-    q = np.zeros_like(p)
+    # q is written into the array of the rebuilt w, node nt first: each node of w is
+    # read before q overwrites it, so p and q stay the only trajectory-sized arrays
+    w = base.w if cost.k3 > 0.0 or cost.k4 > 0.0 else None
+    q = np.zeros_like(p) if w is None else w
+    w_conv = np.zeros(grid.shape)  # 1 (*) (w - w_q) at node n, taken one node ahead
+    if cost.k3 > 0.0:
+        w_conv = w_conv + tau * (w[nt] - target["w_q"][nt])
+    wT_err = w[nt] - target["w_omega"] if cost.k4 > 0.0 else None
     vT_err = base.v[nt] - target.get("wprime_omega", 0.0)
     p[nt] = (cost.k2 * (base.phi[nt] - target.get("phi_omega", 0.0))
              - cost.k6 * pi_of(base.phi[nt]) * vT_err)
     q[nt] = cost.k6 * vT_err
 
-    q_conv = w_conv = np.zeros(grid.shape)  # 1 (*) q and 1 (*) (w - w_q) at node n
+    q_conv = np.zeros(grid.shape)  # 1 (*) q at node n
     for n in range(nt - 1, -1, -1):
         q_conv = q_conv + tau * q[n + 1]
         f_q = 0.0
         if cost.k3 > 0.0:
-            w_conv = w_conv + tau * (base.w[n + 1] - target["w_q"][n + 1])
             f_q = f_q + cost.k3 * w_conv
         if cost.k5 > 0.0:
             f_q = f_q + cost.k5 * (base.v[n] - target["wprime_q"][n])
         if cost.k4 > 0.0:
-            f_q = f_q + cost.k4 * (base.w[nt] - target["w_omega"])
+            f_q = f_q + cost.k4 * wT_err
         pi_n = pi_of(base.phi[n])
         rhs_q = (q[n + 1] / tau + beta * laplacian_neumann(grid, q_conv)
                  + (pi_n * p[n + 1]) / thc**2 + f_q)
+        if cost.k3 > 0.0:
+            w_conv = w_conv + tau * (w[n] - target["w_q"][n])
         q[n] = _thermal_solve(grid, problem.params, tau, rhs_q)
         dpi_n = dpi_of(base.phi[n])
         rhs_p = (p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau

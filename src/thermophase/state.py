@@ -32,8 +32,13 @@ the cell sum exactly, and the cosine solve keeps the cell sum of its rhs.
 
 The scheme is one-step, and ``march`` is the package's one forward time loop: it
 yields the nodes one at a time, each with its ``StepRecord``, and ``solve_state``
-stores the arrays it yields.  The records live only in the march: a caller that
+stores the phi and v it yields.  The records live only in the march: a caller that
 needs them (``simulate``'s criteria) reduces them as they stream by.
+
+w is not stored: since w' = w_n + tau v' is exact, ``StateTrajectory.w`` rebuilds
+it from w0 and v by a running sum with the march's own bits (``running_sum``).
+Each read allocates one (nt+1, ny, nx) array, so code reads it once into a local,
+never inside a per-node loop.
 """
 
 from __future__ import annotations
@@ -157,17 +162,37 @@ class StepRecord:
     domain_guard_hits: int = 0
 
 
+def running_sum(start: Field | float, rate: np.ndarray, tau: float) -> np.ndarray:
+    """x[0] = start, x[n+1] = x[n] + tau * rate[n+1], as one new (nt+1, ny, nx) array.
+
+    ``np.cumsum`` along the node axis adds node by node in this order, so the
+    result has the bits of the forward update ``x_n + tau * rate_{n+1}``.
+    """
+    out = tau * rate
+    out[0] = start
+    return np.cumsum(out, axis=0, out=out)
+
+
 @dataclass
 class StateTrajectory:
-    """Snapshots of (phi, w, v) at every node.
+    """Snapshots of phi and v at every node, with w0 and tau, from which w is rebuilt.
 
-    Arrays have shape (nt+1, ny, nx); v holds the time derivative of w, i.e.
-    the temperature.  The update w[n+1] = w[n] + tau * v[n+1] is bit-exact.
+    ``phi`` and ``v`` have shape (nt+1, ny, nx); v holds the time derivative
+    of w, i.e. the temperature.  ``w`` is not stored: the update
+    w[n+1] = w[n] + tau * v[n+1] is bit-exact, so each read of ``w`` rebuilds
+    all of it from w0 (``running_sum``), bit for bit the array the march
+    yields.  Each read allocates one (nt+1, ny, nx) array, so read it once
+    into a local, never inside a per-node loop.
     """
 
     phi: np.ndarray
-    w: np.ndarray
     v: np.ndarray
+    w0: Field
+    tau: float
+
+    @property
+    def w(self) -> np.ndarray:
+        return running_sum(self.w0, self.v, self.tau)
 
     @property
     def nt(self) -> int:
@@ -385,17 +410,18 @@ def march(problem: Problem, control: "ControlPair", opts=SolverOptions()):
 
 
 def solve_state(problem: Problem, control: "ControlPair", opts=SolverOptions()) -> StateTrajectory:
-    """The arrays of every node ``march`` yields, stored; fails as ``march`` does."""
+    """The phi and v of every node ``march`` yields, stored, with a copy of w0; fails
+    as ``march`` does.  The trajectory's ``w`` is rebuilt from them on each read."""
     grid, tg = problem.grid, problem.time
-    traj = StateTrajectory(*(np.empty((tg.nt + 1, grid.ny, grid.nx)) for _ in range(3)))
-    for n, (phi, w, v, _) in enumerate(march(problem, control, opts)):
-        traj.phi[n], traj.w[n], traj.v[n] = phi, w, v
-    return traj
+    phis, vs = (np.empty((tg.nt + 1, grid.ny, grid.nx)) for _ in range(2))
+    for n, (phi, _, v, _) in enumerate(march(problem, control, opts)):
+        phis[n], vs[n] = phi, v
+    return StateTrajectory(phis, vs, np.array(problem.initial.w0, dtype=float), tg.tau)
 
 
-def trajectory_difference_norm(grid: GridSpec, tau: float, trajA: StateTrajectory,
-                               trajB: StateTrajectory) -> float:
-    """Strong-norm monitor of the difference of two trajectories.
+def trajectory_difference_norm(grid: GridSpec, tau: float, dphi: np.ndarray, dw: np.ndarray,
+                               dv: np.ndarray) -> float:
+    """Strong-norm monitor of the difference (dphi, dw, dv) of two trajectories.
 
     Sums the discrete analogues of the solution-difference norms that the
     continuous-dependence estimate controls: sup-in-time of the V norm and of
@@ -405,10 +431,7 @@ def trajectory_difference_norm(grid: GridSpec, tau: float, trajA: StateTrajector
     the difference, so a data perturbation of size delta must move it
     proportionally.
     """
-    dphi = trajA.phi - trajB.phi
-    dw = trajA.w - trajB.w
-    dv = trajA.v - trajB.v
-    nt = trajA.nt
+    nt = dphi.shape[0] - 1
     sup_v_phi = np.max([norm(grid, dphi[n], "v") for n in range(nt + 1)])
     sup_lap_phi = np.max([norm(grid, laplacian_neumann(grid, dphi[n])) for n in range(nt + 1)])
     sup_dt_phi = np.max([norm(grid, (dphi[n + 1] - dphi[n]) / tau) for n in range(nt)])

@@ -135,6 +135,16 @@ def test_trajectory_beyond_memory_is_rejected_before_any_allocation():
     assert peak < 2**20
 
 
+def test_trajectory_bound_counts_the_two_stored_states(monkeypatch):
+    # a trajectory stores phi and v; w is rebuilt on read
+    need = 2 * 8 * (MINIMAL["time"]["nt"] + 1) * 8 * 8
+    monkeypatch.setattr(config, "_physical_memory", lambda: need)
+    assert parse_config_dict(MINIMAL).timegrid.nt == MINIMAL["time"]["nt"]
+    monkeypatch.setattr(config, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValidationError, match="time.nt = 4: a trajectory of 2 x 5 x 8 x 8 "):
+        parse_config_dict(MINIMAL)
+
+
 def test_trajectory_bound_is_skipped_where_sysconf_is_missing(monkeypatch):
     # as on Windows: the config parses, and still nothing of the trajectory's size is allocated
     monkeypatch.delattr(config.os, "sysconf")
@@ -212,7 +222,7 @@ def test_grad_check_fails_a_wrong_tangent(tmp_path, monkeypatch, capsys, name):
 
     def scaled(*args):
         lin = exact(*args)
-        return LinearizedPair(1.01 * lin.xi, 1.01 * lin.eta, 1.01 * lin.eta_t)
+        return LinearizedPair(1.01 * lin.xi, 1.01 * lin.eta_t, lin.tau)
 
     monkeypatch.setattr(cli, "tangent_solve", scaled)
     path = os.path.join(CONFIGS, f"{name}.json")

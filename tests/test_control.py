@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,26 +23,28 @@ from thermophase.config import parse_config_dict
 from thermophase.errors import BadParameter, ShapeMismatch
 from thermophase.grid import build_grid
 from thermophase.nonlinearity import Coupling, Potential
-from thermophase.sensitivity import adjoint_solve_continuous
+from thermophase.sensitivity import LinearizedPair, adjoint_solve_continuous
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions,
                                StateTrajectory, TimeGrid, solve_state)
 
 
-def _manual_traj(grid, nt, phi=0.0, w=0.0, v=0.0):
-    shape = (nt + 1, *grid.shape)
-    return StateTrajectory(phi=np.full(shape, phi), w=np.full(shape, w), v=np.full(shape, v))
+def _manual_traj(grid, tg, phi=0.0, w0=0.0, v=0.0):
+    shape = (tg.nt + 1, *grid.shape)
+    return StateTrajectory(phi=np.full(shape, phi), v=np.full(shape, v),
+                           w0=np.full(grid.shape, w0), tau=tg.tau)
 
 
 def test_cost_zero_when_trajectory_hits_targets():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=1.0, nt=4)
-    traj = _manual_traj(g, tg.nt, phi=0.3, w=0.2, v=0.1)
+    traj = _manual_traj(g, tg, phi=0.3, w0=0.2, v=0.1)
     cost = zero_target_cost(g, tg.nt, k1=1, k2=1, k3=1, k4=1, k5=1, k6=1)
+    w = traj.w  # 0.2 + n tau 0.1 at node n
     cost.phi_q += 0.3
-    cost.w_q += 0.2
+    cost.w_q += w
     cost.wprime_q += 0.1
     cost.phi_omega += 0.3
-    cost.w_omega += 0.2
+    cost.w_omega += w[-1]
     cost.wprime_omega += 0.1
     ctrl = ControlPair.zeros(g, tg.nt)
     assert cost_eval(traj, ctrl, cost, g, tg) == 0.0
@@ -49,7 +53,7 @@ def test_cost_zero_when_trajectory_hits_targets():
 def test_cost_unit_control_penalty():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=1.0, nt=8)
-    traj = _manual_traj(g, tg.nt)
+    traj = _manual_traj(g, tg)
     cost = zero_target_cost(g, tg.nt, nu1=1.0)
     ctrl = ControlPair(np.ones((tg.nt, *g.shape)), g.zeros())
     assert cost_eval(traj, ctrl, cost, g, tg) == pytest.approx(0.5, abs=1e-14)
@@ -58,7 +62,7 @@ def test_cost_unit_control_penalty():
 def test_cost_terminal_phase_term():
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=1.0, nt=4)
-    traj = _manual_traj(g, tg.nt, phi=1.0)
+    traj = _manual_traj(g, tg, phi=1.0)
     cost = zero_target_cost(g, tg.nt, k2=1.0)
     assert cost_eval(traj, ControlPair.zeros(g, tg.nt), cost, g, tg) \
         == pytest.approx(0.5, abs=1e-14)
@@ -69,8 +73,8 @@ def test_cost_invariant_under_grid_symmetry(rng):
     g = build_grid(1, 1, 8, 8)
     tg = TimeGrid(t_final=0.5, nt=5)
     traj = StateTrajectory(phi=rng.standard_normal((6, 8, 8)),
-                           w=rng.standard_normal((6, 8, 8)),
-                           v=rng.standard_normal((6, 8, 8)))
+                           v=rng.standard_normal((6, 8, 8)),
+                           w0=rng.standard_normal((8, 8)), tau=tg.tau)
     cost = zero_target_cost(g, tg.nt, k1=1, k3=0.5, k5=0.25, k6=1, nu1=1e-2, nu2=1e-2)
     cost.phi_q = rng.standard_normal((6, 8, 8))
     ctrl = ControlPair(rng.standard_normal((5, 8, 8)), rng.standard_normal((8, 8)))
@@ -79,7 +83,7 @@ def test_cost_invariant_under_grid_symmetry(rng):
     def rot(a):
         return np.ascontiguousarray(a[..., ::-1, ::-1])
 
-    traj2 = StateTrajectory(phi=rot(traj.phi), w=rot(traj.w), v=rot(traj.v))
+    traj2 = StateTrajectory(phi=rot(traj.phi), v=rot(traj.v), w0=rot(traj.w0), tau=tg.tau)
     cost2 = zero_target_cost(g, tg.nt, k1=1, k3=0.5, k5=0.25, k6=1, nu1=1e-2, nu2=1e-2)
     cost2.phi_q = rot(cost.phi_q)
     ctrl2 = ControlPair(rot(ctrl.u), rot(ctrl.v0))
@@ -534,6 +538,47 @@ def test_hessian_vector_never_solves_the_state(rng):
     with pytest.raises(BadParameter, match="cached trajectory"):
         rp.hessian_vector(other, ctrl)
     assert rp.forward_solves == 1
+
+
+@pytest.mark.parametrize("k3,k4,builds", [(0.0, 0.0, 0), (0.3, 0.2, 1)])
+def test_gradient_and_hessian_rebuild_w_and_eta_only_for_k3_or_k4(monkeypatch, rng, k3, k4,
+                                                                   builds):
+    # each read of traj.w or lin.eta is a fresh trajectory-sized array: counted here
+    reads = Counter()
+    for cls, name in ((StateTrajectory, "w"), (LinearizedPair, "eta")):
+        monkeypatch.setattr(cls, name, property(
+            lambda x, name=name, rebuild=getattr(cls, name).fget:
+            reads.update([name]) or rebuild(x)))
+    problem = small_problem(nx=8, nt=6)
+    cost = zero_target_cost(problem.grid, problem.time.nt, k1=1.0, k2=0.5, k3=k3, k4=k4,
+                            k5=1.0, k6=0.7, nu1=1e-3)
+    ctrl = smooth_control(problem)
+    rp = ReducedProblem(problem, cost)
+    rp.gradient(ctrl)
+    assert (reads["w"], reads["eta"]) == (builds, 0)
+    rp.hessian_vector(ctrl, _random_pair(rng, problem.grid, problem.time.nt))
+    assert (reads["w"], reads["eta"]) == (builds, builds)
+
+
+def test_state_frees_the_cached_trajectory_before_solving_a_new_control():
+    problem = small_problem(nx=16, nt=100)
+    c1 = smooth_control(problem)
+    c2 = ControlPair(1.5 * c1.u, c1.v0)
+    rp = ReducedProblem(problem, zero_target_cost(problem.grid, problem.time.nt, k1=1.0))
+    tracemalloc.start()
+    try:
+        rp.state(c1)
+        held = tracemalloc.get_traced_memory()[0]  # the cached trajectory and its key
+        tracemalloc.reset_peak()
+        traj = rp.state(c2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cache holds one trajectory (phi and v) and a digest of the control, no copy of
+    # it; the new trajectory is allocated once the old one is gone, where solving beside
+    # it, with byte-copy keys, held 4.0 arrays and peaked 4.3 above them
+    assert held < 2.1 * traj.phi.nbytes
+    assert peak - held < 0.5 * traj.phi.nbytes
 
 
 def _recovery_problem(n, nt):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,8 @@ from thermophase.grid import build_grid, laplacian_neumann, norm
 from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
                                      adjoint_solve_discrete, array_seed, tangent_solve,
                                      tangent_transpose, tracking_seeds, trapezoid_weights)
-from thermophase.state import SolverOptions, _phi_solver, _thermal_solve, solve_state
+from thermophase.state import (SolverOptions, StateTrajectory, _phi_solver, _thermal_solve,
+                               solve_state)
 
 TIGHT = SolverOptions(cg_tol=1e-13)
 
@@ -34,6 +36,19 @@ def test_tangent_zero_perturbation_is_zero():
     assert np.max(np.abs(lin.xi)) == 0.0
     assert np.max(np.abs(lin.eta)) == 0.0
     assert np.max(np.abs(lin.eta_t)) == 0.0
+
+
+def test_tangent_rebuilds_eta_as_the_running_sum_of_eta_t(rng):
+    problem = small_problem()
+    base = solve_state(problem, smooth_control(problem), TIGHT)
+    h = rng.standard_normal((problem.time.nt, *problem.grid.shape))
+    lin = tangent_solve(base, problem, Perturbation(h, rng.standard_normal(problem.grid.shape)),
+                        TIGHT)
+    assert [f.name for f in fields(lin)] == ["xi", "eta_t", "tau"]
+    eta, tau = lin.eta, problem.time.tau
+    assert eta is not lin.eta and np.all(eta[0] == 0.0)
+    for n in range(problem.time.nt):
+        assert np.array_equal(eta[n + 1], eta[n] + tau * lin.eta_t[n + 1])
 
 
 def test_tangent_scaling_linearity(rng):
@@ -143,7 +158,7 @@ def test_tracking_seeds_per_node_match_space_time_arrays(targets):
     cost = _tracking_cost(problem)
     nt, tau = problem.time.nt, problem.time.tau
     fields = {"phi": base.phi, "w": base.w, "v": base.v}
-    seed = tracking_seeds(cost, base.phi, base.w, base.v, tau, targets=targets)
+    seed = tracking_seeds(cost, base.phi, lambda: base.w, base.v, tau, targets=targets)
     reference = _seed_arrays(cost, fields, nt, tau, targets)
     for n in range(nt + 1):
         for got, want in zip(seed(n), reference):
@@ -235,6 +250,16 @@ def test_continuous_adjoint_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * base.phi.nbytes
+
+
+def test_continuous_adjoint_rebuilds_w_once(monkeypatch):
+    problem = small_problem(nx=8, nt=6)
+    base = solve_state(problem, smooth_control(problem), TIGHT)
+    rebuild, reads = StateTrajectory.w.fget, []
+    monkeypatch.setattr(StateTrajectory, "w",
+                        property(lambda traj: reads.append(1) or rebuild(traj)))
+    adjoint_solve_continuous(base, problem, _tracking_cost(problem), TIGHT)  # k3, k4 > 0
+    assert len(reads) == 1
 
 
 def test_continuous_adjoint_matches_scalar_oracle():

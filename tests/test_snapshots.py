@@ -44,18 +44,19 @@ def test_read_rejects_non_finite_entries(tmp_path):
         read_field(path)
 
 
-def _traj(rng, nt, shape=(6, 6)):
+def _traj(rng, nt, shape=(6, 6), tau=0.01):
     dims = (nt + 1, *shape)
-    return StateTrajectory(phi=rng.standard_normal(dims), w=rng.standard_normal(dims),
-                           v=rng.standard_normal(dims))
+    return StateTrajectory(phi=rng.standard_normal(dims), v=rng.standard_normal(dims),
+                           w0=rng.standard_normal(shape), tau=tau)
 
 
-def _persist(traj, directory, stride, tau=0.01):
+def _persist(traj, directory, stride):
     # what simulate writes as the march reaches each node: the stored nodes, then the index
     nodes = stored_nodes(traj.nt, stride)
+    w = traj.w
     for n in nodes:
-        persist_node(directory, n, (traj.phi[n], traj.w[n], traj.v[n]))
-    write_index(directory, traj.nt, stride, tau)
+        persist_node(directory, n, (traj.phi[n], w[n], traj.v[n]))
+    write_index(directory, traj.nt, stride, traj.tau)
     return nodes
 
 
@@ -76,9 +77,9 @@ def test_persist_stride_counts(tmp_path, rng):
 
 
 def test_persist_load_roundtrip_exact(tmp_path, rng):
-    traj = _traj(rng, nt=7)
+    traj = _traj(rng, nt=7, tau=0.0125)
     directory = str(tmp_path / "t")
-    nodes = _persist(traj, directory, stride=3, tau=0.0125)
+    nodes = _persist(traj, directory, stride=3)
     assert nodes == [0, 3, 6, 7]  # final node always stored
     index = _index(directory)
     assert float(index["tau"]) == 0.0125

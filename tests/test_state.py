@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import tracemalloc
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -341,6 +343,33 @@ def test_solve_state_stores_the_nodes_march_yields(kind, phi_amp):
         assert np.array_equal(v, traj.v[n])
     # past node 0 every yielded array is its step's own
     assert len({id(a) for node in nodes[1:] for a in node[:3]}) == 3 * traj.nt
+
+
+@pytest.mark.parametrize("kind,phi_amp", [("logarithmic", 0.6), ("regular", 0.3)])
+def test_trajectory_rebuilds_w_with_the_bits_march_yields(kind, phi_amp):
+    # w is not stored: each read is a fresh running sum from w0, bit for bit the march's
+    problem = small_problem(nx=12, nt=8, potential_kind=kind, phi_amp=phi_amp)
+    ctrl = smooth_control(problem, u_amp=0.8)
+    traj = solve_state(problem, ctrl)
+    assert [f.name for f in fields(traj)] == ["phi", "v", "w0", "tau"]
+    w = traj.w
+    assert w is not traj.w and w.shape == traj.phi.shape
+    for n, (_, w_n, _, _) in enumerate(state.march(problem, ctrl)):
+        assert np.array_equal(w_n, w[n])
+
+
+def test_solve_state_peak_memory_is_two_stored_states():
+    # phi and v are stored and w is rebuilt on read: storing w too peaked at 3.13 arrays
+    problem = small_problem(nx=16, nt=200)
+    ctrl = smooth_control(problem)
+    solve_state(problem, ctrl)  # transform plans and caches first
+    tracemalloc.start()
+    try:
+        traj = solve_state(problem, ctrl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * traj.phi.nbytes
 
 
 def test_separation_shrinks_with_smaller_source():
