@@ -308,17 +308,23 @@ def _check_studies(raw: dict, grid: GridSpec) -> None:
         block, key = where.split(".")
         if raw[block][key] < 1:
             raise ValidationError(f"{where} must be >= 1, got {raw[block][key]}")
-    # (key, nx, nt) of each level a study builds (a reference is a multiple of one)
+    # (key, nx, key, nt) of each level a study builds, each size after the key it comes
+    # from (a reference is a multiple of one)
     c = raw["convergence"]
-    levels = ([("convergence.spatial_levels", nx, c["spatial_nt"]) for nx in c["spatial_levels"]]
-              + [("convergence.temporal_nts", c["temporal_nx"], nt) for nt in c["temporal_nts"]]
-              + [("adjoint_test.levels", nx, nt) for nx, nt in raw["adjoint_test"]["levels"]])
-    for where, nx, nt in levels:
+    levels = ([("convergence.spatial_levels", nx, "convergence.spatial_nt", c["spatial_nt"])
+               for nx in c["spatial_levels"]]
+              + [("convergence.temporal_nx", c["temporal_nx"], "convergence.temporal_nts", nt)
+                 for nt in c["temporal_nts"]]
+              + [("adjoint_test.levels", nx, "adjoint_test.levels", nt)
+                 for nx, nt in raw["adjoint_test"]["levels"]])
+    for nx_key, nx, nt_key, nt in levels:
+        where = f"{nx_key}: level nx={nx}"
         try:
             level_grid(grid, nx)
+            where = f"{nt_key}: level nt={nt}"
             TimeGrid(raw["time"]["t_final"], nt)
         except ThermophaseError as exc:
-            raise ValidationError(f"{where}: level nx={nx}: {type(exc).__name__}: {exc}") from exc
+            raise ValidationError(f"{where}: {type(exc).__name__}: {exc}") from exc
 
 
 def _readonly(*values) -> None:
@@ -425,19 +431,20 @@ class ProblemConfig:
     def has_cost(self) -> bool:
         return self._cost is not None
 
-    def cost_spec(self, problem: Problem | None = None) -> CostSpec:
-        """The cost; runs the generating solve for from_run targets on every call."""
+    def cost_spec(self, problem: Problem) -> CostSpec:
+        """The cost on ``problem``'s grid; for from_run targets, runs the generating solve
+        on every call.  A terminal target is a copy of the final node, so the cost does
+        not keep the trajectory alive."""
         if self._cost is None:
             raise ValidationError("C2: this command needs a cost block")
         if self._from_run is None:
             return self._cost
-        traj = solve_state(problem if problem is not None else self._problem, self._from_run,
-                           self._solver)
+        traj = solve_state(problem, self._from_run, self._solver)
         nt = self.timegrid.nt
         states = tracked_fields(self._cost, partial(getattr, traj))
         return replace(self._cost, **{
             key: None if getattr(self._cost, weight) == 0.0
-            else states[state][nt] if terminal else states[state]
+            else states[state][nt].copy() if terminal else states[state]
             for weight, state, key, terminal in TRACKING_TERMS})
 
 

@@ -124,11 +124,12 @@ class CostSpec:
     wprime_omega: np.ndarray = None
 
     def __post_init__(self):
-        weights = [self.k1, self.k2, self.k3, self.k4, self.k5, self.k6, self.nu1, self.nu2]
-        if any(w < 0.0 or not math.isfinite(w) for w in weights):
-            raise BadParameter("C2: cost weights must be nonnegative and finite")
-        if not any(w > 0.0 for w in weights):
-            raise BadParameter("C2: cost weights must not all be zero")
+        weights = {k: getattr(self, k) for k in ("k1", "k2", "k3", "k4", "k5", "k6", "nu1", "nu2")}
+        bad = [k for k, w in weights.items() if not (w >= 0.0 and math.isfinite(w))]
+        if bad:
+            raise BadParameter(f"C2: cost weights {bad} must be nonnegative and finite")
+        if not any(w > 0.0 for w in weights.values()):
+            raise BadParameter(f"C2: cost weights {', '.join(weights)} must not all be zero")
 
 
 @dataclass
@@ -153,13 +154,14 @@ class AdmissibleSet:
         if np.any(np.asarray(self.v_lo) > np.asarray(self.v_hi)):
             raise BadParameter("C4: v_lo must be <= v_hi everywhere")
         if not self.ball_radius > 0.0:
-            raise BadParameter("C4: ball radius M must be positive")
+            raise BadParameter(f"C4: ball_radius M must be positive, got {self.ball_radius}")
 
     def v0_anchor(self, grid: GridSpec) -> Field:
         """Box clamp of the zero field; must lie inside the ball (nonemptiness)."""
         anchor = np.clip(grid.zeros(), self.v_lo, self.v_hi)
         if v0_norm(grid, anchor) > self.ball_radius * (1.0 + 1e-12):
-            raise BadParameter("C4: admissible set is empty (clamp of zero leaves the ball)")
+            raise BadParameter("C4: admissible set is empty: the clamp of zero to [v_lo, v_hi] "
+                               "leaves the ball of radius ball_radius")
         return anchor
 
 

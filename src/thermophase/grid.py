@@ -51,10 +51,10 @@ class GridSpec:
         if self.nx < 3 or self.ny < 3:
             raise DegenerateGrid(f"need nx, ny >= 3, got {self.nx} x {self.ny}")
         if not (self.lx > 0.0 and self.ly > 0.0):
-            raise DegenerateGrid(f"need positive edge lengths, got {self.lx} x {self.ly}")
+            raise DegenerateGrid(f"need positive edge lengths lx, ly, got {self.lx} x {self.ly}")
         hx, hy = self.lx / self.nx, self.ly / self.ny
         if abs(hx - hy) > _SPACING_RTOL * max(hx, hy):
-            raise AnisotropicCells(f"cells must be square: hx={hx!r}, hy={hy!r}")
+            raise AnisotropicCells(f"cells must be square: lx/nx = {hx!r}, ly/ny = {hy!r}")
 
     @property
     def hx(self) -> float:

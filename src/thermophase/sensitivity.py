@@ -123,8 +123,8 @@ def _explicit_coeffs(problem, phi_n, v_n, pi_n):
     """
     thc = problem.params.theta_c
     dpi = problem.coupling.dpi(phi_n)
-    c1 = -(2.0 / thc) * dpi + (v_n * dpi) / thc**2
-    c2 = pi_n / thc**2
+    c1 = -(2.0 / thc) * dpi + (v_n * dpi) / (thc * thc)
+    c2 = pi_n / (thc * thc)
     return c1, c2
 
 
@@ -160,7 +160,7 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
     for n in range(nt):
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         rhs_phi = xi[n] / tau + c1 * xi[n] + c2 * eta_t[n]
-        xi[n + 1] = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), rhs_phi, opts).x
+        xi[n + 1] = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), rhs_phi, opts.cg_tol).x
         pi_np1 = pi_of(base.phi[n + 1])
         rhs_v = (eta_t[n] / tau + beta * laplacian_neumann(grid, eta_n)
                  - (pi_np1 * xi[n + 1] - pi_n * xi[n]) / tau + h[n])
@@ -233,7 +233,7 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
         X += pi_n * rv_bar / tau
         h_bar[n] = rv_bar
         # transpose of the phase solve (after X1 is complete)
-        rphi_bar = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), X1, opts).x
+        rphi_bar = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), X1, opts.cg_tol).x
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         X += rphi_bar / tau + c1 * rphi_bar
         Th += c2 * rphi_bar
@@ -300,7 +300,7 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
          operator; beta lap(1 (*) q) uses conv_n = conv_{n+1} + tau q_{n+1};
          the p-coupling is lagged at p_{n+1}:
         (I/tau + (alpha + tau beta)(-lap)) q_n = q_{n+1}/tau + beta lap(conv_n)
-            + (1/theta_c^2) pi(phi_n) p_{n+1} + f_q,n
+            + c2_n p_{n+1} + f_q,n
 
     The q-equation is marched with -beta lap(1 (*) q) on its left-hand side.
     That sign is forced by duality: the exact transpose of the discrete
@@ -308,10 +308,13 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     adjoint with the linearized system telescopes to the cost derivative.
       p: implicit in -lap + gamma'(phi_n); coupling terms lagged:
         (I/tau - lap + gamma'(phi_n)) p_n = p_{n+1}/tau
-            + pi(phi_n) (q_{n+1} - q_n)/tau
-            - (2/theta_c) pi'(phi_n) p_{n+1}
-            + (1/theta_c^2) v_n pi'(phi_n) p_{n+1}
+            + pi(phi_n) (q_{n+1} - q_n)/tau + c1_n p_{n+1}
             + k1 (phi_n - phi_q[n])
+
+    c1_n = -(2/theta_c) pi'(phi_n) + (1/theta_c^2) v_n pi'(phi_n) and
+    c2_n = (1/theta_c^2) pi(phi_n) are the coupling coefficients of the
+    linearized phase step, from ``_explicit_coeffs`` as in the tangent sweep
+    and its transpose.
 
     The q-source is f_q = k3 (1 (*) (w - w_q)) + k5 (v - wprime_q)
     + k4 (w(T) - w_omega), whose k4 part is constant in time; only p and q
@@ -320,11 +323,9 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
-    thc = problem.params.theta_c
     beta = problem.params.beta
     pi_of = problem.coupling.pi
     dgamma = problem.potential.dgamma
-    dpi_of = problem.coupling.dpi
 
     target = weighted_targets(cost, base.phi.shape)  # a zero weight's term reads 0
     p = np.zeros((nt + 1, grid.ny, grid.nx))
@@ -352,16 +353,14 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
         if cost.k4 > 0.0:
             f_q = f_q + cost.k4 * wT_err
         pi_n = pi_of(base.phi[n])
+        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         rhs_q = (q[n + 1] / tau + beta * laplacian_neumann(grid, q_conv)
-                 + (pi_n * p[n + 1]) / thc**2 + f_q)
+                 + c2 * p[n + 1] + f_q)
         if cost.k3 > 0.0:
             w_conv = w_conv + tau * (w[n] - target["w_q"][n])
         q[n] = _thermal_solve(grid, problem.params, tau, rhs_q)
-        dpi_n = dpi_of(base.phi[n])
-        rhs_p = (p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau
-                 - (2.0 / thc) * dpi_n * p[n + 1]
-                 + (base.v[n] * dpi_n * p[n + 1]) / thc**2)
+        rhs_p = p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau + c1 * p[n + 1]
         if cost.k1 > 0.0:
             rhs_p = rhs_p + cost.k1 * (base.phi[n] - target["phi_q"][n])
-        p[n] = _phi_solver(grid, tau, dgamma(base.phi[n]), rhs_p, opts).x
+        p[n] = _phi_solver(grid, tau, dgamma(base.phi[n]), rhs_p, opts.cg_tol).x
     return AdjointPair(p=p, q=q)

@@ -199,12 +199,12 @@ class StateTrajectory:
         return self.phi.shape[0] - 1
 
 
-def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
+def _phi_solver(grid, tau, gp, rhs, tol):
     """CGResult of (I/tau - lap + diag(gp)) x = rhs, to relative ``tol``; gp holds gamma'.
 
-    ``tol`` defaults to ``opts.cg_tol``, the exact solves of the sensitivity
-    sweeps; only Newton's inner solves in ``phi_step`` pass a looser one.
-    The system is solved in the cosine coefficients c = C x, C the orthonormal
+    The caller sets ``tol``: the sensitivity sweeps pass ``cg_tol``, their
+    exact solves, and Newton in ``phi_step`` its forcing term.  The system is
+    solved in the cosine coefficients c = C x, C the orthonormal
     DCT-II, where the operator is A = (1/tau + eig) + C diag(gamma') C^T and the
     preconditioner the diagonal P = 1/(1/tau + m + eig), m the upper median of
     gamma' (a few stiff cells near separation do not set it, unlike the mean).
@@ -218,7 +218,6 @@ def _phi_solver(grid, tau, gp, rhs, opts, tol=None):
     ``x``.
     """
     rhs = grid.check_field(rhs, "rhs")
-    tol = opts.cg_tol if tol is None else tol
     eig = grid.cosine_eigenbasis[2]
     k = gp.size // 2
     m = np.partition(gp.ravel(), k)[k]
@@ -245,8 +244,7 @@ def _thermal_solve(grid, params, tau, rhs):
     return cosine_solve(grid, rhs, 1.0 / tau, params.alpha + tau * params.beta)
 
 
-def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOptions(),
-             a_n=None):
+def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts, a_n):
     """Implicit phase update; returns (phi_{n+1}, PhiStepInfo).
 
     Inexact Newton on  G(p) = p/tau + A(p) - b,  A(p) = gamma(p) - lap(p),  with
@@ -262,28 +260,22 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
     Newton iterations, each with at most 40 halvings.  A non-finite tol_N or
     first ||G||, which no stop test can compare, raises ``NewtonDivergence``.
 
-    Each Newton point is evaluated once: a trial is checked against the domain
-    by one ``contains`` (which drives the damping), and gamma and gamma' at
-    that point then skip their own check.  ``info.operator`` holds A of the
-    returned iterate.  Passed back as ``a_n`` with that iterate as the next
-    step's ``phi_n``, it spares the next step's first residual its stencil and
-    gamma, and phi_n its domain check, since it was a checked trial; it is the
-    same array that the fresh evaluation of A(phi_n) gives.  Without ``a_n``,
-    phi_n is checked and A(phi_n) evaluated here.
+    ``a_n`` is A(phi_n), carried from the step before: ``info.operator`` holds
+    A of the returned iterate, which is the next step's ``a_n``, and ``march``
+    forms A(phi0) once, after ``check_initial``.  phi_n is therefore a point
+    already checked against the domain, and the first residual costs no
+    stencil and no gamma.  Each Newton point is evaluated once: a trial is
+    checked against the domain by one ``contains`` (which drives the damping),
+    and gamma and gamma' at that point then skip their own check.
     """
     maxit, max_damping = 30, 40
     phi_n = grid.check_field(phi_n, "phi_n")
     v_n = grid.check_field(v_n, "v_n")
     thc = params.theta_c
     pi_n = coupling.pi(phi_n)
-    b = phi_n / tau - (2.0 / thc) * pi_n + (v_n * pi_n) / thc**2
+    b = phi_n / tau - (2.0 / thc) * pi_n + (v_n * pi_n) / (thc * thc)
     tol_n = opts.newton_tol * (1.0 + norm(grid, b))
     info = PhiStepInfo()
-    if a_n is None:
-        if not potential.contains(phi_n):
-            raise DomainViolation("phi_n is not interior to the potential domain")
-        a_n = _phase_operator(grid, potential, phi_n)
-
     phi, a = phi_n.copy(), a_n
     r = phi / tau + a - b
     rnorm = norm(grid, r)
@@ -298,8 +290,8 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts=SolverOpti
                 residual=rnorm,
                 iterations=info.newton_iters,
             )
-        res = _phi_solver(grid, tau, potential._dgamma(phi), -r, opts,
-                          tol=max(opts.cg_tol, eta, 0.5 * tol_n / rnorm))
+        res = _phi_solver(grid, tau, potential._dgamma(phi), -r,
+                          max(opts.cg_tol, eta, 0.5 * tol_n / rnorm))
         info.cg_iters += res.iterations
         delta = res.x
 

@@ -179,7 +179,7 @@ def test_cosine_preset_matches_the_full_grid_formula_bit_for_bit(lx, ly, nx, ny)
 
 def test_from_run_cost_keeps_only_the_weighted_targets():
     cfg = parse_config(os.path.join(CONFIGS, "optimize_recovery.json"))
-    cost = cfg.cost_spec()
+    cost = cfg.cost_spec(cfg.problem())
     assert cost.w_q is None and cost.w_omega is None  # k3 = k4 = 0
     assert cost.phi_q.shape == (cfg.timegrid.nt + 1,) + cfg.grid.shape
     assert cost.wprime_omega.shape == cfg.grid.shape
@@ -260,7 +260,8 @@ def test_unknown_keys_rejected(tmp_path):
 def test_all_zero_cost_names_assumption(tmp_path):
     cfg = dict(MINIMAL)
     cfg["cost"] = {"k1": 0.0}
-    with pytest.raises(ValidationError, match="C2"):
+    with pytest.raises(ValidationError, match="C2: cost weights k1, k2, k3, k4, k5, k6, nu1, "
+                                              "nu2 must not all be zero"):
         parse_config(_write(tmp_path, cfg))
 
 
@@ -313,6 +314,20 @@ def test_float_keys_given_as_integers_are_stored_and_echoed_as_floats(tmp_path):
     assert "1.0,\n      2.0\n" in text  # grad_check.epsilons
     # a config without a cost block gets none
     assert "cost" not in parse_config(_write(tmp_path, MINIMAL)).raw
+
+
+def test_from_run_terminal_targets_do_not_keep_the_trajectory(tmp_path):
+    # a terminal target that is a view of node nt would keep all nt + 1 nodes alive
+    cfg = parse_config(_write(tmp_path, {
+        **MINIMAL, "time": {"t_final": 0.1, "nt": 40},
+        "cost": {"k2": 1.0, "k4": 1.0, "targets": {"from_run": {"u": 0.3, "v0": 0.1}}},
+    }))
+    problem = cfg.problem()
+    cost = cfg.cost_spec(problem)
+    traj = solve_state(problem, cfg._from_run, cfg.solver_options())
+    for target, final in ((cost.phi_omega, traj.phi[-1]), (cost.w_omega, traj.w[-1])):
+        assert target.base is None and target.shape == cfg.grid.shape
+        assert target.tobytes() == final.tobytes()
 
 
 def test_from_run_targets_make_zero_cost(tmp_path):
@@ -424,7 +439,8 @@ def _truncated_phi0(tmp_path):
 @pytest.mark.parametrize("blocks,cause", [
     (lambda p: {"potential": {"interior_margin": 2.0}}, "interior_margin"),
     (lambda p: {"admissible": {"u_lo": 1.0, "u_hi": -1.0}}, "u_lo"),
-    (lambda p: {"grid": {"lx": 1.0, "ly": 2.0, "nx": 8, "ny": 8}}, "square"),
+    (lambda p: {"grid": {"lx": 1.0, "ly": 2.0, "nx": 8, "ny": 8}},
+     "square: lx/nx = 0.125, ly/ny = 0.25"),
     (_truncated_phi0, "phi0.cgw"),
     (lambda p: {"grad_check": {"n_directions": "five"}}, "grad_check.n_directions"),
     (lambda p: {"solver": {"cg_tol": True}}, "solver.cg_tol"),
@@ -448,17 +464,21 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"cont_dependence": {"deltas": [0.1, -0.01]}}, "cont_dependence.deltas"),
     (lambda p: {"grad_check": {"epsilons": [0.1, 0.1]}}, "grad_check.epsilons"),
     (lambda p: {"admissible": {"v_lo": 0.5, "v_hi": 1.0, "ball_radius": 0.1}},
-     "admissible set is empty"),
+     "admissible set is empty: the clamp of zero to [v_lo, v_hi] leaves the ball of radius "
+     "ball_radius"),
     (lambda p: {"adjoint_test": {"levels": [[8.5, 10.7], [16, 20]]}},
      "adjoint_test.levels must be a list of integer pairs"),
     (lambda p: {"convergence": {"spatial_levels": [8.0, 16], "spatial_ref_nx": 32}},
      "convergence.spatial_levels must be a list of integers"),
     (lambda p: {"convergence": {"spatial_levels": [4, 8], "spatial_ref_nx": 16,
                                 "spatial_nt": 0}},
-     "convergence.spatial_levels: level nx=4: BadParameter: nt must be >= 1"),
+     "convergence.spatial_nt: level nt=0: BadParameter: nt must be >= 1"),
     (lambda p: {"grid": {"lx": 1.5, "ly": 1.0, "nx": 12, "ny": 8},
                 "adjoint_test": {"levels": [[12, 5], [16, 10]]}},
      "adjoint_test.levels: level nx=16: AnisotropicCells"),
+    (lambda p: {"convergence": {"temporal_nts": [1, 2], "temporal_ref_nt": 4,
+                                "temporal_nx": 1}},
+     "convergence.temporal_nx: level nx=1: DegenerateGrid"),
     (lambda p: {"control": {"u": {"snapshot_dir": {}}}}, "control.u: snapshot_dir takes"),
     (lambda p: {"control": {"u": {"snapshot_dir": {"path": 3}}}},
      "control.u: snapshot_dir takes"),
@@ -493,7 +513,8 @@ def _truncated_phi0(tmp_path):
         "spatial_levels_single", "temporal_ref_not_multiple",
         "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated",
         "admissible_set_empty", "levels_float_pairs", "spatial_levels_float",
-        "spatial_nt_zero", "adjoint_level_nonsquare_on_1.5x1", "snapshot_dir_without_path",
+        "spatial_nt_zero", "adjoint_level_nonsquare_on_1.5x1", "temporal_nx_degenerate",
+        "snapshot_dir_without_path",
         "snapshot_dir_path_not_string", "cosine_non_finite", "snapshot_dir_on_v0",
         "cosine_unknown_key", "from_run_u_string", "from_run_not_object", "bound_bool",
         "snapshot_missing", "phi0_int_beyond_float", "alpha_int_beyond_float",

@@ -214,10 +214,10 @@ def test_zero_weight_targets_are_never_read(rng):
 
 def test_cost_spec_rejects_all_zero_weights():
     g = build_grid(1, 1, 8, 8)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="k1, k2, k3, k4, k5, k6, nu1, nu2 must not all"):
         zero_target_cost(g, 4)
-    with pytest.raises(BadParameter):
-        zero_target_cost(g, 4, k1=-1.0)
+    with pytest.raises(BadParameter, match=r"\['k1', 'nu2'\] must be nonnegative and finite"):
+        zero_target_cost(g, 4, k1=-1.0, nu2=math.nan)
 
 
 def test_reduced_cost_consistency_and_monotone_nu1():
@@ -289,7 +289,7 @@ def test_project_ball_active():
 def test_admissible_set_validation():
     with pytest.raises(BadParameter):
         AdmissibleSet(u_lo=1.0, u_hi=-1.0)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="ball_radius M must be positive, got 0.0"):
         AdmissibleSet(ball_radius=0.0)
     g = build_grid(1, 1, 8, 8)
     # box forces v0 = 1 but the ball only allows norm 0.1: empty set

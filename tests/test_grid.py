@@ -23,9 +23,9 @@ def test_build_grid_arithmetic():
 def test_build_grid_rejects_degenerate_and_anisotropic():
     with pytest.raises(DegenerateGrid):
         build_grid(1, 1, 2, 2)
-    with pytest.raises(DegenerateGrid):
+    with pytest.raises(DegenerateGrid, match="edge lengths lx, ly"):
         build_grid(-1, 1, 4, 4)
-    with pytest.raises(AnisotropicCells):
+    with pytest.raises(AnisotropicCells, match="lx/nx = 0.125, ly/ny = 0.25"):
         build_grid(1, 2, 8, 8)
 
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,8 +15,8 @@ from thermophase.grid import build_grid, laplacian_neumann, norm
 from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
                                      adjoint_solve_discrete, array_seed, tangent_solve,
                                      tangent_transpose, tracking_seeds, trapezoid_weights)
-from thermophase.state import (SolverOptions, StateTrajectory, _phi_solver, _thermal_solve,
-                               solve_state)
+from thermophase.state import (PhysParams, SolverOptions, StateTrajectory, _phi_solver,
+                               _thermal_solve, solve_state)
 
 TIGHT = SolverOptions(cg_tol=1e-13)
 
@@ -36,6 +36,15 @@ def test_tangent_zero_perturbation_is_zero():
     assert np.max(np.abs(lin.xi)) == 0.0
     assert np.max(np.abs(lin.eta)) == 0.0
     assert np.max(np.abs(lin.eta_t)) == 0.0
+
+
+def test_huge_theta_c_decouples_without_overflow():
+    # 1/theta_c^2 is 0 here: as a float power, theta_c**2 raised OverflowError
+    problem = replace(small_problem(nx=8, nt=3), params=PhysParams(theta_c=1e300))
+    control = smooth_control(problem)
+    base = solve_state(problem, control, TIGHT)
+    lin = tangent_solve(base, problem, Perturbation(control.u, control.v0), TIGHT)
+    assert np.all(np.isfinite(base.phi)) and np.all(np.isfinite(lin.xi))
 
 
 def test_tangent_rebuilds_eta_as_the_running_sum_of_eta_t(rng):
@@ -212,15 +221,16 @@ def _continuous_adjoint_arrays(base, problem, cost, opts):
     for n in range(nt - 1, -1, -1):
         q_conv[n] = q_conv[n + 1] + tau * q[n + 1]
         pi_n = coupling.pi(base.phi[n])
-        rhs_q = (q[n + 1] / tau + params.beta * laplacian_neumann(grid, q_conv[n])
-                 + (pi_n * p[n + 1]) / thc**2 + f_q[n])
-        q[n] = _thermal_solve(grid, params, tau, rhs_q)
         dpi_n = coupling.dpi(base.phi[n])
-        rhs_p = (p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau
-                 - (2.0 / thc) * dpi_n * p[n + 1]
-                 + (base.v[n] * dpi_n * p[n + 1]) / thc**2)
+        c1 = -(2.0 / thc) * dpi_n + (base.v[n] * dpi_n) / thc**2
+        c2 = pi_n / thc**2
+        rhs_q = (q[n + 1] / tau + params.beta * laplacian_neumann(grid, q_conv[n])
+                 + c2 * p[n + 1] + f_q[n])
+        q[n] = _thermal_solve(grid, params, tau, rhs_q)
+        rhs_p = p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau + c1 * p[n + 1]
         rhs_p = rhs_p + cost.k1 * (base.phi[n] - cost.phi_q[n])
-        p[n] = _phi_solver(grid, tau, problem.potential.dgamma(base.phi[n]), rhs_p, opts).x
+        p[n] = _phi_solver(grid, tau, problem.potential.dgamma(base.phi[n]), rhs_p,
+                           opts.cg_tol).x
     return p, q
 
 
