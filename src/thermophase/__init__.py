@@ -17,9 +17,8 @@ from .grid import (GridSpec, build_grid, cg_solve, cosine_solve, inner, laplacia
 from .nonlinearity import Coupling, Potential
 from .state import (InitialData, PhysParams, Problem, SolverOptions, StateTrajectory,
                     TimeGrid, march, phi_step, solve_state, thermal_step)
-from .sensitivity import (AdjointPair, LinearizedPair, Perturbation, TransposeResult,
-                          adjoint_solve_continuous, adjoint_solve_discrete,
-                          array_seed, tangent_solve, tangent_transpose)
+from .sensitivity import (AdjointPair, LinearizedPair, Perturbation, adjoint_solve_continuous,
+                          adjoint_solve_discrete, array_seed, tangent_solve, tangent_transpose)
 from .control import (AdmissibleSet, ControlPair, CostSpec, GradientPair, OptimizeOptions,
                       OptimizeReport, ReducedProblem, check_vi, clamp_formula_residual,
                       cost_eval, optimize, project_admissible, stationarity_residual,

@@ -22,10 +22,11 @@ earlier run's ``ARTEFACTS`` and ``SERIES`` files, and no other, so every result
 on disk is this run's.  Every file goes to disk through
 ``snapshots.write_atomic``.
 
-Exit codes: 0 pass, 1 criterion failure, 2 usage/config error, 3 numerical
-failure.  CSV files use '.' decimal, comma separators, a header row, and
-shortest-roundtrip float formatting, so repeated runs with a fixed seed are
-byte-identical.
+Exit codes: 0 pass, 1 criterion failure, 2 usage/config error (found before
+the output directory is touched), 3 numerical failure or a failed allocation
+(a ``MemoryError``, reported like a numerical failure).  CSV files use '.'
+decimal, comma separators, a header row, and shortest-roundtrip float
+formatting, so repeated runs with a fixed seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -271,7 +272,6 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     problem = cfg.problem()
     control = cfg.control()
     opts = cfg.solver_options()
-    cost = cfg.cost_spec(problem)
     blk = cfg.raw["adjoint_test"]
     grid, tg = problem.grid, problem.time
     rng = np.random.default_rng(seed)
@@ -289,7 +289,7 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth), opts)
         lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                           + np.sum(wth * lin.eta_t))
-        rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
+        rhs = u_inner(grid, tg.tau, sweep.h, h) + inner(grid, sweep.h0, h0)
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         rows.append((trial, lhs, rhs, rel))
     write_csv(os.path.join(out_dir, "dot_test.csv"), ["trial", "lhs", "rhs", "rel_err"], rows)
@@ -305,7 +305,7 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
             sweep = adjoint_solve_discrete(ltraj, lproblem, lcost, lopts)
             adj = adjoint_solve_continuous(ltraj, lproblem, lcost, lopts)
             qc = adj.q[1:]
-            num = u_norm(lproblem.grid, lproblem.time.tau, sweep.h_bar / lproblem.time.tau - qc)
+            num = u_norm(lproblem.grid, lproblem.time.tau, sweep.h - qc)
             den = u_norm(lproblem.grid, lproblem.time.tau, qc)
             gaps.append(0.0 if num == 0.0 else num / den)
             taus.append(lproblem.time.tau)
@@ -350,21 +350,24 @@ def cmd_optimize(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         CriterionResult("j_monotone", 1.0 if monotone else 0.0, ">=", 1.0),
         CriterionResult("feasible_iterates", 1.0 if feasible else 0.0, ">=", 1.0),
     ]
+    notes = [f"optimizer converged={_fmt(report.converged)} reason={report.reason} "
+             f"iters={len(report.iterates) - 1} forward_solves={report.forward_solves} "
+             f"gradients={report.gradients} hessian_products={report.hessian_products}"]
     if blk["clamp_formula_tol"] > 0.0 and cost.nu1 > 0.0:
         criteria.append(CriterionResult(
             "clamp_formula_residual", last.clamp_formula_residual, "<=",
             blk["clamp_formula_tol"] * (1.0 + u_norm(problem.grid, problem.time.tau,
                                                      report.final.u))))
+    elif blk["clamp_formula_tol"] > 0.0:
+        notes.append("clamp_formula_residual omitted: cost.nu1 is 0, "
+                     "so u = clamp(-q/nu1) does not apply")
     if blk["vi_tol"] > 0.0:
         criteria.append(CriterionResult("vi_min", last.vi_min, ">=",
                                         -blk["vi_tol"] * last.vi_scale))
     if blk["recovery_factor"] > 0.0:
         criteria.append(CriterionResult("j_reduction", js[-1], "<=",
                                         js[0] / blk["recovery_factor"]))
-    return criteria, [f"optimizer converged={_fmt(report.converged)} reason={report.reason} "
-                      f"iters={len(report.iterates) - 1} "
-                      f"forward_solves={report.forward_solves} gradients={report.gradients} "
-                      f"hessian_products={report.hessian_products}"]
+    return criteria, notes
 
 
 def cmd_convergence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
@@ -458,6 +461,8 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     ], []
 
 
+# the commands that read the config's cost block: without one, they write nothing
+NEEDS_COST = ("grad_check", "adjoint_test", "optimize")
 _COMMANDS = {
     "simulate": cmd_simulate,
     "grad_check": cmd_grad_check,
@@ -500,6 +505,8 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
     seed = cfg.raw["solver"]["seed"] if seed is None else seed
     if seed < 0:
         raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
+    if cmd in NEEDS_COST and not cfg.has_cost():
+        raise ValidationError("C2: this command needs a cost block")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -518,6 +525,10 @@ def run_command(cmd: str, cfg: ProblemConfig, out_dir: str | None = None,
     except ThermophaseError as exc:
         _write_failure(os.path.join(out_dir, "failure.json"), cmd, exc)
         raise
+    except MemoryError as exc:  # an allocation past the process's limits fails the run loudly
+        failure = ThermophaseError(f"out of memory: {str(exc) or type(exc).__name__}")
+        _write_failure(os.path.join(out_dir, "failure.json"), cmd, failure)
+        raise failure from exc
     _write_summary(os.path.join(out_dir, "summary.txt"), criteria, notes)
     code = 0 if all(c.passed for c in criteria) else 1
     return ExitReport(code=code, criteria=criteria)

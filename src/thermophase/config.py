@@ -15,9 +15,10 @@ A config file is a JSON object with the blocks below; only ``grid`` and
   control, admissible set, options and cost once, at parse time, and a
   failed range check there (it names the violated assumption, e.g.
   "A1: alpha must be > 0") becomes a ValidationError;
-- ``output.snapshot_stride`` and the experiment blocks have no domain type,
-  so ``ProblemConfig`` checks them: every list a slope is fitted to has two
-  or more distinct positive entries, ``grad_check.n_directions`` and
+- ``output.snapshot_stride``, ``solver.seed`` and the experiment blocks have
+  no domain type, so ``ProblemConfig`` checks them: the stride and the seed
+  are at least 0, every list a slope is fitted to has two or more distinct
+  positive entries, ``grad_check.n_directions`` and
   ``adjoint_test.n_trials`` are at least 1, each convergence refinement
   level is a proper divisor of its reference, and every study level's
   ``level_grid`` (the grid the run builds) and time grid can be built;
@@ -373,6 +374,8 @@ class ProblemConfig:
             solver=self._solver)
         if raw["output"]["snapshot_stride"] < 0:
             raise ValidationError("output.snapshot_stride must be >= 0")
+        if s["seed"] < 0:
+            raise ValidationError("solver.seed must be >= 0")
         _check_studies(raw, self.grid)
         self._cost = self._from_run = None
         if "cost" in raw:

@@ -2,11 +2,12 @@
 
 The control pair is a distributed heat source u, sampled at the step
 endpoints t_1..t_nt and applied implicitly, plus the initial temperature v0.
-The reduced gradient couples the discrete-adjoint seeds with the control
-penalties:
+The reduced gradient couples the reverse sweep's result s, the L2(Q) x L2
+representatives (s.h, s.h0) of the tracking terms' derivative, with the
+control penalties:
 
-    g_u[n] = seed_u[n] + nu1 u[n]            (L2(Q) representative)
-    g_v    = nu2 v0 + riesz_v(seed_v0)       (V representative)
+    g_u[n] = s.h[n] + nu1 u[n]               (L2(Q) representative)
+    g_v    = nu2 v0 + riesz_v(s.h0)          (V representative)
 
 so that <g_u, h>_L2(Q) + <g_v, h0>_V is the exact directional derivative of
 the discrete reduced cost.
@@ -275,8 +276,7 @@ class ReducedProblem:
         traj = self.state(control)
         self.gradients += 1
         sweep = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
-        sweep.h_bar /= self.problem.time.tau  # in place: no second trajectory-sized array
-        return self._representative(sweep.h_bar, sweep.h0_bar, control)
+        return self._representative(sweep, control)
 
     def hessian_vector(self, control: ControlPair, d: ControlPair) -> GradientPair:
         """Gauss-Newton Hessian of the reduced cost at ``control`` applied to ``d``.
@@ -294,13 +294,14 @@ class ReducedProblem:
                               targets=False)
         sweep = tangent_transpose(traj, self.problem, seed, self.opts)
         self.hessian_products += 1
-        return self._representative(sweep.h_bar / tau, sweep.h0_bar, d)
+        return self._representative(sweep, d)
 
-    def _representative(self, seed_u: Field, seed_v0: Field, x: ControlPair) -> GradientPair:
-        """(seed_u + nu1 x.u, nu2 x.v0 + riesz_v(seed_v0)): the L2(Q) and V representatives
-        of a tracking derivative with L2 seeds (seed_u, seed_v0) plus the penalties' at x."""
-        return GradientPair(g_u=seed_u + self.cost_spec.nu1 * x.u,
-                            g_v=self.cost_spec.nu2 * x.v0 + riesz_v(self.problem.grid, seed_v0))
+    def _representative(self, seed: Perturbation, x: ControlPair) -> GradientPair:
+        """(seed.h + nu1 x.u, nu2 x.v0 + riesz_v(seed.h0)): the L2(Q) and V representatives
+        of a tracking derivative with L2(Q) x L2 representatives ``seed`` plus the
+        penalties' at x."""
+        return GradientPair(g_u=seed.h + self.cost_spec.nu1 * x.u,
+                            g_v=self.cost_spec.nu2 * x.v0 + riesz_v(self.problem.grid, seed.h0))
 
 
 def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec) -> ControlPair:

@@ -4,12 +4,13 @@ Two routes to the same gradient, on purpose:
 
 * ``tangent_solve`` applies the exact derivative of the discrete forward
   scheme to a control perturbation, and ``tangent_transpose`` applies the
-  transpose of every linear map in it, in reverse order.  Built on top of
-  these, ``adjoint_solve_discrete`` returns the sweep seeded by the discrete
-  cost, its machine-accurate gradient (engineering truth).  The reverse
-  sweep takes its cotangents node by node from a seed; ``tracking_seeds``
-  builds it from the trajectory misfit (the gradient) or from a tangent (the
-  Gauss-Newton Hessian product).
+  transpose of every linear map in it, in reverse order, back into the same
+  space: it returns a ``Perturbation`` of L2(Q) x L2 representatives.  Built
+  on top of these, ``adjoint_solve_discrete`` returns the sweep seeded by the
+  discrete cost, the machine-accurate tracking gradient (engineering truth).
+  The reverse sweep takes its cotangents node by node from a seed;
+  ``tracking_seeds`` builds it from the trajectory misfit (the gradient) or
+  from a tangent (the Gauss-Newton Hessian product).
 * ``adjoint_solve_continuous`` discretizes the backward-in-time adjoint
   system itself, with a semi-implicit scheme mirroring the forward one
   (scientific fidelity).  Its gradient agrees with the discrete one only up
@@ -44,7 +45,11 @@ if TYPE_CHECKING:
 
 @dataclass
 class Perturbation:
-    """Control-space direction: h at nodes 1..nt, h0 for the initial temperature."""
+    """Control-space direction: h at nodes 1..nt, h0 for the initial temperature.
+
+    ``tangent_transpose`` returns one too: the L2(Q) and L2 representatives of
+    a derivative with respect to (u, v0).
+    """
 
     h: np.ndarray
     h0: np.ndarray
@@ -170,21 +175,6 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
     return LinearizedPair(xi=xi, eta_t=eta_t, tau=tau)
 
 
-@dataclass
-class TransposeResult:
-    """Output of the reverse sweep: pairings against (h, h0).
-
-    dPairing = sum_n <h_bar[n-1], h_n>_L2 + <h0_bar, h0>_L2 where the
-    cotangent input was paired in L2 against the tangent output at every node.
-    h_bar / tau holds the per-node thermal-equation multipliers, and the phase
-    solve of node n+1 returns tau times those of the phase equation; their
-    time-continuum limits solve the backward adjoint system.
-    """
-
-    h_bar: np.ndarray
-    h0_bar: np.ndarray
-
-
 # A per-node seed: seed(n) returns fresh cotangent fields (xi_bar, eta_bar,
 # eta_t_bar) of node n, which the reverse sweep accumulates into in place.
 Seed = Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -198,17 +188,23 @@ def array_seed(problem: Problem, xi_bar, eta_bar, eta_t_bar) -> Seed:
 
 
 def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
-                      opts=SolverOptions()) -> TransposeResult:
+                      opts=SolverOptions()) -> Perturbation:
     """Transpose of ``tangent_solve`` against the L2 pairing at every node.
 
-    ``seed(n)`` gives the cotangent fields of node n; the result satisfies
+    ``seed(n)`` gives the cotangent fields of node n; the result ``g`` lies in
+    the space ``tangent_solve`` maps from and satisfies
 
       sum_n <xi_bar[n], xi[n]> + <eta_bar[n], eta[n]> + <eta_t_bar[n], eta_t[n]>
-        = sum_n <h_bar[n-1], h[n-1-th entry]> + <h0_bar, h0>
+        = <g.h, h>_L2(Q) + <g.h0, h0>_L2,   <a, b>_L2(Q) = tau sum_n <a[n], b[n]>
 
-    exactly (up to the phase CG tolerance) for every perturbation, because
-    every linear map in the forward sweep is L2-self-adjoint and is reapplied
-    here in reverse order.  Only the cotangents of nodes n and n+1 are held.
+    exactly (up to the phase CG tolerance) for every perturbation (h, h0),
+    because every linear map in the forward sweep is L2-self-adjoint and is
+    reapplied here in reverse order.  So g.h is the L2(Q) representative and
+    g.h0 the L2 representative of the pairing's derivative, with no Riesz
+    lifting.  g.h holds the per-node thermal-equation multipliers, and the
+    phase solve of node n+1 returns tau times those of the phase equation;
+    their time-continuum limits solve the backward adjoint system.  Only the
+    cotangents of nodes n and n+1 are held.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
@@ -216,7 +212,7 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
     pi_of = problem.coupling.pi
     dgamma = problem.potential.dgamma
 
-    h_bar = np.zeros((nt, grid.ny, grid.nx))
+    h = np.zeros((nt, grid.ny, grid.nx))
     X1, E1, Th1 = seed(nt)
     pi_np1 = pi_of(base.phi[nt])
     for n in range(nt - 1, -1, -1):
@@ -226,19 +222,19 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
         E += E1
         # transpose of the thermal solve
         rv_bar = _thermal_solve(grid, problem.params, tau, Th1)
-        Th += rv_bar / tau
+        h[n] = rv_bar / tau
+        Th += h[n]
         E += beta * laplacian_neumann(grid, rv_bar)
         pi_n = pi_of(base.phi[n])
         X1 -= pi_np1 * rv_bar / tau
         X += pi_n * rv_bar / tau
-        h_bar[n] = rv_bar
         # transpose of the phase solve (after X1 is complete)
         rphi_bar = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), X1, opts.cg_tol).x
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         X += rphi_bar / tau + c1 * rphi_bar
         Th += c2 * rphi_bar
         X1, E1, Th1, pi_np1 = X, E, Th, pi_n
-    return TransposeResult(h_bar=h_bar, h0_bar=Th1)
+    return Perturbation(h=h, h0=Th1)
 
 
 def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True) -> Seed:
@@ -277,11 +273,12 @@ def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True
 
 
 def adjoint_solve_discrete(base: StateTrajectory, problem: Problem, cost: "CostSpec",
-                           opts=SolverOptions()) -> TransposeResult:
+                           opts=SolverOptions()) -> Perturbation:
     """Exact transpose of the tangent map seeded by the discrete cost.
 
-    Exact for the discrete reduced cost: dJ_tracking = <h_bar / tau, h>_L2(Q)
-    + <h0_bar, h0>_L2, with plain L2 representatives (no Riesz lifting).
+    Exact for the discrete reduced cost: dJ_tracking = <g.h, h>_L2(Q)
+    + <g.h0, h0>_L2 for the result g, whose fields are the plain L2(Q) and
+    L2 representatives (no Riesz lifting).
     """
     seed = tracking_seeds(cost, base.phi, lambda: base.w, base.v, problem.time.tau)
     return tangent_transpose(base, problem, seed, opts)

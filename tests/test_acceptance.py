@@ -16,8 +16,8 @@ from oracles import cell_centers, scalar_forward
 
 from thermophase.cli import run_command
 from thermophase.config import parse_config_dict
-from thermophase.control import AdmissibleSet, ControlPair, OptimizeOptions, optimize
-from thermophase.grid import build_grid, laplacian_neumann, norm
+from thermophase.control import AdmissibleSet, ControlPair, OptimizeOptions, optimize, u_inner
+from thermophase.grid import build_grid, inner, laplacian_neumann, norm
 from thermophase.nonlinearity import Coupling, Potential
 from thermophase.sensitivity import Perturbation, array_seed, tangent_solve, tangent_transpose
 from thermophase.state import (InitialData, PhysParams, Problem, SolverOptions, TimeGrid,
@@ -194,7 +194,7 @@ def test_criterion_06_dot_test_matrix():
                                            opts)
                 lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                                   + np.sum(wth * lin.eta_t))
-                rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
+                rhs = u_inner(g, tg.tau, sweep.h, h) + inner(g, sweep.h0, h0)
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     _report(6, "dot_test_matrix", worst <= 1e-10, f"max_rel_mismatch={worst:.2e}")
 

@@ -131,7 +131,8 @@ def mutations(draw):
 
 
 def _names_a_key(message, touched):
-    return any(re.search(rf"\b{re.escape(name)}\b", message) for name in touched)
+    # a flag such as --seed names no config key
+    return any(re.search(rf"(?<!-)\b{re.escape(name)}\b", message) for name in touched)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,

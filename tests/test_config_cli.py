@@ -479,6 +479,7 @@ def _truncated_phi0(tmp_path):
     (lambda p: {"convergence": {"temporal_nts": [1, 2], "temporal_ref_nt": 4,
                                 "temporal_nx": 1}},
      "convergence.temporal_nx: level nx=1: DegenerateGrid"),
+    (lambda p: {"solver": {"seed": -1}}, "solver.seed must be >= 0"),
     (lambda p: {"control": {"u": {"snapshot_dir": {}}}}, "control.u: snapshot_dir takes"),
     (lambda p: {"control": {"u": {"snapshot_dir": {"path": 3}}}},
      "control.u: snapshot_dir takes"),
@@ -514,7 +515,7 @@ def _truncated_phi0(tmp_path):
         "spatial_ref_not_multiple", "deltas_negative", "epsilons_repeated",
         "admissible_set_empty", "levels_float_pairs", "spatial_levels_float",
         "spatial_nt_zero", "adjoint_level_nonsquare_on_1.5x1", "temporal_nx_degenerate",
-        "snapshot_dir_without_path",
+        "seed_negative", "snapshot_dir_without_path",
         "snapshot_dir_path_not_string", "cosine_non_finite", "snapshot_dir_on_v0",
         "cosine_unknown_key", "from_run_u_string", "from_run_not_object", "bound_bool",
         "snapshot_missing", "phi0_int_beyond_float", "alpha_int_beyond_float",
@@ -537,6 +538,19 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, cmd):
     with pytest.raises(ValidationError, match="--seed"):
         run_command(cmd, parse_config(path), out_dir=str(out), seed=-1)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["grad_check", "adjoint_test", "optimize"])
+def test_costless_config_leaves_the_output_directory_alone(tmp_path, capsys, cmd):
+    # the missing cost block is a config error found before the directory is touched
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "summary.txt").write_text("an earlier run\n")
+    path = _write(tmp_path, MINIMAL)
+    assert main([cmd, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: C2: this command needs a cost block\n"
+    assert os.listdir(out) == ["summary.txt"]
+    assert (out / "summary.txt").read_text() == "an earlier run\n"
 
 
 @pytest.mark.parametrize("where", ["config_empty", "out_under_file"])
@@ -701,6 +715,25 @@ def test_overflowing_cost_sum_exits_three(tmp_path, capsys):
     assert record["message"].startswith("cost term nu1 overflows")
 
 
+def test_failed_allocation_exits_three(tmp_path, capsys, monkeypatch):
+    # a trajectory within physical memory but past the process's own limit: the
+    # allocation fails as a numerical failure with its failure.json, not a traceback
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr("thermophase.cli.solve_state", no_memory)
+    path = _write(tmp_path, MINIMAL)
+    assert main(["cont_dependence", "--config", path, "--out", str(tmp_path / "o")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: out of memory: "
+                            "Unable to allocate 1.00 GiB for an array\n")
+    record = _failure(tmp_path / "o")
+    assert (record["command"], record["error"], record["step"]) == (
+        "cont_dependence", "ThermophaseError", None)
+    assert record["message"] == "out of memory: Unable to allocate 1.00 GiB for an array"
+    assert not (tmp_path / "o" / "summary.txt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_phase_step_exits_three(tmp_path, capsys):
     # u overflows the L2 norm of v at step 1, so step 2's right-hand side norm is inf,
@@ -794,6 +827,19 @@ def test_optimize_does_not_depend_on_the_seed(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_requested_clamp_check_without_nu1_is_noted(tmp_path):
+    # u = clamp(-q/nu1) needs nu1 > 0: the requested criterion is left out, and said so
+    path = _write(tmp_path, {**MINIMAL, "cost": {"k1": 1.0, "nu2": 1e-3},
+                             "optimize": {"clamp_formula_tol": 1e-6},
+                             "solver": {"max_iters": 2}})
+    out = tmp_path / "o"
+    assert main(["optimize", "--config", path, "--out", str(out)]) in (0, 1)
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert not any(line.startswith("clamp_formula_residual value=") for line in summary)
+    assert ("clamp_formula_residual omitted: cost.nu1 is 0, so u = clamp(-q/nu1) "
+            "does not apply") in summary
+
+
 def test_unknown_command_rejected(tmp_path):
     cfg = parse_config(_write(tmp_path, MINIMAL))
     with pytest.raises(ValidationError):
@@ -824,7 +870,7 @@ def test_nan_dot_test_trial_fails_the_run(tmp_path, monkeypatch):
         result = tangent_transpose(*args, **kwargs)
         calls.append(result)
         if len(calls) == 2:
-            result.h0_bar = np.full_like(result.h0_bar, np.nan)
+            result.h0 = np.full_like(result.h0, np.nan)
         return result
 
     monkeypatch.setattr("thermophase.cli.tangent_transpose", nan_on_second_trial)

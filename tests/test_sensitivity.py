@@ -10,8 +10,8 @@ from conftest import small_problem, smooth_control, zero_target_cost
 from oracles import circledast_accumulate, scalar_adjoint_backward, scalar_forward
 
 from thermophase import sensitivity
-from thermophase.control import ControlPair, u_norm
-from thermophase.grid import build_grid, laplacian_neumann, norm
+from thermophase.control import ControlPair, u_inner, u_norm
+from thermophase.grid import build_grid, inner, laplacian_neumann, norm
 from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
                                      adjoint_solve_discrete, array_seed, tangent_solve,
                                      tangent_transpose, tracking_seeds, trapezoid_weights)
@@ -111,7 +111,7 @@ def test_dot_product_identity(potential_kind, coupling_kind, rng):
         sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth), TIGHT)
         lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                           + np.sum(wth * lin.eta_t))
-        rhs = vol * float(np.sum(sweep.h_bar * h) + np.sum(sweep.h0_bar * h0))
+        rhs = u_inner(grid, problem.time.tau, sweep.h, h) + inner(grid, sweep.h0, h0)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
 
 
@@ -129,8 +129,8 @@ def test_zero_cost_zero_adjoint_zero_seeds():
     base = solve_state(problem, smooth_control(problem), TIGHT)
     cost = _zero_cost(problem)
     sweep = adjoint_solve_discrete(base, problem, cost, TIGHT)
-    assert np.max(np.abs(sweep.h_bar)) == 0.0
-    assert np.max(np.abs(sweep.h0_bar)) == 0.0
+    assert np.max(np.abs(sweep.h)) == 0.0
+    assert np.max(np.abs(sweep.h0)) == 0.0
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
     assert np.max(np.abs(adj.p)) == 0.0
     assert np.max(np.abs(adj.q)) == 0.0
@@ -380,7 +380,7 @@ def test_transpose_multipliers_track_continuous_adjoint(monkeypatch):
     adj = adjoint_solve_continuous(base, problem, cost, TIGHT)
     tau = problem.time.tau
     p_like = np.stack(solves[::-1]) / tau
-    rel_q = (u_norm(problem.grid, tau, sweep.h_bar / tau - adj.q[1:])
+    rel_q = (u_norm(problem.grid, tau, sweep.h - adj.q[1:])
              / u_norm(problem.grid, tau, adj.q[1:]))
     rel_p = (u_norm(problem.grid, tau, p_like - adj.p[1:])
              / u_norm(problem.grid, tau, adj.p[1:]))
