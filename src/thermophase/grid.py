@@ -14,9 +14,10 @@ cells in 2-D the h factors cancel, so each interior face contributes
 (difference of a) * (difference of b).
 
 The orthonormal 2-D DCT-II (``_to_cosine``, inverse ``_from_cosine``) diagonalises
-the stencil; the exact ``cosine_solve`` and the phase-Jacobian CG in ``state``
-both run through these two transforms.  ``cg_solve`` returns the solution and
-its iteration count; a solve that misses its target raises ``NoConvergence``
+the stencil; the exact ``cosine_solve`` and the phase-Jacobian solve in ``state``
+both run through these two transforms.  ``cg_solve`` (CG, or a fixed-point
+iteration when its caller proves a contraction) returns the solution and its
+iteration count; a solve that misses its target raises ``NoConvergence``
 carrying the last residual norm, the only residual any caller reads.
 """
 
@@ -73,8 +74,9 @@ class GridSpec:
         return self.hx * self.hy
 
     @cached_property
-    def cosine_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only orthonormal DCT-II bases along y and x (row k is mode k), eigenvalues of -lap.
+    def cosine_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only orthonormal DCT-II bases along y and x (row k is mode k), eigenvalues of -lap,
+        and a contiguous copy of the x basis's transpose, the right factor of ``_to_cosine``.
 
         Per axis 4 sin^2(pi k / 2n) / h^2: unlike (2 - 2 cos) / h^2 it does not cancel at small k.
         Built on first use and kept on the instance.
@@ -85,7 +87,7 @@ class GridSpec:
             bases.append(math.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k, k + 0.5) / n))
             bases[-1][0] = 1.0 / math.sqrt(n)
             eigs.append((2.0 * np.sin(0.5 * np.pi * k / n) / h) ** 2)
-        out = (*bases, eigs[0][:, None] + eigs[1][None, :])
+        out = (*bases, eigs[0][:, None] + eigs[1][None, :], np.ascontiguousarray(bases[1].T))
         for a in out:
             a.flags.writeable = False
         return out
@@ -139,13 +141,13 @@ def laplacian_neumann(grid: GridSpec, f: Field) -> Field:
 
 def _to_cosine(grid: GridSpec, f: Field) -> Field:
     """Orthonormal DCT-II coefficients C f; entry [ky, kx] belongs to eigenvalue eig[ky, kx]."""
-    cy, cx, _ = grid.cosine_eigenbasis
-    return cy @ f @ cx.T
+    cy, _, _, cx_t = grid.cosine_eigenbasis
+    return cy @ f @ cx_t
 
 
 def _from_cosine(grid: GridSpec, c: Field) -> Field:
     """Field C^T c with cosine coefficients c: the inverse, and transpose, of ``_to_cosine``."""
-    cy, cx, _ = grid.cosine_eigenbasis
+    cy, cx, _, _ = grid.cosine_eigenbasis
     return cy.T @ c @ cx
 
 
@@ -189,22 +191,80 @@ def norm(grid: GridSpec, a: Field, metric: str = "l2") -> float:
 
 @dataclass
 class CGResult:
-    """Solution and iteration count of one conjugate-gradient solve."""
+    """Solution and iteration count of one linear solve (``cg_solve``)."""
 
     x: Field
     iterations: int
 
 
-def cg_solve(grid, apply, rhs, tol, maxit, precond) -> CGResult:
-    """Matrix-free conjugate gradients for an SPD operator.
+def _fixed_point_steps(contraction, tol) -> int | None:
+    """Fewest corrections j with contraction^(j+1) <= tol, or None where CG is the better bet.
+
+    At the cost of j corrections CG's Chebyshev bound is about 2 (c/2)^j; the
+    fixed-point bound c^(j+1) is no weaker exactly when c <= 2^(1-j).  No
+    bound, a bound >= 1 and a NaN one also give None.
+    """
+    if contraction is None or not 0.0 <= contraction < 1.0:
+        return None
+    steps, bound = 0, contraction
+    while bound > tol:
+        steps += 1
+        if contraction > 2.0 ** (1 - steps):
+            return None
+        bound *= contraction
+    return steps
+
+
+def _not_reached(tol, maxit, rnorm, target) -> NoConvergence:
+    return NoConvergence(
+        f"CG did not reach tol {tol:g} in {maxit} iterations "
+        f"(residual {rnorm:.3e}, target {target:.3e})",
+        residual=rnorm,
+        iterations=maxit,
+    )
+
+
+def cg_solve(grid, apply, rhs, tol, maxit, precond, contraction=None) -> CGResult:
+    """Matrix-free solve of an SPD system: conjugate gradients, or a fixed-point
+    iteration whose step count a contraction bound fixes in advance.
 
     `apply` must be symmetric positive definite with respect to the L2 inner
-    product on the grid.  Stops once ||apply(x) - rhs||_L2 <= tol * ||rhs||_L2
-    and raises NoConvergence (carrying the residual) when the ``maxit``-th
-    iterate still misses that target.
-    `precond` applies an SPD approximation of the inverse.
+    product on the grid, and `precond` applies an SPD approximation of its
+    inverse.  CG stops once ||apply(x) - rhs||_L2 <= tol * ||rhs||_L2;
+    ``iterations`` counts its iterations.
+
+    ``contraction``, when given, must be a proven bound c on the 2-norm of
+    I - apply(precond(.)).  Then x = precond(rhs) followed by j corrections
+    x += precond(rhs - apply(x)) has relative residual at most c^(j+1), and
+    when the j with c^(j+1) <= tol satisfies c <= 2^(1-j) (where this bound is
+    no weaker than CG's at the same cost) exactly those j corrections are
+    taken: no residual norm or inner product is formed, and ``iterations``
+    counts the corrections.  The map rhs -> x is then a fixed polynomial in the
+    operator, so it is symmetric like the operator.  Any other contraction,
+    None, >= 1 or NaN, runs CG.  A non-finite fixed-point result raises
+    NoConvergence.
+
+    Either mode takes at most ``maxit`` iterations and raises NoConvergence
+    carrying the residual of the ``maxit``-th iterate: CG when that iterate
+    still misses the target, the fixed-point mode whenever j > ``maxit``, since
+    its bound no longer certifies the iterate.  That residual costs the
+    fixed-point mode one more apply, on this failure path only.
     """
     rhs = grid.check_field(rhs, "rhs")
+    maxit = int(maxit)
+    steps = _fixed_point_steps(contraction, tol)
+    if steps is not None:
+        x = np.array(precond(rhs))
+        for _ in range(min(steps, maxit)):
+            x += precond(rhs - apply(x))
+        if not np.isfinite(x).all():
+            raise NoConvergence("fixed-point iterate is not finite", residual=math.nan,
+                                iterations=min(steps, maxit))
+        if steps <= maxit:
+            return CGResult(x=x, iterations=steps)
+        raise _not_reached(tol, maxit, float(np.linalg.norm(rhs - apply(x))),
+                           tol * float(np.linalg.norm(rhs)))
+
     rnorm = float(np.sqrt(np.dot(rhs.ravel(), rhs.ravel())))
     if rnorm == 0.0:
         return CGResult(x=np.zeros_like(rhs), iterations=0)
@@ -213,7 +273,7 @@ def cg_solve(grid, apply, rhs, tol, maxit, precond) -> CGResult:
     z = precond(r)
     p = z.copy()
     rz = float(np.dot(r.ravel(), z.ravel()))
-    for k in range(int(maxit)):
+    for k in range(maxit):
         if rnorm <= target:
             return CGResult(x=x, iterations=k)
         ap = apply(p)
@@ -234,13 +294,8 @@ def cg_solve(grid, apply, rhs, tol, maxit, precond) -> CGResult:
         p += z
         rz = rz_new
     if rnorm <= target:
-        return CGResult(x=x, iterations=int(maxit))
-    raise NoConvergence(
-        f"CG did not reach tol {tol:g} in {maxit} iterations "
-        f"(residual {rnorm:.3e}, target {target:.3e})",
-        residual=rnorm,
-        iterations=int(maxit),
-    )
+        return CGResult(x=x, iterations=maxit)
+    raise _not_reached(tol, maxit, rnorm, target)
 
 
 def riesz_v(grid: GridSpec, f: Field) -> Field:

@@ -197,7 +197,8 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
       sum_n <xi_bar[n], xi[n]> + <eta_bar[n], eta[n]> + <eta_t_bar[n], eta_t[n]>
         = <g.h, h>_L2(Q) + <g.h0, h0>_L2,   <a, b>_L2(Q) = tau sum_n <a[n], b[n]>
 
-    exactly (up to the phase CG tolerance) for every perturbation (h, h0),
+    exactly (to rounding where every phase solve takes ``cg_solve``'s
+    fixed-point mode, else up to the phase CG tolerance) for every (h, h0),
     because every linear map in the forward sweep is L2-self-adjoint and is
     reapplied here in reverse order.  So g.h is the L2(Q) representative and
     g.h0 the L2 representative of the pairing's derivative, with no Riesz

@@ -12,14 +12,18 @@ One step from t_n to t_{n+1} performs, in order:
 
 The thermal operator I/tau + (alpha + tau beta)(-lap) is inverted exactly by
 ``grid.cosine_solve``.  The SPD Newton operator I/tau - lap + diag(gamma') is
-solved by CG in the same cosine coefficients, where I/tau - lap is diagonal and
-only diag(gamma') needs the transforms; the preconditioner is that diagonal
-shifted by the median m of gamma'.  Newton is inexact: its stop is relative to
-the size of the step's right-hand side, and each inner solve goes only as far
-as the Eisenstat-Walker forcing term asks.  The preconditioned step alone has
-relative residual at most theta = max|gamma' - m| / (1/tau + m), so when theta
-meets the forcing it is taken without CG (0 CG iterations for that Newton
-iteration).  The sensitivity sweeps reuse both solvers at ``cg_tol``.  Each
+solved in the same cosine coefficients, where I/tau - lap is diagonal and only
+diag(gamma') needs the transforms; the preconditioner is that diagonal shifted
+by the median m of gamma'.  Newton is inexact: its stop is relative to the size
+of the step's right-hand side, and each inner solve goes only as far as the
+Eisenstat-Walker forcing term asks.  The preconditioned step alone has relative
+residual at most theta = max|gamma' - m| / (1/tau + m), and each preconditioned
+fixed-point correction multiplies that bound by theta.  So the solve takes the
+step alone when theta meets the tolerance (0 iterations), else the j
+corrections with theta^(j+1) <= tol when theta <= 2^(1-j), and CG otherwise
+(``_phi_solver``).  The sensitivity sweeps reuse both solvers at ``cg_tol``;
+a tangent solve and its transpose take the same j, and the fixed-point map is
+symmetric, so the transpose stays exact to rounding at any ``cg_tol``.  Each
 Newton point costs one domain check, one stencil and one gamma (``phi_step``).
 
 The coupling enters the thermal equation as the exact difference quotient of
@@ -57,7 +61,7 @@ from .nonlinearity import Coupling, Potential
 if TYPE_CHECKING:
     from .control import ControlPair
 
-CG_MAXIT = 50000  # iteration cap of every phase-Jacobian CG solve (``_phi_solver``)
+CG_MAXIT = 50000  # iteration cap of every phase-Jacobian solve (``_phi_solver``)
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class StepRecord:
     step: int
     time: float
     newton_iters: int
-    cg_iters: int  # phase (Newton) CG iterations; the thermal solve is direct
+    cg_iters: int  # phase (Newton) CG iterations or fixed-point corrections; thermal is direct
     energy_residual: float
     cumulative_balance_residual: float
     balance_scale: float = 1.0
@@ -208,14 +212,15 @@ def _phi_solver(grid, tau, gp, rhs, tol):
     DCT-II, where the operator is A = (1/tau + eig) + C diag(gamma') C^T and the
     preconditioner the diagonal P = 1/(1/tau + m + eig), m the upper median of
     gamma' (a few stiff cells near separation do not set it, unlike the mean).
-    The preconditioned step X = P R, R = C rhs, leaves the residual
-    R - A X = -C((gamma' - m) C^T X), so its relative residual is at most
-    theta = max|gamma' - m| / (1/tau + m).  When theta <= tol that step is
-    returned with 0 iterations; at ``cg_tol`` this happens only for gamma'
-    constant to that level, where P is the exact inverse.  Otherwise CG runs
-    from zero.  C is orthonormal, so residual norms and the stopping rule are
-    those of the physical system; the solution is transformed back once, into
-    ``x``.
+    Since I - A P = -C (gamma' - m) C^T P, theta = max|gamma' - m| / (1/tau + m)
+    bounds its 2-norm, so the preconditioned step X = P R, R = C rhs, has
+    relative residual at most theta.  When theta <= tol that step is returned
+    with 0 iterations; at ``cg_tol`` this happens only for gamma' constant to
+    that level, where P is the exact inverse.  Otherwise ``cg_solve`` gets theta
+    as its contraction: it takes the j fixed-point corrections with
+    theta^(j+1) <= tol when theta <= 2^(1-j), and runs CG from zero on stiffer
+    input.  C is orthonormal, so residual norms and the stopping rule are those
+    of the physical system; the solution is transformed back once, into ``x``.
     """
     rhs = grid.check_field(rhs, "rhs")
     eig = grid.cosine_eigenbasis[2]
@@ -229,7 +234,8 @@ def _phi_solver(grid, tau, gp, rhs, tol):
         return CGResult(x=_from_cosine(grid, coeffs * inv_pre), iterations=0)
     diag = 1.0 / tau + eig
     res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
-                   coeffs, tol=tol, maxit=CG_MAXIT, precond=lambda r: r * inv_pre)
+                   coeffs, tol=tol, maxit=CG_MAXIT, precond=lambda r: r * inv_pre,
+                   contraction=theta)
     res.x = _from_cosine(grid, res.x)
     return res
 

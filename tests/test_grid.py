@@ -231,6 +231,44 @@ def test_cg_diagonal_preconditioner_matches_plain(rng):
     assert norm(g, plain.x - jacobi.x) <= 1e-10 * norm(g, plain.x)
 
 
+@pytest.mark.parametrize("c,tol,steps", [(0.3, 0.1, 1), (0.2, 1e-2, 2), (0.01, 1e-11, 5)])
+def test_cg_solve_contraction_takes_the_certified_fixed_point_steps(rng, c, tol, steps):
+    # apply = diag(w), w in [1 - c, 1 + c], with the identity preconditioner:
+    # ||I - apply|| = c, and j corrections leave the residual (1 - w)^(j+1) rhs
+    g = build_grid(1, 1, 16, 16)
+    w = 1.0 + c * rng.uniform(-1, 1, g.shape)
+    w.flat[0] = 1.0 - c
+    rhs = rng.standard_normal(g.shape)
+    kept = rhs.copy()
+    res = cg_solve(g, lambda z: w * z, rhs, tol=tol, maxit=steps, precond=lambda r: r,
+                   contraction=c)
+    assert res.iterations == steps
+    assert np.linalg.norm(w * res.x - rhs) <= c ** (steps + 1) * (1 + 1e-12) * np.linalg.norm(rhs)
+    assert np.array_equal(rhs, kept)
+    # one correction short of j: the bound no longer certifies the iterate
+    with pytest.raises(NoConvergence, match="^CG did not reach tol") as info:
+        cg_solve(g, lambda z: w * z, rhs, tol=tol, maxit=steps - 1, precond=lambda r: r,
+                 contraction=c)
+    assert info.value.iterations == steps - 1
+    assert info.value.residual == pytest.approx(np.linalg.norm((1 - w) ** steps * rhs))
+
+
+@pytest.mark.parametrize("contraction", [0.9, 1.0, 1.5, math.nan])
+def test_cg_solve_contraction_outside_the_rule_runs_cg(rng, contraction):
+    # 0.9 at tol 1e-12 fails c <= 2^(1-j); >= 1 and NaN certify nothing
+    g = build_grid(1, 1, 16, 16)
+
+    def apply(z):
+        return z - 0.01 * laplacian_neumann(g, z)
+
+    rhs = rng.standard_normal(g.shape)
+    plain = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT, precond=lambda r: r)
+    res = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT, precond=lambda r: r,
+                   contraction=contraction)
+    assert plain.iterations > 1 and res.iterations == plain.iterations
+    assert np.array_equal(res.x, plain.x)
+
+
 @pytest.mark.parametrize("shift,coef", [(1.0, 1.0), (1e4, 1.3), (3.0, 1e-3), (1e8, 2.0)])
 def test_cosine_solve_residual_non_square(rng, shift, coef):
     # nx != ny and lx != ly: a swapped axis would leave an O(1) residual
@@ -276,6 +314,8 @@ def test_cosine_eigenbasis_is_built_once_and_read_only():
     for a in bases:
         with pytest.raises(ValueError):
             a[0, 0] = 1.0
+    # the right factor of the forward transform, stored contiguous
+    assert bases[3].flags.c_contiguous and np.array_equal(bases[3], bases[1].T)
 
 
 @pytest.mark.parametrize("tau", [1.0, 1e-2, 1e-5])

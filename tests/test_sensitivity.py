@@ -11,6 +11,7 @@ from oracles import circledast_accumulate, scalar_adjoint_backward, scalar_forwa
 
 from thermophase import sensitivity
 from thermophase.control import ControlPair, u_inner, u_norm
+from thermophase.errors import NoConvergence
 from thermophase.grid import build_grid, inner, laplacian_neumann, norm
 from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
                                      adjoint_solve_discrete, array_seed, tangent_solve,
@@ -94,25 +95,49 @@ def test_taylor_remainder_quadratic(rng):
     assert min(slopes) >= 1.8
 
 
-@pytest.mark.parametrize("potential_kind,coupling_kind", [
-    ("regular", "affine"), ("logarithmic", "bounded_smooth")])
-def test_dot_product_identity(potential_kind, coupling_kind, rng):
+@pytest.mark.parametrize("potential_kind,coupling_kind,cg_tol", [
+    pytest.param("regular", "affine", TIGHT.cg_tol, id="regular-affine"),
+    pytest.param("logarithmic", "bounded_smooth", TIGHT.cg_tol, id="logarithmic-bounded_smooth"),
+    pytest.param("regular", "affine", 1e-4, id="regular-affine-cg_tol_1e-4"),
+])
+def test_dot_product_identity(potential_kind, coupling_kind, cg_tol, rng, monkeypatch):
+    # every sweep solve takes j fixed-point corrections, theta^(j+1) <= cg_tol and
+    # theta <= 2^(1-j) (j = 0 is the bare preconditioned step): a fixed polynomial in
+    # the symmetric phase Jacobian, the same in both sweeps, so the transpose is exact
+    # to rounding at any cg_tol, a loose one included
     problem = small_problem(potential_kind=potential_kind, coupling_kind=coupling_kind)
     base = solve_state(problem, smooth_control(problem, u_amp=0.4), TIGHT)
-    grid, nt = problem.grid, problem.time.nt
+    grid, nt, tau = problem.grid, problem.time.nt, problem.time.tau
     vol = grid.cell_volume
+    opts = SolverOptions(cg_tol=cg_tol)
+    solves = []
+
+    def recording_phi_solver(g, step, gp, b, tol):
+        res = _phi_solver(g, step, gp, b, tol)
+        m = np.sort(gp.ravel())[gp.size // 2]
+        solves.append((np.max(np.abs(gp - m)) / (1 / step + m), tol, res.iterations))
+        return res
+
+    monkeypatch.setattr(sensitivity, "_phi_solver", recording_phi_solver)
     for _ in range(3):
         h = rng.standard_normal((nt, *grid.shape))
         h0 = rng.standard_normal(grid.shape)
         wxi = rng.standard_normal(base.phi.shape)
         weta = rng.standard_normal(base.phi.shape)
         wth = rng.standard_normal(base.phi.shape)
-        lin = tangent_solve(base, problem, Perturbation(h, h0), TIGHT)
-        sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth), TIGHT)
+        lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
+        sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth), opts)
         lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                           + np.sum(wth * lin.eta_t))
         rhs = u_inner(grid, problem.time.tau, sweep.h, h) + inner(grid, sweep.h0, h0)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs))
+        bound = (u_norm(grid, tau, sweep.h) * u_norm(grid, tau, h)
+                 + norm(grid, sweep.h0) * norm(grid, h0))
+        assert abs(lhs - rhs) <= 1e-15 * bound
+    assert len(solves) == 3 * 2 * nt
+    for theta, tol, iterations in solves:
+        assert tol == cg_tol and theta ** (iterations + 1) <= tol < theta ** iterations
+        assert theta <= 2.0 ** (1 - iterations)
 
 
 def _zero_cost(problem):
@@ -122,6 +147,17 @@ def _zero_cost(problem):
     return SimpleNamespace(k1=0.0, k2=0.0, k3=0.0, k4=0.0, k5=0.0, k6=0.0,
                            nu1=0.0, nu2=0.0, phi_q=st, w_q=st, wprime_q=st,
                            phi_omega=sp, w_omega=sp, wprime_omega=sp)
+
+
+def test_tangent_solve_nan_direction_raises():
+    # the NaN reaches the phase solve of node 2 through eta_t[1]; that solve must
+    # fail loudly, not hand back NaN fields
+    problem = small_problem(nx=8, nt=4)
+    base = solve_state(problem, smooth_control(problem), TIGHT)
+    h = np.zeros((problem.time.nt, *problem.grid.shape))
+    h[0, 3, 2] = np.nan
+    with pytest.raises(NoConvergence):
+        tangent_solve(base, problem, Perturbation(h, problem.grid.zeros()), TIGHT)
 
 
 def test_zero_cost_zero_adjoint_zero_seeds():

@@ -126,11 +126,11 @@ def test_phase_solve_true_stencil_residual(rng, cg_tol, kind, lx, nx, ny):
 @pytest.mark.parametrize("amp,tol,certified,bound", [
     (0.9, 0.5, True, 0.5),       # loose Newton forcing: the preconditioned step meets it
     (0.0, None, True, 1e-13),    # constant gamma': the preconditioner is the exact inverse
-    (0.9, None, False, 2e-12),   # varying gamma' at cg_tol: CG runs
+    (0.9, None, False, 2e-12),   # theta fails the fixed-point rule at cg_tol: CG runs
 ])
 def test_phase_solve_certified_preconditioner_step(rng, amp, tol, certified, bound):
     # theta = max|gamma' - m| / (1/tau + m) bounds the relative residual of the
-    # preconditioned step; here theta is about 0.2 with amp 0.9 and 0 with amp 0
+    # preconditioned step; here theta is about 0.37 with amp 0.9 and 0 with amp 0
     g = build_grid(1, 1, 16, 16)
     x, y = cell_centers(g)
     phi = 0.3 + amp * np.cos(np.pi * x) * np.cos(np.pi * y)
@@ -145,6 +145,25 @@ def test_phase_solve_certified_preconditioner_step(rng, amp, tol, certified, bou
         m = np.sort(gp.ravel())[gp.size // 2]
         theta = np.max(np.abs(gp - m)) / (1 / tau + m)
         assert np.linalg.norm(true_res) <= (theta + 1e-13) * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("amp,tau,tol,steps", [
+    (0.9, 0.03, 1e-2, 2), (0.9, 0.01, 1e-6, 4), (0.5, 0.01, 1e-12, 6), (0.5, 0.001, 1e-10, 3)])
+def test_phase_solve_fixed_point_step_count(rng, amp, tau, tol, steps):
+    # j, the fewest corrections with theta^(j+1) <= tol, satisfies theta <= 2^(1-j)
+    # here: the solve takes exactly j preconditioned fixed-point corrections, and
+    # its stencil residual is within theta^(j+1), up to rounding
+    g = build_grid(1, 1, 16, 16)
+    x, y = cell_centers(g)
+    gp = REGULAR.dgamma(0.3 + amp * np.cos(np.pi * x) * np.cos(np.pi * y))
+    m = np.sort(gp.ravel())[gp.size // 2]
+    theta = np.max(np.abs(gp - m)) / (1 / tau + m)
+    assert theta ** (steps + 1) <= tol < theta ** steps and theta <= 2.0 ** (1 - steps)
+    rhs = rng.standard_normal(g.shape) + 0.5
+    res = _phi_solver(g, tau, gp, rhs, tol)
+    assert res.iterations == steps
+    true_res = res.x / tau - laplacian_neumann(g, res.x) + gp * res.x - rhs
+    assert np.linalg.norm(true_res) <= (theta ** (steps + 1) + 1e-14) * np.linalg.norm(rhs)
 
 
 def test_phase_solve_iteration_cap_raises(rng, monkeypatch):
