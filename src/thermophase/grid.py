@@ -15,17 +15,18 @@ cells in 2-D the h factors cancel, so each interior face contributes
 
 The orthonormal 2-D DCT-II (``_to_cosine``, inverse ``_from_cosine``) diagonalises
 the stencil; the exact ``cosine_solve`` and the phase-Jacobian solve in ``state``
-both run through these two transforms.  ``cg_solve`` (CG, or a fixed-point
-iteration when its caller proves a contraction) returns the solution and its
-iteration count; a solve that misses its target raises ``NoConvergence``
-carrying the last residual norm, the only residual any caller reads.
+both run through these two transforms; ``cosine_solve`` multiplies by an inverse
+symbol built once per (grid, shift, coef).  ``cg_solve`` (CG, or the fixed-point
+iteration of a splitting whose caller proves its contraction) returns the
+solution and its iteration count; a solve that misses its target raises
+``NoConvergence`` carrying the last residual norm, the only residual any caller reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return (self.ny, self.nx)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.hx * self.hy
 
@@ -151,19 +152,28 @@ def _from_cosine(grid: GridSpec, c: Field) -> Field:
     return cy.T @ c @ cx
 
 
+@lru_cache(maxsize=32)
+def _inverse_symbol(grid: GridSpec, shift: float, coef: float) -> np.ndarray:
+    """Read-only 1 / (shift + coef eig) with the k = 0 entry zeroed, built once per key."""
+    inv = 1.0 / (shift + coef * grid.cosine_eigenbasis[2])
+    inv[0, 0] = 0.0
+    inv.flags.writeable = False
+    return inv
+
+
 def cosine_solve(grid: GridSpec, rhs: Field, shift: float, coef: float = 1.0) -> Field:
     """Exact solution x of (shift I + coef (-lap)) x = rhs in the stencil's cosine eigenbasis.
 
     Needs shift > 0, coef >= 0.  The mean (k = 0 mode), formed as first value
     plus mean deviation, is taken out, divided by shift and added back, so the
     cell sums of shift x and rhs agree to rounding and a constant c gives c/shift exactly.
+    The other modes are multiplied by ``_inverse_symbol``, whose k = 0 entry is 0.
     """
     rhs = grid.check_field(rhs, "rhs")
     dev = rhs - rhs.flat[0]
     dev_mean = float(dev.sum()) / dev.size
     dev -= dev_mean
-    coeffs = _to_cosine(grid, dev) / (shift + coef * grid.cosine_eigenbasis[2])
-    coeffs[0, 0] = 0.0
+    coeffs = _to_cosine(grid, dev) * _inverse_symbol(grid, shift, coef)
     return _from_cosine(grid, coeffs) + (rhs.flat[0] + dev_mean) / shift
 
 
@@ -224,44 +234,47 @@ def _not_reached(tol, maxit, rnorm, target) -> NoConvergence:
     )
 
 
-def cg_solve(grid, apply, rhs, tol, maxit, precond, contraction=None) -> CGResult:
-    """Matrix-free solve of an SPD system: conjugate gradients, or a fixed-point
-    iteration whose step count a contraction bound fixes in advance.
+def cg_solve(grid, apply, rhs, tol, maxit, precond, splitting=None) -> CGResult:
+    """Matrix-free solve of an SPD system: conjugate gradients, or the fixed-point
+    iteration of a splitting whose step count a contraction bound fixes in advance.
 
     `apply` must be symmetric positive definite with respect to the L2 inner
     product on the grid, and `precond` applies an SPD approximation of its
     inverse.  CG stops once ||apply(x) - rhs||_L2 <= tol * ||rhs||_L2;
     ``iterations`` counts its iterations.
 
-    ``contraction``, when given, must be a proven bound c on the 2-norm of
-    I - apply(precond(.)).  Then x = precond(rhs) followed by j corrections
-    x += precond(rhs - apply(x)) has relative residual at most c^(j+1), and
-    when the j with c^(j+1) <= tol satisfies c <= 2^(1-j) (where this bound is
-    no weaker than CG's at the same cost) exactly those j corrections are
-    taken: no residual norm or inner product is formed, and ``iterations``
-    counts the corrections.  The map rhs -> x is then a fixed polynomial in the
-    operator, so it is symmetric like the operator.  Any other contraction,
-    None, >= 1 or NaN, runs CG.  A non-finite fixed-point result raises
-    NoConvergence.
+    ``splitting``, when given, is a pair (c, remainder) with apply =
+    precond^-1 + remainder, remainder symmetric, and c a proven bound on the
+    2-norm of remainder(precond(.)), that is of I - apply(precond(.)).  Then
+    x = precond(rhs) followed by j corrections x = precond(rhs - remainder(x))
+    has relative residual at most c^(j+1), and when the j with c^(j+1) <= tol
+    satisfies c <= 2^(1-j) (where this bound is no weaker than CG's at the same
+    cost) exactly those j corrections are taken: ``apply`` is not called, no
+    residual norm or inner product is formed, and ``iterations`` counts the
+    corrections.  The map rhs -> x is then a fixed polynomial in the
+    operator, so it is symmetric like the operator.  Any other bound, None,
+    >= 1 or NaN, runs CG.  A non-finite fixed-point result raises
+    NoConvergence.  The result never aliases ``rhs``.
 
     Either mode takes at most ``maxit`` iterations and raises NoConvergence
     carrying the residual of the ``maxit``-th iterate: CG when that iterate
     still misses the target, the fixed-point mode whenever j > ``maxit``, since
     its bound no longer certifies the iterate.  That residual costs the
-    fixed-point mode one more apply, on this failure path only.
+    fixed-point mode its one apply, on this failure path only.
     """
     rhs = grid.check_field(rhs, "rhs")
     maxit = int(maxit)
-    steps = _fixed_point_steps(contraction, tol)
+    steps = None if splitting is None else _fixed_point_steps(splitting[0], tol)
     if steps is not None:
-        x = np.array(precond(rhs))
+        remainder = splitting[1]
+        x = precond(rhs)
         for _ in range(min(steps, maxit)):
-            x += precond(rhs - apply(x))
+            x = precond(rhs - remainder(x))
         if not np.isfinite(x).all():
             raise NoConvergence("fixed-point iterate is not finite", residual=math.nan,
                                 iterations=min(steps, maxit))
         if steps <= maxit:
-            return CGResult(x=x, iterations=steps)
+            return CGResult(x=x if steps else np.array(x), iterations=steps)
         raise _not_reached(tol, maxit, float(np.linalg.norm(rhs - apply(x))),
                            tol * float(np.linalg.norm(rhs)))
 

@@ -81,9 +81,8 @@ class Potential:
         The bounded domain (-1, 1) is symmetric, so this is max|r| < 1 - m; max
         propagates NaN, so an array holding NaN is never inside."""
         if not self.bounded_domain:
-            return bool(np.all(np.isfinite(r)))
-        r = np.asarray(r, dtype=float)
-        return bool(np.max(np.abs(r)) < self.r_plus - INTERIOR_MARGIN)
+            return bool(np.isfinite(r).all())
+        return bool(np.abs(np.asarray(r, dtype=float)).max() < self.r_plus - INTERIOR_MARGIN)
 
     def _require_interior(self, r):
         if self.bounded_domain and not self.contains(r):

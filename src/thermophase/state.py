@@ -14,17 +14,19 @@ The thermal operator I/tau + (alpha + tau beta)(-lap) is inverted exactly by
 ``grid.cosine_solve``.  The SPD Newton operator I/tau - lap + diag(gamma') is
 solved in the same cosine coefficients, where I/tau - lap is diagonal and only
 diag(gamma') needs the transforms; the preconditioner is that diagonal shifted
-by the median m of gamma'.  Newton is inexact: its stop is relative to the size
+by the median m of gamma', and the rest of the operator is the remainder
+C diag(gamma' - m) C^T.  Newton is inexact: its stop is relative to the size
 of the step's right-hand side, and each inner solve goes only as far as the
 Eisenstat-Walker forcing term asks.  The preconditioned step alone has relative
-residual at most theta = max|gamma' - m| / (1/tau + m), and each preconditioned
-fixed-point correction multiplies that bound by theta.  So the solve takes the
-step alone when theta meets the tolerance (0 iterations), else the j
-corrections with theta^(j+1) <= tol when theta <= 2^(1-j), and CG otherwise
-(``_phi_solver``).  The sensitivity sweeps reuse both solvers at ``cg_tol``;
-a tangent solve and its transpose take the same j, and the fixed-point map is
-symmetric, so the transpose stays exact to rounding at any ``cg_tol``.  Each
-Newton point costs one domain check, one stencil and one gamma (``phi_step``).
+residual at most theta = max|gamma' - m| / (1/tau + m), and each fixed-point
+correction X = P (R - C (gamma' - m) C^T X) of the splitting multiplies that
+bound by theta.  So the solve takes the step alone when theta meets the
+tolerance (0 iterations), else the j corrections with theta^(j+1) <= tol when
+theta <= 2^(1-j), and CG otherwise (``_phi_solver``).  The sensitivity sweeps
+reuse both solvers at ``cg_tol``; a tangent solve and its transpose take the
+same j, and the fixed-point map is symmetric, so the transpose stays exact to
+rounding at any ``cg_tol``.  Each Newton point costs one domain check, one
+stencil and one gamma (``phi_step``).
 
 The coupling enters the thermal equation as the exact difference quotient of
 pi_hat, which turns the lumped internal-energy balance
@@ -209,33 +211,38 @@ def _phi_solver(grid, tau, gp, rhs, tol):
     The caller sets ``tol``: the sensitivity sweeps pass ``cg_tol``, their
     exact solves, and Newton in ``phi_step`` its forcing term.  The system is
     solved in the cosine coefficients c = C x, C the orthonormal
-    DCT-II, where the operator is A = (1/tau + eig) + C diag(gamma') C^T and the
-    preconditioner the diagonal P = 1/(1/tau + m + eig), m the upper median of
-    gamma' (a few stiff cells near separation do not set it, unlike the mean).
-    Since I - A P = -C (gamma' - m) C^T P, theta = max|gamma' - m| / (1/tau + m)
-    bounds its 2-norm, so the preconditioned step X = P R, R = C rhs, has
-    relative residual at most theta.  When theta <= tol that step is returned
-    with 0 iterations; at ``cg_tol`` this happens only for gamma' constant to
-    that level, where P is the exact inverse.  Otherwise ``cg_solve`` gets theta
-    as its contraction: it takes the j fixed-point corrections with
-    theta^(j+1) <= tol when theta <= 2^(1-j), and runs CG from zero on stiffer
+    DCT-II, where the operator splits as A = P^-1 + N: the diagonal
+    P = 1/(1/tau + m + eig), m the upper median of gamma' (a few stiff cells
+    near separation do not set it, unlike the mean), is the preconditioner, and
+    the remainder is N = C diag(gamma' - m) C^T, with gamma' - m formed once.
+    Since I - A P = -N P, theta = max|gamma' - m| / (1/tau + m) bounds its
+    2-norm, so the preconditioned step X = P R, R = C rhs, has relative
+    residual at most theta.  When theta <= tol that step is returned with 0
+    iterations; at ``cg_tol`` this happens only for gamma' constant to that
+    level, where P is the exact inverse.  Otherwise ``cg_solve`` gets the
+    splitting (theta, N): it takes the j fixed-point corrections
+    X = P (R - N X) with theta^(j+1) <= tol when theta <= 2^(1-j), each two
+    transforms and three pointwise passes, and runs CG from zero on stiffer
     input.  C is orthonormal, so residual norms and the stopping rule are those
     of the physical system; the solution is transformed back once, into ``x``.
     """
     rhs = grid.check_field(rhs, "rhs")
-    eig = grid.cosine_eigenbasis[2]
     k = gp.size // 2
     m = np.partition(gp.ravel(), k)[k]
     shift = 1.0 / tau + m
-    inv_pre = 1.0 / (eig + shift)
+    pre_diag = grid.cosine_eigenbasis[2] + shift
+    inv_pre = 1.0 / pre_diag
     coeffs = _to_cosine(grid, rhs)
-    theta = max(float(np.max(gp)) - m, m - float(np.min(gp))) / shift
+    theta = max(float(gp.max()) - m, m - float(gp.min())) / shift
     if theta <= tol:
         return CGResult(x=_from_cosine(grid, coeffs * inv_pre), iterations=0)
-    diag = 1.0 / tau + eig
-    res = cg_solve(grid, lambda c: diag * c + _to_cosine(grid, gp * _from_cosine(grid, c)),
-                   coeffs, tol=tol, maxit=CG_MAXIT, precond=lambda r: r * inv_pre,
-                   contraction=theta)
+    dev = gp - m
+
+    def remainder(c):
+        return _to_cosine(grid, dev * _from_cosine(grid, c))
+
+    res = cg_solve(grid, lambda c: pre_diag * c + remainder(c), coeffs, tol=tol,
+                   maxit=CG_MAXIT, precond=lambda r: r * inv_pre, splitting=(theta, remainder))
     res.x = _from_cosine(grid, res.x)
     return res
 
@@ -357,11 +364,11 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
     w_np1 = w_n + tau * v_np1
 
     vol = grid.cell_volume
-    int_dv = vol * float(np.sum(v_np1 - v_n))
-    int_dpi = vol * float(np.sum(pi_hat_diff))
-    int_u = vol * float(np.sum(u_np1))
+    int_dv = vol * float((v_np1 - v_n).sum())
+    int_dpi = vol * float(pi_hat_diff.sum())
+    int_u = vol * float(u_np1.sum())
     residual = int_dv + int_dpi - tau * int_u
-    scale = 1.0 + abs(int_dv) + abs(int_dpi) + tau * abs(int_u) + vol * float(np.sum(np.abs(v_np1)))
+    scale = 1.0 + abs(int_dv) + abs(int_dpi) + tau * abs(int_u) + vol * float(np.abs(v_np1).sum())
     return w_np1, v_np1, residual, scale
 
 

@@ -9,7 +9,7 @@ from oracles import cell_centers, laplacian_strided
 
 from thermophase import state
 from thermophase.errors import AnisotropicCells, DegenerateGrid, NoConvergence, ShapeMismatch
-from thermophase.grid import (_from_cosine, _to_cosine, build_grid, cg_solve,
+from thermophase.grid import (_from_cosine, _inverse_symbol, _to_cosine, build_grid, cg_solve,
                               cosine_solve, inner, laplacian_neumann, norm, riesz_v)
 
 
@@ -241,14 +241,14 @@ def test_cg_solve_contraction_takes_the_certified_fixed_point_steps(rng, c, tol,
     rhs = rng.standard_normal(g.shape)
     kept = rhs.copy()
     res = cg_solve(g, lambda z: w * z, rhs, tol=tol, maxit=steps, precond=lambda r: r,
-                   contraction=c)
+                   splitting=(c, lambda z: (w - 1) * z))
     assert res.iterations == steps
     assert np.linalg.norm(w * res.x - rhs) <= c ** (steps + 1) * (1 + 1e-12) * np.linalg.norm(rhs)
     assert np.array_equal(rhs, kept)
     # one correction short of j: the bound no longer certifies the iterate
     with pytest.raises(NoConvergence, match="^CG did not reach tol") as info:
         cg_solve(g, lambda z: w * z, rhs, tol=tol, maxit=steps - 1, precond=lambda r: r,
-                 contraction=c)
+                 splitting=(c, lambda z: (w - 1) * z))
     assert info.value.iterations == steps - 1
     assert info.value.residual == pytest.approx(np.linalg.norm((1 - w) ** steps * rhs))
 
@@ -264,9 +264,40 @@ def test_cg_solve_contraction_outside_the_rule_runs_cg(rng, contraction):
     rhs = rng.standard_normal(g.shape)
     plain = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT, precond=lambda r: r)
     res = cg_solve(g, apply, rhs, tol=1e-12, maxit=state.CG_MAXIT, precond=lambda r: r,
-                   contraction=contraction)
+                   splitting=(contraction, lambda z: -0.01 * laplacian_neumann(g, z)))
     assert plain.iterations > 1 and res.iterations == plain.iterations
     assert np.array_equal(res.x, plain.x)
+
+
+@pytest.mark.parametrize("c,tol,steps", [(0.05, 0.1, 0), (0.3, 0.1, 1), (0.01, 1e-11, 5)])
+def test_cg_solve_splitting_applies_only_the_remainder(rng, c, tol, steps):
+    # apply = P^-1 + N with P = diag(1/d), N = diag(n), |n| <= c d: the certified
+    # solve calls N once per correction, P once more, and never apply
+    g = build_grid(1, 1, 16, 16)
+    d = 1.0 + rng.random(g.shape)
+    n = c * d * rng.uniform(-1, 1, g.shape)
+    calls = {"apply": 0, "precond": 0, "remainder": 0}
+
+    def counted(name, f):
+        def wrapped(z):
+            calls[name] += 1
+            return f(z)
+        return wrapped
+
+    rhs = rng.standard_normal(g.shape)
+    kept = rhs.copy()
+    res = cg_solve(g, counted("apply", lambda z: (d + n) * z), rhs, tol=tol, maxit=steps,
+                   precond=counted("precond", lambda r: r / d),
+                   splitting=(c, counted("remainder", lambda z: n * z)))
+    assert res.iterations == steps
+    assert calls == {"apply": 0, "precond": steps + 1, "remainder": steps}
+    assert np.linalg.norm((d + n) * res.x - rhs) <= c ** (steps + 1) * (1 + 1e-12) * np.linalg.norm(rhs)
+    assert np.array_equal(rhs, kept) and not np.shares_memory(res.x, rhs)
+    # with the identity preconditioner and no correction the result is still a copy
+    ident = cg_solve(g, lambda z: z, rhs, tol=0.5, maxit=0, precond=lambda r: r,
+                     splitting=(0.1, lambda z: 0.0 * z))
+    assert ident.iterations == 0 and np.array_equal(ident.x, rhs)
+    assert not np.shares_memory(ident.x, rhs)
 
 
 @pytest.mark.parametrize("shift,coef", [(1.0, 1.0), (1e4, 1.3), (3.0, 1e-3), (1e8, 2.0)])
@@ -316,6 +347,17 @@ def test_cosine_eigenbasis_is_built_once_and_read_only():
             a[0, 0] = 1.0
     # the right factor of the forward transform, stored contiguous
     assert bases[3].flags.c_contiguous and np.array_equal(bases[3], bases[1].T)
+
+
+def test_inverse_symbol_is_built_once_per_key_and_read_only():
+    g = build_grid(1.5, 1, 24, 16)
+    inv = _inverse_symbol(g, 3.0, 0.5)
+    assert _inverse_symbol(g, 3.0, 0.5) is inv
+    assert _inverse_symbol(g, 3.0, 0.25) is not inv
+    with pytest.raises(ValueError):
+        inv[1, 1] = 1.0
+    assert inv[0, 0] == 0.0
+    assert np.array_equal(inv.ravel()[1:], (1.0 / (3.0 + 0.5 * g.cosine_eigenbasis[2])).ravel()[1:])
 
 
 @pytest.mark.parametrize("tau", [1.0, 1e-2, 1e-5])
