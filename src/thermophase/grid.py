@@ -143,13 +143,13 @@ def laplacian_neumann(grid: GridSpec, f: Field) -> Field:
 def _to_cosine(grid: GridSpec, f: Field) -> Field:
     """Orthonormal DCT-II coefficients C f; entry [ky, kx] belongs to eigenvalue eig[ky, kx]."""
     cy, _, _, cx_t = grid.cosine_eigenbasis
-    return cy @ f @ cx_t
+    return cy.dot(f).dot(cx_t)
 
 
 def _from_cosine(grid: GridSpec, c: Field) -> Field:
     """Field C^T c with cosine coefficients c: the inverse, and transpose, of ``_to_cosine``."""
     cy, cx, _, _ = grid.cosine_eigenbasis
-    return cy.T @ c @ cx
+    return cy.T.dot(c).dot(cx)
 
 
 @lru_cache(maxsize=32)
