@@ -159,6 +159,22 @@ def _unit_direction(rng, grid, tg):
     return h / scale, h0 / scale
 
 
+def _fd_plateau(steps, quotients, floors) -> int:
+    """Index of the central-difference quotient on the plateau of ``steps``.
+
+    Consecutive quotients i, i+1 differ by gap_i; the pair that agrees best
+    gives its second quotient.  ``floors[i]`` bounds the rounding of quotient
+    i, about eps max|J(x +- s h)| / s, so gap_i is known only to within
+    floors[i] + floors[i+1]: two gaps that differ by no more than their two
+    bounds are a tie, and a tie goes to the pair whose second step is larger.
+    """
+    gaps = [abs(quotients[i] - quotients[i + 1]) for i in range(len(quotients) - 1)]
+    noise = [floors[i] + floors[i + 1] for i in range(len(gaps))]
+    least = int(np.argmin(gaps))
+    ties = [i for i, gap in enumerate(gaps) if gap - gaps[least] <= noise[i] + noise[least]]
+    return max(ties, key=lambda i: abs(steps[i + 1])) + 1
+
+
 def _sup_node_norm(grid, phi, w, v) -> float:
     """sup over nodes of (L2 of phi + L2 of w + L2 of v) for node-stacked fields."""
     return np.max([norm(grid, phi[n]) + norm(grid, w[n]) + norm(grid, v[n])
@@ -243,17 +259,15 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     for d in range(blk["n_directions"]):
         hd, h0d = _unit_direction(rng, grid, tg)
         pairing = u_inner(grid, tg.tau, gpair.g_u, hd) + v0_inner(grid, gpair.g_v, h0d)
-        fds = []
+        fds, floors = [], []
         for s in fd_steps:
-            cp = ControlPair(control.u + s * hd, control.v0 + s * h0d)
-            cm = ControlPair(control.u - s * hd, control.v0 - s * h0d)
-            fds.append((rp.cost(cp) - rp.cost(cm)) / (2 * s))
-        # pick the plateau: the pair of consecutive steps that agree best
-        gaps = [abs(fds[i] - fds[i + 1]) for i in range(len(fds) - 1)]
-        best = int(np.argmin(gaps))
-        fd = fds[best + 1]
-        rel = abs(fd - pairing) / max(abs(pairing), 1e-300)
-        fd_rows.append((d, fd_steps[best + 1], fd, pairing, rel))
+            jp = rp.cost(ControlPair(control.u + s * hd, control.v0 + s * h0d))
+            jm = rp.cost(ControlPair(control.u - s * hd, control.v0 - s * h0d))
+            fds.append((jp - jm) / (2 * s))
+            floors.append(np.finfo(float).eps * max(abs(jp), abs(jm)) / s)
+        best = _fd_plateau(fd_steps, fds, floors)
+        rel = abs(fds[best] - pairing) / max(abs(pairing), 1e-300)
+        fd_rows.append((d, fd_steps[best], fds[best], pairing, rel))
     write_csv(os.path.join(out_dir, "fd_check.csv"),
               ["direction", "fd_step", "fd", "adjoint", "rel_err"], fd_rows)
     # a forward map affine in the control leaves remainders of rounding, whose slope is noise

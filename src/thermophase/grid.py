@@ -14,12 +14,15 @@ cells in 2-D the h factors cancel, so each interior face contributes
 (difference of a) * (difference of b).
 
 The orthonormal 2-D DCT-II (``_to_cosine``, inverse ``_from_cosine``) diagonalises
-the stencil; the exact ``cosine_solve`` and the phase-Jacobian solve in ``state``
-both run through these two transforms; ``cosine_solve`` multiplies by an inverse
-symbol built once per (grid, shift, coef).  ``cg_solve`` (CG, or the fixed-point
-iteration of a splitting whose caller proves its contraction) returns the
-solution and its iteration count; a solve that misses its target raises
-``NoConvergence`` carrying the last residual norm, the only residual any caller reads.
+the stencil; the exact ``cosine_solve``, the thermal steps and the phase-Jacobian
+solve in ``state`` and ``sensitivity`` all run through these two transforms.
+The inverse symbols of shift I + coef (-lap) are built once per (grid, shift,
+coef): ``_inverse_symbol`` with the mean mode zeroed, for a caller that keeps
+the mean apart (``_mean_free_cosine``), and ``_solve_symbol`` on every mode.
+``cg_solve`` (CG, or the fixed-point iteration of a splitting whose caller
+proves its contraction) returns the solution and its iteration count; a solve
+that misses its target raises ``NoConvergence`` carrying the last residual
+norm, the only residual any caller reads.
 """
 
 from __future__ import annotations
@@ -154,27 +157,47 @@ def _from_cosine(grid: GridSpec, c: Field) -> Field:
 
 @lru_cache(maxsize=32)
 def _inverse_symbol(grid: GridSpec, shift: float, coef: float) -> np.ndarray:
-    """Read-only 1 / (shift + coef eig) with the k = 0 entry zeroed, built once per key."""
+    """Read-only 1 / (shift + coef eig) with the k = 0 entry zeroed, for a caller that
+    keeps the mean apart; built once per key."""
     inv = 1.0 / (shift + coef * grid.cosine_eigenbasis[2])
     inv[0, 0] = 0.0
     inv.flags.writeable = False
     return inv
 
 
+@lru_cache(maxsize=32)
+def _solve_symbol(grid: GridSpec, shift: float, coef: float) -> np.ndarray:
+    """Read-only ``_inverse_symbol`` with its k = 0 entry 1 / shift: the inverse of
+    shift I + coef (-lap) on every mode of the cosine coefficients, built once per key."""
+    inv = _inverse_symbol(grid, shift, coef).copy()
+    inv[0, 0] = 1.0 / shift
+    inv.flags.writeable = False
+    return inv
+
+
+def _mean_free_cosine(grid: GridSpec, f: Field) -> tuple[Field, float]:
+    """Cosine coefficients of f's mean-free part, and f's mean.
+
+    The mean is formed as first value plus mean deviation, so a constant f
+    gives exact zeros and its own value.
+    """
+    dev = f - f.flat[0]
+    dev_mean = float(dev.sum()) / dev.size
+    dev -= dev_mean
+    return _to_cosine(grid, dev), f.flat[0] + dev_mean
+
+
 def cosine_solve(grid: GridSpec, rhs: Field, shift: float, coef: float = 1.0) -> Field:
     """Exact solution x of (shift I + coef (-lap)) x = rhs in the stencil's cosine eigenbasis.
 
-    Needs shift > 0, coef >= 0.  The mean (k = 0 mode), formed as first value
-    plus mean deviation, is taken out, divided by shift and added back, so the
-    cell sums of shift x and rhs agree to rounding and a constant c gives c/shift exactly.
+    Needs shift > 0, coef >= 0.  The mean (k = 0 mode) is taken out by
+    ``_mean_free_cosine``, divided by shift and added back, so the cell sums
+    of shift x and rhs agree to rounding and a constant c gives c/shift exactly.
     The other modes are multiplied by ``_inverse_symbol``, whose k = 0 entry is 0.
     """
     rhs = grid.check_field(rhs, "rhs")
-    dev = rhs - rhs.flat[0]
-    dev_mean = float(dev.sum()) / dev.size
-    dev -= dev_mean
-    coeffs = _to_cosine(grid, dev) * _inverse_symbol(grid, shift, coef)
-    return _from_cosine(grid, coeffs) + (rhs.flat[0] + dev_mean) / shift
+    coeffs, mean = _mean_free_cosine(grid, rhs)
+    return _from_cosine(grid, coeffs * _inverse_symbol(grid, shift, coef)) + mean / shift
 
 
 def _stiffness(a: Field, b: Field) -> float:

@@ -16,10 +16,17 @@ Two routes to the same gradient, on purpose:
   (scientific fidelity).  Its gradient agrees with the discrete one only up
   to discretization error, which shrinks under refinement.
 
-Both sweeps reuse the forward solvers of the thermal operator and the phase
-Jacobian.  The continuous march takes each backward time integral (1 (*) g)(t_n),
-the integral of g from t_n to T, by the rectangle rule c_n = c_{n+1} + tau g[n+1],
-c_nt = 0, as one (ny, nx) field that each backward step updates.
+Both routes reuse the forward solver of the phase Jacobian.  The tangent and
+its transpose take the thermal steps as ``march`` does, in cosine
+coefficients: the tangent carries the coefficients of eta and eta_t, the
+transpose their cotangents, and each thermal step costs one transform of its
+pointwise part, one multiplication by the thermal inverse symbol (k = 0
+included, so no mean is kept apart) and one transform back, with no stencil.
+The continuous adjoint is the independent reference and keeps the physical
+route: ``_thermal_solve`` and the stencil.  The continuous march takes each
+backward time integral (1 (*) g)(t_n), the integral of g from t_n to T, by
+the rectangle rule c_n = c_{n+1} + tau g[n+1], c_nt = 0, as one (ny, nx)
+field that each backward step updates.
 
 The displacements are not stored: the trajectory's w and the tangent's eta are
 exact running sums of v and eta_t, rebuilt on each read of ``.w`` or ``.eta``.
@@ -35,9 +42,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import ShapeMismatch
-from .grid import laplacian_neumann
-from .state import (Problem, SolverOptions, StateTrajectory, _phi_solver, _thermal_solve,
-                    running_sum)
+from .grid import _from_cosine, _solve_symbol, _to_cosine, laplacian_neumann
+from .state import (Problem, SolverOptions, StateTrajectory, _phi_solver, _thermal_operator,
+                    _thermal_solve, running_sum)
 
 if TYPE_CHECKING:
     from .control import CostSpec
@@ -146,19 +153,25 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
             - (pi(phi_{n+1}) xi_{n+1} - pi(phi_n) xi_n)/tau + h_{n+1}
       eta_{n+1} = eta_n + tau eta_t_{n+1}
 
-    with xi_0 = 0, eta_0 = 0, eta_t_0 = h0.  Only xi and eta_t are stored;
-    eta is carried as one field, eta_n, and the result rebuilds it on read.
+    with xi_0 = 0, eta_0 = 0, eta_t_0 = h0.  The thermal equation is solved
+    in cosine coefficients: the sweep carries et_hat = C eta_t_n and
+    e_hat = C eta_n, takes beta lap(eta_n) as -beta eig e_hat, transforms
+    only the pointwise part of the right-hand side, multiplies by the inverse
+    symbol S = 1/(1/tau + (alpha + tau beta) eig) and transforms
+    eta_t_{n+1} = C^T S (...) back; e_hat is updated as e_hat + tau et_hat.
+    Only xi and eta_t are stored; the result rebuilds eta on read.
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
     h = grid.check_field(pert.h, "h", nt)
     h0 = grid.check_field(pert.h0, "h0")
-    beta = problem.params.beta
+    inv = _solve_symbol(grid, *_thermal_operator(problem.params, tau))
+    beta_eig = problem.params.beta * grid.cosine_eigenbasis[2]
 
     xi = np.zeros((nt + 1, grid.ny, grid.nx))
     eta_t = np.zeros_like(xi)
     eta_t[0] = h0
-    eta_n = np.zeros(grid.shape)
+    et_hat, e_hat = _to_cosine(grid, h0), np.zeros(grid.shape)
     pi_of = problem.coupling.pi
     dgamma = problem.potential.dgamma
     pi_n = pi_of(base.phi[0])
@@ -167,10 +180,10 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
         rhs_phi = xi[n] / tau + c1 * xi[n] + c2 * eta_t[n]
         xi[n + 1] = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), rhs_phi, opts.cg_tol).x
         pi_np1 = pi_of(base.phi[n + 1])
-        rhs_v = (eta_t[n] / tau + beta * laplacian_neumann(grid, eta_n)
-                 - (pi_np1 * xi[n + 1] - pi_n * xi[n]) / tau + h[n])
-        eta_t[n + 1] = _thermal_solve(grid, problem.params, tau, rhs_v)
-        eta_n = eta_n + tau * eta_t[n + 1]
+        src = h[n] - (pi_np1 * xi[n + 1] - pi_n * xi[n]) / tau
+        et_hat = (et_hat / tau - beta_eig * e_hat + _to_cosine(grid, src)) * inv
+        eta_t[n + 1] = _from_cosine(grid, et_hat)
+        e_hat += tau * et_hat
         pi_n = pi_np1
     return LinearizedPair(xi=xi, eta_t=eta_t, tau=tau)
 
@@ -199,8 +212,12 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
 
     exactly (to rounding where every phase solve takes ``cg_solve``'s
     fixed-point mode, else up to the phase CG tolerance) for every (h, h0),
-    because every linear map in the forward sweep is L2-self-adjoint and is
-    reapplied here in reverse order.  So g.h is the L2(Q) representative and
+    because every linear map in the forward sweep is reapplied here
+    transposed, in reverse order: the L2-self-adjoint phase solves and
+    pointwise products as they are, the transforms C and C^T as each other,
+    and the diagonal steps in coefficients on the coefficient cotangents
+    et_bar of et_hat and e_bar of e_hat, which the sweep carries beside the
+    physical ones.  So g.h is the L2(Q) representative and
     g.h0 the L2 representative of the pairing's derivative, with no Riesz
     lifting.  g.h holds the per-node thermal-equation multipliers, and the
     phase solve of node n+1 returns tau times those of the phase equation;
@@ -209,33 +226,37 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
     """
     grid, tg = problem.grid, problem.time
     nt, tau = tg.nt, tg.tau
-    beta = problem.params.beta
+    inv = _solve_symbol(grid, *_thermal_operator(problem.params, tau))
+    beta_eig = problem.params.beta * grid.cosine_eigenbasis[2]
     pi_of = problem.coupling.pi
     dgamma = problem.potential.dgamma
 
     h = np.zeros((nt, grid.ny, grid.nx))
     X1, E1, Th1 = seed(nt)
+    et_bar1, e_bar1 = np.zeros(grid.shape), np.zeros(grid.shape)
     pi_np1 = pi_of(base.phi[nt])
     for n in range(nt - 1, -1, -1):
         X, E, Th = seed(n)
         # transpose of eta_{n+1} = eta_n + tau eta_t_{n+1}
         Th1 += tau * E1
         E += E1
-        # transpose of the thermal solve
-        rv_bar = _thermal_solve(grid, problem.params, tau, Th1)
-        h[n] = rv_bar / tau
-        Th += h[n]
-        E += beta * laplacian_neumann(grid, rv_bar)
+        # transpose of eta_t_{n+1} = C^T et_hat and e_hat_{n+1} = e_hat_n + tau et_hat
+        et_bar1 += _to_cosine(grid, Th1) + tau * e_bar1
+        # transpose of the thermal solve in coefficients, and of the source's transform
+        r_bar = inv * et_bar1
+        h[n] = _from_cosine(grid, r_bar) / tau
+        et_bar, e_bar = r_bar / tau, e_bar1 - beta_eig * r_bar
         pi_n = pi_of(base.phi[n])
-        X1 -= pi_np1 * rv_bar / tau
-        X += pi_n * rv_bar / tau
+        X1 -= pi_np1 * h[n]
+        X += pi_n * h[n]
         # transpose of the phase solve (after X1 is complete)
         rphi_bar = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), X1, opts.cg_tol).x
         c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
         X += rphi_bar / tau + c1 * rphi_bar
         Th += c2 * rphi_bar
-        X1, E1, Th1, pi_np1 = X, E, Th, pi_n
-    return Perturbation(h=h, h0=Th1)
+        X1, E1, Th1, et_bar1, e_bar1, pi_np1 = X, E, Th, et_bar, e_bar, pi_n
+    # eta_t_0 = h0 and et_hat_0 = C h0
+    return Perturbation(h=h, h0=Th1 + _from_cosine(grid, et_bar1))
 
 
 def tracking_seeds(cost: "CostSpec", phi, w, v, tau: float, targets: bool = True) -> Seed:
@@ -313,6 +334,10 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     c2_n = (1/theta_c^2) pi(phi_n) are the coupling coefficients of the
     linearized phase step, from ``_explicit_coeffs`` as in the tangent sweep
     and its transpose.
+
+    The q step applies ``_thermal_solve`` and the stencil to physical fields,
+    not the coefficient steps of the tangent sweeps: this march is the
+    independent reference that the discrete gradient is checked against.
 
     The q-source is f_q = k3 (1 (*) (w - w_q)) + k5 (v - wprime_q)
     + k4 (w(T) - w_omega), whose k4 part is constant in time; only p and q

@@ -10,10 +10,20 @@ One step from t_n to t_{n+1} performs, in order:
          + (pi_hat(phi') - pi_hat(phi_n))/tau = u_{n+1}
      followed by the exact update w' = w_n + tau v'.
 
-The thermal operator I/tau + (alpha + tau beta)(-lap) is inverted exactly by
-``grid.cosine_solve``.  The SPD Newton operator I/tau - lap + diag(gamma') is
-solved in the same cosine coefficients, where I/tau - lap is diagonal and only
-diag(gamma') needs the transforms; the preconditioner is that diagonal shifted
+The thermal operator I/tau + (alpha + tau beta)(-lap) has constant
+coefficients, so it is diagonal in the cosine coefficients of the stencil's
+eigenbasis, and so is the memory term beta lap(w_n).  ``march`` therefore
+carries w_hat, the cosine coefficients of the mean-free part of w, beside w:
+the thermal step takes beta lap(w_n) as -beta eig w_hat_n, transforms only
+its pointwise source, multiplies by the inverse symbol and transforms back,
+and applies no stencil.  The source's mean is kept apart exactly as
+``grid.cosine_solve`` keeps it, so constants stay exact, and w_hat is updated
+as w_hat_n + tau v_hat, beside the physical w' = w_n + tau v'.  pi_hat(phi_n)
+is carried from the step before, so pi_hat is evaluated once per node.
+
+The SPD Newton operator I/tau - lap + diag(gamma') is solved in the same
+cosine coefficients, where I/tau - lap is diagonal and only diag(gamma')
+needs the transforms; the preconditioner is that diagonal shifted
 by the median m of gamma', and the rest of the operator is the remainder
 C diag(gamma' - m) C^T.  Newton is inexact: its stop is relative to the size
 of the step's right-hand side, and each inner solve goes only as far as the
@@ -23,8 +33,8 @@ correction X = P (R - C (gamma' - m) C^T X) of the splitting multiplies that
 bound by theta.  So the solve takes the step alone when theta meets the
 tolerance (0 iterations), else the j corrections with theta^(j+1) <= tol when
 theta <= 2^(1-j), and CG otherwise (``_phi_solver``).  The sensitivity sweeps
-reuse both solvers at ``cg_tol``; a tangent solve and its transpose take the
-same j, and the fixed-point map is symmetric, so the transpose stays exact to
+reuse this solver at ``cg_tol`` and the thermal symbol; a tangent solve and its
+transpose take the same j, and the fixed-point map is symmetric, so the transpose stays exact to
 rounding at any ``cg_tol``.  Each Newton point costs one domain check, one
 stencil and one gamma (``phi_step``).
 
@@ -34,7 +44,7 @@ pi_hat, which turns the lumped internal-energy balance
     sum(v' - v_n) + sum(pi_hat(phi') - pi_hat(phi_n)) = tau * sum(u_{n+1})
 
 into a per-step identity up to rounding: the zero-flux Laplacians drop out of
-the cell sum exactly, and the cosine solve keeps the cell sum of its rhs.
+the cell sum exactly, and the thermal solve keeps the cell sum of its source.
 
 The scheme is one-step, and ``march`` is the package's one forward time loop: it
 yields the nodes one at a time, each with its ``StepRecord``, and ``solve_state``
@@ -56,8 +66,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BadParameter, DomainViolation, NewtonDivergence, StepError, ThermophaseError
-from .grid import (CGResult, Field, GridSpec, _from_cosine, _to_cosine, cg_solve,
-                   cosine_solve, laplacian_neumann, norm)
+from .grid import (CGResult, Field, GridSpec, _from_cosine, _inverse_symbol, _mean_free_cosine,
+                   _to_cosine, cg_solve, cosine_solve, laplacian_neumann, norm)
 from .nonlinearity import Coupling, Potential
 
 if TYPE_CHECKING:
@@ -252,9 +262,14 @@ def _phase_operator(grid, potential, p):
     return potential._gamma(p) - laplacian_neumann(grid, p)
 
 
+def _thermal_operator(params, tau):
+    """(shift, coef) of the thermal operator shift I + coef (-lap): 1/tau and alpha + tau beta."""
+    return 1.0 / tau, params.alpha + tau * params.beta
+
+
 def _thermal_solve(grid, params, tau, rhs):
-    """Exact inverse of the thermal operator I/tau + (alpha + tau beta)(-lap)."""
-    return cosine_solve(grid, rhs, 1.0 / tau, params.alpha + tau * params.beta)
+    """Exact inverse of the thermal operator I/tau + (alpha + tau beta)(-lap) (``cosine_solve``)."""
+    return cosine_solve(grid, rhs, *_thermal_operator(params, tau))
 
 
 def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts, a_n):
@@ -346,21 +361,32 @@ def phi_step(grid, potential, coupling, params, phi_n, v_n, tau, opts, a_n):
     return phi, info
 
 
-def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
-    """Thermal update; returns (w_{n+1}, v_{n+1}, residual, scale).
+def thermal_step(grid, params, w_n, w_hat_n, v_n, pi_hat_n, pi_hat_np1, u_np1, tau):
+    """Thermal update; returns (w_{n+1}, w_hat_{n+1}, v_{n+1}, residual, scale).
 
     Solves, exactly in the cosine eigenbasis,
       (I/tau + alpha (-lap) + tau beta (-lap)) v' = v_n/tau + beta lap(w_n)
-          - (pi_hat(phi_{n+1}) - pi_hat(phi_n))/tau + u_{n+1}
-    and sets w_{n+1} = w_n + tau v' with that exact expression.  ``residual``
-    is the lumped energy balance, zero up to rounding, and ``scale`` its scale.
+          - (pi_hat_{n+1} - pi_hat_n)/tau + u_{n+1}
+    with pi_hat_n = pi_hat(phi_n), pi_hat_{n+1} = pi_hat(phi_{n+1}), and
+    w_hat_n the cosine coefficients of the mean-free part of w_n, which stand
+    for w_n in beta lap(w_n) = C^T (-beta eig w_hat_n): no stencil is applied.
+    The pointwise source s = (v_n - (pi_hat_{n+1} - pi_hat_n))/tau + u_{n+1}
+    is split by ``_mean_free_cosine`` as ``cosine_solve`` splits its rhs, and
+    its mean is divided by 1/tau, so a constant source gives a constant v'
+    exactly.  Sets w_{n+1} = w_n + tau v' with that exact expression, and
+    w_hat_{n+1} = w_hat_n + tau v_hat from the mean-free coefficients v_hat of
+    v'.  ``residual`` is the lumped energy balance, zero up to rounding, and
+    ``scale`` its scale.
     """
     w_n = grid.check_field(w_n, "w_n")
     v_n = grid.check_field(v_n, "v_n")
     u_np1 = grid.check_field(u_np1, "u_np1")
-    pi_hat_diff = coupling.pi_hat(phi_np1) - coupling.pi_hat(phi_n)
-    rhs = v_n / tau + params.beta * laplacian_neumann(grid, w_n) - pi_hat_diff / tau + u_np1
-    v_np1 = _thermal_solve(grid, params, tau, rhs)
+    shift, coef = _thermal_operator(params, tau)
+    pi_hat_diff = pi_hat_np1 - pi_hat_n
+    src_hat, src_mean = _mean_free_cosine(grid, (v_n - pi_hat_diff) / tau + u_np1)
+    v_hat = ((src_hat - params.beta * grid.cosine_eigenbasis[2] * w_hat_n)
+             * _inverse_symbol(grid, shift, coef))
+    v_np1 = _from_cosine(grid, v_hat) + src_mean / shift
     w_np1 = w_n + tau * v_np1
 
     vol = grid.cell_volume
@@ -369,7 +395,7 @@ def thermal_step(grid, coupling, params, w_n, v_n, phi_n, phi_np1, u_np1, tau):
     int_u = vol * float(u_np1.sum())
     residual = int_dv + int_dpi - tau * int_u
     scale = 1.0 + abs(int_dv) + abs(int_dpi) + tau * abs(int_u) + vol * float(np.abs(v_np1).sum())
-    return w_np1, v_np1, residual, scale
+    return w_np1, w_hat_n + tau * v_hat, v_np1, residual, scale
 
 
 def march(problem: Problem, control: "ControlPair", opts=SolverOptions()):
@@ -392,19 +418,23 @@ def march(problem: Problem, control: "ControlPair", opts=SolverOptions()):
     yield phi, w, v, StepRecord(step=0, time=0.0, newton_iters=0, cg_iters=0,
                                 energy_residual=0.0, cumulative_balance_residual=0.0)
     cumulative = 0.0
-    a_n = _phase_operator(grid, problem.potential, phi)  # A(phi_n), carried step to step
+    # carried step to step: A(phi_n), pi_hat(phi_n) and the coefficients of w_n's mean-free part
+    a_n = _phase_operator(grid, problem.potential, phi)
+    pi_hat = problem.coupling.pi_hat(phi)
+    w_hat = _mean_free_cosine(grid, w)[0]
     for n in range(tg.nt):
         try:
             phi_next, pinfo = phi_step(
                 grid, problem.potential, problem.coupling, problem.params,
                 phi, v, tau, opts, a_n,
             )
-            w, v, residual, scale = thermal_step(
-                grid, problem.coupling, problem.params, w, v, phi, phi_next, u[n], tau,
+            pi_hat_next = problem.coupling.pi_hat(phi_next)
+            w, w_hat, v, residual, scale = thermal_step(
+                grid, problem.params, w, w_hat, v, pi_hat, pi_hat_next, u[n], tau,
             )
         except ThermophaseError as exc:
             raise StepError(n + 1, exc) from exc
-        phi, a_n = phi_next, pinfo.operator
+        phi, a_n, pi_hat = phi_next, pinfo.operator, pi_hat_next
         cumulative += residual
         yield phi, w, v, StepRecord(
             step=n + 1, time=(n + 1) * tau,

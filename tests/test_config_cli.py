@@ -232,6 +232,21 @@ def test_grad_check_fails_a_wrong_tangent(tmp_path, monkeypatch, capsys, name):
     assert lines[1].startswith("fd_vs_adjoint: ") and lines[1].endswith("PASS")
 
 
+def test_fd_plateau_gives_a_rounding_tie_to_the_larger_step():
+    # J ~ 0.09: quotient rounding floors eps J / s are 2e-15, 2e-14 and 2e-13.  Both
+    # gaps sit at that level, so the least gap (1e-4's) wins only by rounding: the
+    # argmin of the gaps would take 1e-4, the tie rule takes 1e-3
+    steps = [1e-2, 1e-3, 1e-4]
+    floors = [np.finfo(float).eps * 0.09 / s for s in steps]
+    quotients = [1.0 + 5e-14, 1.0 + 1e-14, 1.0 + 1.2e-14]
+    gaps = [abs(quotients[i] - quotients[i + 1]) for i in range(2)]
+    assert int(np.argmin(gaps)) + 1 == 2
+    assert cli._fd_plateau(steps, quotients, floors) == 1
+    # a truncation error far above the floors is no tie: the plateau is 1e-3 to 1e-4
+    quotients = [1.0 + 1e-6, 1.0 + 1e-8, 1.0 + 1e-8 + 1e-14]
+    assert cli._fd_plateau(steps, quotients, floors) == 2
+
+
 def test_malformed_json_is_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -392,8 +407,8 @@ def test_simulate_energy_balance_reads_a_nan_residual(tmp_path, capsys, monkeypa
 
     def nan_at_step_two(*args):
         calls.append(None)
-        w, v, residual, scale = thermal_step(*args)
-        return w, v, math.nan if len(calls) == 2 else residual, scale
+        w, w_hat, v, residual, scale = thermal_step(*args)
+        return w, w_hat, v, math.nan if len(calls) == 2 else residual, scale
 
     monkeypatch.setattr(state, "thermal_step", nan_at_step_two)
     out = tmp_path / "o"

@@ -9,7 +9,8 @@ import pytest
 from conftest import small_problem, smooth_control, zero_target_cost
 from oracles import circledast_accumulate, scalar_adjoint_backward, scalar_forward
 
-from thermophase import sensitivity
+from thermophase import grid as grid_module
+from thermophase import sensitivity, state
 from thermophase.control import ControlPair, u_inner, u_norm
 from thermophase.errors import NoConvergence
 from thermophase.grid import build_grid, inner, laplacian_neumann, norm
@@ -59,6 +60,26 @@ def test_tangent_rebuilds_eta_as_the_running_sum_of_eta_t(rng):
     assert eta is not lin.eta and np.all(eta[0] == 0.0)
     for n in range(problem.time.nt):
         assert np.array_equal(eta[n + 1], eta[n] + tau * lin.eta_t[n + 1])
+
+
+def test_sweeps_apply_no_stencil_and_no_cosine_solve(rng, monkeypatch):
+    # the tangent and its transpose take every thermal step in carried cosine coefficients
+    problem = small_problem(nx=8, nt=4)
+    base = solve_state(problem, smooth_control(problem), TIGHT)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep applied the stencil or cosine_solve")
+
+    for module in (sensitivity, state, grid_module):
+        for name in ("laplacian_neumann", "cosine_solve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    h = rng.standard_normal((problem.time.nt, *problem.grid.shape))
+    lin = tangent_solve(base, problem, Perturbation(h, rng.standard_normal(problem.grid.shape)),
+                        TIGHT)
+    seed = array_seed(problem, lin.xi, lin.eta_t, lin.eta_t)
+    sweep = tangent_transpose(base, problem, seed, TIGHT)
+    assert np.all(np.isfinite(sweep.h)) and np.all(np.isfinite(sweep.h0))
 
 
 def test_tangent_scaling_linearity(rng):
