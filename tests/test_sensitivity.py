@@ -77,8 +77,7 @@ def test_sweeps_apply_no_stencil_and_no_cosine_solve(rng, monkeypatch):
     h = rng.standard_normal((problem.time.nt, *problem.grid.shape))
     lin = tangent_solve(base, problem, Perturbation(h, rng.standard_normal(problem.grid.shape)),
                         TIGHT)
-    seed = array_seed(problem, lin.xi, lin.eta_t, lin.eta_t)
-    sweep = tangent_transpose(base, problem, seed, TIGHT)
+    sweep = tangent_transpose(base, problem, array_seed(problem, lin.xi, lin.eta, lin.eta_t), TIGHT)
     assert np.all(np.isfinite(sweep.h)) and np.all(np.isfinite(sweep.h0))
 
 

@@ -277,7 +277,7 @@ def test_march_thermal_steps_apply_no_stencil(monkeypatch):
     assert calls["stencil"] == 1 + trials
 
 
-def test_march_carries_the_cosine_coefficients_of_w():
+def test_march_carries_the_cosine_coefficients_of_w(monkeypatch):
     # w_hat, carried step to step beside w, stays the transform of w's mean-free part:
     # measured at most 8.4e-16 of the largest coefficient over the 80 steps
     problem = small_problem(nx=64, nt=80)
@@ -289,9 +289,8 @@ def test_march_carries_the_cosine_coefficients_of_w():
         carried.append(out[:2])
         return out
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(state, "thermal_step", recording_thermal)
-        solve_state(problem, smooth_control(problem))
+    monkeypatch.setattr(state, "thermal_step", recording_thermal)
+    solve_state(problem, smooth_control(problem))
     assert len(carried) == 80
     for w, w_hat in carried:
         want = _to_cosine(g, w - np.mean(w))
