@@ -6,7 +6,8 @@ Subpackage map:
 - ``nonlinearity``: convex potentials and Lipschitz couplings.
 - ``state``: semi-implicit forward solver and its per-step records.
 - ``sensitivity``: tangent map, exact transpose, continuous adjoint.
-- ``control``: cost, reduced gradient, projection, projected Gauss–Newton–CG.
+- ``control``: the control space L2(Q) x V, cost, reduced gradient, projection, projected
+  Gauss–Newton–CG.
 - ``snapshots``: field snapshot format and trajectory persistence.
 - ``config`` / ``cli``: configuration ingestion and experiment drivers.
 """
@@ -19,7 +20,7 @@ from .state import (InitialData, PhysParams, Problem, SolverOptions, StateTrajec
                     TimeGrid, march, phi_step, solve_state, thermal_step)
 from .sensitivity import (AdjointPair, LinearizedPair, Perturbation, adjoint_solve_continuous,
                           adjoint_solve_discrete, array_seed, tangent_solve, tangent_transpose)
-from .control import (AdmissibleSet, ControlPair, CostSpec, GradientPair, OptimizeOptions,
+from .control import (AdmissibleSet, ControlPair, ControlSpace, CostSpec, OptimizeOptions,
                       OptimizeReport, ReducedProblem, check_vi, clamp_formula_residual,
                       cost_eval, optimize, project_admissible, stationarity_residual,
                       u_inner, u_norm, v0_inner, v0_norm)

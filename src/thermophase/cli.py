@@ -43,10 +43,9 @@ import numpy as np
 
 from .config import (ProblemConfig, echo_effective_config, level_grid, parse_config,
                      parse_config_dict)
-from .control import (ControlPair, ReducedProblem, exact_sum, optimize, u_inner, u_norm,
-                      v0_inner)
+from .control import ControlPair, ControlSpace, ReducedProblem, exact_sum, optimize, u_norm
 from .errors import ParseError, SolverFailure, StepError, ThermophaseError, ValidationError
-from .grid import inner, laplacian_neumann, norm
+from .grid import laplacian_neumann, norm
 from .sensitivity import (Perturbation, adjoint_solve_continuous, adjoint_solve_discrete,
                           array_seed, tangent_solve, tangent_transpose)
 from .snapshots import (INDEX_NAME, TRAJECTORY_SERIES, persist_node, remove_series, stored_nodes,
@@ -152,27 +151,29 @@ def _level(cfg: ProblemConfig, nx: int, nt: int):
     return lcfg, problem, solve_state(problem, lcfg.control(), lcfg.solver_options())
 
 
-def _unit_direction(rng, grid, tg):
-    h = rng.standard_normal((tg.nt, grid.ny, grid.nx))
-    h0 = rng.standard_normal(grid.shape)
-    scale = math.sqrt(u_norm(grid, tg.tau, h) ** 2 + inner(grid, h0, h0))
-    return h / scale, h0 / scale
+def _unit_direction(rng, space, nt) -> ControlPair:
+    """A random direction of unit L2(Q) x L2 norm."""
+    h, h0 = rng.standard_normal((nt, *space.grid.shape)), rng.standard_normal(space.grid.shape)
+    scale = math.sqrt(space.dual(Perturbation(h, h0), ControlPair(h, h0)))
+    return ControlPair(h / scale, h0 / scale)
 
 
 def _fd_plateau(steps, quotients, floors) -> int:
     """Index of the central-difference quotient on the plateau of ``steps``.
 
-    Consecutive quotients i, i+1 differ by gap_i; the pair that agrees best
-    gives its second quotient.  ``floors[i]`` bounds the rounding of quotient
-    i, about eps max|J(x +- s h)| / s, so gap_i is known only to within
-    floors[i] + floors[i+1]: two gaps that differ by no more than their two
-    bounds are a tie, and a tie goes to the pair whose second step is larger.
+    The steps are taken largest first, whatever their order in ``steps``.
+    Consecutive quotients i, i+1 then differ by gap_i; the pair that agrees
+    best gives its second quotient.  ``floors[i]`` bounds the rounding of
+    quotient i, about eps max|J(x +- s h)| / s, so gap_i is known only to
+    within floors[i] + floors[i+1]: two gaps that differ by no more than their
+    two bounds are a tie, and a tie goes to the pair whose second step is larger.
     """
-    gaps = [abs(quotients[i] - quotients[i + 1]) for i in range(len(quotients) - 1)]
-    noise = [floors[i] + floors[i + 1] for i in range(len(gaps))]
+    order = sorted(range(len(steps)), key=lambda i: abs(steps[i]), reverse=True)
+    gaps = [abs(quotients[i] - quotients[j]) for i, j in zip(order, order[1:])]
+    noise = [floors[i] + floors[j] for i, j in zip(order, order[1:])]
     least = int(np.argmin(gaps))
-    ties = [i for i, gap in enumerate(gaps) if gap - gaps[least] <= noise[i] + noise[least]]
-    return max(ties, key=lambda i: abs(steps[i + 1])) + 1
+    ties = [k for k, gap in enumerate(gaps) if gap - gaps[least] <= noise[k] + noise[least]]
+    return order[min(ties) + 1]
 
 
 def _sup_node_norm(grid, phi, w, v) -> float:
@@ -230,18 +231,18 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     blk = cfg.raw["grad_check"]
     grid, tg = problem.grid, problem.time
     rng = np.random.default_rng(seed)
+    rp = ReducedProblem(problem, cost, opts)
 
     # Taylor remainder of the forward map against the tangent
     base = solve_state(problem, control, opts)
-    h, h0 = _unit_direction(rng, grid, tg)
-    lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
+    h = _unit_direction(rng, rp.space, tg.nt)
+    lin = tangent_solve(base, problem, Perturbation(h.u, h.v0), opts)
     base_w, eta = base.w, lin.eta  # each rebuilt once, not once per epsilon
     tangent_norm = _sup_node_norm(grid, lin.xi, eta, lin.eta_t)
     eps_list = blk["epsilons"]
     rows = []
     for eps in eps_list:
-        pert_ctrl = ControlPair(control.u + eps * h, control.v0 + eps * h0)
-        traj_eps = solve_state(problem, pert_ctrl, opts)
+        traj_eps = solve_state(problem, rp.space.combine(control, eps, h), opts)
         dphi, dw, dv = traj_eps.phi - base.phi, traj_eps.w - base_w, traj_eps.v - base.v
         diff = _sup_node_norm(grid, dphi - eps * lin.xi, dw - eps * eta,
                               dv - eps * lin.eta_t)
@@ -252,17 +253,16 @@ def cmd_grad_check(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
               [row + (order,) for row, order in zip(rows, _orders(eps_list, remainders))])
 
     # adjoint gradient against tuned central differences
-    rp = ReducedProblem(problem, cost, opts)
     gpair = rp.gradient(control)
     fd_steps = blk["fd_steps"]
     fd_rows = []
     for d in range(blk["n_directions"]):
-        hd, h0d = _unit_direction(rng, grid, tg)
-        pairing = u_inner(grid, tg.tau, gpair.g_u, hd) + v0_inner(grid, gpair.g_v, h0d)
+        hd = _unit_direction(rng, rp.space, tg.nt)
+        pairing = rp.space.inner(gpair, hd)
         fds, floors = [], []
         for s in fd_steps:
-            jp = rp.cost(ControlPair(control.u + s * hd, control.v0 + s * h0d))
-            jm = rp.cost(ControlPair(control.u - s * hd, control.v0 - s * h0d))
+            jp = rp.cost(rp.space.combine(control, s, hd))
+            jm = rp.cost(rp.space.combine(control, -s, hd))
             fds.append((jp - jm) / (2 * s))
             floors.append(np.finfo(float).eps * max(abs(jp), abs(jm)) / s)
         best = _fd_plateau(fd_steps, fds, floors)
@@ -291,19 +291,20 @@ def cmd_adjoint_test(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     rng = np.random.default_rng(seed)
     base = solve_state(problem, control, opts)
     vol = grid.cell_volume
+    space = ControlSpace(grid, tg.tau)
 
     rows, notes = [], []
     for trial in range(blk["n_trials"]):
-        h = rng.standard_normal((tg.nt, grid.ny, grid.nx))
-        h0 = rng.standard_normal(grid.shape)
+        h = ControlPair(rng.standard_normal((tg.nt, grid.ny, grid.nx)),
+                        rng.standard_normal(grid.shape))
         wxi = rng.standard_normal(base.phi.shape)
         weta = rng.standard_normal(base.phi.shape)
         wth = rng.standard_normal(base.phi.shape)
-        lin = tangent_solve(base, problem, Perturbation(h, h0), opts)
+        lin = tangent_solve(base, problem, Perturbation(h.u, h.v0), opts)
         sweep = tangent_transpose(base, problem, array_seed(problem, wxi, weta, wth), opts)
         lhs = vol * float(np.sum(wxi * lin.xi) + np.sum(weta * lin.eta)
                           + np.sum(wth * lin.eta_t))
-        rhs = u_inner(grid, tg.tau, sweep.h, h) + inner(grid, sweep.h0, h0)
+        rhs = space.dual(sweep, h)
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         rows.append((trial, lhs, rhs, rel))
     write_csv(os.path.join(out_dir, "dot_test.csv"), ["trial", "lhs", "rhs", "rel_err"], rows)
@@ -450,8 +451,9 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
     opts = cfg.solver_options()
     blk = cfg.raw["cont_dependence"]
     grid, tg = problem.grid, problem.time
-    g_phi, g_w, g_v = grid.cosine_mode(1, 1), grid.cosine_mode(1, 0), grid.cosine_mode(0, 1)
-    g_u = np.broadcast_to(g_phi, (tg.nt, grid.ny, grid.nx))
+    g_phi, g_w = grid.cosine_mode(1, 1), grid.cosine_mode(1, 0)
+    g_ctrl = ControlPair(np.broadcast_to(g_phi, (tg.nt, grid.ny, grid.nx)), grid.cosine_mode(0, 1))
+    space = ControlSpace(grid, tg.tau)
 
     base = solve_state(problem, control, opts)
     base_w = base.w  # rebuilt once, not once per delta
@@ -462,8 +464,7 @@ def cmd_cont_dependence(cfg: ProblemConfig, out_dir: str, seed: int) -> Outcome:
         pert_problem.initial = copy.copy(problem.initial)
         pert_problem.initial.phi0 = problem.initial.phi0 + delta * g_phi
         pert_problem.initial.w0 = problem.initial.w0 + delta * g_w
-        pert_ctrl = ControlPair(control.u + delta * g_u, control.v0 + delta * g_v)
-        traj = solve_state(pert_problem, pert_ctrl, opts)
+        traj = solve_state(pert_problem, space.combine(control, delta, g_ctrl), opts)
         norms.append(trajectory_difference_norm(grid, tg.tau, traj.phi - base.phi,
                                                 traj.w - base_w, traj.v - base.v))
     slope = _loglog_slope(deltas, norms)

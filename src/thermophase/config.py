@@ -391,11 +391,9 @@ class ProblemConfig:
 
     def _control_pair(self, blk: dict, where: str) -> ControlPair:
         nodes = range(1, self.timegrid.nt + 1)
-        pair = ControlPair(u=build_field(blk.get("u", 0.0), self.grid, nodes, self.timegrid.tau,
+        return ControlPair(u=build_field(blk.get("u", 0.0), self.grid, nodes, self.timegrid.tau,
                                          f"{where}.u"),
                            v0=build_field(blk.get("v0", 0.0), self.grid, where=f"{where}.v0"))
-        _readonly(pair.u, pair.v0)
-        return pair
 
     def _bound(self, spec, where: str) -> float | np.ndarray:
         return float(spec) if _is_number(spec) else build_field(spec, self.grid, where=where)

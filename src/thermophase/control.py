@@ -18,6 +18,12 @@ along the direction, a transpose sweep seeded by the tracking terms applied
 to that tangent, plus the penalties nu1 d_u and nu2 d_v.  The optimizer is
 projected Newton on the boxes with these products in truncated CG.
 
+Both controls and every gradient are ``ControlPair``s of the one control space
+L2(Q) x V, ``ControlSpace``, which defines its inner product and norm, the
+L2(Q) x L2 pairing of a representative with a direction, the V Gram map
+f - lap f, its inverse the Riesz map, and the combination x + s d.  A gradient's
+``g_u``/``g_v`` are aliases of its ``u``/``v0``.
+
 Projection onto the admissible set clamps u pointwise (the exact L2(Q)
 projection).  For v0 the exact projection in the V metric would be an
 obstacle problem; instead v0 is clamped pointwise and, if the V-norm ball is
@@ -32,7 +38,6 @@ symmetries of the data leave the cost value bit-identical.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -81,20 +86,33 @@ def exact_sum(values: np.ndarray) -> float:
     return math.fsum(parts[parts != 0.0].tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlPair:
-    """Heat source u at nodes 1..nt (shape (nt, ny, nx)) and initial temperature v0."""
+    """Heat source u at nodes 1..nt (shape (nt, ny, nx)) and initial temperature v0,
+    or a gradient or direction of the same shape, whose ``g_u``/``g_v`` name u/v0.
+
+    A pair is frozen and clears the writeable flag of the arrays it holds, so one
+    pair object always holds the same values (``ReducedProblem`` caches by it).
+    """
 
     u: np.ndarray
     v0: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
-        self.v0 = np.asarray(self.v0, dtype=float)
+        for name in ("u", "v0"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
         # check the values u stores: one node when it is broadcast over the nodes (stride 0)
         stored = self.u[:1] if self.u.ndim and self.u.strides[0] == 0 else self.u
         if not (np.all(np.isfinite(stored)) and np.all(np.isfinite(self.v0))):
             raise BadParameter("control entries must be finite")
+
+    # a gradient's L2(Q) and V representatives, read-only aliases of u and v0
+    g_u = property(lambda self: self.u)
+    g_v = property(lambda self: self.v0)
+
+    def __neg__(self) -> "ControlPair":
+        return ControlPair(-self.u, -self.v0)
 
     @staticmethod
     def zeros(grid: GridSpec, nt: int) -> "ControlPair":
@@ -166,14 +184,6 @@ class AdmissibleSet:
         return anchor
 
 
-@dataclass
-class GradientPair:
-    """u-gradient as L2(Q) representative, v0-gradient as V representative."""
-
-    g_u: np.ndarray
-    g_v: np.ndarray
-
-
 def u_inner(grid: GridSpec, tau: float, a: np.ndarray, b: np.ndarray) -> float:
     """L2(Q) pairing of node-1..nt space-time fields (rectangle rule in time)."""
     return tau * grid.cell_volume * float(np.dot(a.ravel(), b.ravel()))
@@ -190,6 +200,44 @@ def v0_inner(grid: GridSpec, a: Field, b: Field) -> float:
 
 def v0_norm(grid: GridSpec, a: Field) -> float:
     return float(np.sqrt(max(v0_inner(grid, a, a), 0.0)))
+
+
+@dataclass(frozen=True)
+class ControlSpace:
+    """The control space L2(Q) x V of the pairs (u, v0) on ``grid`` with time step ``tau``.
+
+    - ``inner``: <a.u, b.u>_L2(Q) + <a.v0, b.v0>_V; a gradient is the Riesz
+      representative of the derivative in it.
+    - ``norm``: ||a.u||_L2(Q) + ||a.v0||_V, the measure of the stationarity
+      residual, of the line search's move and of ``check_vi``'s scale.
+    - ``dual``: <r.h, d.u>_L2(Q) + <r.h0, d.v0>_L2, the pairing of an L2(Q) x L2
+      representative r (a ``Perturbation``, as ``tangent_transpose`` returns) with
+      a direction d.
+    - ``gram``: f - lap f, the L2 representative of the V representative f of v0;
+      ``riesz`` (``riesz_v``) is its inverse.
+    - ``combine``: x + s d.
+    """
+
+    grid: GridSpec
+    tau: float
+
+    def inner(self, a: ControlPair, b: ControlPair) -> float:
+        return u_inner(self.grid, self.tau, a.u, b.u) + v0_inner(self.grid, a.v0, b.v0)
+
+    def norm(self, a: ControlPair) -> float:
+        return u_norm(self.grid, self.tau, a.u) + v0_norm(self.grid, a.v0)
+
+    def dual(self, r: Perturbation, d: ControlPair) -> float:
+        return u_inner(self.grid, self.tau, r.h, d.u) + inner(self.grid, r.h0, d.v0)
+
+    def gram(self, f: Field) -> Field:
+        return f - laplacian_neumann(self.grid, f)
+
+    def riesz(self, f: Field) -> Field:
+        return riesz_v(self.grid, f)
+
+    def combine(self, x: ControlPair, s: float, d: ControlPair) -> ControlPair:
+        return ControlPair(x.u + s * d.u, x.v0 + s * d.v0)
 
 
 def _v0_norm_sq_exact(grid: GridSpec, a: Field) -> float:
@@ -238,33 +286,27 @@ def _summed(term: str, total, *args) -> float:
 class ReducedProblem:
     """Reduced cost, gradient and Gauss-Newton Hessian with a one-deep trajectory cache.
 
-    The cache is keyed by a digest of the control's bytes and dropped before a
-    new control is solved, so it holds one trajectory and no copy of the
-    control.  Counts its forward solves (cache misses), gradients and Hessian
-    products.
+    The cache is keyed by the control's identity, which a ``ControlPair`` makes
+    safe: it is frozen and its arrays are read-only, so the cached object still
+    holds the values that were solved.  An equal control in another object is
+    solved again.  The cache is dropped before a new control is solved, so it
+    holds one trajectory.  Counts its forward solves (cache misses), gradients
+    and Hessian products.
     """
 
     def __init__(self, problem: Problem, cost: CostSpec, opts: SolverOptions = SolverOptions()):
         self.problem = problem
         self.cost_spec = cost
         self.opts = opts
-        self._cache_key = None
-        self._cache_traj = None
-        self.forward_solves = 0
-        self.gradients = 0
-        self.hessian_products = 0
-
-    def _key(self, control: ControlPair):
-        # SHA-256 of each array's bytes, so the cache holds no copy of the control
-        return tuple(hashlib.sha256(np.ascontiguousarray(a)).digest()
-                     for a in (control.u, control.v0))
+        self.space = ControlSpace(problem.grid, problem.time.tau)
+        self._cache_control = self._cache_traj = None
+        self.forward_solves = self.gradients = self.hessian_products = 0
 
     def state(self, control: ControlPair) -> StateTrajectory:
-        key = self._key(control)
-        if key != self._cache_key:
-            self._cache_key = self._cache_traj = None  # never two trajectories at once
+        if control is not self._cache_control:
+            self._cache_control = self._cache_traj = None  # never two trajectories at once
             self._cache_traj = solve_state(self.problem, control, self.opts)
-            self._cache_key = key
+            self._cache_control = control
             self.forward_solves += 1
         return self._cache_traj
 
@@ -272,13 +314,13 @@ class ReducedProblem:
         traj = self.state(control)
         return cost_eval(traj, control, self.cost_spec, self.problem.grid, self.problem.time)
 
-    def gradient(self, control: ControlPair) -> GradientPair:
+    def gradient(self, control: ControlPair) -> ControlPair:
         traj = self.state(control)
         self.gradients += 1
         sweep = adjoint_solve_discrete(traj, self.problem, self.cost_spec, self.opts)
         return self._representative(sweep, control)
 
-    def hessian_vector(self, control: ControlPair, d: ControlPair) -> GradientPair:
+    def hessian_vector(self, control: ControlPair, d: ControlPair) -> ControlPair:
         """Gauss-Newton Hessian of the reduced cost at ``control`` applied to ``d``.
 
         A tangent sweep along d and a transpose sweep seeded by the tracking
@@ -286,7 +328,7 @@ class ReducedProblem:
         penalties, mapped to the gradient's representatives by ``_representative``.
         It never solves the state: ``control`` must be the last control solved.
         """
-        if self._key(control) != self._cache_key:
+        if control is not self._cache_control:
             raise BadParameter("hessian_vector needs the cached trajectory of its control")
         traj, tau = self._cache_traj, self.problem.time.tau
         lin = tangent_solve(traj, self.problem, Perturbation(d.u, d.v0), self.opts)
@@ -296,12 +338,12 @@ class ReducedProblem:
         self.hessian_products += 1
         return self._representative(sweep, d)
 
-    def _representative(self, seed: Perturbation, x: ControlPair) -> GradientPair:
-        """(seed.h + nu1 x.u, nu2 x.v0 + riesz_v(seed.h0)): the L2(Q) and V representatives
+    def _representative(self, seed: Perturbation, x: ControlPair) -> ControlPair:
+        """(seed.h + nu1 x.u, nu2 x.v0 + riesz(seed.h0)): the L2(Q) and V representatives
         of a tracking derivative with L2(Q) x L2 representatives ``seed`` plus the
         penalties' at x."""
-        return GradientPair(g_u=seed.h + self.cost_spec.nu1 * x.u,
-                            g_v=self.cost_spec.nu2 * x.v0 + riesz_v(self.problem.grid, seed.h0))
+        return ControlPair(seed.h + self.cost_spec.nu1 * x.u,
+                           self.cost_spec.nu2 * x.v0 + self.space.riesz(seed.h0))
 
 
 def project_admissible(control: ControlPair, aset: AdmissibleSet, grid: GridSpec) -> ControlPair:
@@ -337,19 +379,17 @@ def _into_ball(v: Field, aset: AdmissibleSet, grid: GridSpec) -> Field:
         f"ball projection stalled at ||v0||_V = {v0_norm(grid, v):.6e} > M = {M:.6e}")
 
 
-def stationarity_residual(control: ControlPair, grad: GradientPair, aset: AdmissibleSet,
+def stationarity_residual(control: ControlPair, grad: ControlPair, aset: AdmissibleSet,
                           grid: GridSpec, timegrid: TimeGrid) -> float:
-    """Projected-gradient fixed-point defect of a unit step.
-
-    ||u - P(u - g_u)||_L2(Q) + ||v0 - P(v0 - g_v)||_V.
+    """Projected-gradient fixed-point defect of a unit step, ``ControlSpace.norm`` of
+    x - P(x - g): ||u - P(u - g_u)||_L2(Q) + ||v0 - P(v0 - g_v)||_V.
     """
-    proj = project_admissible(ControlPair(control.u - grad.g_u, control.v0 - grad.g_v),
-                              aset, grid)
-    return (u_norm(grid, timegrid.tau, control.u - proj.u)
-            + v0_norm(grid, control.v0 - proj.v0))
+    space = ControlSpace(grid, timegrid.tau)
+    proj = project_admissible(space.combine(control, -1.0, grad), aset, grid)
+    return space.norm(space.combine(control, -1.0, proj))
 
 
-def clamp_formula_residual(control: ControlPair, grad: GradientPair, aset: AdmissibleSet,
+def clamp_formula_residual(control: ControlPair, grad: ControlPair, aset: AdmissibleSet,
                    grid: GridSpec, timegrid: TimeGrid, nu1: float) -> float:
     """Defect of the pointwise projection formula u = clamp(-q/nu1) (needs nu1 > 0).
 
@@ -362,7 +402,7 @@ def clamp_formula_residual(control: ControlPair, grad: GradientPair, aset: Admis
     return u_norm(grid, timegrid.tau, control.u - target)
 
 
-def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid: GridSpec,
+def check_vi(control: ControlPair, grad: ControlPair, aset: AdmissibleSet, grid: GridSpec,
              timegrid: TimeGrid) -> tuple[float, float]:
     """Variational inequality in closed form: (vi_min, vi_scale).
 
@@ -370,7 +410,7 @@ def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid
     min over y in K of <g_u, y_u - u>_L2(Q) + <g_v, y_v - v0>_V; at a
     constrained minimizer with an accurate gradient it is zero up to gradient
     error.  The pairings are taken with the L2 weights c_u = tau vol g_u and
-    c_v = vol (g_v - lap g_v), so that <g_v, h>_V = <c_v, h>.
+    c_v = vol gram(g_v) = vol (g_v - lap g_v), so that <g_v, h>_V = <c_v, h>.
 
     - The u part is exact: each entry's minimizer is u_lo where c_u > 0, u_hi
       where c_u < 0, and the entry itself where c_u = 0.
@@ -379,9 +419,10 @@ def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid
       -M ||g_v||_V - <g_v, v0>_V at y_v = -M g_v / ||g_v||_V.  It is exact
       when the box minimizer lies in the ball or the ball minimizer in the box.
 
-    vi_scale is the control-metric distance from the control to the minimizer
+    vi_scale is the ``ControlSpace.norm`` distance from the control to the minimizer
     that gave vi_min (at least 1), the natural scale for vi_min.
     """
+    space = ControlSpace(grid, timegrid.tau)
     tau, vol, M = timegrid.tau, grid.cell_volume, aset.ball_radius
     u, v0 = control.u, control.v0
 
@@ -390,13 +431,13 @@ def check_vi(control: ControlPair, grad: GradientPair, aset: AdmissibleSet, grid
         return y, float(np.dot(c.ravel(), (y - x).ravel()))
 
     y_u, vi_u = box_min(u, (tau * vol) * grad.g_u, aset.u_lo, aset.u_hi)
-    c_v = vol * (grad.g_v - laplacian_neumann(grid, grad.g_v))
+    c_v = vol * space.gram(grad.g_v)
     y_v, vi_v = box_min(v0, c_v, aset.v_lo, aset.v_hi)
     g_norm = math.sqrt(max(float(np.dot(c_v.ravel(), grad.g_v.ravel())), 0.0))
     vi_ball = -M * g_norm - float(np.dot(c_v.ravel(), v0.ravel()))
     if g_norm > 0.0 and vi_ball > vi_v:
         y_v, vi_v = (-M / g_norm) * grad.g_v, vi_ball
-    return vi_u + vi_v, max(1.0, u_norm(grid, tau, y_u - u) + v0_norm(grid, y_v - v0))
+    return vi_u + vi_v, max(1.0, space.norm(space.combine(ControlPair(y_u, y_v), -1.0, control)))
 
 
 @dataclass
@@ -442,40 +483,35 @@ class OptimizeReport:
 
 
 def _feasible_flags(control, aset, grid):
-    box = bool(np.all(control.u >= np.asarray(aset.u_lo) - 1e-14)
-               and np.all(control.u <= np.asarray(aset.u_hi) + 1e-14)
-               and np.all(control.v0 >= np.asarray(aset.v_lo) - 1e-14)
-               and np.all(control.v0 <= np.asarray(aset.v_hi) + 1e-14))
-    ball = v0_norm(grid, control.v0) <= aset.ball_radius * (1.0 + 1e-10)
-    return box, ball
+    box = all(np.all(x >= np.asarray(lo) - 1e-14) and np.all(x <= np.asarray(hi) + 1e-14)
+              for x, lo, hi in ((control.u, aset.u_lo, aset.u_hi),
+                                (control.v0, aset.v_lo, aset.v_hi)))
+    return box, v0_norm(grid, control.v0) <= aset.ball_radius * (1.0 + 1e-10)
 
 
-def _bb_step(grid: GridSpec, tau: float, x: ControlPair, x_new: ControlPair,
-             g: GradientPair, g_new: GradientPair, accepted: float) -> float:
+def _bb_step(space: ControlSpace, x: ControlPair, x_new: ControlPair, g: ControlPair,
+             g_new: ControlPair, accepted: float) -> float:
     """First trial step of a gradient step after an accepted one: the short BB quotient.
 
-    With s = x_new - x and y = g_new - g, returns <s,y>/<y,y> in the control
-    metric (L2(Q) for u, V for v0), or twice the accepted step when <s,y> <= 0
-    or the quotient is not finite.
+    With s = x_new - x and y = g_new - g, returns <s,y>/<y,y> in ``space``'s
+    inner product, or twice the accepted step when <s,y> <= 0 or the quotient
+    is not finite.
     """
-    su, sv = x_new.u - x.u, x_new.v0 - x.v0
-    yu, yv = g_new.g_u - g.g_u, g_new.g_v - g.g_v
-    sy = u_inner(grid, tau, su, yu) + v0_inner(grid, sv, yv)
-    yy = u_inner(grid, tau, yu, yu) + v0_inner(grid, yv, yv)
-    if sy > 0.0 and yy > 0.0 and math.isfinite(sy / yy):
-        return sy / yy
-    return 2.0 * accepted
+    s, y = space.combine(x_new, -1.0, x), space.combine(g_new, -1.0, g)
+    sy, yy = space.inner(s, y), space.inner(y, y)
+    return sy / yy if sy > 0.0 and yy > 0.0 and math.isfinite(sy / yy) else 2.0 * accepted
 
 
-def _newton_cg(rp: ReducedProblem, x: ControlPair, g: GradientPair, free_u: np.ndarray,
+def _newton_cg(rp: ReducedProblem, x: ControlPair, g: ControlPair, free_u: np.ndarray,
                free_v: np.ndarray, tol: float) -> ControlPair | None:
     """Truncated CG for the Gauss-Newton step H d = -g on the free entries.
 
-    CG runs in the control metric on the directions that vanish on the active
-    entries.  Residuals are kept as L2 representatives masked to the free
-    entries; the u part is its own L2(Q) representative, and the v0 part is
-    lifted by the masked V-Riesz map, which makes this plain CG in V when no
-    v0 entry is active.
+    CG runs in the control space on the directions that vanish on the active
+    entries.  Residuals are kept as L2(Q) x L2 representatives (``Perturbation``)
+    masked to the free entries: ``residual`` keeps the u part, its own L2(Q)
+    representative, and takes the Gram map of the v0 part.  ``lift`` maps them
+    back by the masked Riesz map, which makes this plain CG in V when no v0
+    entry is active.
 
     CG stops once the residual is at most max(eta ||g_F||, tol/2), with the
     forcing term eta = min(0.5, sqrt(||g_F||)) (Eisenstat-Walker) and tol the
@@ -484,44 +520,41 @@ def _newton_cg(rp: ReducedProblem, x: ControlPair, g: GradientPair, free_u: np.n
     returns the step so far, or None on the first iteration (Steihaug).
     """
     max_inner = 50
-    grid, tau = rp.problem.grid, rp.problem.time.tau
+    space = rp.space
 
-    def residual(h_u, h_v):
-        return (np.where(free_u, h_u, 0.0),
-                np.where(free_v, h_v - laplacian_neumann(grid, h_v), 0.0))
+    def residual(h):
+        return Perturbation(np.where(free_u, h.u, 0.0), np.where(free_v, space.gram(h.v0), 0.0))
 
-    def lift(r_v):
-        return np.where(free_v, riesz_v(grid, r_v), 0.0)
+    def lift(r):
+        return ControlPair(r.h, np.where(free_v, space.riesz(r.h0), 0.0))
 
-    r_u, r_v = residual(-g.g_u, -g.g_v)
-    z_v = lift(r_v)
-    rz = u_inner(grid, tau, r_u, r_u) + inner(grid, r_v, z_v)
-    d_u, d_v = np.zeros_like(x.u), np.zeros_like(x.v0)
+    r = residual(-g)
+    z = lift(r)
+    rz = space.dual(r, z)
+    d = ControlPair.zeros(space.grid, x.u.shape[0])
     if not rz > 0.0:
-        return ControlPair(d_u, d_v)
+        return d
     g_free = math.sqrt(rz)
     stop = max(min(0.5, math.sqrt(g_free)) * g_free, 0.5 * tol)
-    p_u, p_v = r_u, z_v
+    p = z
     for k in range(max_inner):
-        hp = rp.hessian_vector(x, ControlPair(p_u, p_v))
-        curv = u_inner(grid, tau, p_u, hp.g_u) + v0_inner(grid, p_v, hp.g_v)
+        hp = rp.hessian_vector(x, p)
+        curv = space.inner(p, hp)
         if not curv > 0.0:
             if k == 0:
                 return None
             break
         alpha = rz / curv
-        d_u += alpha * p_u
-        d_v += alpha * p_v
-        h_u, h_v = residual(hp.g_u, hp.g_v)
-        r_u, r_v = r_u - alpha * h_u, r_v - alpha * h_v
-        z_v = lift(r_v)
-        rz_new = u_inner(grid, tau, r_u, r_u) + inner(grid, r_v, z_v)
+        d = space.combine(d, alpha, p)
+        hr = residual(hp)
+        r = Perturbation(r.h - alpha * hr.h, r.h0 - alpha * hr.h0)
+        z = lift(r)
+        rz_new = space.dual(r, z)
         if math.sqrt(max(rz_new, 0.0)) <= stop:
             break
-        p_u = r_u + (rz_new / rz) * p_u
-        p_v = z_v + (rz_new / rz) * p_v
+        p = space.combine(z, rz_new / rz, p)
         rz = rz_new
-    return ControlPair(d_u, d_v)
+    return d
 
 
 def _active(x: np.ndarray, g: np.ndarray, lo, hi, eps: float) -> np.ndarray:
@@ -552,7 +585,6 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
     """
     armijo_c, shrink, max_backtracks = 1e-4, 0.5, 60
     grid, tg = problem.grid, problem.time
-    tau = tg.tau
     rp = ReducedProblem(problem, cost, opts.solver)
     x = project_admissible(init, aset, grid)
     j = rp.cost(x)
@@ -582,17 +614,17 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
         active_u = _active(x.u, g.g_u, aset.u_lo, aset.u_hi, stat)
         active_v = _active(x.v0, g.g_v, aset.v_lo, aset.v_hi, stat)
         newton = _newton_cg(rp, x, g, ~active_u, ~active_v, opts.stationarity_tol)
+        steepest = -g
         if newton is None:
-            d, s = ControlPair(-g.g_u, -g.g_v), bb_step
+            d, s = steepest, bb_step
         else:
-            d, s = ControlPair(np.where(active_u, -g.g_u, newton.u),
-                               np.where(active_v, -g.g_v, newton.v0)), 1.0
+            d, s = ControlPair(np.where(active_u, steepest.u, newton.u),
+                               np.where(active_v, steepest.v0, newton.v0)), 1.0
         backtracks = 0
         while backtracks <= max_backtracks:
-            trial = project_admissible(ControlPair(x.u + s * d.u, x.v0 + s * d.v0), aset, grid)
-            pred = (u_inner(grid, tau, g.g_u, trial.u - x.u)
-                    + v0_inner(grid, g.g_v, trial.v0 - x.v0))
-            move = u_norm(grid, tau, trial.u - x.u) + v0_norm(grid, trial.v0 - x.v0)
+            trial = project_admissible(rp.space.combine(x, s, d), aset, grid)
+            dx = rp.space.combine(trial, -1.0, x)
+            pred, move = rp.space.inner(g, dx), rp.space.norm(dx)
             if move == 0.0:
                 converged = True
                 reason = "projected step vanished"
@@ -603,7 +635,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
                     break
             elif newton is not None and backtracks == 0:
                 # the projection of the Newton path onto the ball need not descend
-                d, s, newton = ControlPair(-g.g_u, -g.g_v), bb_step, None
+                d, s, newton = steepest, bb_step, None
                 continue
             s *= shrink
             backtracks += 1
@@ -614,7 +646,7 @@ def optimize(problem: Problem, cost: CostSpec, aset: AdmissibleSet, init: Contro
                 f"no Armijo decrease after {max_backtracks} backtracks "
                 f"(iteration {it}, stationarity {stat:.3e})")
         g_new = rp.gradient(trial)
-        bb_step = _bb_step(grid, tau, x, trial, g, g_new, s)
+        bb_step = _bb_step(rp.space, x, trial, g, g_new, s)
         x, j, g = trial, j_trial, g_new
         last_step, last_bt = s, backtracks
 

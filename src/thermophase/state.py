@@ -149,7 +149,14 @@ class Problem:
 
     def check_initial(self) -> None:
         """phi0 must lie strictly inside the potential's domain (strong-solution data);
-        for a potential defined on all reals, that means finite.  w0 must be finite."""
+        for a potential defined on all reals, that means finite.  w0 must be finite.
+
+        Two callers check on purpose.  ``config.ProblemConfig`` checks at
+        construction, so a bad ``phi0`` is a config error (exit 2) before the
+        output directory is touched.  ``march`` checks before node 0 of every
+        solve, for library callers and for initial data changed after
+        construction (``cli.cmd_cont_dependence`` and the sensitivity tests
+        perturb ``problem.initial.phi0``)."""
         if not self.potential.contains(self.initial.phi0):
             raise DomainViolation("phi0 must be strictly interior to the potential domain")
         if not np.all(np.isfinite(self.initial.w0)):

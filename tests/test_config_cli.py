@@ -185,6 +185,20 @@ def test_from_run_cost_keeps_only_the_weighted_targets():
     assert cost.wprime_omega.shape == cfg.grid.shape
 
 
+@pytest.mark.parametrize("name,counts", [("optimize_recovery", (1, 2, 2, 4)),
+                                         ("optimize_convex", (2, 3, 3, 6))])
+def test_committed_optimizer_runs_converge_with_their_counts(tmp_path, name, counts):
+    # each committed optimize config at its own size: every criterion passes, and the run
+    # stops on the tolerance after its iterations, forward solves, gradients, Hessian products
+    report = run_command("optimize", parse_config(os.path.join(CONFIGS, f"{name}.json")),
+                         out_dir=str(tmp_path))
+    assert report.code == 0 and all(c.passed for c in report.criteria)
+    iters, solves, gradients, products = counts
+    assert (f"optimizer converged=true reason=stationarity tolerance reached iters={iters} "
+            f"forward_solves={solves} gradients={gradients} hessian_products={products}"
+            in (tmp_path / "summary.txt").read_text().splitlines())
+
+
 @pytest.mark.parametrize("cmd,name", [("simulate", "simulate_logarithmic"),
                                       ("grad_check", "grad_check"),
                                       ("optimize", "optimize_recovery")])
@@ -242,9 +256,12 @@ def test_fd_plateau_gives_a_rounding_tie_to_the_larger_step():
     gaps = [abs(quotients[i] - quotients[i + 1]) for i in range(2)]
     assert int(np.argmin(gaps)) + 1 == 2
     assert cli._fd_plateau(steps, quotients, floors) == 1
+    # the steps in reverse order pick the same step, 1e-3
+    assert cli._fd_plateau(steps[::-1], quotients[::-1], floors[::-1]) == 1
     # a truncation error far above the floors is no tie: the plateau is 1e-3 to 1e-4
     quotients = [1.0 + 1e-6, 1.0 + 1e-8, 1.0 + 1e-8 + 1e-14]
     assert cli._fd_plateau(steps, quotients, floors) == 2
+    assert cli._fd_plateau(steps[::-1], quotients[::-1], floors[::-1]) == 0
 
 
 def test_malformed_json_is_parse_error(tmp_path):

@@ -14,7 +14,7 @@ from conftest import CONFIGS, small_problem, smooth_control, zero_target_cost
 from oracles import cell_centers
 
 from thermophase import control
-from thermophase.control import (AdmissibleSet, ControlPair, CostSpec, GradientPair,
+from thermophase.control import (AdmissibleSet, ControlPair, ControlSpace, CostSpec,
                                  OptimizeOptions, ReducedProblem, _bb_step, check_vi,
                                  clamp_formula_residual, cost_eval, exact_sum, optimize,
                                  project_admissible, stationarity_residual, u_inner, u_norm,
@@ -313,7 +313,7 @@ def test_stationarity_zero_at_interior_zero_gradient():
     tg = TimeGrid(t_final=0.4, nt=4)
     aset = AdmissibleSet(u_lo=-1, u_hi=1, v_lo=-1, v_hi=1)
     ctrl = ControlPair(np.zeros((4, 8, 8)), g.zeros())
-    grad = GradientPair(np.zeros((4, 8, 8)), g.zeros())
+    grad = ControlPair(np.zeros((4, 8, 8)), g.zeros())
     assert stationarity_residual(ctrl, grad, aset, g, tg) == 0.0
 
 
@@ -327,7 +327,7 @@ def test_stationarity_projection_formula_fixed_point(rng):
     q = rng.standard_normal((4, 8, 8))
     u = np.clip(-q / nu1, -1.0, 1.0)
     ctrl = ControlPair(u, g.zeros())
-    grad = GradientPair(q + nu1 * u, g.zeros())
+    grad = ControlPair(q + nu1 * u, g.zeros())
     res = stationarity_residual(ctrl, grad, aset, g, tg)
     assert res <= 1e-10
     assert clamp_formula_residual(ctrl, grad, aset, g, tg, nu1) <= 1e-12
@@ -338,7 +338,7 @@ def test_stationarity_nonnegative(rng):
     tg = TimeGrid(t_final=0.4, nt=4)
     aset = AdmissibleSet()
     ctrl = ControlPair(rng.standard_normal((4, 8, 8)), rng.standard_normal(g.shape))
-    grad = GradientPair(rng.standard_normal((4, 8, 8)), rng.standard_normal(g.shape))
+    grad = ControlPair(rng.standard_normal((4, 8, 8)), rng.standard_normal(g.shape))
     assert stationarity_residual(ctrl, grad, aset, g, tg) >= 0.0
 
 
@@ -347,7 +347,7 @@ def test_check_vi_zero_gradient_returns_zero():
     tg = TimeGrid(t_final=0.4, nt=4)
     aset = AdmissibleSet(u_lo=-1, u_hi=1, v_lo=-1, v_hi=1, ball_radius=10.0)
     ctrl = ControlPair(np.zeros((4, 8, 8)), g.zeros())
-    grad = GradientPair(np.zeros((4, 8, 8)), g.zeros())
+    grad = ControlPair(np.zeros((4, 8, 8)), g.zeros())
     vi_min, vi_scale = check_vi(ctrl, grad, aset, g, tg)
     assert vi_min == 0.0
     assert vi_scale >= 1.0
@@ -361,7 +361,7 @@ def test_check_vi_clamped_quadratic_oracle():
     aset = AdmissibleSet(u_lo=-1.0, u_hi=1.0, v_lo=0.0, v_hi=0.0)
     c = 2.0
     u_bar = np.clip(np.full((4, 8, 8), c), -1.0, 1.0)
-    grad = GradientPair(u_bar - c, g.zeros())
+    grad = ControlPair(u_bar - c, g.zeros())
     ctrl = ControlPair(u_bar, g.zeros())
     value, scale = check_vi(ctrl, grad, aset, g, tg)
     assert value >= 0.0
@@ -389,7 +389,7 @@ def test_check_vi_matches_vertex_enumeration(case, rng):
     aset = AdmissibleSet(**bounds, ball_radius=0.2 if case == "ball_active" else 1e6)
     ctrl = project_admissible(ControlPair(0.1 * rng.standard_normal((1, *g.shape)),
                                           0.1 * rng.standard_normal(g.shape)), aset, g)
-    grad = GradientPair(rng.standard_normal((1, *g.shape)), rng.standard_normal(g.shape))
+    grad = ControlPair(rng.standard_normal((1, *g.shape)), rng.standard_normal(g.shape))
     vi_min, vi_scale = check_vi(ctrl, grad, aset, g, tg)
 
     u_vals, u_ys = _vertex_values(lambda h: u_inner(g, tg.tau, grad.g_u, h), ctrl.u,
@@ -477,7 +477,7 @@ TIGHT = SolverOptions(cg_tol=1e-13)
 
 
 def _pairing(grid, tau, a, b):
-    """<a, b> in the control metric for a GradientPair a and a ControlPair b."""
+    """<a, b> in the control metric for a gradient a and a direction b."""
     return u_inner(grid, tau, a.g_u, b.u) + v0_inner(grid, a.g_v, b.v0)
 
 
@@ -519,7 +519,7 @@ def test_hessian_vector_matches_gradient_fd_at_zero_residual(rng):
     eps = 1e-3
     gp = rp.gradient(ControlPair(ctrl.u + eps * d.u, ctrl.v0 + eps * d.v0))
     gm = rp.gradient(ControlPair(ctrl.u - eps * d.u, ctrl.v0 - eps * d.v0))
-    fd = GradientPair((gp.g_u - gm.g_u) / (2 * eps), (gp.g_v - gm.g_v) / (2 * eps))
+    fd = ControlPair((gp.g_u - gm.g_u) / (2 * eps), (gp.g_v - gm.g_v) / (2 * eps))
     err = math.sqrt(u_norm(grid, tau, fd.g_u - hd.g_u) ** 2 + v0_norm(grid, fd.g_v - hd.g_v) ** 2)
     size = math.sqrt(u_norm(grid, tau, hd.g_u) ** 2 + v0_norm(grid, hd.g_v) ** 2)
     assert err <= 1e-9 * size
@@ -568,13 +568,13 @@ def test_state_frees_the_cached_trajectory_before_solving_a_new_control():
     tracemalloc.start()
     try:
         rp.state(c1)
-        held = tracemalloc.get_traced_memory()[0]  # the cached trajectory and its key
+        held = tracemalloc.get_traced_memory()[0]  # the cached trajectory
         tracemalloc.reset_peak()
         traj = rp.state(c2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the cache holds one trajectory (phi and v) and a digest of the control, no copy of
+    # the cache holds one trajectory (phi and v) and the control object, no copy of
     # it; the new trajectory is allocated once the old one is gone, where solving beside
     # it, with byte-copy keys, held 4.0 arrays and peaked 4.3 above them
     assert held < 2.1 * traj.phi.nbytes
@@ -649,7 +649,7 @@ def test_optimize_falls_back_to_bb_step_without_positive_curvature(monkeypatch):
 
     def negative_curvature(self, control, d):
         calls.append(d)
-        return GradientPair(-d.u, -d.v0)
+        return ControlPair(-d.u, -d.v0)
 
     monkeypatch.setattr(ReducedProblem, "hessian_vector", negative_curvature)
     opts = OptimizeOptions(stationarity_tol=1e-8, max_iters=120)
@@ -677,26 +677,26 @@ def test_bb_step_is_inverse_curvature_on_quadratic(rng, c):
     # f = c/2 (||u||^2_L2(Q) + ||v0||^2_V) has gradient c (u, v0) in the control metric
     grid, nt, tau = build_grid(1.0, 1.0, 6, 6), 3, 0.1
     x, x_new = _bb_pairs(rng, grid, nt)
-    g = GradientPair(c * x.u, c * x.v0)
-    g_new = GradientPair(c * x_new.u, c * x_new.v0)
-    assert _bb_step(grid, tau, x, x_new, g, g_new, accepted=0.3) == 1.0 / c
+    g = ControlPair(c * x.u, c * x.v0)
+    g_new = ControlPair(c * x_new.u, c * x_new.v0)
+    assert _bb_step(ControlSpace(grid, tau), x, x_new, g, g_new, accepted=0.3) == 1.0 / c
 
 
 def test_bb_step_falls_back_when_curvature_not_positive(rng):
     grid, nt, tau = build_grid(1.0, 1.0, 6, 6), 3, 0.1
     x, x_new = _bb_pairs(rng, grid, nt)
-    g = GradientPair(np.zeros_like(x.u), grid.zeros())
-    g_new = GradientPair(x.u - x_new.u, x.v0 - x_new.v0)  # y = -s, so <s,y> < 0
-    assert _bb_step(grid, tau, x, x_new, g, g_new, accepted=0.3) == 0.6
+    g = ControlPair(np.zeros_like(x.u), grid.zeros())
+    g_new = ControlPair(x.u - x_new.u, x.v0 - x_new.v0)  # y = -s, so <s,y> < 0
+    assert _bb_step(ControlSpace(grid, tau), x, x_new, g, g_new, accepted=0.3) == 0.6
 
 
 def test_bb_step_falls_back_when_quotient_not_finite():
     grid, nt, tau = build_grid(1.0, 1.0, 6, 6), 3, 0.1
     x = ControlPair.zeros(grid, nt)
     x_new = ControlPair(np.full((nt, *grid.shape), 1e200), np.full(grid.shape, 1e200))
-    g = GradientPair(np.zeros_like(x.u), grid.zeros())
+    g = ControlPair(np.zeros_like(x.u), grid.zeros())
     # <s,y> > 0 but <y,y> underflows to 0
-    g_new = GradientPair(np.full_like(x.u, 1e-170), np.full(grid.shape, 1e-170))
-    assert _bb_step(grid, tau, x, x_new, g, g_new, accepted=0.3) == 0.6
+    g_new = ControlPair(np.full_like(x.u, 1e-170), np.full(grid.shape, 1e-170))
+    assert _bb_step(ControlSpace(grid, tau), x, x_new, g, g_new, accepted=0.3) == 0.6
     # no change of the gradient at all: <s,y> = <y,y> = 0
-    assert _bb_step(grid, tau, x, x_new, g, g, accepted=0.3) == 0.6
+    assert _bb_step(ControlSpace(grid, tau), x, x_new, g, g, accepted=0.3) == 0.6

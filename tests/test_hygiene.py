@@ -235,3 +235,16 @@ def test_test_only_entries_are_read_by_tests_alone():
         name = qualname.rsplit(".", 1)[1]
         assert name not in outside, f"{qualname} is read outside tests"
         assert name in tests, f"{qualname}: no test reads it"
+
+
+def test_control_space_is_defined_once():
+    # the V Gram and Riesz maps are applied in control only by ControlSpace, and cli pairs
+    # controls and gradients through it, not through the V pairing or a gradient type
+    maps = ("laplacian_neumann", "riesz_v")
+    sites = {site for site in _sites(lambda n: isinstance(n, ast.Call)
+                                     and getattr(n.func, "id", None) in maps)
+             if site.startswith("control.")}
+    assert sites == {"control.ControlSpace.gram", "control.ControlSpace.riesz"}
+    cli_py = os.path.join(ROOT, "src", "thermophase", "cli.py")
+    imported = {name for name, _ in _imported(_parse(cli_py))}
+    assert not imported & {"v0_inner", "GradientPair"}
