@@ -16,7 +16,10 @@ Two routes to the same gradient, on purpose:
   (scientific fidelity).  Its gradient agrees with the discrete one only up
   to discretization error, which shrinks under refinement.
 
-Both routes reuse the forward solver of the phase Jacobian.  The tangent and
+All three sweeps take their per-node data from one helper, ``_Linearization``,
+built once per sweep on the base trajectory: pi(phi_n), the coupling
+coefficients c1_n and c2_n, and the phase solve with gamma'(phi_n) through the
+forward solver of the phase Jacobian, ``_phi_solver``.  The tangent and
 its transpose take the thermal steps as ``march`` does, in cosine
 coefficients: the tangent carries the coefficients of eta and eta_t, the
 transpose their cotangents, and each thermal step costs one transform of its
@@ -126,18 +129,43 @@ def trapezoid_weights(nt: int, tau: float) -> np.ndarray:
     return w
 
 
-def _explicit_coeffs(problem, phi_n, v_n, pi_n):
-    """Diagonal coefficients of the explicit terms in the linearized phase step.
+class _Linearization:
+    """The linearized forward step of a base trajectory at each node n: the one source
+    of the per-node data of ``tangent_solve``, ``tangent_transpose`` and
+    ``adjoint_solve_continuous``, built once per sweep.
 
-    c1 multiplies xi_n, c2 multiplies eta_t_n on the right-hand side:
-      c1 = -(2/theta_c) pi'(phi_n) + (1/theta_c^2) v_n pi'(phi_n)
-      c2 = (1/theta_c^2) pi(phi_n), with pi_n = pi(phi_n) carried along by the sweep
+    * ``pi_at(n)`` is pi(phi_n); each sweep carries it from node to node.
+    * ``coeffs(n, pi_n)`` gives the coupling coefficients of the explicit terms of
+      the linearized phase step, c1 multiplying xi_n and c2 multiplying eta_t_n:
+        c1_n = -(2/theta_c) pi'(phi_n) + (1/theta_c^2) v_n pi'(phi_n)
+        c2_n = (1/theta_c^2) pi(phi_n), with pi_n = pi(phi_n) from ``pi_at``
+    * ``solve(n, rhs)`` solves (I/tau - lap + gamma'(phi_n)) x = rhs to ``cg_tol``
+      by ``_phi_solver``.
+    * ``inv`` is the thermal inverse symbol 1/(1/tau + (alpha + tau beta) eig) on
+      every cosine mode, and ``beta_eig`` is beta eig, for the coefficient steps.
+
+    So a sweep over nt steps evaluates gamma' and pi' nt times, pi nt + 1 times,
+    and makes nt phase solves.
     """
-    thc = problem.params.theta_c
-    dpi = problem.coupling.dpi(phi_n)
-    c1 = -(2.0 / thc) * dpi + (v_n * dpi) / (thc * thc)
-    c2 = pi_n / (thc * thc)
-    return c1, c2
+
+    def __init__(self, base: StateTrajectory, problem: Problem, opts: SolverOptions):
+        grid, params, self.tau = problem.grid, problem.params, problem.time.tau
+        self.base, self.problem, self.cg_tol = base, problem, opts.cg_tol
+        self.inv = _solve_symbol(grid, *_thermal_operator(params, self.tau))
+        self.beta_eig = params.beta * grid.cosine_eigenbasis[2]
+
+    def pi_at(self, n: int) -> np.ndarray:
+        return self.problem.coupling.pi(self.base.phi[n])
+
+    def coeffs(self, n: int, pi_n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        thc = self.problem.params.theta_c
+        dpi = self.problem.coupling.dpi(self.base.phi[n])
+        c1 = -(2.0 / thc) * dpi + (self.base.v[n] * dpi) / (thc * thc)
+        return c1, pi_n / (thc * thc)
+
+    def solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
+        gp = self.problem.potential.dgamma(self.base.phi[n])
+        return _phi_solver(self.problem.grid, self.tau, gp, rhs, self.cg_tol).x
 
 
 def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
@@ -159,29 +187,27 @@ def tangent_solve(base: StateTrajectory, problem: Problem, pert: Perturbation,
     only the pointwise part of the right-hand side, multiplies by the inverse
     symbol S = 1/(1/tau + (alpha + tau beta) eig) and transforms
     eta_t_{n+1} = C^T S (...) back; e_hat is updated as e_hat + tau et_hat.
+    c1_n, c2_n, pi, the phase solve, S and beta eig come from
+    ``_Linearization``, and pi(phi_{n+1}) is carried to the next step.
     Only xi and eta_t are stored; the result rebuilds eta on read.
     """
-    grid, tg = problem.grid, problem.time
-    nt, tau = tg.nt, tg.tau
+    grid, nt, tau = problem.grid, problem.time.nt, problem.time.tau
     h = grid.check_field(pert.h, "h", nt)
     h0 = grid.check_field(pert.h0, "h0")
-    inv = _solve_symbol(grid, *_thermal_operator(problem.params, tau))
-    beta_eig = problem.params.beta * grid.cosine_eigenbasis[2]
+    step = _Linearization(base, problem, opts)
 
     xi = np.zeros((nt + 1, grid.ny, grid.nx))
     eta_t = np.zeros_like(xi)
     eta_t[0] = h0
     et_hat, e_hat = _to_cosine(grid, h0), np.zeros(grid.shape)
-    pi_of = problem.coupling.pi
-    dgamma = problem.potential.dgamma
-    pi_n = pi_of(base.phi[0])
+    pi_n = step.pi_at(0)
     for n in range(nt):
-        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
+        c1, c2 = step.coeffs(n, pi_n)
         rhs_phi = xi[n] / tau + c1 * xi[n] + c2 * eta_t[n]
-        xi[n + 1] = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), rhs_phi, opts.cg_tol).x
-        pi_np1 = pi_of(base.phi[n + 1])
+        xi[n + 1] = step.solve(n + 1, rhs_phi)
+        pi_np1 = step.pi_at(n + 1)
         src = h[n] - (pi_np1 * xi[n + 1] - pi_n * xi[n]) / tau
-        et_hat = (et_hat / tau - beta_eig * e_hat + _to_cosine(grid, src)) * inv
+        et_hat = (et_hat / tau - step.beta_eig * e_hat + _to_cosine(grid, src)) * step.inv
         eta_t[n + 1] = _from_cosine(grid, et_hat)
         e_hat += tau * et_hat
         pi_n = pi_np1
@@ -224,17 +250,13 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
     their time-continuum limits solve the backward adjoint system.  Only the
     cotangents of nodes n and n+1 are held.
     """
-    grid, tg = problem.grid, problem.time
-    nt, tau = tg.nt, tg.tau
-    inv = _solve_symbol(grid, *_thermal_operator(problem.params, tau))
-    beta_eig = problem.params.beta * grid.cosine_eigenbasis[2]
-    pi_of = problem.coupling.pi
-    dgamma = problem.potential.dgamma
+    grid, nt, tau = problem.grid, problem.time.nt, problem.time.tau
+    step = _Linearization(base, problem, opts)
 
     h = np.zeros((nt, grid.ny, grid.nx))
     X1, E1, Th1 = seed(nt)
     et_bar1, e_bar1 = np.zeros(grid.shape), np.zeros(grid.shape)
-    pi_np1 = pi_of(base.phi[nt])
+    pi_np1 = step.pi_at(nt)
     for n in range(nt - 1, -1, -1):
         X, E, Th = seed(n)
         # transpose of eta_{n+1} = eta_n + tau eta_t_{n+1}
@@ -243,15 +265,15 @@ def tangent_transpose(base: StateTrajectory, problem: Problem, seed: Seed,
         # transpose of eta_t_{n+1} = C^T et_hat and e_hat_{n+1} = e_hat_n + tau et_hat
         et_bar1 += _to_cosine(grid, Th1) + tau * e_bar1
         # transpose of the thermal solve in coefficients, and of the source's transform
-        r_bar = inv * et_bar1
+        r_bar = step.inv * et_bar1
         h[n] = _from_cosine(grid, r_bar) / tau
-        et_bar, e_bar = r_bar / tau, e_bar1 - beta_eig * r_bar
-        pi_n = pi_of(base.phi[n])
+        et_bar, e_bar = r_bar / tau, e_bar1 - step.beta_eig * r_bar
+        pi_n = step.pi_at(n)
         X1 -= pi_np1 * h[n]
         X += pi_n * h[n]
         # transpose of the phase solve (after X1 is complete)
-        rphi_bar = _phi_solver(grid, tau, dgamma(base.phi[n + 1]), X1, opts.cg_tol).x
-        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
+        rphi_bar = step.solve(n + 1, X1)
+        c1, c2 = step.coeffs(n, pi_n)
         X += rphi_bar / tau + c1 * rphi_bar
         Th += c2 * rphi_bar
         X1, E1, Th1, et_bar1, e_bar1, pi_np1 = X, E, Th, et_bar, e_bar, pi_n
@@ -332,8 +354,8 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
 
     c1_n = -(2/theta_c) pi'(phi_n) + (1/theta_c^2) v_n pi'(phi_n) and
     c2_n = (1/theta_c^2) pi(phi_n) are the coupling coefficients of the
-    linearized phase step, from ``_explicit_coeffs`` as in the tangent sweep
-    and its transpose.
+    linearized phase step.  They, pi(phi_n) and the p solve come from
+    ``_Linearization``, as in the tangent sweep and its transpose.
 
     The q step applies ``_thermal_solve`` and the stencil to physical fields,
     not the coefficient steps of the tangent sweeps: this march is the
@@ -344,11 +366,9 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     are kept at every node.  The trajectory's w is rebuilt once, and only
     when k3 or k4 is positive; q is then written over it backward.
     """
-    grid, tg = problem.grid, problem.time
-    nt, tau = tg.nt, tg.tau
+    grid, nt, tau = problem.grid, problem.time.nt, problem.time.tau
     beta = problem.params.beta
-    pi_of = problem.coupling.pi
-    dgamma = problem.potential.dgamma
+    step = _Linearization(base, problem, opts)
 
     target = weighted_targets(cost, base.phi.shape)  # a zero weight's term reads 0
     p = np.zeros((nt + 1, grid.ny, grid.nx))
@@ -362,7 +382,7 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
     wT_err = w[nt] - target["w_omega"] if cost.k4 > 0.0 else None
     vT_err = base.v[nt] - target.get("wprime_omega", 0.0)
     p[nt] = (cost.k2 * (base.phi[nt] - target.get("phi_omega", 0.0))
-             - cost.k6 * pi_of(base.phi[nt]) * vT_err)
+             - cost.k6 * step.pi_at(nt) * vT_err)
     q[nt] = cost.k6 * vT_err
 
     q_conv = np.zeros(grid.shape)  # 1 (*) q at node n
@@ -375,8 +395,8 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
             f_q = f_q + cost.k5 * (base.v[n] - target["wprime_q"][n])
         if cost.k4 > 0.0:
             f_q = f_q + cost.k4 * wT_err
-        pi_n = pi_of(base.phi[n])
-        c1, c2 = _explicit_coeffs(problem, base.phi[n], base.v[n], pi_n)
+        pi_n = step.pi_at(n)
+        c1, c2 = step.coeffs(n, pi_n)
         rhs_q = (q[n + 1] / tau + beta * laplacian_neumann(grid, q_conv)
                  + c2 * p[n + 1] + f_q)
         if cost.k3 > 0.0:
@@ -385,5 +405,5 @@ def adjoint_solve_continuous(base: StateTrajectory, problem: Problem, cost: "Cos
         rhs_p = p[n + 1] / tau + pi_n * (q[n + 1] - q[n]) / tau + c1 * p[n + 1]
         if cost.k1 > 0.0:
             rhs_p = rhs_p + cost.k1 * (base.phi[n] - target["phi_q"][n])
-        p[n] = _phi_solver(grid, tau, dgamma(base.phi[n]), rhs_p, opts.cg_tol).x
+        p[n] = step.solve(n, rhs_p)
     return AdjointPair(p=p, q=q)

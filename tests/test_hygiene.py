@@ -248,3 +248,19 @@ def test_control_space_is_defined_once():
     cli_py = os.path.join(ROOT, "src", "thermophase", "cli.py")
     imported = {name for name, _ in _imported(_parse(cli_py))}
     assert not imported & {"v0_inner", "GradientPair"}
+
+
+def test_linearization_is_defined_once():
+    # the sweeps of sensitivity take gamma', pi, pi', the phase solve and the thermal
+    # symbol from _Linearization alone: none evaluates, solves or aliases one itself
+    evaluators, solvers = ("dgamma", "dpi", "pi"), ("_phi_solver", "_solve_symbol")
+
+    def names_one(n):
+        if isinstance(n, ast.Attribute):
+            return n.attr in evaluators and getattr(n.value, "id", None) not in ("np", "math")
+        return isinstance(n, ast.Name) and n.id in solvers
+
+    sites = {site for site in _sites(names_one) if site.startswith("sensitivity.")}
+    helper = "sensitivity._Linearization"
+    assert sites == {f"{helper}.__init__", f"{helper}.pi_at", f"{helper}.coeffs",
+                     f"{helper}.solve"}

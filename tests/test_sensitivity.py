@@ -11,9 +11,10 @@ from oracles import circledast_accumulate, scalar_adjoint_backward, scalar_forwa
 
 from thermophase import grid as grid_module
 from thermophase import sensitivity, state
-from thermophase.control import ControlPair, u_inner, u_norm
+from thermophase.control import ControlPair, ReducedProblem, u_inner, u_norm
 from thermophase.errors import NoConvergence
 from thermophase.grid import build_grid, inner, laplacian_neumann, norm
+from thermophase.nonlinearity import Coupling, Potential
 from thermophase.sensitivity import (TRACKING_TERMS, Perturbation, adjoint_solve_continuous,
                                      adjoint_solve_discrete, array_seed, tangent_solve,
                                      tangent_transpose, tracking_seeds, trapezoid_weights)
@@ -158,6 +159,42 @@ def test_dot_product_identity(potential_kind, coupling_kind, cg_tol, rng, monkey
     for theta, tol, iterations in solves:
         assert tol == cg_tol and theta ** (iterations + 1) <= tol < theta ** iterations
         assert theta <= 2.0 ** (1 - iterations)
+
+
+def test_each_sweep_evaluates_the_linearization_once_per_node(monkeypatch, rng):
+    # a sweep over nt steps evaluates gamma' and pi' nt times and pi nt + 1 times (pi is
+    # carried from node to node) and makes nt phase solves; a Gauss-Newton Hessian
+    # product sweeps twice, so it makes twice as many
+    problem = small_problem(nx=16, nt=20)
+    grid, nt = problem.grid, problem.time.nt
+    ctrl = smooth_control(problem)
+    cost = _tracking_cost(problem)
+    rp = ReducedProblem(problem, cost, TIGHT)
+    base = rp.state(ctrl)
+    counts = dict.fromkeys(("dgamma", "dpi", "pi", "_phi_solver"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for owner, name in ((Potential, "dgamma"), (Coupling, "dpi"), (Coupling, "pi"),
+                        (sensitivity, "_phi_solver")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    d = ControlPair(rng.standard_normal((nt, *grid.shape)), rng.standard_normal(grid.shape))
+    zeros = np.zeros(base.phi.shape)
+    sweeps = [lambda: tangent_solve(base, problem, Perturbation(d.u, d.v0), TIGHT),
+              lambda: tangent_transpose(base, problem, array_seed(problem, zeros, zeros, zeros),
+                                        TIGHT),
+              lambda: adjoint_solve_continuous(base, problem, cost, TIGHT)]
+    for sweep in sweeps:
+        counts.update(dict.fromkeys(counts, 0))
+        sweep()
+        assert counts == {"dgamma": nt, "dpi": nt, "pi": nt + 1, "_phi_solver": nt}
+    counts.update(dict.fromkeys(counts, 0))
+    rp.hessian_vector(ctrl, d)
+    assert counts == {"dgamma": 2 * nt, "dpi": 2 * nt, "pi": 2 * (nt + 1), "_phi_solver": 2 * nt}
 
 
 def _zero_cost(problem):
